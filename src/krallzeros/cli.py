@@ -24,9 +24,7 @@ import tempfile
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from . import identities, matrices
+from . import matrices
 from .families import (
     DEFAULT_DEGREE_CAP,
     FAMILIES,
@@ -36,42 +34,12 @@ from .families import (
     build_family,
     operator_of,
 )
-from .identities import IdentityReport, default_grid
+from .identities import ALL_SUITES, SUITES, Cell, IdentityReport, default_grid, severity, worst_residual
 from .rootfinding import NodeSet, RootfindingError, zeros
 
-SUITES = (
-    "eigenpair",
-    "rowsum",
-    "power",
-    "fourth-order",
-    "kleg-main",
-    "klag-main",
-    "kjac-main",
-    "spectrum",
-    "similarity",
-    "quadrature",
-    "diffmat",
-    "all",
-)
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
 
 MATRIX_KINDS = ("z", "ztilde", "dc", "dc-simplified", "dtau", "l", "linv", "lambda")
-
-_SUITE_FAMILY = {"kleg-main": "krall-legendre", "klag-main": "krall-laguerre", "kjac-main": "krall-jacobi"}
-
-_DEFAULT_TOLERANCE = {
-    "eigenpair": 1e-8,
-    "rowsum": 1e-9,
-    "power": 1e-6,
-    "fourth-order": 1e-7,
-    "kleg-main": 1e-7,
-    "klag-main": 1e-7,
-    "kjac-main": 1e-7,
-    "spectrum": 1e-8,
-    "similarity": 1e-8,
-    "quadrature": 1e-10,
-    "diffmat": 1e-11,
-}
 
 
 def _fmt(x: float) -> str:
@@ -238,180 +206,32 @@ def cmd_matrix(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grid_specs(args, suite: str, strict: bool) -> list[FamilySpec]:
-    family = args.family
-    forced = _SUITE_FAMILY.get(suite)
-    if family in (None, "all"):
-        # the caller filters suite/family compatibility cell by cell
-        return default_grid()
-    if forced and family != forced:
-        if strict:
-            raise ParameterError(f"suite {suite} applies to {forced}, not {family}")
-        return []
-    return [FamilySpec(family, alpha=args.alpha, beta=args.beta, mass=args.m_param)]
-
-
-def _diffmat_report(spec: FamilySpec, n: int, tolerance: float, seed: int) -> IdentityReport:
-    """Cross-formula agreement of the differentiation matrices plus exactness."""
-    member = build_family(spec, n)[n]
-    node_set = zeros(member, spec)
-    lead = float(member.coeffs[-1])
-    agreement = 0.0
-    for k in (1, 2, 3, 4):
-        rec = matrices.diffmat(k, node_set, "recursive").data
-        alt = matrices.diffmat(k, node_set, "alternative").data
-        scaled = max(1.0, float(np.max(np.abs(rec))))
-        agreement = max(agreement, float(np.max(np.abs(rec - alt))) / scaled)
-        inv = matrices.diffmat(k, node_set, "recursive", leading=lead).data
-        agreement = max(agreement, float(np.max(np.abs(rec - inv))) / scaled)
-        if k <= 2:
-            exp = matrices.diffmat(k, node_set, "explicit").data
-            agreement = max(agreement, float(np.max(np.abs(rec - exp))) / scaled)
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)  # degree N-1
-    exactness = 0.0
-    derivs = [q]
-    for _ in range(4):
-        derivs.append(np.polynomial.polynomial.polyder(derivs[-1]))
-    x = node_set.as_array()
-    vals = np.polynomial.polynomial.polyval(x, q)
-    for k in (1, 2, 3, 4):
-        target = np.polynomial.polynomial.polyval(x, derivs[k])
-        scale = max(1.0, float(np.max(np.abs(target))))
-        got = matrices.diffmat(k, node_set).data @ vals
-        exactness = max(exactness, float(np.max(np.abs(got - target)) / scale))
-
-    passed = agreement <= tolerance and exactness <= 1e-9
-    return IdentityReport(
-        identity="diffmat-agreement",
-        family=spec.family,
-        params={k: str(v) for k, v in spec.params().items()},
-        n=n,
-        tolerance=tolerance,
-        arithmetic="float",
-        max_residual=max(agreement, exactness),
-        passed=passed,
-        seed=seed,
-        extras={"cross_formula": agreement, "derivative_exactness": exactness},
-        notes=["recursive vs alternative vs explicit vs rescaled node polynomial; seeded random polynomial"],
-    )
-
-
-def _similarity_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityReport:
-    res = matrices.similarity_check(spec, n)
-    inverse_ok = res["inverse_residual"] <= 1e-10
-    similar_ok = res["similarity_residual"] <= tolerance
-    return IdentityReport(
-        identity="similarity",
-        family=spec.family,
-        params={k: str(v) for k, v in spec.params().items()},
-        n=n,
-        tolerance=tolerance,
-        arithmetic="exact",
-        max_residual=max(res["inverse_residual"], res["similarity_residual"]),
-        passed=inverse_ok and similar_ok,
-        extras=res,
-        notes=["inverse pair checked at 1e-10"],
-    )
-
-
-def _quadrature_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityReport:
-    node_set = zeros(build_family(spec, n)[n], spec)
-    worst, per_k = matrices.quadrature_exactness(node_set, spec)
-    lams = matrices.christoffel_numbers(node_set, spec)
-    cells = [
-        {"identity": "quadrature", "m": k, "n": 0, "residual": r, "pass": r <= tolerance}
-        for k, r in enumerate(per_k)
-    ]
-    return IdentityReport(
-        identity="quadrature",
-        family=spec.family,
-        params={k: str(v) for k, v in spec.params().items()},
-        n=n,
-        tolerance=tolerance,
-        arithmetic="exact",
-        max_residual=worst,
-        passed=worst <= tolerance and all(l > 0 for l in lams),
-        cells=cells,
-        notes=[f"moments matched through degree {2 * n - 1}; weights all positive: {all(l > 0 for l in lams)}"],
-    )
-
-
-def _run_suite(suite: str, spec: FamilySpec, n: int, tolerance: float, args) -> list[IdentityReport]:
-    if suite == "eigenpair":
-        return [identities.verify_eigenpairs(spec, n, tolerance=tolerance)]
-    if suite == "rowsum":
-        report = identities.verify_eigenpairs(spec, n, rowsum_tolerance=tolerance)
-        report.passed = bool(report.rowsum_passed)
-        report.identity = "rowsum"
-        return [report]
-    if suite == "power":
-        return [identities.verify_power(spec, n, exponent=args.exponent, tolerance=tolerance)]
-    if suite == "fourth-order":
-        return [identities.verify_fourth_order(spec, n, tolerance=tolerance)]
-    if suite in ("kleg-main", "klag-main", "kjac-main"):
-        if args.variant == "both":
-            both = identities.discriminate_variants(spec, n, tolerance=tolerance)
-            verdict = both["verdict"]
-            # the experiment succeeds when the verdict is decisive; the
-            # residual reported is the one of the surviving reading
-            survivor = both["corrected"] if verdict in ("corrected", "identical") else both["printed"]
-            report = IdentityReport(
-                identity=survivor.identity,
-                family=spec.family,
-                params=survivor.params,
-                n=n,
-                tolerance=tolerance,
-                arithmetic="float",
-                max_residual=survivor.max_residual if verdict != "ambiguous" else max(
-                    both["printed"].max_residual, both["corrected"].max_residual
-                ),
-                passed=verdict != "ambiguous",
-                variant="both",
-                notes=[f"passing variant: {verdict}"] + survivor.notes,
-                extras={
-                    "printed_residual": both["printed"].max_residual,
-                    "corrected_residual": both["corrected"].max_residual,
-                    "verdict": verdict,
-                },
-            )
-            return [report]
-        return [identities.verify_family_identity(spec, n, variant=args.variant, tolerance=tolerance)]
-    if suite == "spectrum":
-        own = identities.spectrum_report(spec, n, tolerance=tolerance)
-        spaced = identities.spectrum_report(
-            spec, n, nodes=identities.equally_spaced_nodes(spec, n), tolerance=max(tolerance, 1e-6)
-        )
-        return [own, spaced]
-    if suite == "similarity":
-        return [_similarity_report(spec, n, tolerance)]
-    if suite == "quadrature":
-        return [_quadrature_report(spec, n, tolerance)]
-    if suite == "diffmat":
-        return [_diffmat_report(spec, n, tolerance, args.seed)]
-    raise ParameterError(f"unknown suite {suite!r}")
-
-
 def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
-    reports: list[IdentityReport] = []
-    strict = len(suites) == 1
-    for suite in suites:
-        tolerance = args.tolerance if args.tolerance is not None else _DEFAULT_TOLERANCE[suite]
-        for spec in _grid_specs(args, suite, strict):
-            if suite in ("fourth-order", "kleg-main", "klag-main", "kjac-main") and not spec.is_krall:
-                continue
-            if suite in _SUITE_FAMILY and spec.family != _SUITE_FAMILY[suite]:
-                continue
-            for n in _parse_n(args):
-                reports.extend(_run_suite(suite, spec, n, tolerance, args))
-    worst = None
-    for rep in reports:
-        for cell in rep.cells:
-            if worst is None or cell["residual"] > worst["residual"]:
-                worst = dict(cell, family=rep.family, params=rep.params, N=rep.n, identity=rep.identity)
+    """Run the suites over the grid, one cell at a time, reporting suite by suite.
+
+    Each (spec, N) cell is built once, handed to every suite that applies to
+    it and dropped; the reports still come out in suite -> spec -> N order.
+    """
+    named = args.family not in (None, "all")
+    specs = [FamilySpec(args.family, alpha=args.alpha, beta=args.beta, mass=args.m_param)] if named else default_grid()
+    # a lone suite on a named family it does not cover is an error, not an empty run
+    strict = named and len(suites) == 1
+    by_suite: dict[str, list[IdentityReport]] = {name: [] for name in suites}
+    for spec in specs:
+        applicable = [name for name in suites if SUITES[name].applies(name, spec, strict)]
+        for n in _parse_n(args):
+            cell = Cell(spec, n)
+            for name in applicable:
+                suite = SUITES[name]
+                tolerance = args.tolerance if args.tolerance is not None else suite.tolerance
+                by_suite[name].extend(suite.run(cell, tolerance, args))
+    reports = [report for name in suites for report in by_suite[name]]
+    worst = max(((r, c) for r in reports for c in r.cells), key=lambda rc: severity(rc[1]["residual"]), default=None)
+    if worst is not None:
+        r, c = worst
+        worst = dict(c, family=r.family, params=r.params, N=r.n, identity=r.identity)
     summary = {
-        "max_residual": max((r.max_residual for r in reports), default=0.0),
+        "max_residual": worst_residual(r.max_residual for r in reports),
         "pass": all(r.passed for r in reports),
         "worst_cell": worst,
         "reports": len(reports),
@@ -461,23 +281,12 @@ def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict
 
 def cmd_verify(args) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
-    if suite not in SUITES:
-        raise ParameterError(f"unknown suite {args.suite!r}; choose from {SUITES}")
     if suite == "all":
-        suites = [
-            "eigenpair",
-            "power",
-            "fourth-order",
-            "kleg-main",
-            "klag-main",
-            "kjac-main",
-            "spectrum",
-            "similarity",
-            "quadrature",
-            "diffmat",
-        ]
-    else:
+        suites = list(ALL_SUITES)
+    elif suite in SUITES:
         suites = [suite]
+    else:
+        raise ParameterError(f"unknown suite {args.suite!r}; choose from {(*SUITES, 'all')}")
     reports, summary = _verify_many(args, suites)
     meta = {
         "suite": args.suite,
@@ -538,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run an identity suite over a grid")
-    p_verify.add_argument("--suite", required=True, help=f"one of {SUITES} (aliases: {sorted(SUITE_ALIASES)})")
+    p_verify.add_argument("--suite", required=True, help=f"one of {(*SUITES, 'all')} (aliases: {sorted(SUITE_ALIASES)})")
     p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), default="corrected")
     p_verify.add_argument("--exponent", type=int, default=2, help="power for the operator-power suite")
     p_verify.set_defaults(func=cmd_verify)

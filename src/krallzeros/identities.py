@@ -1,8 +1,12 @@
 """Verifiers for the algebraic identities satisfied by the zeros.
 
-Each verifier builds the degree-N member of a family, locates its zeros,
-assembles the relevant matrices, and reports per-cell residuals of one
-identity together with a pass verdict at a configured tolerance.
+Every identity is read off one chain per (family, N) cell: the degree-N
+member, its zeros, the collocation matrix on those zeros, and the spectral
+and transition data. A `Cell` builds each link of that chain at most once;
+the verifiers take a cell and report per-cell residuals of one identity
+together with a pass verdict at a configured tolerance. The public
+`verify_*(spec, n)` functions build a fresh cell per call, and the suite
+registry `SUITES` hands one cell to every suite that applies to it.
 
 The ground truth throughout is the eigenpair relation: the vector of values
 of the degree-m member at the zeros of the degree-N member is an
@@ -15,7 +19,8 @@ say which one holds.
 
 Residual scaling: every residual is divided by max(1, dominant term of the
 right-hand side), since raw entries grow rapidly with N and an absolute
-number would be meaningless across the grid.
+number would be meaningless across the grid. Aggregates go through
+`worst_residual`, so a non-finite residual anywhere fails the report.
 
 Arithmetic: the eigenpair and operator-power relations are pure polynomial
 algebra in the nodes, so the default engine evaluates them in exact
@@ -32,14 +37,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import matrices
 from .families import (
+    FAMILIES,
+    KRALL_FAMILIES,
     FamilySpec,
-    Polynomial,
+    ParameterError,
     build_family,
     eigenvalue,
     operator_of,
@@ -48,22 +57,17 @@ from .matrices import (
     SINGULAR_COEFF_GUARD,
     _family_diag,
     _family_offdiag,
+    _fourth_order_brace,
+    _inverse_residual,
     _operator_data,
+    _quadrature_residuals,
     _simplified_diag_fourth_order,
+    _transition_exact,
+    christoffel_numbers,
     collocation_exact,
     collocation_rep,
 )
-from .rootfinding import NodeSet, zeros
-
-IDENTITY_TAGS = (
-    "eigenpair",
-    "operator-power",
-    "fourth-order-zeros",
-    "kleg-main",
-    "klag-main",
-    "kjac-main",
-    "spectrum",
-)
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, zeros
 
 FAMILY_IDENTITY_TAG = {
     "krall-legendre": "kleg-main",
@@ -146,31 +150,119 @@ class IdentityReport:
         )
 
 
+def severity(residual: float) -> tuple:
+    """Sort key for residuals that ranks NaN above every number, inf included."""
+    return (True, 0.0) if math.isnan(residual) else (False, residual)
+
+
+def worst_residual(residuals: Iterable[float], default: float = 0.0) -> float:
+    """The largest residual, NaN if any residual is NaN.
+
+    Plain max() keeps its running value when compared with a NaN, so a NaN
+    anywhere but first would vanish and its report would pass.
+    """
+    return max(residuals, key=severity, default=default)
+
+
 def _params_dict(spec: FamilySpec, **extra) -> dict:
     out = {k: str(v) for k, v in spec.params().items()}
     out.update({k: str(v) for k, v in extra.items()})
     return out
 
 
-def _prepare(spec: FamilySpec, n: int):
-    fam = build_family(spec, n)
-    nodes = zeros(fam[n], spec)
-    mus = [eigenvalue(spec, m) for m in range(n)]
-    return fam, nodes, mus
+class Cell:
+    """One (spec, N) cell: every link of its chain, each built on first use.
 
+    The family holds the members of degree 0..N, `nodes` the zeros of the
+    degree-N member and `mus` the eigenvalues mu_0..mu_{N-1}. The value
+    vectors p_m(x_k), m < N, and the collocation matrix come in exact
+    arithmetic (at the double nodes read as rationals) and in doubles;
+    `lams` are the Christoffel numbers on the nodes refined to `bits`
+    binary digits. A cell lives for one (spec, N) of one run.
+    """
 
-def _values_exact(fam: Sequence[Polynomial], xq: Sequence[Fraction], count: int):
-    return [[fam[m](x) for x in xq] for m in range(count)]
+    def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
+        self.spec, self.n, self.bits = spec, n, bits
 
+    def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
+        """IdentityReport on this cell; by default it passes when max_residual <= tolerance."""
+        passed = max_residual <= tolerance if passed is None else passed
+        params = params or _params_dict(self.spec)
+        return IdentityReport(
+            identity, self.spec.family, params, self.n, tolerance, arithmetic, max_residual, passed, **fields
+        )
 
-def _values_float(fam: Sequence[Polynomial], nodes: NodeSet, count: int) -> np.ndarray:
-    # exact Horner, rounded once per value
-    return np.array([[float(fam[m](Fraction(x))) for x in nodes.nodes] for m in range(count)])
+    @cached_property
+    def op(self):
+        return operator_of(self.spec)
+
+    @cached_property
+    def family(self):
+        return build_family(self.spec, self.n)
+
+    @cached_property
+    def nodes(self) -> NodeSet:
+        return zeros(self.family[self.n], self.spec)
+
+    @cached_property
+    def xq(self) -> list[Fraction]:
+        return [Fraction(x) for x in self.nodes.nodes]
+
+    @cached_property
+    def mus(self) -> list[Fraction]:
+        return [eigenvalue(self.spec, m) for m in range(self.n)]
+
+    @cached_property
+    def values_exact(self) -> list[list[Fraction]]:
+        return [[self.family[m](x) for x in self.xq] for m in range(self.n)]
+
+    @cached_property
+    def values_float(self) -> list[list[float]]:
+        # exact Horner, rounded once per value
+        return [[float(v) for v in row] for row in self.values_exact]
+
+    @cached_property
+    def dc_exact(self) -> list[list[Fraction]]:
+        return collocation_exact(self.op, self.xq)
+
+    @cached_property
+    def dc_float(self) -> np.ndarray:
+        return collocation_rep(self.op, self.nodes).data
+
+    @cached_property
+    def lams(self) -> list[Fraction]:
+        return christoffel_numbers(self.nodes, self.spec, self.bits)
 
 
 # ---------------------------------------------------------------------------
 # eigenpair relation and operator powers
 # ---------------------------------------------------------------------------
+
+
+def _engine(cell: Cell, arithmetic: str):
+    """(collocation matrix, values, eigenvalues, one, sum) in one arithmetic."""
+    if arithmetic == "exact":
+        return cell.dc_exact, cell.values_exact, cell.mus, Fraction(1), sum
+    if arithmetic == "float":
+        return cell.dc_float.tolist(), cell.values_float, [float(mu) for mu in cell.mus], 1.0, math.fsum
+    raise ValueError("arithmetic must be 'exact' or 'float'")
+
+
+def _eigen_cells(tag, matrix, values, mus, one, total, tolerance):
+    """Residuals of matrix @ values[m] = mus[m] * values[m]: (max, per (m, row), per m)."""
+    n = len(matrix)
+    cells, eigenpairs = [], []
+    for m, mu in enumerate(mus):
+        pv = values[m]
+        scale = max(one, abs(mu) * max(abs(v) for v in pv))
+        rows = []
+        for i in range(n):
+            res = abs(total(matrix[i][k] * pv[k] for k in range(n)) - mu * pv[i])
+            r = float(res / scale)
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            rows.append(r)
+        eigenpairs.append({"m": m, "eigenvalue": float(mu), "residual": worst_residual(rows)})
+    return worst_residual(c["residual"] for c in cells), cells, eigenpairs
 
 
 def verify_eigenpairs(
@@ -190,51 +282,16 @@ def verify_eigenpairs(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if arithmetic not in ("exact", "float"):
-        raise ValueError("arithmetic must be 'exact' or 'float'")
-    fam, nodes, mus = _prepare(spec, n)
+    return _eigenpairs(Cell(spec, n), tolerance, rowsum_tolerance, arithmetic)
 
-    cells = []
-    eigenpairs = []
-    if arithmetic == "exact":
-        xq = [Fraction(x) for x in nodes.nodes]
-        dc = collocation_exact(operator_of(spec), xq)
-        pv = _values_exact(fam, xq, n)
-        rowsum = max(float(abs(sum(row))) for row in dc)
-        for m in range(n):
-            scale = max(Fraction(1), abs(mus[m]) * max(abs(v) for v in pv[m]))
-            worst_m = 0.0
-            for i in range(n):
-                res = abs(sum(dc[i][k] * pv[m][k] for k in range(n)) - mus[m] * pv[m][i])
-                r = float(res / scale)
-                cells.append({"identity": "eigenpair", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-                worst_m = max(worst_m, r)
-            eigenpairs.append({"m": m, "eigenvalue": float(mus[m]), "residual": worst_m})
-    else:
-        dc = collocation_rep(operator_of(spec), nodes).data
-        pv = _values_float(fam, nodes, n)
-        rowsum = float(np.max(np.abs(dc.sum(axis=1))))
-        for m in range(n):
-            mu = float(mus[m])
-            scale = max(1.0, abs(mu) * np.max(np.abs(pv[m])))
-            worst_m = 0.0
-            for i in range(n):
-                res = abs(math.fsum(dc[i, k] * pv[m, k] for k in range(n)) - mu * pv[m, i])
-                r = float(res / scale)
-                cells.append({"identity": "eigenpair", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-                worst_m = max(worst_m, r)
-            eigenpairs.append({"m": m, "eigenvalue": mu, "residual": worst_m})
 
-    max_residual = max(c["residual"] for c in cells)
+def _eigenpairs(cell: Cell, tolerance=1e-8, rowsum_tolerance=1e-9, arithmetic="exact") -> IdentityReport:
+    dc, pv, mus, one, total = _engine(cell, arithmetic)
+    max_residual, cells, eigenpairs = _eigen_cells("eigenpair", dc, pv, mus, one, total, tolerance)
+    rowsum = worst_residual(float(abs(total(row))) for row in dc)
     rowsum_ok = rowsum <= rowsum_tolerance
-    return IdentityReport(
-        identity="eigenpair",
-        family=spec.family,
-        params=_params_dict(spec),
-        n=n,
-        tolerance=tolerance,
-        arithmetic=arithmetic,
-        max_residual=max_residual,
+    return cell.report(
+        "eigenpair", tolerance, arithmetic, max_residual,
         passed=max_residual <= tolerance and rowsum_ok,
         cells=cells,
         eigenpairs=eigenpairs,
@@ -257,65 +314,40 @@ def verify_power(
     same eigenvectors with eigenvalues mu_m^e. Entries scale like mu^e; an
     overflow guard rejects exponents that would leave double range.
     """
+    return _power(Cell(spec, n), exponent, tolerance, arithmetic)
+
+
+def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> IdentityReport:
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
-    fam, nodes, mus = _prepare(spec, n)
-    top = max((abs(float(m)) for m in mus), default=1.0)
+    top = max((abs(float(m)) for m in cell.mus), default=1.0)
     if top > 1.0 and exponent * math.log10(top) > 250:
         raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {top:.3e})")
-
-    cells = []
-    eigenpairs = []
-    if arithmetic == "exact":
-        xq = [Fraction(x) for x in nodes.nodes]
-        dc = collocation_exact(operator_of(spec), xq)
-        power = dc
-        for _ in range(exponent - 1):
-            power = [[sum(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        pv = _values_exact(fam, xq, n)
-        for m in range(n):
-            mu_e = mus[m] ** exponent
-            scale = max(Fraction(1), abs(mu_e) * max(abs(v) for v in pv[m]))
-            worst_m = 0.0
-            for i in range(n):
-                res = abs(sum(power[i][k] * pv[m][k] for k in range(n)) - mu_e * pv[m][i])
-                r = float(res / scale)
-                cells.append({"identity": "operator-power", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-                worst_m = max(worst_m, r)
-            eigenpairs.append({"m": m, "eigenvalue": float(mu_e), "residual": worst_m})
-    else:
-        dc = collocation_rep(operator_of(spec), nodes).data
-        power = np.linalg.matrix_power(dc, exponent)
-        pv = _values_float(fam, nodes, n)
-        for m in range(n):
-            mu_e = float(mus[m]) ** exponent
-            scale = max(1.0, abs(mu_e) * np.max(np.abs(pv[m])))
-            worst_m = 0.0
-            for i in range(n):
-                res = abs(math.fsum(power[i, k] * pv[m, k] for k in range(n)) - mu_e * pv[m, i])
-                r = float(res / scale)
-                cells.append({"identity": "operator-power", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-                worst_m = max(worst_m, r)
-            eigenpairs.append({"m": m, "eigenvalue": mu_e, "residual": worst_m})
-
-    max_residual = max(c["residual"] for c in cells)
-    return IdentityReport(
-        identity="operator-power",
-        family=spec.family,
-        params=_params_dict(spec, exponent=exponent),
-        n=n,
-        tolerance=tolerance,
-        arithmetic=arithmetic,
-        max_residual=max_residual,
-        passed=max_residual <= tolerance,
-        cells=cells,
-        eigenpairs=eigenpairs,
+    dc, pv, mus, one, total = _engine(cell, arithmetic)
+    n = cell.n
+    power = dc
+    for _ in range(exponent - 1):
+        power = [[total(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    mus = [mu**exponent for mu in mus]
+    max_residual, cells, eigenpairs = _eigen_cells("operator-power", power, pv, mus, one, total, tolerance)
+    params = _params_dict(cell.spec, exponent=exponent)
+    return cell.report(
+        "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
     )
 
 
 # ---------------------------------------------------------------------------
 # fourth-order closed-form identity
 # ---------------------------------------------------------------------------
+
+
+def _closed_form_inputs(cell: Cell):
+    """Nodes, p_N', p_N'', p_N''' and the rows where a_4 vanishes, as floats."""
+    nodes = cell.nodes
+    x = nodes.as_array()
+    a4 = cell.op.coefficient(4).to_float()
+    singular = [i for i in range(cell.n) if abs(a4(x[i])) < SINGULAR_COEFF_GUARD]
+    return x, np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3), singular
 
 
 def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> IdentityReport:
@@ -328,68 +360,54 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
     where a_4 nearly vanishes are skipped with a note. Both sides are also
     cross-checked against the general assembly rearranged the same way.
     """
+    return _fourth_order(Cell(spec, n), tolerance)
+
+
+def _fourth_order(cell: Cell, tolerance=1e-7) -> IdentityReport:
+    spec, n = cell.spec, cell.n
     if not spec.is_krall:
         raise ValueError("the fourth order identity applies to the Krall families only")
-    fam, nodes, mus = _prepare(spec, n)
-    x = nodes.as_array()
-    p1, p2, p3 = np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3)
-    pv = _values_float(fam, nodes, n)
-    dc_general = collocation_rep(operator_of(spec), nodes).data
-    a4 = operator_of(spec).coefficient(4).to_float()
+    x, p1, p2, p3, skipped = _closed_form_inputs(cell)
+    pv = cell.values_float
+    dc_general = cell.dc_float
+    mu_top = float(eigenvalue(spec, n))
 
     cells = []
     notes = []
-    skipped = []
     cross_lhs = 0.0
     cross_rhs = 0.0
     for i in range(n):
-        if abs(a4(x[i])) < SINGULAR_COEFF_GUARD:
-            skipped.append(i + 1)
+        if i in skipped:
             continue
-        diag = _simplified_diag_fourth_order(spec, n, x[i], p1[i], p2[i], p3[i])
-        a, _ = _operator_data(spec, x[i])
-        for m in range(n):
-            lhs_terms = []
-            for k in range(n):
-                if k == i:
-                    continue
+        a, ap = _operator_data(cell.op, x[i])
+        diag = _simplified_diag_fourth_order(a, ap, mu_top, p1[i], p2[i], p3[i])
+        # (k, a_ik^2, brace) do not depend on m
+        terms = []
+        for k in range(n):
+            if k != i:
                 a_ik = 1.0 / (x[i] - x[k])
-                brace = (
-                    4.0 * a[4] * p3[i]
-                    + 3.0 * (a[3] - 4.0 * a[4] * a_ik) * p2[i]
-                    - 2.0 * (3.0 * a_ik * (a[3] - 4.0 * a[4] * a_ik) - a[2]) * p1[i]
-                )
-                lhs_terms.append(a_ik * a_ik * pv[m, k] / p1[k] * brace)
-            lhs = math.fsum(lhs_terms)
-            mu = float(mus[m])
-            rhs = (-mu + diag) * pv[m, i]
-            scale = max(1.0, abs(mu * pv[m, i]), abs(diag * pv[m, i]))
+                terms.append((k, a_ik * a_ik, _fourth_order_brace(a, a_ik, p1[i], p2[i], p3[i])))
+        for m in range(n):
+            lhs = math.fsum(a2 * pv[m][k] / p1[k] * brace for k, a2, brace in terms)
+            mu = float(cell.mus[m])
+            rhs = (-mu + diag) * pv[m][i]
+            scale = max(1.0, abs(mu * pv[m][i]), abs(diag * pv[m][i]))
             r = float(abs(lhs - rhs) / scale)
             cells.append({"identity": "fourth-order-zeros", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
             # the same sides, rearranged from the eigenpair relation
-            alt_lhs = -math.fsum(dc_general[i, k] * pv[m, k] for k in range(n) if k != i)
-            alt_rhs = (dc_general[i, i] - mu) * pv[m, i]
+            alt_lhs = -math.fsum(dc_general[i, k] * pv[m][k] for k in range(n) if k != i)
+            alt_rhs = (dc_general[i, i] - mu) * pv[m][i]
             cross_lhs = max(cross_lhs, float(abs(lhs - alt_lhs)) / max(1.0, abs(lhs)))
             cross_rhs = max(cross_rhs, float(abs(rhs - alt_rhs)) / max(1.0, float(abs(rhs))))
     if skipped:
-        notes.append(f"rows {skipped} skipped: |a_4(x_n)| under the singular guard")
+        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
 
-    max_residual = max(c["residual"] for c in cells) if cells else 0.0
-    return IdentityReport(
-        identity="fourth-order-zeros",
-        family=spec.family,
-        params=_params_dict(spec),
-        n=n,
-        tolerance=tolerance,
-        arithmetic="float",
-        max_residual=max_residual,
-        passed=max_residual <= tolerance,
+    max_residual = worst_residual(c["residual"] for c in cells)
+    return cell.report(
+        "fourth-order-zeros", tolerance, "float", max_residual,
         cells=cells,
         notes=notes,
-        extras={
-            "cross_check_lhs_vs_general": cross_lhs,
-            "cross_check_rhs_vs_general": cross_rhs,
-        },
+        extras={"cross_check_lhs_vs_general": cross_lhs, "cross_check_rhs_vs_general": cross_rhs},
     )
 
 
@@ -415,69 +433,51 @@ def verify_family_identity(
     factor is already the degree-m value) and the variant is recorded as
     informational only.
     """
+    return _family_identity(Cell(spec, n), variant, tolerance)
+
+
+def _family_identity(cell: Cell, variant="corrected", tolerance=1e-7) -> IdentityReport:
+    spec, n = cell.spec, cell.n
     if not spec.is_krall:
         raise ValueError("family identities exist for the Krall families only")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    fam, nodes, mus = _prepare(spec, n)
-    x = nodes.as_array()
-    p1, p2, p3 = np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3)
-    pv = _values_float(fam, nodes, n)
-    a4 = operator_of(spec).coefficient(4).to_float()
+    x, p1, p2, p3, skipped = _closed_form_inputs(cell)
+    pv = cell.values_float
     ambiguous = spec.family == "krall-laguerre"
+    tag = FAMILY_IDENTITY_TAG[spec.family]
 
     cells = []
     notes = []
-    skipped = []
     for i in range(n):
-        if abs(a4(x[i])) < SINGULAR_COEFF_GUARD:
-            skipped.append(i + 1)
+        if i in skipped:
             continue
         diag = _family_diag(spec, n, x[i], p1[i], p2[i], p3[i])
+        # bracket = off-diagonal closed form read at the row node, sign
+        # flipped by moving it across the equation; it does not depend on m
+        terms = [
+            (k, -_family_offdiag(spec, x[i], 1.0 / (x[i] - x[k]), p1[i], p2[i], p3[i], p1[k]))
+            for k in range(n)
+            if k != i
+        ]
         for m in range(n):
-            lhs_terms = []
-            for k in range(n):
-                if k == i:
-                    continue
-                a_ik = 1.0 / (x[i] - x[k])
-                # bracket = off-diagonal closed form read at the row node,
-                # sign flipped by moving it across the equation
-                lhs_terms.append(-_family_offdiag(spec, x[i], a_ik, p1[i], p2[i], p3[i], p1[k]) * pv[m, k])
-            lhs = math.fsum(lhs_terms)
-            mu = float(mus[m])
-            trailing = p1[i] if (ambiguous and variant == "printed") else pv[m, i]
+            lhs = math.fsum(bracket * pv[m][k] for k, bracket in terms)
+            mu = float(cell.mus[m])
+            trailing = p1[i] if (ambiguous and variant == "printed") else pv[m][i]
             rhs = (-mu + diag) * trailing
             scale = max(1.0, abs(mu * trailing), abs(diag * trailing))
             r = float(abs(lhs - rhs) / scale)
-            cells.append({
-                "identity": FAMILY_IDENTITY_TAG[spec.family],
-                "m": m,
-                "n": i + 1,
-                "residual": r,
-                "pass": r <= tolerance,
-            })
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
     if skipped:
-        notes.append(f"rows {skipped} skipped: |a_4(x_n)| under the singular guard")
+        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
     if ambiguous:
         factor = "p_N'(x_n)" if variant == "printed" else "p_m(x_n)"
         notes.append(f"trailing right-hand factor read as {factor}")
     else:
         notes.append("variants coincide for this family (trailing factor is the degree-m value)")
 
-    max_residual = max(c["residual"] for c in cells) if cells else 0.0
-    return IdentityReport(
-        identity=FAMILY_IDENTITY_TAG[spec.family],
-        family=spec.family,
-        params=_params_dict(spec),
-        n=n,
-        tolerance=tolerance,
-        arithmetic="float",
-        max_residual=max_residual,
-        passed=max_residual <= tolerance,
-        cells=cells,
-        variant=variant,
-        notes=notes,
-    )
+    max_residual = worst_residual(c["residual"] for c in cells)
+    return cell.report(tag, tolerance, "float", max_residual, cells=cells, variant=variant, notes=notes)
 
 
 def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> dict:
@@ -487,9 +487,13 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
     experiment is decisive when exactly one passes. For the other two
     families the readings coincide and the verdict is "identical".
     """
-    printed = verify_family_identity(spec, n, "printed", tolerance)
-    corrected = verify_family_identity(spec, n, "corrected", tolerance)
-    if spec.family != "krall-laguerre":
+    return _discriminate(Cell(spec, n), tolerance)
+
+
+def _discriminate(cell: Cell, tolerance=1e-7) -> dict:
+    printed = _family_identity(cell, "printed", tolerance)
+    corrected = _family_identity(cell, "corrected", tolerance)
+    if cell.spec.family != "krall-laguerre":
         verdict = "identical"
     elif printed.passed == corrected.passed:
         verdict = "ambiguous"
@@ -502,6 +506,26 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
     }
 
 
+def _family_main(cell: Cell, tolerance: float, variant: str) -> IdentityReport:
+    """One reading of the family identity, or with variant="both" the experiment's verdict."""
+    if variant != "both":
+        return _family_identity(cell, variant, tolerance)
+    both = _discriminate(cell, tolerance)
+    verdict = both["verdict"]
+    printed, corrected = both["printed"].max_residual, both["corrected"].max_residual
+    # the experiment succeeds when the verdict is decisive; the residual
+    # reported is the one of the surviving reading
+    survivor = both["corrected"] if verdict in ("corrected", "identical") else both["printed"]
+    return cell.report(
+        survivor.identity, tolerance, "float",
+        survivor.max_residual if verdict != "ambiguous" else worst_residual([printed, corrected]),
+        passed=verdict != "ambiguous",
+        variant="both",
+        notes=[f"passing variant: {verdict}"] + survivor.notes,
+        extras={"printed_residual": printed, "corrected_residual": corrected, "verdict": verdict},
+    )
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -509,10 +533,14 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
 
 def equally_spaced_nodes(spec: FamilySpec, n: int) -> NodeSet:
     """n equally spaced nodes on the hull (on the zero span when unbounded)."""
+    return _equally_spaced(Cell(spec, n))
+
+
+def _equally_spaced(cell: Cell) -> NodeSet:
+    spec, n = cell.spec, cell.n
     lo, hi = spec.hull()
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        member = build_family(spec, n)[n]
-        xs = zeros(member, spec).nodes
+        xs = cell.nodes.nodes
         lo, hi = min(xs), max(xs)
     if n == 1:
         return NodeSet.from_points([(lo + hi) / 2.0], spec)
@@ -543,29 +571,191 @@ def spectrum_report(
     independent of which distinct real nodes are used; pass any NodeSet to
     exercise that (family zeros are the default).
     """
-    supplied = nodes is not None
+    return _spectrum(Cell(spec, n), tolerance, nodes)
+
+
+def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> IdentityReport:
     if nodes is None:
-        member = build_family(spec, n)[n]
-        nodes = zeros(member, spec)
-    if len(nodes) != n:
-        raise ValueError(f"node set has {len(nodes)} nodes, expected {n}")
-    mus = [float(eigenvalue(spec, m)) for m in range(n)]
-    dc = collocation_rep(operator_of(spec), nodes).data
-    eigvals = np.linalg.eigvals(dc)
-    eigenpairs = _match_eigenvalues(eigvals, mus)
-    max_residual = max(row["residual"] for row in eigenpairs)
-    return IdentityReport(
-        identity="spectrum",
-        family=spec.family,
-        params=_params_dict(spec),
-        n=n,
-        tolerance=tolerance,
-        arithmetic="float",
-        max_residual=max_residual,
-        passed=max_residual <= tolerance,
+        dc = cell.dc_float
+    elif len(nodes) != cell.n:
+        raise ValueError(f"node set has {len(nodes)} nodes, expected {cell.n}")
+    else:
+        dc = collocation_rep(cell.op, nodes).data
+    eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), [float(mu) for mu in cell.mus])
+    max_residual = worst_residual(row["residual"] for row in eigenpairs)
+    return cell.report(
+        "spectrum", tolerance, "float", max_residual,
         eigenpairs=eigenpairs,
-        notes=[f"nodes: {'caller-supplied' if supplied else 'family zeros'}"],
+        notes=[f"nodes: {'family zeros' if nodes is None else 'caller-supplied'}"],
     )
+
+
+# ---------------------------------------------------------------------------
+# similarity, quadrature and differentiation-matrix reports
+# ---------------------------------------------------------------------------
+
+
+def _similarity(cell: Cell) -> dict:
+    """Exact consistency of the two representations; see matrices.similarity_check."""
+    n, mus = cell.n, cell.mus
+    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    dc, pv = cell.dc_exact, cell.values_exact  # pv[j][k] = L_inv[k][j] at the raw nodes
+    worst = Fraction(0)
+    for m in range(n):
+        total = Fraction(0)
+        for j in range(n):
+            total += abs(sum(dc[m][k] * pv[j][k] for k in range(n)) - pv[j][m] * mus[j])
+        worst = max(worst, total)
+    denom = max(Fraction(1), max(abs(v) for v in mus))
+    return {
+        "inverse_residual": _inverse_residual(l_mat, l_inv),
+        "similarity_residual": float(worst / denom),
+    }
+
+
+def _similarity_report(cell: Cell, tolerance: float) -> IdentityReport:
+    res = _similarity(cell)
+    inverse, similar = res["inverse_residual"], res["similarity_residual"]
+    return cell.report(
+        "similarity", tolerance, "exact", worst_residual([inverse, similar]),
+        passed=inverse <= 1e-10 and similar <= tolerance,
+        extras=res,
+        notes=["inverse pair checked at 1e-10"],
+    )
+
+
+def _quadrature_report(cell: Cell, tolerance: float) -> IdentityReport:
+    per_k = _quadrature_residuals(cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    worst = worst_residual(per_k)
+    positive = all(lam > 0 for lam in cell.lams)
+    cells = [
+        {"identity": "quadrature", "m": k, "n": 0, "residual": r, "pass": r <= tolerance} for k, r in enumerate(per_k)
+    ]
+    return cell.report(
+        "quadrature", tolerance, "exact", worst,
+        passed=worst <= tolerance and positive,
+        cells=cells,
+        notes=[f"moments matched through degree {2 * cell.n - 1}; weights all positive: {positive}"],
+    )
+
+
+def _diffmat_report(cell: Cell, tolerance: float, seed: int) -> IdentityReport:
+    """Cross-formula agreement of the differentiation matrices plus exactness."""
+    n, node_set = cell.n, cell.nodes
+    lead = float(cell.family[n].coeffs[-1])
+    q = np.random.default_rng(seed).standard_normal(n)  # degree N-1
+    x = node_set.as_array()
+    vals = np.polynomial.polynomial.polyval(x, q)
+    agreement, exactness = [], []
+    for k in (1, 2, 3, 4):
+        rec = matrices.diffmat(k, node_set, "recursive").data
+        others = [matrices.diffmat(k, node_set, "alternative"), matrices.diffmat(k, node_set, leading=lead)]
+        if k <= 2:
+            others.append(matrices.diffmat(k, node_set, "explicit"))
+        scaled = max(1.0, float(np.max(np.abs(rec))))
+        agreement += [float(np.max(np.abs(rec - other.data))) / scaled for other in others]
+        target = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(q, k))
+        scale = max(1.0, float(np.max(np.abs(target))))
+        exactness.append(float(np.max(np.abs(rec @ vals - target)) / scale))
+
+    agreement, exactness = worst_residual(agreement), worst_residual(exactness)
+    return cell.report(
+        "diffmat-agreement", tolerance, "float", worst_residual([agreement, exactness]),
+        passed=agreement <= tolerance and exactness <= 1e-9,
+        seed=seed,
+        extras={"cross_formula": agreement, "derivative_exactness": exactness},
+        notes=["recursive vs alternative vs explicit vs rescaled node polynomial; seeded random polynomial"],
+    )
+
+
+def _rowsum_report(cell: Cell, tolerance: float) -> IdentityReport:
+    report = _eigenpairs(cell, rowsum_tolerance=tolerance)
+    report.passed = bool(report.rowsum_passed)
+    report.identity = "rowsum"
+    return report
+
+
+# ---------------------------------------------------------------------------
+# suite registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite.
+
+    `run(cell, tolerance, options)` returns the suite's reports on one cell;
+    `options` carries `exponent`, `variant` and `seed`. `families` lists
+    the families the suite applies to, and `certifies` says what a pass
+    establishes.
+    """
+
+    run: Callable[[Cell, float, object], list]
+    tolerance: float
+    families: tuple[str, ...]
+    certifies: str
+
+    def applies(self, name: str, spec: FamilySpec, strict: bool) -> bool:
+        """Whether the suite runs on spec; strict turns a mismatch into an error."""
+        if spec.family in self.families:
+            return True
+        if strict:
+            raise ParameterError(f"suite {name} applies to {' / '.join(self.families)}, not {spec.family}")
+        return False
+
+
+SUITES = {
+    "eigenpair": Suite(
+        lambda cell, tol, opt: [_eigenpairs(cell, tol)], 1e-8, FAMILIES,
+        "exact D p_m = mu_m p_m, m < N; holds on any distinct rational nodes, so it certifies the "
+        "differentiation-matrix formulas, not the zeros",
+    ),
+    "rowsum": Suite(
+        lambda cell, tol, opt: [_rowsum_report(cell, tol)], 1e-9, FAMILIES,
+        "exact row sums of D vanish (the m = 0 eigenpair); node-independent like `eigenpair`",
+    ),
+    "power": Suite(
+        lambda cell, tol, opt: [_power(cell, opt.exponent, tol)], 1e-6, FAMILIES,
+        "exact D^e p_m = mu_m^e p_m; certifies the differentiation-matrix formulas, not the zeros",
+    ),
+    "fourth-order": Suite(
+        lambda cell, tol, opt: [_fourth_order(cell, tol)], 1e-7, KRALL_FAMILIES,
+        "generic fourth-order closed-form identity in doubles; holds only at the zeros",
+    ),
+    "kleg-main": Suite(
+        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-legendre",),
+        "Krall-Legendre closed-form identity in doubles; holds only at the zeros",
+    ),
+    "klag-main": Suite(
+        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-laguerre",),
+        "Krall-Laguerre closed-form identity in doubles, with both readings of its trailing factor",
+    ),
+    "kjac-main": Suite(
+        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-jacobi",),
+        "Krall-Jacobi closed-form identity in doubles; holds only at the zeros",
+    ),
+    "spectrum": Suite(
+        lambda cell, tol, opt: [_spectrum(cell, tol), _spectrum(cell, max(tol, 1e-6), _equally_spaced(cell))],
+        1e-8, FAMILIES,
+        "eigenvalues of D in doubles match mu_m on the zeros and on equally spaced nodes (at 1e-6 or looser)",
+    ),
+    "similarity": Suite(
+        lambda cell, tol, opt: [_similarity_report(cell, tol)], 1e-8, FAMILIES,
+        "exact L L_inv = I at 1e-10 on refined zeros, which needs the zeros; exact D L_inv = L_inv D_tau, "
+        "which certifies the formulas, not the zeros",
+    ),
+    "quadrature": Suite(
+        lambda cell, tol, opt: [_quadrature_report(cell, tol)], 1e-10, FAMILIES,
+        "exact Gaussian exactness through degree 2N-1 and positive Christoffel weights on refined zeros",
+    ),
+    "diffmat": Suite(
+        lambda cell, tol, opt: [_diffmat_report(cell, tol, opt.seed)], 1e-11, FAMILIES,
+        "the three Z^(k) constructions, k = 1..4, agree in doubles and are exact (at 1e-9) on a seeded polynomial",
+    ),
+}
+
+#: The suites `verify --suite all` and `report` run, in report order.
+ALL_SUITES = tuple(name for name in SUITES if name != "rowsum")
 
 
 # ---------------------------------------------------------------------------

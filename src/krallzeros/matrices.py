@@ -49,7 +49,7 @@ from .families import (
     operator_of,
     squared_norm,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _round_binary, zeros
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _round_binary
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -298,9 +298,8 @@ def collocation_exact(op: DiffOperator, xq: Sequence[Fraction]) -> list[list[Fra
     return out
 
 
-def _operator_data(spec: FamilySpec, x: float):
+def _operator_data(op: DiffOperator, x: float):
     """a_j(x) and a_j'(x), j = 1..4, as floats."""
-    op = operator_of(spec)
     a = {j: 0.0 for j in range(1, 5)}
     ap = {j: 0.0 for j in range(1, 5)}
     for order, c in op.terms:
@@ -310,9 +309,7 @@ def _operator_data(spec: FamilySpec, x: float):
     return a, ap
 
 
-def _simplified_diag_fourth_order(spec: FamilySpec, n_total: int, x: float, p1: float, p2: float, p3: float) -> float:
-    a, ap = _operator_data(spec, x)
-    mu_top = float(eigenvalue(spec, n_total))
+def _simplified_diag_fourth_order(a: dict, ap: dict, mu_top: float, p1: float, p2: float, p3: float) -> float:
     return (
         -(a[3] - 0.8 * (ap[4] + a[3]))
         * (a[3] * p3 + a[2] * p2 + a[1] * p1)
@@ -323,14 +320,12 @@ def _simplified_diag_fourth_order(spec: FamilySpec, n_total: int, x: float, p1: 
     )
 
 
-def _simplified_offdiag_fourth_order(spec: FamilySpec, xm: float, a_mn: float, p1m: float, p2m: float, p3m: float, p1n: float) -> float:
-    a, _ = _operator_data(spec, xm)
-    brace = (
+def _fourth_order_brace(a: dict, a_mn: float, p1m: float, p2m: float, p3m: float) -> float:
+    return (
         4.0 * a[4] * p3m
         + 3.0 * (a[3] - 4.0 * a[4] * a_mn) * p2m
         - 2.0 * (3.0 * a_mn * (a[3] - 4.0 * a[4] * a_mn) - a[2]) * p1m
     )
-    return -(a_mn * a_mn) / p1n * brace
 
 
 def _family_diag(spec: FamilySpec, n_total: int, x: float, p1: float, p2: float, p3: float) -> float:
@@ -421,8 +416,13 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     n_total = n
     p1, p2, p3 = np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3)
 
-    a4 = operator_of(spec).coefficient(4).to_float()
+    op = operator_of(spec)
+    a4 = op.coefficient(4).to_float()
     flagged = tuple(i for i in range(n) if abs(a4(x[i])) < SINGULAR_COEFF_GUARD)
+    if formula == "fourth-order":
+        # a_j and a_j' at each row node, computed once per row
+        rows = [_operator_data(op, xi) for xi in x]
+        mu_top = float(eigenvalue(spec, n_total))
 
     out = np.zeros((n, n))
     for m in range(n):
@@ -433,15 +433,15 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
             if formula == "family":
                 out[m, j] = _family_offdiag(spec, x[m], a_mn, p1[m], p2[m], p3[m], p1[j])
             else:
-                out[m, j] = _simplified_offdiag_fourth_order(spec, x[m], a_mn, p1[m], p2[m], p3[m], p1[j])
-    general = collocation_rep(operator_of(spec), nodes).data if flagged else None
+                out[m, j] = -(a_mn * a_mn) / p1[j] * _fourth_order_brace(rows[m][0], a_mn, p1[m], p2[m], p3[m])
+    general = collocation_rep(op, nodes).data if flagged else None
     for i in range(n):
         if i in flagged:
             out[i, i] = general[i, i]
         elif formula == "family":
             out[i, i] = _family_diag(spec, n_total, x[i], p1[i], p2[i], p3[i])
         else:
-            out[i, i] = _simplified_diag_fourth_order(spec, n_total, x[i], p1[i], p2[i], p3[i])
+            out[i, i] = _simplified_diag_fourth_order(*rows[i], mu_top, p1[i], p2[i], p3[i])
     note = f"{formula} closed form at the zeros of the degree-{n} member"
     if flagged:
         note += f"; general-assembly fallback at nodes {list(flagged)}"
@@ -549,8 +549,11 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_R
     only at the true zeros, and its sensitivity to node error dwarfs double
     precision for spread-out node sets.
     """
-    lams = christoffel_numbers(nodes, spec, bits)
-    xq = nodes.refined(bits)
+    residuals = _quadrature_residuals(christoffel_numbers(nodes, spec, bits), nodes.refined(bits), spec)
+    return max(residuals), residuals
+
+
+def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec) -> list[float]:
     mom = MomentFunctional(spec)
     n = len(xq)
     residuals = []
@@ -561,18 +564,16 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_R
         approx = sum((lam * p for lam, p in zip(lams, powers)), Fraction(0))
         mk = mom(k)
         residuals.append(float(abs(approx - mk) / max(Fraction(1), abs(mk))))
-    return max(residuals), residuals
+    return residuals
 
 
 _PRODUCT_BITS = 512  # entry rounding before exact matrix products
 
 
-def _transition_exact(nodes: NodeSet, spec: FamilySpec, bits: int):
-    n = len(nodes)
-    fam = build_family(spec, n - 1)
-    norms = [squared_norm(p, spec) for p in fam]
-    lams = christoffel_numbers(nodes, spec, bits)
-    xq = nodes.refined(bits)
+def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
+    """(L, L_inv) in exact entries from members p_0..p_{N-1} and the weights at refined nodes xq."""
+    n = len(xq)
+    norms = [squared_norm(p, spec) for p in fam[:n]]
     values = [[_round_binary(fam[j](x), _PRODUCT_BITS) for x in xq] for j in range(n)]
     l_mat = [
         [_round_binary(lams[k] * values[j][k] / norms[j], _PRODUCT_BITS) for k in range(n)]
@@ -604,7 +605,8 @@ def transition(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS
     inverse explicit, L_inv[j][k] = p_{k-1}(x_j); the product is checked to
     the 1e-10 consistency bound before returning.
     """
-    l_mat, l_inv = _transition_exact(nodes, spec, bits)
+    fam = build_family(spec, len(nodes) - 1)
+    l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec, bits), nodes.refined(bits), spec)
     residual = _inverse_residual(l_mat, l_inv)
     if residual > 1e-10:
         raise InversionConsistencyError(
@@ -689,25 +691,6 @@ def similarity_check(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) 
     ||D_coll L_inv - L_inv D_tau||_inf / max(1, ||D_tau||_inf) with the
     collocation matrix assembled exactly at the double-precision nodes.
     """
-    member = build_family(spec, n)[n]
-    nodes = zeros(member, spec)
-    l_mat, l_inv = _transition_exact(nodes, spec, bits)
-    inverse_residual = _inverse_residual(l_mat, l_inv)
+    from .identities import Cell, _similarity  # identities builds its cells on this module
 
-    xq = [Fraction(x) for x in nodes.nodes]
-    dc = collocation_exact(operator_of(spec), xq)
-    fam = build_family(spec, n - 1)
-    value = [[fam[k](xq[j]) for k in range(n)] for j in range(n)]  # L_inv at the raw nodes
-    mus = [eigenvalue(spec, m) for m in range(n)]
-    worst = Fraction(0)
-    for m in range(n):
-        total = Fraction(0)
-        for j in range(n):
-            entry = sum(dc[m][k] * value[k][j] for k in range(n)) - value[m][j] * mus[j]
-            total += abs(entry)
-        worst = max(worst, total)
-    denom = max(Fraction(1), max(abs(v) for v in mus))
-    return {
-        "inverse_residual": inverse_residual,
-        "similarity_residual": float(worst / denom),
-    }
+    return _similarity(Cell(spec, n, bits))

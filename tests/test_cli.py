@@ -1,11 +1,13 @@
 """Command-line driver: argument handling, formats, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
+from krallzeros import identities
 from krallzeros.cli import main
-from krallzeros.identities import IdentityReport
+from krallzeros.identities import Cell, IdentityReport
 
 
 def run(capsys, *argv):
@@ -162,6 +164,45 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "kleg-main", "--family", "krall-jacobi",
                      "--alpha", "1", "--m-param", "1", "--n", "3"]) == 2
 
+    @pytest.mark.parametrize("suite, family", [
+        ("fourth-order", ["--family", "hermite"]),
+        ("kleg-main", ["--family", "krall-laguerre", "--alpha", "1"]),
+        ("klag-main", ["--family", "krall-jacobi", "--alpha", "1", "--m-param", "1"]),
+        ("kjac-main", ["--family", "krall-legendre", "--alpha", "1"]),
+    ])
+    def test_suite_family_conflict_strict(self, capsys, suite, family):
+        # a lone suite on a family it does not cover is an error, not an empty pass
+        assert main(["verify", "--suite", suite, *family, "--n", "4"]) == 2
+        assert f"suite {suite} applies to" in capsys.readouterr().err
+
+    def test_all_skips_suites_that_do_not_apply(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "all", "--family", "hermite", "--n", "2",
+                        "--format", "json")
+        assert code == 0
+        identities_run = {r["meta"]["identity"] for r in json.loads(out)["reports"]}
+        assert "fourth-order-zeros" not in identities_run and "eigenpair" in identities_run
+
+    def test_nan_cell_after_the_first_fails(self, capsys, monkeypatch):
+        values = Cell.values_float
+
+        def poisoned(cell):
+            rows = [list(row) for row in values.func(cell)]
+            rows[1][0] = math.nan  # reaches cell (m=1, n=1), the second one reported
+            return rows
+
+        monkeypatch.setattr(Cell, "values_float", property(poisoned))
+        code, out = run(capsys, "verify", "--suite", "fourth-order", "--family", "krall-legendre",
+                        "--alpha", "1", "--n", "3", "--format", "json", "--always-wrap")
+        assert code == 1
+        payload = json.loads(out)
+        report = payload["reports"][0]
+        assert math.isfinite(report["results"][0]["residual"])
+        assert math.isnan(report["summary"]["max_residual"]) and report["summary"]["pass"] is False
+        assert math.isnan(payload["summary"]["max_residual"]) and payload["summary"]["pass"] is False
+        worst = payload["summary"]["worst_cell"]
+        assert (worst["identity"], worst["m"], worst["n"]) == ("fourth-order-zeros", 1, 1)
+        assert math.isnan(worst["residual"])
+
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "everything", "--n", "3"]) == 2
 
@@ -213,3 +254,18 @@ def test_report_command_small_range(capsys):
     identities = {r["meta"]["identity"] for r in payload["reports"]}
     assert {"eigenpair", "operator-power", "fourth-order-zeros", "spectrum",
             "similarity", "quadrature", "diffmat-agreement"} <= identities
+
+
+def test_report_builds_each_cell_once(capsys, monkeypatch):
+    calls = []
+    real = identities.zeros
+
+    def counting(p, spec=None):
+        calls.append((spec, p.degree))
+        return real(p, spec)
+
+    monkeypatch.setattr(identities, "zeros", counting)
+    code, out = run(capsys, "report", "--n", "2..4", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["reports"]) == 10 * 3 * 9
+    assert len(calls) == 30 and len(set(calls)) == 30  # 10 specs x N = 2..4

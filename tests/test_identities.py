@@ -1,7 +1,9 @@
 """Identity verifiers: eigenpair relations, closed-form identities, spectrum."""
 
 import json
+import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from krallzeros import (
     verify_eigenpairs,
     zeros,
 )
+from krallzeros.families import FAMILIES, KRALL_FAMILIES
+from krallzeros.identities import SUITES, worst_residual
 
 KLEG1 = FamilySpec("krall-legendre", alpha=1)
 KLAG1 = FamilySpec("krall-laguerre", alpha=1)
@@ -227,3 +231,32 @@ def test_theorem3_tracks_theorem1_residuals():
     nodes = zeros(member, spec)
     assert closed.extras["cross_check_lhs_vs_general"] < 10 * 1e-10
     assert len(nodes) == n
+
+
+class TestAggregation:
+    def test_nan_after_the_first_is_kept(self):
+        assert math.isnan(worst_residual([0.1, math.nan, 0.2]))
+        assert math.isnan(worst_residual([math.nan, 0.1]))
+        assert max([0.1, math.nan]) == 0.1  # the builtin drops it
+
+    def test_finite_and_infinite(self):
+        assert worst_residual([0.1, 0.3, 0.2]) == 0.3
+        assert worst_residual([0.1, math.inf]) == math.inf
+        assert worst_residual([]) == 0.0
+
+
+def _tolerance(value: float) -> str:
+    return format(value, ".0e").replace("e-0", "e-")
+
+
+def test_readme_suite_table_matches_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, suite in SUITES.items():
+        if suite.families == FAMILIES:
+            families = "all"
+        elif suite.families == KRALL_FAMILIES:
+            families = "Krall families"
+        else:
+            families = ", ".join(f"`{f}`" for f in suite.families)
+        row = f"| `{name}` | {_tolerance(suite.tolerance)} | {families} | {suite.certifies} |"
+        assert row in readme, row
