@@ -226,17 +226,31 @@ def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
                 tolerance = args.tolerance if args.tolerance is not None else suite.tolerance
                 by_suite[name].extend(suite.run(cell, tolerance, args))
     reports = [report for name in suites for report in by_suite[name]]
-    worst = max(((r, c) for r in reports for c in r.cells), key=lambda rc: severity(rc[1]["residual"]), default=None)
-    if worst is not None:
-        r, c = worst
-        worst = dict(c, family=r.family, params=r.params, N=r.n, identity=r.identity)
     summary = {
         "max_residual": worst_residual(r.max_residual for r in reports),
         "pass": all(r.passed for r in reports),
-        "worst_cell": worst,
+        "worst_cell": _worst_cell(reports),
         "reports": len(reports),
     }
     return reports, summary
+
+
+def _worst_cell(reports: list[IdentityReport]) -> Optional[dict]:
+    """The cell with the largest residual, on a failing run among the failing reports only.
+
+    A failing report without per-cell results stands for itself, named by
+    its identity, family, N and max residual.
+    """
+    failing = [r for r in reports if not r.passed]
+    if failing:
+        entries = [(r, c) for r in failing for c in r.cells or [{"residual": r.max_residual}]]
+    else:
+        entries = [(r, c) for r in reports for c in r.cells]
+    worst = max(entries, key=lambda rc: severity(rc[1]["residual"]), default=None)
+    if worst is None:
+        return None
+    r, c = worst
+    return dict(c, family=r.family, params=r.params, N=r.n, identity=r.identity)
 
 
 def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict) -> None:
@@ -271,10 +285,8 @@ def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict
         lines.append(f"{ok}: {summary['reports']} reports, max residual {summary['max_residual']:.3e}")
         if not summary["pass"] and summary.get("worst_cell"):
             w = summary["worst_cell"]
-            lines.append(
-                f"worst cell: {w['identity']} {w['family']} N={w['N']} m={w.get('m')} n={w.get('n')} "
-                f"residual={w['residual']:.3e}"
-            )
+            where = f" m={w['m']} n={w['n']}" if "m" in w else ""
+            lines.append(f"worst cell: {w['identity']} {w['family']} N={w['N']}{where} residual={w['residual']:.3e}")
         text = "\n".join(lines)
     _write_out(text, args.out)
 

@@ -57,6 +57,17 @@ def as_fraction(value: Scalar | str) -> Fraction:
     return Fraction(value)
 
 
+def common_denominator(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """Integers a_i and the least d > 0 with values[i] == a_i / d.
+
+    Sums and products of the values can then run on plain ints and be
+    reduced once at the end, or never: int / int true division is correctly
+    rounded, so it gives the same double as float() of the reduced Fraction.
+    """
+    d = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _pochhammer(x: Fraction, n: int) -> Fraction:
     out = Fraction(1)
     for i in range(n):
@@ -79,13 +90,14 @@ class Polynomial:
     coefficients and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs: Sequence[Scalar]):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
+        self._scaled = None  # see _integer_form
 
     @property
     def degree(self) -> int:
@@ -143,12 +155,36 @@ class Polynomial:
             c = tuple(c[k] * k for k in range(1, len(c)))
         return Polynomial(c)
 
+    def _integer_form(self):
+        """(a, d) with coeffs[k] == a[k] / d, computed once; None unless every coefficient is rational."""
+        if self._scaled is None:
+            rational = all(isinstance(c, (int, Fraction)) for c in self.coeffs)
+            self._scaled = common_denominator(self.coeffs) if rational else False
+        return self._scaled or None
+
     def __call__(self, x):
-        """Horner evaluation; exact when both coeffs and x are rational."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation; exact when both coeffs and x are rational.
+
+        A Fraction x = u / v on rational coefficients a_k / d runs on
+        integers, as homogeneous Horner for sum_k a_k u^k v^(n-k), and makes
+        one Fraction over d v^n at the end. Other arguments (int, float,
+        complex) take the plain loop, which keeps their result type.
+        """
+        form = self._integer_form() if isinstance(x, Fraction) else None
+        if form is None:
+            acc = 0 * x
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        a, d = form
+        if not a:
+            return Fraction(0)
+        u, v = x.numerator, x.denominator
+        acc, vn = a[-1], 1
+        for c in reversed(a[:-1]):
+            vn *= v
+            acc = acc * u + c * vn
+        return Fraction(acc, d * vn)
 
     def to_float(self) -> "Polynomial":
         return Polynomial([float(c) for c in self.coeffs])

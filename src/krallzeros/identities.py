@@ -26,7 +26,10 @@ Arithmetic: the eigenpair and operator-power relations are pure polynomial
 algebra in the nodes, so the default engine evaluates them in exact
 rational arithmetic at the double-precision nodes, where a formula error
 shows up at full strength and an honest implementation gives residual
-zero. A plain double-precision engine is kept for comparison; its residuals
+zero. It runs on integers: the cell's collocation matrix and each value
+vector sit over one common denominator, D p_m is one integer matvec per m,
+reduced once, and each residual is one correctly rounded int / int. A plain
+double-precision engine is kept for comparison; its residuals
 carry the conditioning of the assembly (around 1e-7 for wide node spreads
 at N = 12). The closed-form family identities are evaluated in doubles on
 exactly-evaluated derivative caches, which is where their content lives.
@@ -35,10 +38,11 @@ exactly-evaluated derivative caches, which is where their content lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +54,7 @@ from .families import (
     FamilySpec,
     ParameterError,
     build_family,
+    common_denominator,
     eigenvalue,
     operator_of,
 )
@@ -178,7 +183,10 @@ class Cell:
     vectors p_m(x_k), m < N, and the collocation matrix come in exact
     arithmetic (at the double nodes read as rationals) and in doubles;
     `lams` are the Christoffel numbers on the nodes refined to `bits`
-    binary digits. A cell lives for one (spec, N) of one run.
+    binary digits. The exact engine reads the collocation matrix and the
+    value vectors over common denominators (`dc_scaled`, `values_scaled`)
+    and shares the products D p_m (`dp_exact`) between its checks. A cell
+    lives for one (spec, N) of one run.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
@@ -226,6 +234,22 @@ class Cell:
         return collocation_exact(self.op, self.xq)
 
     @cached_property
+    def dc_scaled(self) -> tuple[list[list[int]], int]:
+        """dc_exact over one common denominator: (integer rows, denominator)."""
+        a, d = common_denominator([v for row in self.dc_exact for v in row])
+        return [a[i * self.n : (i + 1) * self.n] for i in range(self.n)], d
+
+    @cached_property
+    def values_scaled(self) -> list[tuple[list[int], int]]:
+        """Each exact value vector p_m(x_k) over its own common denominator."""
+        return [common_denominator(row) for row in self.values_exact]
+
+    @cached_property
+    def dp_exact(self) -> list[tuple[list[int], int]]:
+        """D p_m for m < N by integer matvec, each vector reduced once."""
+        return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
+
+    @cached_property
     def dc_float(self) -> np.ndarray:
         return collocation_rep(self.op, self.nodes).data
 
@@ -239,28 +263,64 @@ class Cell:
 # ---------------------------------------------------------------------------
 
 
-def _engine(cell: Cell, arithmetic: str):
-    """(collocation matrix, values, eigenvalues, one, sum) in one arithmetic."""
+def _matvec(matrix: tuple[list[list[int]], int], vector: tuple[list[int], int]) -> tuple[list[int], int]:
+    """(A / d)(b / e) as (integers, denominator), reduced once for the whole vector."""
+    (a, d), (b, e) = matrix, vector
+    p = [sum(map(mul, row, b)) for row in a]
+    g = math.gcd(d * e, *p)
+    return [v // g for v in p], d * e // g
+
+
+def _exact_defects(cell: Cell, exponent: int = 1) -> list[tuple[list[int], int, int]]:
+    """D^e p_m - mu_m^e p_m for m < N, exactly: (integers, denominator, scaled denominator).
+
+    With D^e p_m = P / den (integer matvecs from the cell's D p_m), p_m = b / e
+    and mu_m^e = a / c, the defect is (P c e - a b den) / (den c e).
+    Dividing it by the residual scale max(1, |mu_m^e| max_k |p_m(x_k)|)
+    instead leaves the scaled denominator den max(c e, |a| max|b|).
+    """
+    out = []
+    for (p, den), (b, e), mu in zip(cell.dp_exact, cell.values_scaled, cell.mus):
+        for _ in range(exponent - 1):
+            p, den = _matvec(cell.dc_scaled, (p, den))
+        mu = mu**exponent
+        a, ce = mu.numerator, mu.denominator * e
+        defect = [v * ce - a * bk * den for v, bk in zip(p, b)]
+        out.append((defect, den * ce, den * max(ce, abs(a) * max(map(abs, b)))))
+    return out
+
+
+def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[list, list[list[float]]]:
+    """(mu_m^e, residuals[m][i]) of D^e p_m = mu_m^e p_m at node row i, m < N.
+
+    Each residual is scaled by max(1, |mu_m^e| max_k |p_m(x_k)|). The exact
+    engine works on integers; the float one sums each product with math.fsum,
+    D^e included.
+    """
     if arithmetic == "exact":
-        return cell.dc_exact, cell.values_exact, cell.mus, Fraction(1), sum
-    if arithmetic == "float":
-        return cell.dc_float.tolist(), cell.values_float, [float(mu) for mu in cell.mus], 1.0, math.fsum
-    raise ValueError("arithmetic must be 'exact' or 'float'")
+        defects = _exact_defects(cell, exponent)
+        return [mu**exponent for mu in cell.mus], [[abs(v) / scaled for v in d] for d, _, scaled in defects]
+    if arithmetic != "float":
+        raise ValueError("arithmetic must be 'exact' or 'float'")
+    n, dc = cell.n, cell.dc_float.tolist()
+    power = dc
+    for _ in range(exponent - 1):
+        power = [[math.fsum(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    mus = [float(mu) ** exponent for mu in cell.mus]
+    residuals = []
+    for mu, pv in zip(mus, cell.values_float):
+        scale = max(1.0, abs(mu) * max(abs(v) for v in pv))
+        rows = [abs(math.fsum(row[k] * pv[k] for k in range(n)) - mu * pv[i]) for i, row in enumerate(power)]
+        residuals.append([res / scale for res in rows])
+    return mus, residuals
 
 
-def _eigen_cells(tag, matrix, values, mus, one, total, tolerance):
-    """Residuals of matrix @ values[m] = mus[m] * values[m]: (max, per (m, row), per m)."""
-    n = len(matrix)
+def _eigen_cells(tag, mus, residuals, tolerance):
+    """Per-cell and per-m records of residuals[m][i]: (max, cells, eigenpairs)."""
     cells, eigenpairs = [], []
-    for m, mu in enumerate(mus):
-        pv = values[m]
-        scale = max(one, abs(mu) * max(abs(v) for v in pv))
-        rows = []
-        for i in range(n):
-            res = abs(total(matrix[i][k] * pv[k] for k in range(n)) - mu * pv[i])
-            r = float(res / scale)
+    for m, (mu, rows) in enumerate(zip(mus, residuals)):
+        for i, r in enumerate(rows):
             cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-            rows.append(r)
         eigenpairs.append({"m": m, "eigenvalue": float(mu), "residual": worst_residual(rows)})
     return worst_residual(c["residual"] for c in cells), cells, eigenpairs
 
@@ -286,9 +346,12 @@ def verify_eigenpairs(
 
 
 def _eigenpairs(cell: Cell, tolerance=1e-8, rowsum_tolerance=1e-9, arithmetic="exact") -> IdentityReport:
-    dc, pv, mus, one, total = _engine(cell, arithmetic)
-    max_residual, cells, eigenpairs = _eigen_cells("eigenpair", dc, pv, mus, one, total, tolerance)
-    rowsum = worst_residual(float(abs(total(row))) for row in dc)
+    max_residual, cells, eigenpairs = _eigen_cells("eigenpair", *_eigen_relation(cell, arithmetic), tolerance)
+    if arithmetic == "exact":
+        rows, d = cell.dc_scaled
+        rowsum = worst_residual(abs(sum(row)) / d for row in rows)
+    else:
+        rowsum = worst_residual(float(abs(math.fsum(row))) for row in cell.dc_float.tolist())
     rowsum_ok = rowsum <= rowsum_tolerance
     return cell.report(
         "eigenpair", tolerance, arithmetic, max_residual,
@@ -323,13 +386,8 @@ def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> Identi
     top = max((abs(float(m)) for m in cell.mus), default=1.0)
     if top > 1.0 and exponent * math.log10(top) > 250:
         raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {top:.3e})")
-    dc, pv, mus, one, total = _engine(cell, arithmetic)
-    n = cell.n
-    power = dc
-    for _ in range(exponent - 1):
-        power = [[total(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    mus = [mu**exponent for mu in mus]
-    max_residual, cells, eigenpairs = _eigen_cells("operator-power", power, pv, mus, one, total, tolerance)
+    relation = _eigen_relation(cell, arithmetic, exponent)
+    max_residual, cells, eigenpairs = _eigen_cells("operator-power", *relation, tolerance)
     params = _params_dict(cell.spec, exponent=exponent)
     return cell.report(
         "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
@@ -491,11 +549,12 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
 
 
 def _discriminate(cell: Cell, tolerance=1e-7) -> dict:
-    printed = _family_identity(cell, "printed", tolerance)
     corrected = _family_identity(cell, "corrected", tolerance)
     if cell.spec.family != "krall-laguerre":
-        verdict = "identical"
-    elif printed.passed == corrected.passed:
+        # one computation: the readings differ only in the recorded variant
+        return {"printed": replace(corrected, variant="printed"), "corrected": corrected, "verdict": "identical"}
+    printed = _family_identity(cell, "printed", tolerance)
+    if printed.passed == corrected.passed:
         verdict = "ambiguous"
     else:
         verdict = "printed" if printed.passed else "corrected"
@@ -597,19 +656,15 @@ def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> Id
 
 def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
-    n, mus = cell.n, cell.mus
     l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
-    dc, pv = cell.dc_exact, cell.values_exact  # pv[j][k] = L_inv[k][j] at the raw nodes
-    worst = Fraction(0)
-    for m in range(n):
-        total = Fraction(0)
-        for j in range(n):
-            total += abs(sum(dc[m][k] * pv[j][k] for k in range(n)) - pv[j][m] * mus[j])
-        worst = max(worst, total)
-    denom = max(Fraction(1), max(abs(v) for v in mus))
+    # column j of D L_inv - L_inv D_tau at the raw nodes is the defect of D p_j = mu_j p_j
+    defects = _exact_defects(cell)
+    common = math.lcm(*(den for _, den, _ in defects))
+    worst = max(sum(abs(d[m]) * (common // den) for d, den, _ in defects) for m in range(cell.n))
+    denom = max(Fraction(1), max(abs(v) for v in cell.mus))
     return {
         "inverse_residual": _inverse_residual(l_mat, l_inv),
-        "similarity_residual": float(worst / denom),
+        "similarity_residual": worst * denom.denominator / (common * denom.numerator),
     }
 
 

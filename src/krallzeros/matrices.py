@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -45,6 +46,7 @@ from .families import (
     MomentFunctional,
     Polynomial,
     build_family,
+    common_denominator,
     eigenvalue,
     operator_of,
     squared_norm,
@@ -554,16 +556,25 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_R
 
 
 def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec) -> list[float]:
+    """|sum_j lam_j x_j^k - m_k| / max(1, |m_k|) for k = 0..2N-1, rounded once each.
+
+    With lam_j = w_j / dw and x_j = u_j / dx over common denominators, the
+    rule's k-th moment is S_k / (dw dx^k) with S_k = sum_j w_j u_j^k: each
+    step multiplies the weighted column w_j u_j^k by the short u_j and sums
+    it in integers.
+    """
     mom = MomentFunctional(spec)
-    n = len(xq)
+    column, den = common_denominator(lams)
+    u, dx = common_denominator(xq)
     residuals = []
-    powers = [Fraction(1)] * n
-    for k in range(2 * n):
+    for k in range(2 * len(u)):
         if k > 0:
-            powers = [p * x for p, x in zip(powers, xq)]
-        approx = sum((lam * p for lam, p in zip(lams, powers)), Fraction(0))
+            column = list(map(mul, column, u))
+            den *= dx
+        # |S/den - a/b| / max(1, |a/b|) = |S b - a den| / (den max(b, |a|))
         mk = mom(k)
-        residuals.append(float(abs(approx - mk) / max(Fraction(1), abs(mk))))
+        a, b = mk.numerator, mk.denominator
+        residuals.append(abs(sum(column) * b - a * den) / (den * max(b, abs(a))))
     return residuals
 
 
@@ -584,17 +595,22 @@ def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: S
 
 
 def _inverse_residual(l_mat, l_inv) -> float:
+    """||L L_inv - I||_inf, exact and rounded once.
+
+    Each matrix goes over one common denominator (its entries sit on the
+    2^-_PRODUCT_BITS grid), so every entry of the product is an integer dot
+    product over the same denominator.
+    """
     n = len(l_mat)
-    worst = Fraction(0)
+    a, da = common_denominator([v for row in l_mat for v in row])
+    b, db = common_denominator([v for row in l_inv for v in row])
+    one = da * db
+    cols = [b[j::n] for j in range(n)]
+    worst = 0
     for m in range(n):
-        total = Fraction(0)
-        for j in range(n):
-            entry = sum(l_mat[m][k] * l_inv[k][j] for k in range(n))
-            if m == j:
-                entry -= 1
-            total += abs(entry)
-        worst = max(worst, total)
-    return float(worst)
+        row = a[m * n : (m + 1) * n]
+        worst = max(worst, sum(abs(sum(map(mul, row, col)) - (one if m == j else 0)) for j, col in enumerate(cols)))
+    return worst / one
 
 
 def transition(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> tuple[MatrixRep, MatrixRep]:

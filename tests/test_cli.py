@@ -160,6 +160,25 @@ class TestVerifyCommand:
         assert code == 1
         assert "worst cell" in out
 
+    def test_failing_report_without_cells_names_itself(self, capsys):
+        # spectrum reports carry no per-cell results; the failing one must still be named
+        code, out = run(capsys, "verify", "--suite", "spectrum", "--family", "krall-legendre",
+                        "--alpha", "1", "--n", "4", "--tolerance", "1e-30")
+        assert code == 1
+        assert out.splitlines()[-1].startswith("worst cell: spectrum krall-legendre N=4 residual=")
+
+    def test_worst_cell_comes_from_a_failing_report(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "all", "--family", "krall-legendre",
+                        "--alpha", "1", "--n", "4", "--tolerance", "1e-30", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        failing = [r for r in payload["reports"] if not r["summary"]["pass"]]
+        worst = payload["summary"]["worst_cell"]
+        # the diffmat report has no cells and the largest residual of the failing reports
+        assert worst["identity"] == "diffmat-agreement"
+        assert worst["residual"] == max(r["summary"]["max_residual"] for r in failing)
+        assert (worst["family"], worst["N"]) == ("krall-legendre", 4)
+
     def test_suite_family_conflict(self, capsys):
         assert main(["verify", "--suite", "kleg-main", "--family", "krall-jacobi",
                      "--alpha", "1", "--m-param", "1", "--n", "3"]) == 2

@@ -144,6 +144,12 @@ class TestFamilyIdentity:
         assert all(c["residual"] < 1e-9 for c in report.cells if c["m"] == 0)
         assert report.passed
 
+    @pytest.mark.parametrize("spec", KRALL_SPECS)
+    @pytest.mark.parametrize("variant", ["printed", "corrected"])
+    def test_discrimination_matches_single_reading(self, spec, variant):
+        outcome = discriminate_variants(spec, 4)
+        assert outcome[variant].to_dict() == verify_family_identity(spec, 4, variant=variant).to_dict()
+
     def test_laguerre_discrimination(self):
         outcome = discriminate_variants(KLAG1, 3)
         assert outcome["verdict"] == "corrected"

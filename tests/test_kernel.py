@@ -1,0 +1,282 @@
+"""The integer kernel of the exact layer against plain-Fraction references.
+
+Each exact reduction (Horner, the Gaussian moment sums, L L_inv and the
+D p_m products behind the eigenpair, power and similarity checks) runs on
+integers over one common denominator per vector. The references below are
+the plain Fraction loops the kernel replaced; results must be equal, as
+rationals or as doubles, over random inputs.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from krallzeros import FamilySpec, MomentFunctional, Polynomial
+from krallzeros.families import common_denominator
+from krallzeros.identities import Cell, _eigenpairs, _params_dict, _power, _similarity, worst_residual
+from krallzeros.matrices import _inverse_residual, _quadrature_residuals, _transition_exact
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1 << 20)
+scalars = st.one_of(st.integers(-10**6, 10**6), rationals)
+
+
+def _above(low, high, max_denominator=4):
+    """Rationals in (low, high]."""
+    return st.fractions(min_value=low, max_value=high, max_denominator=max_denominator).filter(lambda v: v > low)
+
+
+specs = st.one_of(
+    st.just(FamilySpec("hermite")),
+    st.builds(lambda a: FamilySpec("laguerre", alpha=a), _above(-1, 4)),
+    st.builds(lambda a, b: FamilySpec("jacobi", alpha=a, beta=b), _above(-1, 4), _above(-1, 4)),
+    st.builds(lambda a: FamilySpec("krall-legendre", alpha=a), _above(0, 4)),
+    st.builds(lambda a: FamilySpec("krall-laguerre", alpha=a), _above(0, 4)),
+    st.builds(lambda a, m: FamilySpec("krall-jacobi", alpha=a, mass=m), _above(-1, 4), _above(0, 4)),
+)
+cells = st.builds(Cell, specs, st.integers(1, 8))
+
+
+# ---------------------------------------------------------------------------
+# plain-Fraction references
+# ---------------------------------------------------------------------------
+
+
+def horner_reference(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def quadrature_reference(lams, xq, spec):
+    mom = MomentFunctional(spec)
+    n = len(xq)
+    residuals = []
+    powers = [F(1)] * n
+    for k in range(2 * n):
+        if k > 0:
+            powers = [p * x for p, x in zip(powers, xq)]
+        approx = sum((lam * p for lam, p in zip(lams, powers)), F(0))
+        mk = mom(k)
+        residuals.append(float(abs(approx - mk) / max(F(1), abs(mk))))
+    return residuals
+
+
+def inverse_reference(l_mat, l_inv):
+    n = len(l_mat)
+    worst = F(0)
+    for m in range(n):
+        total = F(0)
+        for j in range(n):
+            entry = sum(l_mat[m][k] * l_inv[k][j] for k in range(n))
+            if m == j:
+                entry -= 1
+            total += abs(entry)
+        worst = max(worst, total)
+    return float(worst)
+
+
+def eigen_cells_reference(tag, matrix, values, mus, tolerance):
+    n = len(matrix)
+    cells, eigenpairs = [], []
+    for m, mu in enumerate(mus):
+        pv = values[m]
+        scale = max(F(1), abs(mu) * max(abs(v) for v in pv))
+        rows = []
+        for i in range(n):
+            r = float(abs(sum(matrix[i][k] * pv[k] for k in range(n)) - mu * pv[i]) / scale)
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            rows.append(r)
+        eigenpairs.append({"m": m, "eigenvalue": float(mu), "residual": worst_residual(rows)})
+    return worst_residual(c["residual"] for c in cells), cells, eigenpairs
+
+
+def float_cells_reference(tag, matrix, values, mus, tolerance):
+    n = len(matrix)
+    cells, eigenpairs = [], []
+    for m, mu in enumerate(mus):
+        pv = values[m]
+        scale = max(1.0, abs(mu) * max(abs(v) for v in pv))
+        rows = []
+        for i in range(n):
+            r = float(abs(math.fsum(matrix[i][k] * pv[k] for k in range(n)) - mu * pv[i]) / scale)
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            rows.append(r)
+        eigenpairs.append({"m": m, "eigenvalue": float(mu), "residual": worst_residual(rows)})
+    return worst_residual(c["residual"] for c in cells), cells, eigenpairs
+
+
+def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
+    max_residual, cells, eigenpairs = eigen_cells_reference(
+        "eigenpair", cell.dc_exact, cell.values_exact, cell.mus, tolerance
+    )
+    rowsum = worst_residual(float(abs(sum(row))) for row in cell.dc_exact)
+    return cell.report(
+        "eigenpair", tolerance, "exact", max_residual,
+        passed=max_residual <= tolerance and rowsum <= rowsum_tolerance,
+        cells=cells, eigenpairs=eigenpairs,
+        rowsum_residual=rowsum, rowsum_tolerance=rowsum_tolerance, rowsum_passed=rowsum <= rowsum_tolerance,
+    )
+
+
+def power_reference(cell, exponent, tolerance, arithmetic):
+    n = cell.n
+    if arithmetic == "exact":
+        dc, pv, mus, total, cells_of = cell.dc_exact, cell.values_exact, cell.mus, sum, eigen_cells_reference
+    else:
+        dc, pv, total, cells_of = cell.dc_float.tolist(), cell.values_float, math.fsum, float_cells_reference
+        mus = [float(mu) for mu in cell.mus]
+    power = dc
+    for _ in range(exponent - 1):
+        power = [[total(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    max_residual, cells, eigenpairs = cells_of("operator-power", power, pv, [mu**exponent for mu in mus], tolerance)
+    params = _params_dict(cell.spec, exponent=exponent)
+    return cell.report(
+        "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
+    )
+
+
+def similarity_reference(cell):
+    n, mus = cell.n, cell.mus
+    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    dc, pv = cell.dc_exact, cell.values_exact
+    worst = F(0)
+    for m in range(n):
+        total = F(0)
+        for j in range(n):
+            total += abs(sum(dc[m][k] * pv[j][k] for k in range(n)) - pv[j][m] * mus[j])
+        worst = max(worst, total)
+    denom = max(F(1), max(abs(v) for v in mus))
+    return {"inverse_residual": inverse_reference(l_mat, l_inv), "similarity_residual": float(worst / denom)}
+
+
+def perturbed(cell, data):
+    """The cell with rational noise added to some entries of its exact collocation matrix.
+
+    At any distinct nodes the exact relations hold with residual 0, so the
+    noise is what gives the kernel nonzero defects to reduce.
+    """
+    n = cell.n
+    dc = [list(row) for row in cell.dc_exact]
+    entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rationals)
+    for i, j, noise in data.draw(st.lists(entries, max_size=4)):
+        dc[i][j] += noise
+    fresh = Cell(cell.spec, n)
+    fresh.dc_exact = dc  # cached_property: the instance attribute takes precedence
+    return fresh
+
+
+# ---------------------------------------------------------------------------
+# the helper and Horner
+# ---------------------------------------------------------------------------
+
+
+@given(st.lists(scalars, max_size=10))
+def test_common_denominator(values):
+    ints, d = common_denominator(values)
+    assert d >= 1 and all(isinstance(v, int) for v in ints)
+    assert [F(a, d) for a in ints] == values
+    assert math.gcd(d, *ints) == 1
+
+
+@given(st.lists(scalars, max_size=9), scalars)
+def test_horner_rational(coeffs, x):
+    p = Polynomial(coeffs)
+    expected = horner_reference(p.coeffs, x)
+    got = p(x)
+    assert got == expected
+    assert type(got) is type(expected)
+
+
+@given(st.lists(st.integers(-10**9, 10**9), max_size=9), st.integers(-10**6, 10**6))
+def test_horner_int_stays_int(coeffs, x):
+    got = Polynomial(coeffs)(x)
+    assert type(got) is int and got == horner_reference(Polynomial(coeffs).coeffs, x)
+
+
+@given(
+    st.lists(scalars, max_size=9),
+    st.one_of(
+        st.floats(-1e3, 1e3),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_horner_float_and_complex_keep_their_loop(coeffs, x):
+    p = Polynomial(coeffs)
+    expected = horner_reference(p.coeffs, x)
+    got = p(x)
+    assert type(got) is type(expected)
+    assert got == expected
+
+
+@pytest.mark.parametrize("coeffs", [[], [F(3, 7)], [5]])
+@pytest.mark.parametrize("x", [0, -3, F(-5, 2), 0.5])
+def test_horner_zero_and_constant(coeffs, x):
+    p = Polynomial(coeffs)
+    got = p(x)
+    assert got == horner_reference(p.coeffs, x)
+    assert type(got) is type(horner_reference(p.coeffs, x))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian moments and L L_inv
+# ---------------------------------------------------------------------------
+
+
+@given(cells)
+def test_quadrature_residuals_on_refined_zeros(cell):
+    xq = cell.nodes.refined(cell.bits)
+    assert _quadrature_residuals(cell.lams, xq, cell.spec) == quadrature_reference(cell.lams, xq, cell.spec)
+
+
+@given(specs, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
+def test_quadrature_residuals_on_any_rationals(spec, pairs):
+    lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
+    assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
+
+
+@given(cells)
+def test_inverse_residual_on_transition_pairs(cell):
+    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    assert _inverse_residual(l_mat, l_inv) == inverse_reference(l_mat, l_inv)
+
+
+def square_matrices(n):
+    return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+def test_inverse_residual_on_any_rationals(pair):
+    l_mat, l_inv = pair
+    assert _inverse_residual(l_mat, l_inv) == inverse_reference(l_mat, l_inv)
+
+
+# ---------------------------------------------------------------------------
+# D p_m: eigenpair, power and similarity
+# ---------------------------------------------------------------------------
+
+
+@given(cells, st.data())
+def test_exact_eigenpairs(cell, data):
+    cell = perturbed(cell, data)
+    assert _eigenpairs(cell, 1e-8, 1e-9).to_dict() == eigenpairs_reference(cell, 1e-8, 1e-9).to_dict()
+
+
+@given(cells, st.integers(1, 3), st.data())
+def test_exact_power(cell, exponent, data):
+    cell = perturbed(cell, data)
+    assert _power(cell, exponent, 1e-6).to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
+
+
+@given(cells, st.integers(1, 3))
+def test_float_power_unchanged(cell, exponent):
+    assert _power(cell, exponent, 1e-6, "float").to_dict() == power_reference(cell, exponent, 1e-6, "float").to_dict()
+
+
+@given(cells, st.data())
+def test_exact_similarity(cell, data):
+    cell = perturbed(cell, data)
+    assert _similarity(cell) == similarity_reference(cell)
