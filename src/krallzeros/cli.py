@@ -170,10 +170,12 @@ def _matrix_for(args) -> matrices.MatrixRep:
     if kind == "dc":
         return matrices.collocation_rep(operator_of(spec), node_set)
     if kind == "dc-simplified":
+        if args.nodes:
+            raise ParameterError("dc-simplified holds only at the family zeros; drop --nodes or use --kind dc")
         return matrices.collocation_rep_simplified(spec, node_set, formula=args.formula)
     if kind == "lambda":
         return matrices.christoffel(node_set, spec)
-    l_rep, li_rep = matrices.transition(node_set, spec)
+    l_rep, li_rep = (matrices.transition_general if args.nodes else matrices.transition)(node_set, spec)
     return l_rep if kind == "l" else li_rep
 
 

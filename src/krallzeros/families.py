@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -388,6 +389,17 @@ def inner_product(p: Polynomial, q: Polynomial, spec: FamilySpec):
 
 def squared_norm(p: Polynomial, spec: FamilySpec):
     return inner_product(p, p, spec)
+
+
+def squared_norms(members: Sequence[Polynomial], spec: FamilySpec) -> list[Fraction]:
+    """||p||^2 of rational members p = a / d: sum_(i,k) a_i a_k M_(i+k) / (d^2 mu), moments m_k = M_k / mu."""
+    top = 2 * max((p.degree for p in members), default=0)
+    moments, mu = common_denominator([moment(spec, k) for k in range(top + 1)])
+    norms = []
+    for p in members:
+        a, d = p._integer_form()
+        norms.append(Fraction(sum(ai * sum(map(mul, a, moments[i:])) for i, ai in enumerate(a)), d * d * mu))
+    return norms
 
 
 # ---------------------------------------------------------------------------

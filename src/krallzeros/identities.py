@@ -185,12 +185,13 @@ class Cell:
     `lams` are the Christoffel numbers on the nodes refined to `bits`
     binary digits. The exact engine reads the collocation matrix and the
     value vectors over common denominators (`dc_scaled`, `values_scaled`)
-    and shares the products D p_m (`dp_exact`) between its checks. A cell
-    lives for one (spec, N) of one run.
+    and shares D p_m (`dp_exact`) between its checks, the float side the
+    recursive Z^(k) (`zmat`). A cell lives for one (spec, N) of one run.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
         self.spec, self.n, self.bits = spec, n, bits
+        self._zmats: dict[int, np.ndarray] = {}
 
     def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
         """IdentityReport on this cell; by default it passes when max_residual <= tolerance."""
@@ -249,9 +250,15 @@ class Cell:
         """D p_m for m < N by integer matvec, each vector reduced once."""
         return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
 
+    def zmat(self, k: int) -> np.ndarray:
+        """The recursive float Z^(k) on the zeros, built once."""
+        if k not in self._zmats:
+            self._zmats[k] = matrices.diffmat(k, self.nodes).data
+        return self._zmats[k]
+
     @cached_property
     def dc_float(self) -> np.ndarray:
-        return collocation_rep(self.op, self.nodes).data
+        return collocation_rep(self.op, self.nodes, self.zmat).data
 
     @cached_property
     def lams(self) -> list[Fraction]:
@@ -703,7 +710,7 @@ def _diffmat_report(cell: Cell, tolerance: float, seed: int) -> IdentityReport:
     vals = np.polynomial.polynomial.polyval(x, q)
     agreement, exactness = [], []
     for k in (1, 2, 3, 4):
-        rec = matrices.diffmat(k, node_set, "recursive").data
+        rec = cell.zmat(k)
         others = [matrices.diffmat(k, node_set, "alternative"), matrices.diffmat(k, node_set, leading=lead)]
         if k <= 2:
             others.append(matrices.diffmat(k, node_set, "explicit"))

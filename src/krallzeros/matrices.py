@@ -20,9 +20,18 @@ Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
 double precision can resolve once entries reach 1e6 and columns must cancel
 to 1e-9; handing the assembly exact rational nodes makes those residuals
-meaningful. Quantities that depend on the nodes being true zeros (the
-Christoffel weights, the inverse pair of the basis-transition matrix) pull
-high-precision refined nodes from the NodeSet.
+meaningful. It builds each row on integers: with x_j = u_j / D,
+delta_mj = u_m - u_j and P_m = prod_(i != m) delta_mi, the expansion above
+gives e_d = D^d [s^d] prod_(i != m)(delta_mi + s) / P_m, and for sum_k a_k d^k
+
+    C[m, m] = a_0(x_m) + sum_k k! a_k(x_m) e_k,
+    C[m, j] = (P_m / P_j) sum_(r=1..K) c_mr (D / delta_mj)^r,
+    c_mr = sum_(k >= r) (-1)^(r-1) k! a_k(x_m) e_(k-r):
+
+one integer polynomial in delta_mj and one Fraction per entry. Quantities
+that depend on the nodes being true zeros (the Christoffel weights, the
+inverse pair of the basis-transition matrix) pull high-precision refined
+nodes from the NodeSet.
 
 Notation note: the Christoffel weights and the degree-(N-1) Lagrange basis
 appear under several decorated symbols in the literature (superscripts
@@ -48,10 +57,11 @@ from .families import (
     build_family,
     common_denominator,
     eigenvalue,
+    moment,
     operator_of,
-    squared_norm,
+    squared_norms,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _round_binary
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -98,7 +108,7 @@ def _as_matrix(m: Union[MatrixRep, np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# node-polynomial derivatives, float and exact
+# node-polynomial derivatives
 # ---------------------------------------------------------------------------
 
 
@@ -129,26 +139,6 @@ def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
         for k in range(1, kmax + 1):
             pd[k, m] = math.factorial(k) * pim * e[k - 1]
     return pd, pi
-
-
-def _node_poly_derivatives_exact(xq: Sequence[Fraction], kmax: int):
-    n = len(xq)
-    pis, tables = [], []
-    for m in range(n):
-        pim = Fraction(1)
-        recips = []
-        for j in range(n):
-            if j != m:
-                pim *= xq[m] - xq[j]
-                recips.append(1 / (xq[m] - xq[j]))
-        e = _elementary_symmetric(recips, kmax, Fraction(0), Fraction(1))
-        pis.append(pim)
-        tables.append(e)
-
-    def psid(k: int, m: int) -> Fraction:
-        return math.factorial(k) * pis[m] * tables[m][k - 1]
-
-    return psid, pis
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +236,32 @@ def _diffmat_explicit(k: int, x: np.ndarray) -> np.ndarray:
 
 def diffmats_exact(kmax: int, xq: Sequence[Fraction]) -> list[list[list[Fraction]]]:
     """Z^(0)..Z^(kmax) over exact rationals at rational nodes."""
-    n = len(xq)
-    psid, pis = _node_poly_derivatives_exact(xq, kmax + 1)
-    mats = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
-    for k in range(1, kmax + 1):
-        prev = mats[k - 1]
-        cur = [[Fraction(0)] * n for _ in range(n)]
-        for m in range(n):
-            for j in range(n):
-                if m == j:
-                    cur[m][j] = psid(k + 1, j) / ((k + 1) * pis[j])
-                else:
-                    a = 1 / (xq[m] - xq[j])
-                    cur[m][j] = a * (psid(k, m) / pis[j] - k * prev[m][j])
-        mats.append(cur)
-    return mats
+    return [_collocation_exact_rows(xq, [[int(i == k) for i in range(k + 1)]] * len(xq)) for k in range(kmax + 1)]
+
+
+def _collocation_exact_rows(xq: Sequence[Fraction], a_rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Exact sum_k a_k(x_m) ell_j^(k)(x_m), given a_rows[m][k] = a_k(x_m); see the module docstring."""
+    u, big_d = common_denominator(xq)
+    kmax = max((len(a) for a in a_rows), default=1) - 1
+    # Q_m[d] = [s^d] prod_(i != m) (delta_mi + s), truncated after s^kmax; Q_m[0] = P_m
+    qs = []
+    for m, um in enumerate(u):
+        q = [1] + [0] * kmax
+        for delta in (um - ui for i, ui in enumerate(u) if i != m):
+            q = [q[0] * delta] + [q[d] * delta + q[d - 1] for d in range(1, kmax + 1)]
+        qs.append(q)
+    out = []
+    for m, (um, q, a_row) in enumerate(zip(u, qs, a_rows)):
+        alphas, beta = common_denominator(a_row)
+        w = [math.factorial(k) * alpha * big_d**k for k, alpha in enumerate(alphas)]
+        # sum_r g_r delta^(kmax - r), g_r = beta P_m c_mr D^r
+        g = Polynomial([(-1) ** (r - 1) * sum(w[k] * q[k - r] for k in range(r, len(w))) for r in range(kmax, 0, -1)])
+        diag = Fraction(sum(map(mul, w, q)), beta * q[0])
+        out.append([
+            diag if j == m else Fraction(g(um - uj), beta * qj[0] * (um - uj) ** kmax)
+            for j, (uj, qj) in enumerate(zip(u, qs))
+        ])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +269,13 @@ def diffmats_exact(kmax: int, xq: Sequence[Fraction]) -> list[list[list[Fraction
 # ---------------------------------------------------------------------------
 
 
-def collocation_rep(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
-    """Pseudospectral matrix of op: row m, column n holds (op ell_n)(x_m)."""
+def collocation_rep(op: DiffOperator, nodes: NodesLike, zmat=None) -> MatrixRep:
+    """Pseudospectral matrix of op: row m, column n holds (op ell_n)(x_m).
+
+    zmat(k), when given, supplies the recursive Z^(k) on these nodes.
+    """
     x = _as_array(nodes)
+    zmat = zmat or (lambda k: diffmat(k, x).data)
     n = len(x)
     out = np.zeros((n, n))
     for order, a in op.terms:
@@ -278,26 +283,14 @@ def collocation_rep(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
         if order == 0:
             out += np.diag(av)
         else:
-            out += av[:, None] * diffmat(order, x).data
+            out += av[:, None] * zmat(order)
     return MatrixRep(out, kind="collocation", note=f"assembled from differentiation matrices on {n} nodes")
 
 
 def collocation_exact(op: DiffOperator, xq: Sequence[Fraction]) -> list[list[Fraction]]:
     """Exact-rational collocation matrix at rational nodes."""
-    n = len(xq)
-    kmax = op.max_order
-    zs = diffmats_exact(kmax, xq)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for order, a in op.terms:
-        aq = Polynomial([Fraction(c) for c in a.coeffs])
-        for m in range(n):
-            am = aq(xq[m])
-            if am == 0:
-                continue
-            row = zs[order][m]
-            for j in range(n):
-                out[m][j] += am * row[j]
-    return out
+    coeffs = [Polynomial([Fraction(c) for c in op.coefficient(k).coeffs]) for k in range(op.max_order + 1)]
+    return _collocation_exact_rows(xq, [[a(x) for a in coeffs] for x in xq])
 
 
 def _operator_data(op: DiffOperator, x: float):
@@ -493,7 +486,7 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
     that preserves polynomial degree.
     """
     fam = build_family(spec, n - 1)
-    norms = [squared_norm(p, spec) for p in fam]
+    norms = squared_norms(fam, spec)
     op_exact = DiffOperator(tuple((o, Polynomial([Fraction(c) for c in a.coeffs])) for o, a in op.terms))
     mom = MomentFunctional(spec)
     out = np.zeros((n, n))
@@ -511,23 +504,26 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
 # ---------------------------------------------------------------------------
 
 
-def _exact_node_polynomial(nodes: NodeSet) -> Polynomial:
-    if nodes.poly.mode == "rational":
-        return nodes.poly
-    return Polynomial([Fraction(c) for c in nodes.poly.coeffs])
-
-
 def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> list[Fraction]:
-    """Exact interpolatory weights lambda_j = integral of ell_j against the measure."""
-    poly = _exact_node_polynomial(nodes)
-    deriv = poly.derivative()
-    xq = nodes.refined(bits)
-    mom = MomentFunctional(spec)
+    """Exact interpolatory weights lambda_j = integral of ell_j against the measure.
+
+    lambda_j = <psi / (x - x_j)> / psi'(x_j), remainder dropped, on integers:
+    with psi = a / d, x_j = u / v and moments M_i / mu, synthetic division
+    gives quotient coefficients Q_i / (d v^(n-1-i)), Horner gives
+    psi'(x_j) = B / (d v^(n-1)), and lambda_j = sum_i Q_i M_i v^i / (mu B).
+    """
+    a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
+    n = len(a) - 1
+    moments, mu = common_denominator([moment(spec, k) for k in range(n)])
     lams = []
-    for xj in xq:
-        quot = poly.shifted_quotient(xj)
-        val = sum((quot.coeffs[i] * mom(i) for i in range(len(quot.coeffs))), Fraction(0))
-        lams.append(val / deriv(xj))
+    for u, v in (x.as_integer_ratio() for x in nodes.refined(bits)):
+        q, b, vk, total = a[n], n * a[n], 1, a[n] * moments[n - 1]
+        for k in range(n - 1, 0, -1):  # Q_(k-1) and the k-th Horner step of B share v^(n-k)
+            vk *= v
+            q = q * u + a[k] * vk
+            b = b * u + k * a[k] * vk
+            total = total * v + q * moments[k - 1]
+        lams.append(Fraction(total, mu * b))
     return lams
 
 
@@ -582,16 +578,22 @@ _PRODUCT_BITS = 512  # entry rounding before exact matrix products
 
 
 def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
-    """(L, L_inv) in exact entries from members p_0..p_{N-1} and the weights at refined nodes xq."""
+    """(L, L_inv) in exact entries from members p_0..p_{N-1} and the weights at refined nodes xq.
+
+    Entries are rounded half to even onto the 2^-_PRODUCT_BITS grid, one
+    integer division each: with p_j(x_k) rounded to V_jk grid steps,
+    lambda_k = a / b and ||p_j||^2 = s / t, L[j][k] is a V_jk t / (b s) steps.
+    """
     n = len(xq)
-    norms = [squared_norm(p, spec) for p in fam[:n]]
-    values = [[_round_binary(fam[j](x), _PRODUCT_BITS) for x in xq] for j in range(n)]
-    l_mat = [
-        [_round_binary(lams[k] * values[j][k] / norms[j], _PRODUCT_BITS) for k in range(n)]
-        for j in range(n)
-    ]
-    l_inv = [[values[k][j] for k in range(n)] for j in range(n)]
-    return l_mat, l_inv
+    grid = 1 << _PRODUCT_BITS
+    values, l_mat = [], []
+    for p, norm in zip(fam, squared_norms(fam[:n], spec)):
+        row = [_round_div(grid * v.numerator, v.denominator) for v in map(p, xq)]
+        values.append(row)
+        s, t = norm.numerator, norm.denominator
+        l_mat.append([_round_div(lam.numerator * vk * t, lam.denominator * s) for lam, vk in zip(lams, row)])
+    l_inv = [[Fraction(values[k][j], grid) for k in range(n)] for j in range(n)]
+    return [[Fraction(v, grid) for v in row] for row in l_mat], l_inv
 
 
 def _inverse_residual(l_mat, l_inv) -> float:
@@ -654,7 +656,7 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
     n = len(nodes)
     xq = [Fraction(x) for x in nodes.nodes]
     fam = build_family(spec, n - 1)
-    norms = [squared_norm(p, spec) for p in fam]
+    norms = squared_norms(fam, spec)
     mom = MomentFunctional(spec)
     psi = Polynomial([Fraction(1)])
     for x in xq:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import FamilySpec, Polynomial
+from .families import FamilySpec, Polynomial, common_denominator
 
 #: Binary digits of node accuracy used by the exact verification paths.
 DEFAULT_REFINE_BITS = 192
@@ -39,31 +39,36 @@ class NonSimpleRootError(RootfindingError):
     """Two roots collapsed within the separation tolerance."""
 
 
-def _round_binary(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(round(x * scale), scale)
+def _round_div(p: int, q: int) -> int:
+    """p / q rounded to the nearest integer, ties to even, as round(Fraction(p, q))."""
+    floor, rem = divmod(p, q) if q > 0 else divmod(-p, -q)
+    return floor + (2 * rem > abs(q) or (2 * rem == abs(q) and floor & 1))
 
 
-def _newton_refine(poly: Polynomial, x0: float, bits: int) -> Fraction:
-    """Polish one root in rational arithmetic to ~2^-bits accuracy.
+def _newton_refine(a: Sequence[int], x0: float, bits: int) -> Fraction:
+    """Polish one root of p = sum_k a_k x^k / d in rational arithmetic to ~2^-bits accuracy.
 
     Iterates are rounded to the 2^-bits grid to keep operand sizes bounded;
     Newton doubles the correct digits per step, so a handful of steps from a
-    double-precision start saturates the grid.
+    double-precision start saturates the grid. On integers: at x = u / v,
+    homogeneous Horner gives p(x) = A / (d v^n) and p'(x) = B / (d v^(n-1)),
+    so the step is A / (v B) and one division rounds x - step onto the grid.
     """
-    deriv = poly.derivative()
-    x = Fraction(x0)
-    tol = Fraction(1, 1 << bits)
+    n, grid = len(a) - 1, 1 << bits
+    u, v = x0.as_integer_ratio()
     for _ in range(12):
-        fx = poly(x)
-        dfx = deriv(x)
-        if dfx == 0:
+        big_a, big_b, vk = a[n], n * a[n], 1
+        for k in range(n - 1, 0, -1):
+            vk *= v
+            big_a, big_b = big_a * u + a[k] * vk, big_b * u + k * a[k] * vk
+        big_a = big_a * u + a[0] * vk * v
+        if big_b == 0:
             break
-        step = fx / dfx
-        x = _round_binary(x - step, bits)
-        if abs(step) <= tol * max(1, abs(x)):
+        den = v * big_b
+        u, v = _round_div(grid * (u * big_b - big_a), den), grid
+        if abs(big_a) * grid * grid <= abs(den) * max(grid, abs(u)):  # |step| <= 2^-bits max(1, |x|)
             break
-    return x
+    return Fraction(u, v)
 
 
 class NodeSet:
@@ -102,13 +107,9 @@ class NodeSet:
     def refined(self, bits: int = DEFAULT_REFINE_BITS) -> list[Fraction]:
         """Nodes as rationals accurate to ~2^-bits (cached per bit count)."""
         if bits not in self._refined:
-            if self.poly.mode == "rational":
-                self._refined[bits] = [_newton_refine(self.poly, x, bits) for x in self.nodes]
-            else:
-                # Zeros of a float-coefficient polynomial: refine against the
-                # exact rationalization of those coefficients.
-                exact = Polynomial([Fraction(c) for c in self.poly.coeffs])
-                self._refined[bits] = [_newton_refine(exact, x, bits) for x in self.nodes]
+            # float coefficients refine against their exact rationalization
+            a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
+            self._refined[bits] = [_newton_refine(a, x, bits) for x in self.nodes]
         return self._refined[bits]
 
     @classmethod

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +128,29 @@ class TestMatrixCommand:
         l_mat = np.array(json.loads(out_l)["data"])
         li_mat = np.array(json.loads(out_li)["data"])
         assert np.max(np.abs(l_mat @ li_mat - np.eye(3))) < 1e-10
+
+    def test_transition_pair_on_given_nodes(self, capsys):
+        # -1, 0, 1 are not the zeros of the degree-3 Hermite member: the
+        # pair comes from the inner products, and still inverts exactly
+        pair = []
+        for kind in ("l", "linv"):
+            code, out = run(capsys, "matrix", "--kind", kind, "--family", "hermite", "--nodes", "-1,0,1",
+                            "--n", "3", "--format", "json")
+            assert code == 0
+            pair.append(json.loads(out))
+        assert pair[0]["note"] == "inner-product expansion of the Lagrange basis on 3 given nodes"
+        l_mat, li_mat = pair[0]["data"], pair[1]["data"]
+        assert l_mat[0] == [0.25, 0.5, 0.25]
+        assert [[sum(l_mat[i][k] * li_mat[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == [
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]
+        ]
+
+    def test_simplified_rejects_given_nodes(self, capsys):
+        code = main(["matrix", "--kind", "dc-simplified", "--family", "krall-legendre", "--alpha", "1",
+                     "--nodes", "1,2,3", "--n", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "only at the family zeros" in captured.err
 
 
 class TestVerifyCommand:
@@ -288,3 +314,14 @@ def test_report_builds_each_cell_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["reports"]) == 10 * 3 * 9
     assert len(calls) == 30 and len(set(calls)) == 30  # 10 specs x N = 2..4
+
+
+def test_module_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "krallzeros", "verify", "--suite", "eigenpair", "--family", "hermite", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout

@@ -1,23 +1,35 @@
 """The integer kernel of the exact layer against plain-Fraction references.
 
-Each exact reduction (Horner, the Gaussian moment sums, L L_inv and the
-D p_m products behind the eigenpair, power and similarity checks) runs on
-integers over one common denominator per vector. The references below are
-the plain Fraction loops the kernel replaced; results must be equal, as
-rationals or as doubles, over random inputs.
+Each exact reduction (Horner, the Gaussian moment sums, L L_inv, the
+D p_m products behind the eigenpair, power and similarity checks, the
+exact collocation rows, the Christoffel numbers, the squared norms and the
+Newton refinement of the nodes) runs on integers over common denominators.
+The references below are the plain Fraction loops the kernel replaced;
+results must be equal, as rationals or as doubles, over random inputs.
 """
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from krallzeros import FamilySpec, MomentFunctional, Polynomial
-from krallzeros.families import common_denominator
-from krallzeros.identities import Cell, _eigenpairs, _params_dict, _power, _similarity, worst_residual
-from krallzeros.matrices import _inverse_residual, _quadrature_residuals, _transition_exact
+from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, matrices
+from krallzeros.families import common_denominator, inner_product, squared_norm, squared_norms
+from krallzeros.identities import Cell, _diffmat_report, _eigenpairs, _params_dict, _power, _similarity, worst_residual
+from krallzeros.matrices import (
+    _elementary_symmetric,
+    _inverse_residual,
+    _quadrature_residuals,
+    _transition_exact,
+    christoffel_numbers,
+    collocation_exact,
+    collocation_rep,
+    diffmats_exact,
+)
+from krallzeros.rootfinding import _newton_refine, _round_div
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1 << 20)
 scalars = st.one_of(st.integers(-10**6, 10**6), rationals)
@@ -153,6 +165,100 @@ def similarity_reference(cell):
     return {"inverse_residual": inverse_reference(l_mat, l_inv), "similarity_residual": float(worst / denom)}
 
 
+def round_binary(x, bits):
+    scale = 1 << bits
+    return F(round(x * scale), scale)
+
+
+def newton_reference(poly, x0, bits):
+    deriv = poly.derivative()
+    x = F(x0)
+    tol = F(1, 1 << bits)
+    for _ in range(12):
+        fx = poly(x)
+        dfx = deriv(x)
+        if dfx == 0:
+            break
+        step = fx / dfx
+        x = round_binary(x - step, bits)
+        if abs(step) <= tol * max(1, abs(x)):
+            break
+    return x
+
+
+def refined_reference(nodes, bits):
+    exact = Polynomial([F(c) for c in nodes.poly.coeffs])
+    return [newton_reference(exact, x, bits) for x in nodes.nodes]
+
+
+def diffmats_reference(kmax, xq):
+    n = len(xq)
+    pis, tables = [], []
+    for m in range(n):
+        pim = F(1)
+        recips = []
+        for j in range(n):
+            if j != m:
+                pim *= xq[m] - xq[j]
+                recips.append(1 / (xq[m] - xq[j]))
+        pis.append(pim)
+        tables.append(_elementary_symmetric(recips, kmax + 1, F(0), F(1)))
+
+    def psid(k, m):
+        return math.factorial(k) * pis[m] * tables[m][k - 1]
+
+    mats = [[[F(int(i == j)) for j in range(n)] for i in range(n)]]
+    for k in range(1, kmax + 1):
+        prev = mats[k - 1]
+        cur = [[F(0)] * n for _ in range(n)]
+        for m in range(n):
+            for j in range(n):
+                if m == j:
+                    cur[m][j] = psid(k + 1, j) / ((k + 1) * pis[j])
+                else:
+                    a = 1 / (xq[m] - xq[j])
+                    cur[m][j] = a * (psid(k, m) / pis[j] - k * prev[m][j])
+        mats.append(cur)
+    return mats
+
+
+def collocation_reference(op, xq):
+    n = len(xq)
+    zs = diffmats_reference(op.max_order, xq)
+    out = [[F(0)] * n for _ in range(n)]
+    for order, a in op.terms:
+        aq = Polynomial([F(c) for c in a.coeffs])
+        for m in range(n):
+            am = aq(xq[m])
+            if am == 0:
+                continue
+            row = zs[order][m]
+            for j in range(n):
+                out[m][j] += am * row[j]
+    return out
+
+
+def christoffel_reference(nodes, spec, bits):
+    poly = Polynomial([F(c) for c in nodes.poly.coeffs])
+    deriv = poly.derivative()
+    mom = MomentFunctional(spec)
+    lams = []
+    for xj in nodes.refined(bits):
+        quot = poly.shifted_quotient(xj)
+        val = sum((quot.coeffs[i] * mom(i) for i in range(len(quot.coeffs))), F(0))
+        lams.append(val / deriv(xj))
+    return lams
+
+
+def transition_reference(fam, lams, xq, spec):
+    n = len(xq)
+    norms = [squared_norm(p, spec) for p in fam[:n]]
+    values = [[round_binary(fam[j](x), 512) for x in xq] for j in range(n)]
+    l_mat = [[round_binary(lams[k] * values[j][k] / norms[j], 512) for k in range(n)] for j in range(n)]
+    l_inv = [[values[k][j] for k in range(n)] for j in range(n)]
+    return l_mat, l_inv
+
+
 def perturbed(cell, data):
     """The cell with rational noise added to some entries of its exact collocation matrix.
 
@@ -280,3 +386,130 @@ def test_float_power_unchanged(cell, exponent):
 def test_exact_similarity(cell, data):
     cell = perturbed(cell, data)
     assert _similarity(cell) == similarity_reference(cell)
+
+
+# ---------------------------------------------------------------------------
+# exact collocation rows
+# ---------------------------------------------------------------------------
+
+distinct_nodes = st.lists(rationals, min_size=1, max_size=8, unique=True)
+
+
+@st.composite
+def operators(draw):
+    """sum_k a_k d^k with deg a_k <= k, an order-0 term always present."""
+    orders = [0] + draw(st.lists(st.integers(1, 4), max_size=4, unique=True))
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=50)
+    return DiffOperator(tuple((k, Polynomial(draw(st.lists(small, max_size=k + 1)))) for k in orders))
+
+
+@given(cells)
+def test_collocation_exact_on_zeros(cell):
+    assert collocation_exact(cell.op, cell.xq) == collocation_reference(cell.op, cell.xq)
+
+
+@given(distinct_nodes, operators())
+def test_collocation_exact_on_any_rational_nodes(xq, op):
+    assert collocation_exact(op, xq) == collocation_reference(op, xq)
+
+
+@given(distinct_nodes, st.integers(0, 4))
+def test_diffmats_exact(xq, kmax):
+    assert diffmats_exact(kmax, xq) == diffmats_reference(kmax, xq)
+
+
+# ---------------------------------------------------------------------------
+# Christoffel numbers, squared norms, L and L_inv
+# ---------------------------------------------------------------------------
+
+
+@given(cells, st.sampled_from([64, 192, 512]))
+def test_christoffel_numbers(cell, bits):
+    assert christoffel_numbers(cell.nodes, cell.spec, bits) == christoffel_reference(cell.nodes, cell.spec, bits)
+
+
+@given(
+    specs,
+    # NodeSet.from_points wants points at least 1e-10 apart
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=1000), min_size=1, max_size=8, unique=True),
+    st.sampled_from([64, 192, 512]),
+)
+def test_christoffel_numbers_on_any_nodes(spec, xq, bits):
+    nodes = NodeSet.from_points([float(x) for x in xq])
+    assert christoffel_numbers(nodes, spec, bits) == christoffel_reference(nodes, spec, bits)
+
+
+@given(specs, st.integers(0, 8))
+def test_squared_norms_of_members(spec, n):
+    fam = build_family(spec, n)
+    assert squared_norms(fam, spec) == [inner_product(p, p, spec) for p in fam]
+
+
+@given(specs, st.lists(st.lists(scalars, max_size=8), min_size=1, max_size=4))
+def test_squared_norms_of_any_rational_polynomials(spec, coefficient_lists):
+    polys = [Polynomial(c) for c in coefficient_lists]
+    assert squared_norms(polys, spec) == [inner_product(p, p, spec) for p in polys]
+
+
+@given(cells)
+def test_transition_exact(cell):
+    xq = cell.nodes.refined(cell.bits)
+    args = (cell.family, cell.lams, xq, cell.spec)
+    assert _transition_exact(*args) == transition_reference(*args)
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement and its rounding
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(-10**40, 10**40), st.integers(-10**20, 10**20).filter(bool))
+def test_round_div(p, q):
+    assert _round_div(p, q) == round(F(p, q))
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (3, 2), (-1, 2), (-3, 2), (5, -2), (7, -2), (0, 3), (-6, -3)])
+def test_round_div_ties_to_even(p, q):
+    assert _round_div(p, q) == round(F(p, q))
+
+
+@given(cells, st.sampled_from([64, 192, 512]))
+def test_refined_zeros(cell, bits):
+    assert cell.nodes.refined(bits) == refined_reference(cell.nodes, bits)
+
+
+@given(
+    st.lists(rationals, min_size=2, max_size=7).filter(lambda c: c[-1] != 0),
+    st.floats(-100, 100),
+    st.sampled_from([64, 192, 512]),
+)
+@example([F(-2), F(0), F(1)], 0.0, 64)  # p'(x0) = 0: no step
+@example([F(1), F(0), F(1)], 0.5, 192)  # no real root: steps never settle
+def test_newton_from_any_start(coeffs, x0, bits):
+    poly = Polynomial(coeffs)
+    assert _newton_refine(poly._integer_form()[0], x0, bits) == newton_reference(poly, x0, bits)
+
+
+# ---------------------------------------------------------------------------
+# float collocation shares the recursive Z^(k) with the diffmat report
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [FamilySpec("hermite"), FamilySpec("krall-laguerre", alpha=F(1, 2))])
+def test_float_collocation_shares_recursive_matrices(spec, monkeypatch):
+    cell = Cell(spec, 6)
+    expected = collocation_rep(cell.op, cell.nodes).data
+    calls = []
+    real = matrices.diffmat
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matrices, "diffmat", counting)
+    assert np.array_equal(cell.dc_float, expected)
+    report = _diffmat_report(cell, 1e-11, 0)
+    assert report.passed
+    # the report's own 14 constructions (k = 1..4: recursive, alternative,
+    # rescaled; explicit for k <= 2), the recursive ones shared with dc_float
+    assert len(calls) == 14
