@@ -34,7 +34,7 @@ from .families import (
     build_family,
     operator_of,
 )
-from .identities import ALL_SUITES, SUITES, Cell, IdentityReport, default_grid, severity, worst_residual
+from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, get_cell, severity, worst_residual
 from .rootfinding import NodeSet, RootfindingError, zeros
 
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
@@ -211,8 +211,8 @@ def cmd_matrix(args) -> int:
 def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
     """Run the suites over the grid, one cell at a time, reporting suite by suite.
 
-    Each (spec, N) cell is built once, handed to every suite that applies to
-    it and dropped; the reports still come out in suite -> spec -> N order.
+    Each (spec, N) cell is built once and handed to every suite that applies
+    to it; the reports still come out in suite -> spec -> N order.
     """
     named = args.family not in (None, "all")
     specs = [FamilySpec(args.family, alpha=args.alpha, beta=args.beta, mass=args.m_param)] if named else default_grid()
@@ -222,7 +222,7 @@ def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
     for spec in specs:
         applicable = [name for name in suites if SUITES[name].applies(name, spec, strict)]
         for n in _parse_n(args):
-            cell = Cell(spec, n)
+            cell = get_cell(spec, n)
             for name in applicable:
                 suite = SUITES[name]
                 tolerance = args.tolerance if args.tolerance is not None else suite.tolerance

@@ -426,15 +426,11 @@ def _coeffs_krall_laguerre(nu: int, alpha: Fraction) -> list[Fraction]:
 
 def _coeffs_krall_jacobi(nu: int, alpha: Fraction, mass: Fraction) -> list[Fraction]:
     c = [Fraction(0)] * (nu + 1)
-    den = _pochhammer(alpha + 1, nu)
+    den = rise = _pochhammer(alpha + 1, nu)  # rise = (alpha + 1)_(nu + k)
     for k in range(nu + 1):
-        num = (
-            (-1) ** (nu - k)
-            * math.comb(nu, k)
-            * _pochhammer(alpha + 1, nu + k)
-            * (k * (nu + alpha) * (nu + 1) + (k + 1) * mass)
-        )
+        num = (-1) ** (nu - k) * math.comb(nu, k) * rise * (k * (nu + alpha) * (nu + 1) + (k + 1) * mass)
         c[k] += num / (math.factorial(k + 1) * den)
+        rise *= alpha + nu + k + 1
     return c
 
 
@@ -450,27 +446,25 @@ def _coeffs_hermite(nu: int) -> list[Fraction]:
 
 def _coeffs_laguerre(nu: int, alpha: Fraction) -> list[Fraction]:
     c = [Fraction(0)] * (nu + 1)
-    for k in range(nu + 1):
-        c[k] += (
-            (-1) ** k
-            * _pochhammer(alpha + k + 1, nu - k)
-            / (math.factorial(nu - k) * math.factorial(k))
-        )
+    rise = Fraction(1)  # (alpha + k + 1)_(nu - k)
+    for k in range(nu, -1, -1):
+        c[k] += (-1) ** k * rise / (math.factorial(nu - k) * math.factorial(k))
+        rise *= alpha + k
     return c
 
 
 def _coeffs_jacobi(nu: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
     c = [Fraction(0)] * (nu + 1)
+    falls = [Fraction(1)] * (nu + 1)  # falls[s] = (alpha + s + 1)_(nu - s)
+    for s in range(nu - 1, -1, -1):
+        falls[s] = falls[s + 1] * (alpha + s + 1)
+    rise = Fraction(1)  # (alpha + beta + nu + 1)_s
     for s in range(nu + 1):
-        pref = (
-            _pochhammer(alpha + s + 1, nu - s)
-            / math.factorial(nu - s)
-            * _pochhammer(alpha + beta + nu + 1, s)
-            / math.factorial(s)
-        )
+        pref = falls[s] / math.factorial(nu - s) * rise / (math.factorial(s) * 2**s)
         # expand ((x - 1) / 2)^s
         for t in range(s + 1):
-            c[t] += pref * Fraction(math.comb(s, t) * (-1) ** (s - t), 2**s)
+            c[t] += pref * (math.comb(s, t) * (-1) ** (s - t))
+        rise *= alpha + beta + nu + 1 + s
     return c
 
 

@@ -4,9 +4,10 @@ Every identity is read off one chain per (family, N) cell: the degree-N
 member, its zeros, the collocation matrix on those zeros, and the spectral
 and transition data. A `Cell` builds each link of that chain at most once;
 the verifiers take a cell and report per-cell residuals of one identity
-together with a pass verdict at a configured tolerance. The public
-`verify_*(spec, n)` functions build a fresh cell per call, and the suite
-registry `SUITES` hands one cell to every suite that applies to it.
+together with a pass verdict at a configured tolerance. Every caller gets
+its cell from `get_cell`, which builds it once for consecutive calls on the
+same (spec, N): the public `verify_*(spec, n)` functions and the CLI, which
+hands one cell to every suite of the registry `SUITES` that applies to it.
 
 The ground truth throughout is the eigenpair relation: the vector of values
 of the degree-m member at the zeros of the degree-N member is an
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
@@ -186,7 +187,8 @@ class Cell:
     binary digits. The exact engine reads the collocation matrix and the
     value vectors over common denominators (`dc_scaled`, `values_scaled`)
     and shares D p_m (`dp_exact`) between its checks, the float side the
-    recursive Z^(k) (`zmat`). A cell lives for one (spec, N) of one run.
+    recursive Z^(k) (`zmat`). Get cells from `get_cell`, which keeps the
+    last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
@@ -263,6 +265,22 @@ class Cell:
     @cached_property
     def lams(self) -> list[Fraction]:
         return christoffel_numbers(self.nodes, self.spec, self.bits)
+
+
+def get_cell(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) -> Cell:
+    """The cell of (spec, N, bits): the one last returned when the key repeats, else a new one.
+
+    The memo holds one cell, so the last cell stays in memory until a call
+    with another key replaces it. A link that raised was not cached and
+    raises again on the next use. Verifiers build their outputs fresh, so
+    nothing a caller receives belongs to the cell.
+    """
+    return _last_cell(spec, n, bits)  # one positional key for every calling form
+
+
+@lru_cache(maxsize=1)
+def _last_cell(spec: FamilySpec, n: int, bits: int) -> Cell:
+    return Cell(spec, n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +367,7 @@ def verify_eigenpairs(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _eigenpairs(Cell(spec, n), tolerance, rowsum_tolerance, arithmetic)
+    return _eigenpairs(get_cell(spec, n), tolerance, rowsum_tolerance, arithmetic)
 
 
 def _eigenpairs(cell: Cell, tolerance=1e-8, rowsum_tolerance=1e-9, arithmetic="exact") -> IdentityReport:
@@ -384,7 +402,7 @@ def verify_power(
     same eigenvectors with eigenvalues mu_m^e. Entries scale like mu^e; an
     overflow guard rejects exponents that would leave double range.
     """
-    return _power(Cell(spec, n), exponent, tolerance, arithmetic)
+    return _power(get_cell(spec, n), exponent, tolerance, arithmetic)
 
 
 def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> IdentityReport:
@@ -425,7 +443,7 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
     where a_4 nearly vanishes are skipped with a note. Both sides are also
     cross-checked against the general assembly rearranged the same way.
     """
-    return _fourth_order(Cell(spec, n), tolerance)
+    return _fourth_order(get_cell(spec, n), tolerance)
 
 
 def _fourth_order(cell: Cell, tolerance=1e-7) -> IdentityReport:
@@ -498,7 +516,7 @@ def verify_family_identity(
     factor is already the degree-m value) and the variant is recorded as
     informational only.
     """
-    return _family_identity(Cell(spec, n), variant, tolerance)
+    return _family_identity(get_cell(spec, n), variant, tolerance)
 
 
 def _family_identity(cell: Cell, variant="corrected", tolerance=1e-7) -> IdentityReport:
@@ -552,7 +570,7 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
     experiment is decisive when exactly one passes. For the other two
     families the readings coincide and the verdict is "identical".
     """
-    return _discriminate(Cell(spec, n), tolerance)
+    return _discriminate(get_cell(spec, n), tolerance)
 
 
 def _discriminate(cell: Cell, tolerance=1e-7) -> dict:
@@ -599,7 +617,7 @@ def _family_main(cell: Cell, tolerance: float, variant: str) -> IdentityReport:
 
 def equally_spaced_nodes(spec: FamilySpec, n: int) -> NodeSet:
     """n equally spaced nodes on the hull (on the zero span when unbounded)."""
-    return _equally_spaced(Cell(spec, n))
+    return _equally_spaced(get_cell(spec, n))
 
 
 def _equally_spaced(cell: Cell) -> NodeSet:
@@ -637,7 +655,7 @@ def spectrum_report(
     independent of which distinct real nodes are used; pass any NodeSet to
     exercise that (family zeros are the default).
     """
-    return _spectrum(Cell(spec, n), tolerance, nodes)
+    return _spectrum(get_cell(spec, n), tolerance, nodes)
 
 
 def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> IdentityReport:

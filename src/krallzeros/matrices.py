@@ -511,7 +511,10 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_RE
     with psi = a / d, x_j = u / v and moments M_i / mu, synthetic division
     gives quotient coefficients Q_i / (d v^(n-1-i)), Horner gives
     psi'(x_j) = B / (d v^(n-1)), and lambda_j = sum_i Q_i M_i v^i / (mu B).
+    The node set keeps them per (spec, bits); each call returns a new list.
     """
+    if (spec, bits) in nodes._christoffel:
+        return list(nodes._christoffel[spec, bits])
     a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
     n = len(a) - 1
     moments, mu = common_denominator([moment(spec, k) for k in range(n)])
@@ -524,7 +527,8 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_RE
             b = b * u + k * a[k] * vk
             total = total * v + q * moments[k - 1]
         lams.append(Fraction(total, mu * b))
-    return lams
+    nodes._christoffel[spec, bits] = lams
+    return list(lams)
 
 
 def christoffel(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> MatrixRep:
@@ -709,6 +713,6 @@ def similarity_check(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) 
     ||D_coll L_inv - L_inv D_tau||_inf / max(1, ||D_tau||_inf) with the
     collocation matrix assembled exactly at the double-precision nodes.
     """
-    from .identities import Cell, _similarity  # identities builds its cells on this module
+    from .identities import _similarity, get_cell  # identities builds its cells on this module
 
-    return _similarity(Cell(spec, n, bits))
+    return _similarity(get_cell(spec, n, bits))

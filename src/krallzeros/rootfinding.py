@@ -89,6 +89,7 @@ class NodeSet:
         self.poly = poly
         self.spec = spec
         self._refined: dict[int, list[Fraction]] = {}
+        self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits), see matrices.christoffel_numbers
 
     @property
     def size(self) -> int:
@@ -148,9 +149,8 @@ def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _polish(poly: Polynomial, z: complex) -> complex:
-    """Newton from a companion-matrix guess; exact evaluation when possible."""
-    deriv = poly.derivative()
+def _polish(poly: Polynomial, deriv: Polynomial, z: complex) -> complex:
+    """Newton from a companion-matrix guess, deriv = poly'; exact evaluation when possible."""
     exact = poly.mode == "rational"
     x = z
     for _ in range(60):
@@ -185,7 +185,8 @@ def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
     cf = np.array([float(c) for c in p.coeffs])
     if not np.all(np.isfinite(cf)):
         raise ValueError("coefficients overflow double precision; reduce the degree")
-    roots = [_polish(p, z) for z in _companion_eigenvalues(cf)]
+    deriv = p.derivative()
+    roots = [_polish(p, deriv, z) for z in _companion_eigenvalues(cf)]
 
     worst_imag = max(abs(z.imag) for z in roots)
     if worst_imag > 1e-8:

@@ -23,8 +23,11 @@ from krallzeros import (
     verify_eigenpairs,
     zeros,
 )
+from krallzeros import identities
 from krallzeros.families import FAMILIES, KRALL_FAMILIES
-from krallzeros.identities import SUITES, worst_residual
+from krallzeros.identities import SUITES, get_cell, worst_residual
+from krallzeros.matrices import similarity_check
+from krallzeros.rootfinding import DEFAULT_REFINE_BITS, NonRealRootError
 
 KLEG1 = FamilySpec("krall-legendre", alpha=1)
 KLAG1 = FamilySpec("krall-laguerre", alpha=1)
@@ -266,3 +269,104 @@ def test_readme_suite_table_matches_registry():
             families = ", ".join(f"`{f}`" for f in suite.families)
         row = f"| `{name}` | {_tolerance(suite.tolerance)} | {families} | {suite.certifies} |"
         assert row in readme, row
+
+
+class TestCellFactory:
+    """Consecutive public calls on one (spec, N, bits) share one cell; outputs stay the caller's."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """(spec, N) of every family and zeros build a cell makes."""
+        counts = {"family": [], "zeros": []}
+        real_family, real_zeros = identities.build_family, identities.zeros
+
+        def family(spec, n, *args, **kwargs):
+            counts["family"].append((spec, n))
+            return real_family(spec, n, *args, **kwargs)
+
+        def roots(p, spec=None):
+            counts["zeros"].append((spec, p.degree))
+            return real_zeros(p, spec)
+
+        monkeypatch.setattr(identities, "build_family", family)
+        monkeypatch.setattr(identities, "zeros", roots)
+        return counts
+
+    def test_every_entry_point_shares_the_cell(self, builds):
+        calls = [
+            lambda: verify_eigenpairs(KLAG1, 5),
+            lambda: verify_eigenpairs(KLAG1, 5, arithmetic="float"),
+            lambda: verify_power(KLAG1, 5),
+            lambda: verify_fourth_order(KLAG1, 5),
+            lambda: verify_family_identity(KLAG1, 5, "printed"),
+            lambda: discriminate_variants(KLAG1, 5),
+            lambda: spectrum_report(KLAG1, 5),
+            lambda: equally_spaced_nodes(KLAG1, 5),  # unbounded hull: reads the zeros
+            lambda: similarity_check(KLAG1, 5),
+            lambda: similarity_check(KLAG1, 5, DEFAULT_REFINE_BITS),
+            lambda: similarity_check(KLAG1, 5, bits=DEFAULT_REFINE_BITS),
+        ]
+        for call in calls:
+            call()
+        assert builds == {"family": [(KLAG1, 5)], "zeros": [(KLAG1, 5)]}
+
+    def test_calling_forms_share_one_key(self):
+        first = get_cell(KLEG1, 4)
+        assert get_cell(KLEG1, 4, DEFAULT_REFINE_BITS) is first
+        assert get_cell(KLEG1, 4, bits=DEFAULT_REFINE_BITS) is first
+        assert get_cell(FamilySpec("krall-legendre", alpha=F(1)), 4) is first  # an equal spec
+
+    def test_another_key_rebuilds(self, builds):
+        verify_eigenpairs(KLAG1, 5)
+        verify_eigenpairs(KLAG1, 6)
+        verify_eigenpairs(KLEG1, 6)
+        similarity_check(KLEG1, 6, 64)
+        verify_eigenpairs(KLAG1, 5)  # one entry: the first cell is gone
+        assert builds["zeros"] == [(KLAG1, 5), (KLAG1, 6), (KLEG1, 6), (KLEG1, 6), (KLAG1, 5)]
+
+    def test_raising_cell_raises_again(self, builds):
+        spec = FamilySpec("krall-jacobi", alpha=1, mass=2)  # companion-matrix zeros break at N = 24
+        for _ in range(2):
+            with pytest.raises(NonRealRootError):
+                verify_eigenpairs(spec, 24)
+        assert builds["zeros"] == [(spec, 24), (spec, 24)]
+
+    def test_mutated_outputs_do_not_reach_the_next_call(self):
+        reports = {
+            "eigenpair": lambda: verify_eigenpairs(KJAC11, 4),
+            "power": lambda: verify_power(KJAC11, 4),
+            "fourth-order": lambda: verify_fourth_order(KJAC11, 4),
+            "family": lambda: verify_family_identity(KJAC11, 4),
+            "spectrum": lambda: spectrum_report(KJAC11, 4),
+        }
+        for name, call in reports.items():
+            first = call()
+            expected = json.dumps(first.to_dict())
+            first.cells.clear()
+            first.eigenpairs.append({"m": -1})
+            first.params["alpha"] = "0"
+            first.notes.append("mutated")
+            first.extras["mutated"] = True
+            assert json.dumps(call().to_dict()) == expected, name
+
+        both = discriminate_variants(KJAC11, 4)
+        expected = json.dumps({k: v.to_dict() for k, v in both.items() if k != "verdict"})
+        both["corrected"].cells.clear()
+        both["printed"].notes.append("mutated")
+        both["verdict"] = "printed"
+        again = discriminate_variants(KJAC11, 4)
+        assert json.dumps({k: v.to_dict() for k, v in again.items() if k != "verdict"}) == expected
+        assert again["verdict"] == "identical"
+
+        for spec in (KJAC11, KLAG1):  # bounded and unbounded hull
+            nodes = equally_spaced_nodes(spec, 4)
+            points, refined = nodes.nodes, list(nodes.refined())
+            nodes.nodes = ()
+            nodes.refined().append(F(0))
+            nodes = equally_spaced_nodes(spec, 4)
+            assert nodes.nodes == points and nodes.refined() == refined
+
+        pair = similarity_check(KJAC11, 4)
+        expected = dict(pair)
+        pair["inverse_residual"] = 1.0
+        assert similarity_check(KJAC11, 4) == expected

@@ -4,8 +4,9 @@ Each exact reduction (Horner, the Gaussian moment sums, L L_inv, the
 D p_m products behind the eigenpair, power and similarity checks, the
 exact collocation rows, the Christoffel numbers, the squared norms and the
 Newton refinement of the nodes) runs on integers over common denominators.
-The references below are the plain Fraction loops the kernel replaced;
-results must be equal, as rationals or as doubles, over random inputs.
+The references below are the plain Fraction loops the kernel replaced,
+and the coefficient loops that rebuilt every Pochhammer product; results
+must be equal, as rationals or as doubles, over random inputs.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, matrices
+from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, families, matrices, zeros
 from krallzeros.families import common_denominator, inner_product, squared_norm, squared_norms
 from krallzeros.identities import Cell, _diffmat_report, _eigenpairs, _params_dict, _power, _similarity, worst_residual
 from krallzeros.matrices import (
@@ -29,7 +30,7 @@ from krallzeros.matrices import (
     collocation_rep,
     diffmats_exact,
 )
-from krallzeros.rootfinding import _newton_refine, _round_div
+from krallzeros.rootfinding import DEFAULT_REFINE_BITS, _newton_refine, _round_div
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1 << 20)
 scalars = st.one_of(st.integers(-10**6, 10**6), rationals)
@@ -259,6 +260,42 @@ def transition_reference(fam, lams, xq, spec):
     return l_mat, l_inv
 
 
+def pochhammer_reference(x, n):
+    out = F(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def coeffs_reference(spec, nu):
+    """The coefficient loops that rebuilt each Pochhammer product per coefficient."""
+    a, c = spec.alpha, [F(0)] * (nu + 1)
+    if spec.family == "laguerre":
+        for k in range(nu + 1):
+            c[k] += (-1) ** k * pochhammer_reference(a + k + 1, nu - k) / (math.factorial(nu - k) * math.factorial(k))
+    elif spec.family == "jacobi":
+        for s in range(nu + 1):
+            pref = (
+                pochhammer_reference(a + s + 1, nu - s)
+                / math.factorial(nu - s)
+                * pochhammer_reference(a + spec.beta + nu + 1, s)
+                / math.factorial(s)
+            )
+            for t in range(s + 1):
+                c[t] += pref * F(math.comb(s, t) * (-1) ** (s - t), 2**s)
+    else:  # krall-jacobi
+        den = pochhammer_reference(a + 1, nu)
+        for k in range(nu + 1):
+            num = (
+                (-1) ** (nu - k)
+                * math.comb(nu, k)
+                * pochhammer_reference(a + 1, nu + k)
+                * (k * (nu + a) * (nu + 1) + (k + 1) * spec.mass)
+            )
+            c[k] += num / (math.factorial(k + 1) * den)
+    return c
+
+
 def perturbed(cell, data):
     """The cell with rational noise added to some entries of its exact collocation matrix.
 
@@ -273,6 +310,22 @@ def perturbed(cell, data):
     fresh = Cell(cell.spec, n)
     fresh.dc_exact = dc  # cached_property: the instance attribute takes precedence
     return fresh
+
+
+# ---------------------------------------------------------------------------
+# coefficient tables with running Pochhammer products
+# ---------------------------------------------------------------------------
+
+pochhammer_specs = st.one_of(
+    st.builds(lambda a: FamilySpec("laguerre", alpha=a), _above(-1, 4, 64)),
+    st.builds(lambda a, b: FamilySpec("jacobi", alpha=a, beta=b), _above(-1, 4, 64), _above(-1, 4, 64)),
+    st.builds(lambda a, m: FamilySpec("krall-jacobi", alpha=a, mass=m), _above(-1, 4, 64), _above(0, 4, 64)),
+)
+
+
+@given(pochhammer_specs, st.integers(0, 30))
+def test_coefficients_with_running_products(spec, nu):
+    assert families._coeffs(spec, nu) == coeffs_reference(spec, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +490,32 @@ def test_christoffel_numbers(cell, bits):
 def test_christoffel_numbers_on_any_nodes(spec, xq, bits):
     nodes = NodeSet.from_points([float(x) for x in xq])
     assert christoffel_numbers(nodes, spec, bits) == christoffel_reference(nodes, spec, bits)
+
+
+def test_christoffel_numbers_cached_per_spec_and_bits(monkeypatch):
+    spec = FamilySpec("krall-jacobi", alpha=F(1, 2), mass=F(2))
+    nodes = NodeSet.from_points([-0.5, 0.25, 0.75])
+    moments = []
+    real = matrices.moment
+    monkeypatch.setattr(matrices, "moment", lambda spec, k: moments.append(k) or real(spec, k))
+    first = christoffel_numbers(nodes, spec)
+    first.append(F(0))  # the caller's list, not the node set's
+    assert christoffel_numbers(nodes, spec) == christoffel_reference(nodes, spec, DEFAULT_REFINE_BITS)
+    assert len(moments) == 3  # one kernel run
+    christoffel_numbers(nodes, spec, 64)
+    christoffel_numbers(nodes, FamilySpec("hermite"))
+    assert len(moments) == 9
+
+
+def test_quadrature_and_transition_share_the_christoffel_numbers(monkeypatch):
+    spec = FamilySpec("laguerre", alpha=F(1, 2))
+    nodes = zeros(build_family(spec, 5)[5], spec)
+    runs = []
+    real = matrices.moment
+    monkeypatch.setattr(matrices, "moment", lambda spec, k: runs.append(k) or real(spec, k))
+    matrices.quadrature_exactness(nodes, spec)
+    matrices.transition(nodes, spec)
+    assert runs == [0, 1, 2, 3, 4]
 
 
 @given(specs, st.integers(0, 8))
