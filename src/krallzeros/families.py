@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -454,18 +455,16 @@ def _coeffs_laguerre(nu: int, alpha: Fraction) -> list[Fraction]:
 
 
 def _coeffs_jacobi(nu: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
-    falls = [Fraction(1)] * (nu + 1)  # falls[s] = (alpha + s + 1)_(nu - s)
-    for s in range(nu - 1, -1, -1):
-        falls[s] = falls[s + 1] * (alpha + s + 1)
-    rise = Fraction(1)  # (alpha + beta + nu + 1)_s
-    for s in range(nu + 1):
-        pref = falls[s] / math.factorial(nu - s) * rise / (math.factorial(s) * 2**s)
-        # expand ((x - 1) / 2)^s
-        for t in range(s + 1):
-            c[t] += pref * (math.comb(s, t) * (-1) ** (s - t))
-        rise *= alpha + beta + nu + 1 + s
-    return c
+    # on integers, with alpha + 1 = p / q and alpha + beta + nu + 1 = g / h, over d = (2 q h)^nu nu!
+    p, q = (alpha + 1).as_integer_ratio()
+    g, h = (alpha + beta + nu + 1).as_integer_ratio()
+    # falls[s] / q^(nu - s) = (alpha + s + 1)_(nu - s) and rises[s] / h^s = (alpha + beta + nu + 1)_s
+    falls = list(accumulate((p + s * q for s in range(nu - 1, -1, -1)), mul, initial=1))[::-1]
+    rises = accumulate((g + s * h for s in range(nu)), mul, initial=1)
+    # a[s] / d multiplies ((x - 1) / 2)^s
+    a = [f * r * q**s * h ** (nu - s) * 2 ** (nu - s) * math.comb(nu, s) for s, (f, r) in enumerate(zip(falls, rises))]
+    d = (2 * q * h) ** nu * math.factorial(nu)
+    return [Fraction(sum(a[s] * math.comb(s, t) * (-1) ** (s - t) for s in range(t, nu + 1)), d) for t in range(nu + 1)]
 
 
 def _coeffs(spec: FamilySpec, nu: int) -> list[Fraction]:

@@ -15,6 +15,9 @@ pi_m * prod(1 + h/(x_m - x_j)) gives
     psi^(k)(x_m) = k! * pi_m * e_{k-1}(1/(x_m - x_j), j != m)
 
 with e_d the elementary symmetric functions, which is stable and cheap.
+The float Z^(k) are whole-array numpy operations on the differences
+x_m - x_j that round exactly as entry-by-entry loops would; powers come from
+math.pow, because numpy's array power can round differently from scalar pow.
 
 Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
@@ -61,7 +64,7 @@ from .families import (
     operator_of,
     squared_norms,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _round_div
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _node_products, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -112,13 +115,13 @@ def _as_matrix(m: Union[MatrixRep, np.ndarray]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _elementary_symmetric(values, dmax: int, zero, one):
-    e = [zero] * (dmax + 1)
-    e[0] = one
-    for v in values:
-        for d in range(min(dmax, len(values)), 0, -1):
-            e[d] = e[d] + v * e[d - 1]
-    return e
+def _differences(x: np.ndarray):
+    """dx[m, j] = x_m - x_j with 1.0 on the diagonal, and r = 1 / dx with 0.0 there."""
+    dx = x[:, None] - x
+    np.fill_diagonal(dx, 1.0)
+    r = 1.0 / dx
+    np.fill_diagonal(r, 0.0)
+    return dx, r
 
 
 def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
@@ -128,16 +131,16 @@ def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
     """
     x = _as_array(nodes)
     n = len(x)
+    dx, r = _differences(x)
+    pi = leading * np.prod(dx, axis=1)
+    # e[d, m] = e_d(r[m, j], j != m), one j at a time; the diagonal adds exact zeros
+    e = np.zeros((kmax + 1, n))
+    e[0] = 1.0
+    lower, upper = e[: min(kmax, n - 1)], e[1 : min(kmax, n - 1) + 1]
+    for column in r.T:
+        upper += column * lower  # the product is formed from the old e_(d-1) first
     pd = np.zeros((kmax + 1, n))
-    pi = np.zeros(n)
-    for m in range(n):
-        others = np.delete(x, m)
-        pim = leading * np.prod(x[m] - others) if n > 1 else leading
-        recips = 1.0 / (x[m] - others)
-        e = _elementary_symmetric(recips, kmax, 0.0, 1.0)
-        pi[m] = pim
-        for k in range(1, kmax + 1):
-            pd[k, m] = math.factorial(k) * pim * e[k - 1]
+    pd[1:] = np.array([math.factorial(k) for k in range(1, kmax + 1)])[:, None] * pi * e[:-1]
     return pd, pi
 
 
@@ -159,7 +162,8 @@ def diffmat(k: int, nodes: NodesLike, method: str = "recursive", leading: float 
       over node-polynomial derivatives, same diagonal.
 
     The node polynomial's leading coefficient cancels throughout; `leading`
-    is accepted anyway so that the invariance is testable.
+    is accepted anyway so that the invariance is testable. Non-finite or
+    coincident nodes, or a spread that overflows double, raise ValueError.
     """
     if not 1 <= k <= 4:
         raise ValueError("derivative order k must be in 1..4")
@@ -169,68 +173,48 @@ def diffmat(k: int, nodes: NodesLike, method: str = "recursive", leading: float 
         raise ValueError("explicit formulas exist for k in {1, 2} only")
     x = _as_array(nodes)
     n = len(x)
-
-    if method == "explicit":
-        z = _diffmat_explicit(k, x)
-    else:
-        pd, pi = node_poly_derivatives(x, k + 1, leading)
-        z = np.zeros((n, n))
-        if method == "recursive":
-            # entry (m, n) recurses over derivative order in place
-            for m in range(n):
-                for j in range(n):
-                    if m == j:
-                        z[m, j] = pd[k + 1, j] / ((k + 1) * pi[j])
-                    else:
-                        a = 1.0 / (x[m] - x[j])
-                        zprev = 0.0  # off-diagonal entry of Z^(0) = I
-                        for kk in range(1, k + 1):
-                            zprev = a * (pd[kk, m] / pi[j] - kk * zprev)
-                        z[m, j] = zprev
-        else:
-            for m in range(n):
-                for j in range(n):
-                    if m == j:
-                        z[m, j] = pd[k + 1, j] / ((k + 1) * pi[j])
-                    else:
-                        acc = 0.0
-                        for i in range(1, k + 1):
-                            acc += (
-                                (-1) ** (k - i)
-                                * math.factorial(k)
-                                / math.factorial(i)
-                                * pd[i, m]
-                                / (x[m] - x[j]) ** (k - i + 1)
-                            )
-                        z[m, j] = acc / pi[j]
+    if not np.isfinite(x).all():
+        raise ValueError("nodes must be finite")
+    if len(set(x.tolist())) < n:
+        raise ValueError("nodes must be distinct")
+    with np.errstate(all="ignore"):  # an overflowed spread shows as a non-finite matrix below
+        z = _diffmat_explicit(k, x) if method == "explicit" else _diffmat_taylor(k, x, method, leading)
+    if not np.isfinite(z).all():
+        raise ValueError(f"Z^({k}) is not finite: the node spread overflows double precision")
     return MatrixRep(z, kind=f"diffmat({k})", note=f"{method} construction on {n} nodes")
 
 
+def _diffmat_taylor(k: int, x: np.ndarray, method: str, leading: float) -> np.ndarray:
+    pd, pi = node_poly_derivatives(x, k + 1, leading)
+    dx, r = _differences(x)
+    z = np.zeros_like(dx)  # off-diagonal entries of Z^(0) = I
+    if method == "recursive":
+        for kk in range(1, k + 1):
+            z = r * (pd[kk][:, None] / pi - kk * z)
+    else:
+        flat = dx.ravel().tolist()  # math.pow per entry, see the module docstring
+        for i in range(1, k + 1):
+            powers = np.array([math.pow(d, k - i + 1) for d in flat]).reshape(dx.shape)
+            z = z + (-1) ** (k - i) * math.factorial(k) / math.factorial(i) * pd[i][:, None] / powers
+        z = z / pi
+    np.fill_diagonal(z, pd[k + 1] / ((k + 1) * pi))
+    return z
+
+
 def _diffmat_explicit(k: int, x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    pi = np.array([np.prod(x[m] - np.delete(x, m)) if n > 1 else 1.0 for m in range(n)])
-    z = np.zeros((n, n))
+    dx, r = _differences(x)
+    pi = np.prod(dx, axis=1)
+    rows = r.tolist()  # math.fsum is correctly rounded, so a zero term or the order changes nothing
     if k == 1:
-        for m in range(n):
-            for j in range(n):
-                if m == j:
-                    z[m, j] = math.fsum(1.0 / (x[m] - x[i]) for i in range(n) if i != m)
-                else:
-                    z[m, j] = pi[m] / pi[j] / (x[m] - x[j])
+        z = pi[:, None] / pi / dx
+        np.fill_diagonal(z, [math.fsum(row) for row in rows])
         return z
-    for m in range(n):
-        for j in range(n):
-            if m == j:
-                z[m, j] = math.fsum(
-                    1.0 / ((x[m] - x[i]) * (x[m] - x[p]))
-                    for i in range(n)
-                    if i != m
-                    for p in range(n)
-                    if p not in (m, i)
-                )
-            else:
-                s = math.fsum(1.0 / (x[m] - x[i]) for i in range(n) if i not in (m, j))
-                z[m, j] = 2.0 * pi[m] / pi[j] / (x[m] - x[j]) * s
+    # sum over i != m, j of r[m, i]: the full row less r[m, j]
+    s = np.array([[math.fsum(row + [-v]) for v in row] for row in rows])
+    z = 2.0 * pi[:, None] / pi / dx * s
+    eye = np.eye(len(x), dtype=bool)  # terms[m, i, p] with i != m and p not in (m, i)
+    terms = np.where(eye[:, :, None] | eye[:, None, :] | eye, 0.0, 1.0 / (dx[:, :, None] * dx[:, None, :]))
+    np.fill_diagonal(z, [math.fsum(t) for t in terms.reshape(len(x), -1).tolist()])
     return z
 
 
@@ -243,13 +227,7 @@ def _collocation_exact_rows(xq: Sequence[Fraction], a_rows: Sequence[Sequence]) 
     """Exact sum_k a_k(x_m) ell_j^(k)(x_m), given a_rows[m][k] = a_k(x_m); see the module docstring."""
     u, big_d = common_denominator(xq)
     kmax = max((len(a) for a in a_rows), default=1) - 1
-    # Q_m[d] = [s^d] prod_(i != m) (delta_mi + s), truncated after s^kmax; Q_m[0] = P_m
-    qs = []
-    for m, um in enumerate(u):
-        q = [1] + [0] * kmax
-        for delta in (um - ui for i, ui in enumerate(u) if i != m):
-            q = [q[0] * delta] + [q[d] * delta + q[d - 1] for d in range(1, kmax + 1)]
-        qs.append(q)
+    qs = _node_products(u, kmax)  # Q_m[d] = [s^d] prod_(i != m) (delta_mi + s); Q_m[0] = P_m
     out = []
     for m, (um, q, a_row) in enumerate(zip(u, qs, a_rows)):
         alphas, beta = common_denominator(a_row)

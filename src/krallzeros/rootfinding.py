@@ -16,6 +16,7 @@ of binary digits; the exact verification paths consume those.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -115,27 +116,49 @@ class NodeSet:
 
     @classmethod
     def from_points(cls, points: Sequence[float], spec: Optional[FamilySpec] = None) -> "NodeSet":
-        """NodeSet on arbitrary distinct points, with the monic node polynomial."""
+        """NodeSet on arbitrary distinct points, with the monic node polynomial.
+
+        On integers, with x_i = u_i / D: p = D^-N prod(D x - u_i) and
+        p^(k)(x_m) = k! [s^(k-1)] prod_(i != m)(u_m - u_i + s) D^k / D^N, rounded once.
+        """
         pts = sorted(float(p) for p in points)
+        if not all(map(math.isfinite, pts)):
+            raise ValueError("points must be finite")
         for a, b in zip(pts, pts[1:]):
             if b - a < 1e-10:
                 raise NonSimpleRootError(f"points {a} and {b} closer than 1e-10")
-        poly = Polynomial([Fraction(1)])
-        for p in pts:
-            poly = poly * Polynomial([-Fraction(p), Fraction(1)])
-        node_set = cls(pts, *_derivative_caches(poly, pts), poly=poly, spec=spec)
+        u, big_d = common_denominator([Fraction(p) for p in pts])
+        n, q = len(u), [1]
+        for ui in u:
+            q = [a - ui * b for a, b in zip([0] + q, q + [0])]
+        poly = Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)])
+        products = _node_products(u, 2)
+        try:
+            caches = [[math.factorial(k) * pm[k - 1] * big_d**k / big_d**n for pm in products] for k in (1, 2, 3)]
+        except OverflowError:
+            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
+        node_set = cls(pts, *caches, poly=poly, spec=spec)
         # the points are exact roots of the constructed polynomial
         node_set._refined[DEFAULT_REFINE_BITS] = [Fraction(p) for p in pts]
         return node_set
+
+
+def _node_products(u: Sequence[int], kmax: int) -> list[list[int]]:
+    """[s^d] prod_(i != m)(u_m - u_i + s) for d = 0..kmax, one list per m; d = 0 gives P_m."""
+    out = []
+    for m, um in enumerate(u):
+        q = [1] + [0] * kmax
+        for delta in (um - ui for i, ui in enumerate(u) if i != m):
+            q = [q[0] * delta] + [q[d] * delta + q[d - 1] for d in range(1, kmax + 1)]
+        out.append(q)
+    return out
 
 
 def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
     """p', p'', p''' at each node, evaluated exactly and rounded once."""
     derivs = [poly.derivative(k) for k in (1, 2, 3)]
     if poly.mode == "rational":
-        return tuple(
-            tuple(float(d(Fraction(x))) for x in xs) for d in derivs
-        )
+        return tuple(tuple(float(d(Fraction(x))) for x in xs) for d in derivs)
     return tuple(tuple(d(x) for x in xs) for d in derivs)
 
 

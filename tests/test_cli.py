@@ -152,6 +152,12 @@ class TestMatrixCommand:
         assert code == 2 and captured.out == ""
         assert "only at the family zeros" in captured.err
 
+    def test_overflowing_nodes_exit_2(self, capsys):
+        code = main(["matrix", "--kind", "z", "--order", "1", "--nodes", "0,1e308,-1e308"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "overflow double precision" in captured.err
+
 
 class TestVerifyCommand:
     def test_eigenpair_sweep_all_families(self, capsys):

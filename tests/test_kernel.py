@@ -1,12 +1,15 @@
-"""The integer kernel of the exact layer against plain-Fraction references.
+"""The exact integer kernel and the float differentiation matrices against loop references.
 
 Each exact reduction (Horner, the Gaussian moment sums, L L_inv, the
 D p_m products behind the eigenpair, power and similarity checks, the
 exact collocation rows, the Christoffel numbers, the squared norms and the
-Newton refinement of the nodes) runs on integers over common denominators.
-The references below are the plain Fraction loops the kernel replaced,
-and the coefficient loops that rebuilt every Pochhammer product; results
-must be equal, as rationals or as doubles, over random inputs.
+Newton refinement of the nodes, the node polynomial of NodeSet.from_points
+and the Jacobi coefficient expansion) runs on integers over common
+denominators. The float differentiation matrices are whole-array numpy
+operations. The references below are the plain Fraction loops and the
+entry-by-entry float loops these replaced, and the coefficient loops that
+rebuilt every Pochhammer product; results must be equal, as rationals or
+bit for bit as doubles, over random inputs.
 """
 
 import math
@@ -14,21 +17,22 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, families, matrices, zeros
-from krallzeros.families import common_denominator, inner_product, squared_norm, squared_norms
+from krallzeros.families import FAMILIES, common_denominator, inner_product, squared_norm, squared_norms
 from krallzeros.identities import Cell, _diffmat_report, _eigenpairs, _params_dict, _power, _similarity, worst_residual
 from krallzeros.matrices import (
-    _elementary_symmetric,
     _inverse_residual,
     _quadrature_residuals,
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
     collocation_rep,
+    diffmat,
     diffmats_exact,
+    node_poly_derivatives,
 )
 from krallzeros.rootfinding import DEFAULT_REFINE_BITS, _newton_refine, _round_div
 
@@ -41,7 +45,7 @@ def _above(low, high, max_denominator=4):
     return st.fractions(min_value=low, max_value=high, max_denominator=max_denominator).filter(lambda v: v > low)
 
 
-specs = st.one_of(
+specs_by_family = (
     st.just(FamilySpec("hermite")),
     st.builds(lambda a: FamilySpec("laguerre", alpha=a), _above(-1, 4)),
     st.builds(lambda a, b: FamilySpec("jacobi", alpha=a, beta=b), _above(-1, 4), _above(-1, 4)),
@@ -49,6 +53,7 @@ specs = st.one_of(
     st.builds(lambda a: FamilySpec("krall-laguerre", alpha=a), _above(0, 4)),
     st.builds(lambda a, m: FamilySpec("krall-jacobi", alpha=a, mass=m), _above(-1, 4), _above(0, 4)),
 )
+specs = st.one_of(*specs_by_family)
 cells = st.builds(Cell, specs, st.integers(1, 8))
 
 
@@ -192,6 +197,107 @@ def refined_reference(nodes, bits):
     return [newton_reference(exact, x, bits) for x in nodes.nodes]
 
 
+def elementary_symmetric_reference(values, dmax, zero, one):
+    e = [zero] * (dmax + 1)
+    e[0] = one
+    for v in values:
+        for d in range(min(dmax, len(values)), 0, -1):
+            e[d] = e[d] + v * e[d - 1]
+    return e
+
+
+def node_poly_derivatives_reference(x, kmax, leading=1.0):
+    """The per-node loop: psi^(k)(x_m) = k! pi_m e_(k-1)(1 / (x_m - x_j), j != m)."""
+    n = len(x)
+    pd = np.zeros((kmax + 1, n))
+    pi = np.zeros(n)
+    for m in range(n):
+        others = np.delete(x, m)
+        pim = leading * np.prod(x[m] - others) if n > 1 else leading
+        recips = 1.0 / (x[m] - others)
+        e = elementary_symmetric_reference(recips, kmax, 0.0, 1.0)
+        pi[m] = pim
+        for k in range(1, kmax + 1):
+            pd[k, m] = math.factorial(k) * pim * e[k - 1]
+    return pd, pi
+
+
+def diffmat_explicit_reference(k, x):
+    n = len(x)
+    pi = np.array([np.prod(x[m] - np.delete(x, m)) if n > 1 else 1.0 for m in range(n)])
+    z = np.zeros((n, n))
+    for m in range(n):
+        for j in range(n):
+            if m == j and k == 1:
+                z[m, j] = math.fsum(1.0 / (x[m] - x[i]) for i in range(n) if i != m)
+            elif m == j:
+                z[m, j] = math.fsum(
+                    1.0 / ((x[m] - x[i]) * (x[m] - x[p]))
+                    for i in range(n)
+                    if i != m
+                    for p in range(n)
+                    if p not in (m, i)
+                )
+            elif k == 1:
+                z[m, j] = pi[m] / pi[j] / (x[m] - x[j])
+            else:
+                s = math.fsum(1.0 / (x[m] - x[i]) for i in range(n) if i not in (m, j))
+                z[m, j] = 2.0 * pi[m] / pi[j] / (x[m] - x[j]) * s
+    return z
+
+
+def diffmat_reference(k, x, method, leading=1.0):
+    """The entry-by-entry loops of the three constructions."""
+    if method == "explicit":
+        return diffmat_explicit_reference(k, x)
+    n = len(x)
+    pd, pi = node_poly_derivatives_reference(x, k + 1, leading)
+    z = np.zeros((n, n))
+    for m in range(n):
+        for j in range(n):
+            if m == j:
+                z[m, j] = pd[k + 1, j] / ((k + 1) * pi[j])
+            elif method == "recursive":
+                a = 1.0 / (x[m] - x[j])
+                zprev = 0.0  # off-diagonal entry of Z^(0) = I
+                for kk in range(1, k + 1):
+                    zprev = a * (pd[kk, m] / pi[j] - kk * zprev)
+                z[m, j] = zprev
+            else:
+                acc = 0.0
+                for i in range(1, k + 1):
+                    acc += (
+                        (-1) ** (k - i) * math.factorial(k) / math.factorial(i) * pd[i, m] / (x[m] - x[j]) ** (k - i + 1)
+                    )
+                z[m, j] = acc / pi[j]
+    return z
+
+
+def from_points_reference(points):
+    """Node polynomial by Fraction products on the raw doubles, its derivatives evaluated exactly."""
+    pts = sorted(float(p) for p in points)
+    poly = Polynomial([F(1)])
+    for p in pts:
+        poly = poly * Polynomial([-F(p), F(1)])
+    caches = [tuple(float(poly.derivative(k)(F(x))) for x in pts) for k in (1, 2, 3)]
+    return poly, caches
+
+
+def coeffs_jacobi_reference(nu, alpha, beta):
+    """Running Pochhammer products, ((x - 1) / 2)^s expanded term by term in Fractions."""
+    c = [F(0)] * (nu + 1)
+    falls = [F(1)] * (nu + 1)
+    for s in range(nu - 1, -1, -1):
+        falls[s] = falls[s + 1] * (alpha + s + 1)
+    rise = F(1)
+    for s in range(nu + 1):
+        pref = falls[s] / math.factorial(nu - s) * rise / (math.factorial(s) * 2**s)
+        for t in range(s + 1):
+            c[t] += pref * (math.comb(s, t) * (-1) ** (s - t))
+        rise *= alpha + beta + nu + 1 + s
+    return c
+
+
 def diffmats_reference(kmax, xq):
     n = len(xq)
     pis, tables = [], []
@@ -203,7 +309,7 @@ def diffmats_reference(kmax, xq):
                 pim *= xq[m] - xq[j]
                 recips.append(1 / (xq[m] - xq[j]))
         pis.append(pim)
-        tables.append(_elementary_symmetric(recips, kmax + 1, F(0), F(1)))
+        tables.append(elementary_symmetric_reference(recips, kmax + 1, F(0), F(1)))
 
     def psid(k, m):
         return math.factorial(k) * pis[m] * tables[m][k - 1]
@@ -567,6 +673,83 @@ def test_refined_zeros(cell, bits):
 def test_newton_from_any_start(coeffs, x0, bits):
     poly = Polynomial(coeffs)
     assert _newton_refine(poly._integer_form()[0], x0, bits) == newton_reference(poly, x0, bits)
+
+
+# ---------------------------------------------------------------------------
+# float differentiation matrices, bit for bit
+# ---------------------------------------------------------------------------
+
+# distinct nodes over seven decades, either sign
+spread_nodes = st.integers(1, 24).flatmap(
+    lambda n: st.lists(
+        st.builds(
+            lambda sign, mantissa, e: sign * mantissa * 10.0**e,
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(1, 10),
+            st.integers(-3, 3),
+        ),
+        min_size=n,
+        max_size=n,
+        unique=True,
+    )
+).map(lambda xs: np.array(sorted(xs)))
+
+DIFFMAT_CASES = [(k, m) for k in (1, 2, 3, 4) for m in matrices.DIFFMAT_METHODS if not (m == "explicit" and k > 2)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_diffmats_match(x):
+    for leading in (1.0, 0.37):
+        for kmax in (1, 3, 5):
+            got, expected = node_poly_derivatives(x, kmax, leading), node_poly_derivatives_reference(x, kmax, leading)
+            assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1]), (kmax, leading)
+        for k, method in DIFFMAT_CASES:
+            got = diffmat(k, x, method, leading).data
+            assert same_bits(got, diffmat_reference(k, x, method, leading)), (k, method, leading)
+
+
+@given(spread_nodes)
+@example(np.array([0.5]))
+@example(np.array([-1.0, 1.0]))
+def test_diffmats_on_spread_nodes(x):
+    assert_diffmats_match(x)
+
+
+@pytest.mark.parametrize("family_specs", specs_by_family, ids=FAMILIES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_diffmats_on_family_zeros(family_specs, data):
+    spec, n = data.draw(family_specs), data.draw(st.integers(1, 20))
+    assert_diffmats_match(zeros(build_family(spec, n)[n], spec).as_array())
+
+
+# ---------------------------------------------------------------------------
+# the node polynomial of NodeSet.from_points and the Jacobi expansion
+# ---------------------------------------------------------------------------
+
+
+@given(
+    st.lists(
+        st.one_of(st.floats(-1e3, 1e3), st.builds(lambda x: x * 2.0**-40, st.floats(-1e3, 1e3))),
+        min_size=1,
+        max_size=20,
+        unique=True,
+    ).filter(lambda xs: all(b - a >= 1e-10 for a, b in zip(sorted(xs), sorted(xs)[1:])))
+)
+def test_from_points_on_integers(points):
+    nodes = NodeSet.from_points(points)
+    poly, caches = from_points_reference(points)
+    assert nodes.poly == poly and all(type(c) is F for c in nodes.poly.coeffs)
+    for got, expected in zip((nodes.d1, nodes.d2, nodes.d3), caches):
+        assert same_bits(np.array(got), np.array(expected))
+
+
+@given(_above(-1, 6, 64), _above(-1, 6, 64), st.integers(0, 30))
+def test_jacobi_coefficients_on_integers(alpha, beta, nu):
+    assert families._coeffs_jacobi(nu, alpha, beta) == coeffs_jacobi_reference(nu, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

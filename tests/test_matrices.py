@@ -114,6 +114,22 @@ class TestDiffmat:
         with pytest.raises(ValueError):
             diffmat(1, nodes, "magic")
 
+    @pytest.mark.parametrize("method", ["explicit", "recursive", "alternative"])
+    def test_coincident_nodes_rejected(self, method):
+        with pytest.raises(ValueError, match="nodes must be distinct"):
+            diffmat(1, [0.0, 1.0, 1.0], method)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_node_rejected(self, bad):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            diffmat(1, [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("method", ["explicit", "recursive", "alternative"])
+    def test_overflowing_spread_rejected(self, method):
+        # psi'(x_m) reaches 2e400: every construction divides by it
+        with pytest.raises(ValueError, match="overflows double precision"):
+            diffmat(1, [0.0, 1e200, -1e200], method)
+
 
 class TestCollocation:
     def test_first_derivative_operator(self):

@@ -151,6 +151,16 @@ class TestFromPoints:
         with pytest.raises(NonSimpleRootError):
             NodeSet.from_points([1.0, 1.0 + 1e-12])
 
+    @pytest.mark.parametrize("points", [[0.0, float("inf")], [float("nan"), 1.0]])
+    def test_non_finite_points_rejected(self, points):
+        with pytest.raises(ValueError, match="points must be finite"):
+            NodeSet.from_points(points)
+
+    def test_overflowing_derivatives_rejected(self):
+        # psi'(0) = -1e616
+        with pytest.raises(ValueError, match="overflow double precision"):
+            NodeSet.from_points([0.0, 1e308, -1e308])
+
     def test_caches_are_node_polynomial_derivatives(self):
         ns = NodeSet.from_points([-1.0, 1.0])
         # psi = x^2 - 1: psi' = 2x, psi'' = 2, psi''' = 0
