@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -35,7 +36,7 @@ from .families import (
     operator_of,
 )
 from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, get_cell, severity, worst_residual
-from .rootfinding import NodeSet, RootfindingError, zeros
+from .rootfinding import NodeSet, RootfindingError, _at_double, zeros
 
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
 
@@ -127,7 +128,7 @@ def cmd_zeros(args) -> int:
     n = _parse_n(args)[-1]
     member = build_family(spec, n, degree_cap=args.degree_cap)[n]
     node_set = zeros(member, spec)
-    residuals = [abs(float(member(Fraction(x)))) for x in node_set.nodes]
+    residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
     if args.format == "json":
         text = json.dumps(
             {"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals},
@@ -374,17 +375,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options whose value may start with a minus sign.
+NEGATIVE_VALUE_OPTIONS = ("--alpha", "--beta", "--m-param", "--nodes")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join '--alpha -1/2' into '--alpha=-1/2', and likewise '--nodes -1,1'.
+
+    argparse takes a token for a negative number only when it looks like
+    -2 or -0.5, so it would read -1/2, -1e-3 or -1,1 as an unknown option.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in NEGATIVE_VALUE_OPTIONS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = list(argv)
-    # let node lists start with a negative number: --nodes -1,1
-    for i, token in enumerate(argv[:-1]):
-        if token == "--nodes":
-            argv[i : i + 2] = [f"--nodes={argv[i + 1]}"]
-            break
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (ParameterError, DegreeCapError, ValueError) as exc:

@@ -157,6 +157,14 @@ class Polynomial:
             c = tuple(c[k] * k for k in range(1, len(c)))
         return Polynomial(c)
 
+    @classmethod
+    def over(cls, a: Sequence[int], d: int) -> "Polynomial":
+        """sum_k a_k x^k / d for integers a_k and d > 0, its integer form reduced by one gcd."""
+        p = cls([Fraction(c, d) for c in a])
+        g = math.gcd(d, *a)
+        p._scaled = [c // g for c in a[: len(p.coeffs)]], d // g
+        return p
+
     def _integer_form(self):
         """(a, d) with coeffs[k] == a[k] / d, computed once; None unless every coefficient is rational."""
         if self._scaled is None:
@@ -408,53 +416,57 @@ def squared_norms(members: Sequence[Polynomial], spec: FamilySpec) -> list[Fract
 # ---------------------------------------------------------------------------
 
 
-def _coeffs_krall_legendre(nu: int, alpha: Fraction) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
+def _coeffs_krall_legendre(nu: int, alpha: Fraction) -> tuple[list[int], int]:
+    # alpha = p / q, over d = 2^(nu + 1) q: (2 nu - 2k)! / (k! (nu - k)! (nu - 2k)!) = C(2 nu - 2k, nu) C(nu, k)
+    p, q = alpha.as_integer_ratio()
+    a = [0] * (nu + 1)
     for k in range(nu // 2 + 1):
-        num = (-1) ** k * math.factorial(2 * nu - 2 * k) * (alpha + Fraction(nu * (nu - 1), 2) + 2 * k)
-        den = 2**nu * math.factorial(k) * math.factorial(nu - k) * math.factorial(nu - 2 * k)
-        c[nu - 2 * k] += num / den
-    return c
+        binomials = math.comb(2 * nu - 2 * k, nu) * math.comb(nu, k)
+        a[nu - 2 * k] = (-1) ** k * binomials * (2 * p + q * (nu * (nu - 1) + 4 * k))
+    return a, 2 ** (nu + 1) * q
 
 
-def _coeffs_krall_laguerre(nu: int, alpha: Fraction) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
-    for k in range(nu + 1):
-        term = Fraction((-1) ** k * math.comb(nu, k), math.factorial(k + 1))
-        c[k] += term * (k * (alpha + nu + 1) + alpha)
-    return c
+def _coeffs_krall_laguerre(nu: int, alpha: Fraction) -> tuple[list[int], int]:
+    # alpha = p / q, over d = q (nu + 1)!
+    p, q = alpha.as_integer_ratio()
+    # falls[k] = (nu + 1)! / (k + 1)!
+    falls = list(accumulate(range(nu + 1, 1, -1), mul, initial=1))[::-1]
+    a = [(-1) ** k * math.comb(nu, k) * (k * (p + (nu + 1) * q) + p) * falls[k] for k in range(nu + 1)]
+    return a, q * math.factorial(nu + 1)
 
 
-def _coeffs_krall_jacobi(nu: int, alpha: Fraction, mass: Fraction) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
-    den = rise = _pochhammer(alpha + 1, nu)  # rise = (alpha + 1)_(nu + k)
-    for k in range(nu + 1):
-        num = (-1) ** (nu - k) * math.comb(nu, k) * rise * (k * (nu + alpha) * (nu + 1) + (k + 1) * mass)
-        c[k] += num / (math.factorial(k + 1) * den)
-        rise *= alpha + nu + k + 1
-    return c
+def _coeffs_krall_jacobi(nu: int, alpha: Fraction, mass: Fraction) -> tuple[list[int], int]:
+    # alpha = p / q and M = r / s, over d = (nu + 1)! q^(nu + 1) s;
+    # (alpha + 1)_(nu + k) / (alpha + 1)_nu = rises[k] / q^k
+    p, q = alpha.as_integer_ratio()
+    r, s = mass.as_integer_ratio()
+    rises = accumulate((p + (nu + 1 + i) * q for i in range(nu)), mul, initial=1)
+    falls = list(accumulate(range(nu + 1, 1, -1), mul, initial=1))[::-1]  # (nu + 1)! / (k + 1)!
+    a = [
+        (-1) ** (nu - k) * math.comb(nu, k) * falls[k] * q ** (nu - k) * rise
+        * (k * (nu * q + p) * (nu + 1) * s + (k + 1) * r * q)
+        for k, rise in enumerate(rises)
+    ]
+    return a, math.factorial(nu + 1) * q ** (nu + 1) * s
 
 
-def _coeffs_hermite(nu: int) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
+def _coeffs_hermite(nu: int) -> tuple[list[int], int]:
+    # integers: nu! / (k! (nu - 2k)!) = C(nu, 2k) (2k)! / k!
+    a = [0] * (nu + 1)
     for k in range(nu // 2 + 1):
-        c[nu - 2 * k] += Fraction(
-            (-1) ** k * math.factorial(nu) * 2 ** (nu - 2 * k),
-            math.factorial(k) * math.factorial(nu - 2 * k),
-        )
-    return c
+        a[nu - 2 * k] = (-1) ** k * 2 ** (nu - 2 * k) * math.comb(nu, 2 * k) * math.factorial(2 * k) // math.factorial(k)
+    return a, 1
 
 
-def _coeffs_laguerre(nu: int, alpha: Fraction) -> list[Fraction]:
-    c = [Fraction(0)] * (nu + 1)
-    rise = Fraction(1)  # (alpha + k + 1)_(nu - k)
-    for k in range(nu, -1, -1):
-        c[k] += (-1) ** k * rise / (math.factorial(nu - k) * math.factorial(k))
-        rise *= alpha + k
-    return c
+def _coeffs_laguerre(nu: int, alpha: Fraction) -> tuple[list[int], int]:
+    # alpha + 1 = p / q, over d = q^nu nu!; falls[k] / q^(nu - k) = (alpha + k + 1)_(nu - k)
+    p, q = (alpha + 1).as_integer_ratio()
+    falls = list(accumulate((p + k * q for k in range(nu - 1, -1, -1)), mul, initial=1))[::-1]
+    a = [(-1) ** k * f * q**k * math.comb(nu, k) for k, f in enumerate(falls)]
+    return a, q**nu * math.factorial(nu)
 
 
-def _coeffs_jacobi(nu: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+def _coeffs_jacobi(nu: int, alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
     # on integers, with alpha + 1 = p / q and alpha + beta + nu + 1 = g / h, over d = (2 q h)^nu nu!
     p, q = (alpha + 1).as_integer_ratio()
     g, h = (alpha + beta + nu + 1).as_integer_ratio()
@@ -464,10 +476,11 @@ def _coeffs_jacobi(nu: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
     # a[s] / d multiplies ((x - 1) / 2)^s
     a = [f * r * q**s * h ** (nu - s) * 2 ** (nu - s) * math.comb(nu, s) for s, (f, r) in enumerate(zip(falls, rises))]
     d = (2 * q * h) ** nu * math.factorial(nu)
-    return [Fraction(sum(a[s] * math.comb(s, t) * (-1) ** (s - t) for s in range(t, nu + 1)), d) for t in range(nu + 1)]
+    return [sum(a[s] * math.comb(s, t) * (-1) ** (s - t) for s in range(t, nu + 1)) for t in range(nu + 1)], d
 
 
-def _coeffs(spec: FamilySpec, nu: int) -> list[Fraction]:
+def _coeffs(spec: FamilySpec, nu: int) -> tuple[list[int], int]:
+    """Coefficients a_k / d of the degree-nu member as (a, d), integers over one denominator."""
     fam = spec.family
     if fam == "krall-legendre":
         return _coeffs_krall_legendre(nu, spec.alpha)
@@ -507,7 +520,7 @@ def build_family(
         )
     out = []
     for nu in range(max_degree + 1):
-        p = Polynomial(_coeffs(spec, nu))
+        p = Polynomial.over(*_coeffs(spec, nu))
         if p.degree != nu:
             raise ParameterError(
                 f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"

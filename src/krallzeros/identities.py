@@ -61,6 +61,7 @@ from .families import (
 )
 from .matrices import (
     SINGULAR_COEFF_GUARD,
+    _GRID,
     _family_diag,
     _family_offdiag,
     _fourth_order_brace,
@@ -73,7 +74,7 @@ from .matrices import (
     collocation_exact,
     collocation_rep,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, zeros
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _horner, zeros
 
 FAMILY_IDENTITY_TAG = {
     "krall-legendre": "kleg-main",
@@ -224,13 +225,20 @@ class Cell:
         return [eigenvalue(self.spec, m) for m in range(self.n)]
 
     @cached_property
-    def values_exact(self) -> list[list[Fraction]]:
-        return [[self.family[m](x) for x in self.xq] for m in range(self.n)]
+    def _value_numerators(self) -> list[tuple[list[int], int]]:
+        """p_m(x_k) = A_mk / (d_m D^m), m < N: members a / d_m at the nodes u_k / D, D = 2^E, on integers."""
+        u, big_d = common_denominator(self.xq)
+        e = big_d.bit_length() - 1
+        out = []
+        for p in self.family[: self.n]:
+            a, d = p._integer_form()
+            out.append(([_horner(a, uk, e) for uk in u], d << e * p.degree))
+        return out
 
     @cached_property
     def values_float(self) -> list[list[float]]:
-        # exact Horner, rounded once per value
-        return [[float(v) for v in row] for row in self.values_exact]
+        # exact, rounded once per value by int / int
+        return [[v / den for v in row] for row, den in self._value_numerators]
 
     @cached_property
     def dc_exact(self) -> list[list[Fraction]]:
@@ -244,8 +252,12 @@ class Cell:
 
     @cached_property
     def values_scaled(self) -> list[tuple[list[int], int]]:
-        """Each exact value vector p_m(x_k) over its own common denominator."""
-        return [common_denominator(row) for row in self.values_exact]
+        """Each exact value vector p_m(x_k) over its own least common denominator, reduced by one gcd."""
+        out = []
+        for row, den in self._value_numerators:
+            g = math.gcd(den, *row)
+            out.append(([v // g for v in row], den // g))
+        return out
 
     @cached_property
     def dp_exact(self) -> list[tuple[list[int], int]]:
@@ -688,7 +700,7 @@ def _similarity(cell: Cell) -> dict:
     worst = max(sum(abs(d[m]) * (common // den) for d, den, _ in defects) for m in range(cell.n))
     denom = max(Fraction(1), max(abs(v) for v in cell.mus))
     return {
-        "inverse_residual": _inverse_residual(l_mat, l_inv),
+        "inverse_residual": _inverse_residual(l_mat, l_inv, _GRID),
         "similarity_residual": worst * denom.denominator / (common * denom.numerator),
     }
 

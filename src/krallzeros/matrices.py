@@ -64,7 +64,7 @@ from .families import (
     operator_of,
     squared_norms,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _node_products, _round_div
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _at_double, _horner, _node_products, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -209,13 +209,26 @@ def _diffmat_explicit(k: int, x: np.ndarray) -> np.ndarray:
         z = pi[:, None] / pi / dx
         np.fill_diagonal(z, [math.fsum(row) for row in rows])
         return z
-    # sum over i != m, j of r[m, i]: the full row less r[m, j]
-    s = np.array([[math.fsum(row + [-v]) for v in row] for row in rows])
+    # sum over i != m, j of r[m, i]: the full row less r[m, j], from the row's exact sum held as a few doubles
+    s = np.array([[math.fsum(parts + [-v]) for v in row] for row, parts in zip(rows, map(_expansion, rows))])
     z = 2.0 * pi[:, None] / pi / dx * s
     eye = np.eye(len(x), dtype=bool)  # terms[m, i, p] with i != m and p not in (m, i)
     terms = np.where(eye[:, :, None] | eye[:, None, :] | eye, 0.0, 1.0 / (dx[:, :, None] * dx[:, None, :]))
     np.fill_diagonal(z, [math.fsum(t) for t in terms.reshape(len(x), -1).tolist()])
     return z
+
+
+def _expansion(values: list[float]) -> list[float]:
+    """Doubles whose exact sum is the exact sum of values: repeated math.fsum residuals.
+
+    Each part is the correctly rounded remainder after the parts before it,
+    and the remainder is a multiple of the smallest ulp among the values, so
+    the loop ends with an exact zero after a few parts.
+    """
+    parts = []
+    while part := math.fsum(values + [-p for p in parts]):
+        parts.append(part)
+    return parts
 
 
 def diffmats_exact(kmax: int, xq: Sequence[Fraction]) -> list[list[list[Fraction]]]:
@@ -557,42 +570,41 @@ def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec
 
 
 _PRODUCT_BITS = 512  # entry rounding before exact matrix products
+_GRID = 1 << _PRODUCT_BITS
 
 
 def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
-    """(L, L_inv) in exact entries from members p_0..p_{N-1} and the weights at refined nodes xq.
+    """(L, L_inv) as integer matrices on the 2^-_PRODUCT_BITS grid, from members p_0..p_{N-1} and the weights.
 
-    Entries are rounded half to even onto the 2^-_PRODUCT_BITS grid, one
-    integer division each: with p_j(x_k) rounded to V_jk grid steps,
-    lambda_k = a / b and ||p_j||^2 = s / t, L[j][k] is a V_jk t / (b s) steps.
+    xq are the refined nodes, dyadic rationals u_k / 2^E. Entries are
+    rounded half to even onto the grid, one integer division each and no
+    gcd: integer Horner gives p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to
+    V_jk grid steps, and with lambda_k = a / b and ||p_j||^2 = s / t,
+    L[j][k] is a V_jk t / (b s) steps.
     """
     n = len(xq)
-    grid = 1 << _PRODUCT_BITS
+    u, big_d = common_denominator(xq)
+    e = big_d.bit_length() - 1
     values, l_mat = [], []
     for p, norm in zip(fam, squared_norms(fam[:n], spec)):
-        row = [_round_div(grid * v.numerator, v.denominator) for v in map(p, xq)]
+        c, d = p._integer_form()
+        den = d << e * p.degree
+        row = [_round_div(_horner(c, uk, e) << _PRODUCT_BITS, den) for uk in u]
         values.append(row)
         s, t = norm.numerator, norm.denominator
         l_mat.append([_round_div(lam.numerator * vk * t, lam.denominator * s) for lam, vk in zip(lams, row)])
-    l_inv = [[Fraction(values[k][j], grid) for k in range(n)] for j in range(n)]
-    return [[Fraction(v, grid) for v in row] for row in l_mat], l_inv
+    return l_mat, [list(col) for col in zip(*values)]
 
 
-def _inverse_residual(l_mat, l_inv) -> float:
-    """||L L_inv - I||_inf, exact and rounded once.
+def _inverse_residual(l_mat: Sequence[Sequence[int]], l_inv: Sequence[Sequence[int]], den: int) -> float:
+    """||L L_inv - I||_inf for L = l_mat / den and L_inv = l_inv / den, exact and rounded once.
 
-    Each matrix goes over one common denominator (its entries sit on the
-    2^-_PRODUCT_BITS grid), so every entry of the product is an integer dot
-    product over the same denominator.
+    Every entry of the product is an integer dot product over den^2.
     """
-    n = len(l_mat)
-    a, da = common_denominator([v for row in l_mat for v in row])
-    b, db = common_denominator([v for row in l_inv for v in row])
-    one = da * db
-    cols = [b[j::n] for j in range(n)]
+    one = den * den
+    cols = list(zip(*l_inv))
     worst = 0
-    for m in range(n):
-        row = a[m * n : (m + 1) * n]
+    for m, row in enumerate(l_mat):
         worst = max(worst, sum(abs(sum(map(mul, row, col)) - (one if m == j else 0)) for j, col in enumerate(cols)))
     return worst / one
 
@@ -607,19 +619,19 @@ def transition(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS
     """
     fam = build_family(spec, len(nodes) - 1)
     l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec, bits), nodes.refined(bits), spec)
-    residual = _inverse_residual(l_mat, l_inv)
+    residual = _inverse_residual(l_mat, l_inv, _GRID)
     if residual > 1e-10:
         raise InversionConsistencyError(
             f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; nodes are not "
             f"accurate zeros for {spec.label()}"
         )
     l_rep = MatrixRep(
-        np.array([[float(v) for v in row] for row in l_mat]),
+        np.array([[v / _GRID for v in row] for row in l_mat]),
         kind="transition",
         note=f"P * Lambda at the zeros of the degree-{len(nodes)} member of {spec.label()}",
     )
     li_rep = MatrixRep(
-        np.array([[float(v) for v in row] for row in l_inv]),
+        np.array([[v / _GRID for v in row] for row in l_inv]),
         kind="transition_inverse",
         note="basis values p_{k-1}(x_j)",
     )
@@ -652,17 +664,13 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
             prod = ell * fam[m]
             val = sum((prod.coeffs[i] * mom(i) for i in range(len(prod.coeffs))), Fraction(0))
             l_mat[m][j] = val / (scale * norms[m])
-    l_inv = [[fam[k](xq[j]) for k in range(n)] for j in range(n)]
+    l_inv = [[_at_double(*p._integer_form(), x) for p in fam] for x in nodes.nodes]
     l_rep = MatrixRep(
         np.array([[float(v) for v in row] for row in l_mat]),
         kind="transition",
         note=f"inner-product expansion of the Lagrange basis on {n} given nodes",
     )
-    li_rep = MatrixRep(
-        np.array([[float(v) for v in row] for row in l_inv]),
-        kind="transition_inverse",
-        note="basis values p_{k-1}(x_j)",
-    )
+    li_rep = MatrixRep(np.array(l_inv), kind="transition_inverse", note="basis values p_{k-1}(x_j)")
     return l_rep, li_rep
 
 

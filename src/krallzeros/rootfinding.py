@@ -6,6 +6,16 @@ so each returned node is within about one ulp of a true zero of the given
 polynomial. A NodeSet carries the nodes in double precision together with
 cached values of p', p'', p''' there.
 
+Every exact evaluation at a double runs on integers. A rational member is
+p = sum_k a_k x^k / d over one denominator (`Polynomial._integer_form`) and
+a double is x = u / 2^e, so homogeneous Horner gives p(x) as one integer
+over d 2^(e n), and one int / int true division rounds it (`_at_double`).
+True division of ints is correctly rounded, so the double is float() of the
+reduced Fraction, without the gcd. The real Newton steps, the residual gate
+and p', p'', p''' (from the integer lists k a_k over the same d) take this
+path; complex Newton iterates and float-coefficient polynomials take the
+plain Horner loop.
+
 Some verification tasks (Gaussian exactness, inverting the basis-transition
 matrix) are sensitive to node perturbations far beyond double precision:
 for Laguerre-type node spreads a 1-ulp node error already shows up at the
@@ -44,6 +54,30 @@ def _round_div(p: int, q: int) -> int:
     """p / q rounded to the nearest integer, ties to even, as round(Fraction(p, q))."""
     floor, rem = divmod(p, q) if q > 0 else divmod(-p, -q)
     return floor + (2 * rem > abs(q) or (2 * rem == abs(q) and floor & 1))
+
+
+def _horner(a: Sequence[int], u: int, e: int) -> int:
+    """sum_k a_k u^k 2^(e (n - k)), n = len(a) - 1: 2^(e n) times the value at u / 2^e, on integers."""
+    acc = shift = 0
+    for c in reversed(a):
+        acc = acc * u + (c << shift)
+        shift += e
+    return acc
+
+
+def _at_double(a: Sequence[int], d: int, x: float) -> float:
+    """sum_k a_k x^k / d at a double x = u / 2^e, exact and rounded once by int / int."""
+    u, v = x.as_integer_ratio()
+    e = v.bit_length() - 1
+    return _horner(a, u, e) / (d << e * max(len(a) - 1, 0))
+
+
+def _derivative_lists(a: Sequence[int], kmax: int) -> list[list[int]]:
+    """Integer coefficients of p, p', ..., p^(kmax), all over p's own denominator."""
+    out = [list(a)]
+    for _ in range(kmax):
+        out.append([k * c for k, c in enumerate(out[-1])][1:])
+    return out
 
 
 def _newton_refine(a: Sequence[int], x0: float, bits: int) -> Fraction:
@@ -155,11 +189,12 @@ def _node_products(u: Sequence[int], kmax: int) -> list[list[int]]:
 
 
 def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
-    """p', p'', p''' at each node, evaluated exactly and rounded once."""
-    derivs = [poly.derivative(k) for k in (1, 2, 3)]
-    if poly.mode == "rational":
-        return tuple(tuple(float(d(Fraction(x))) for x in xs) for d in derivs)
-    return tuple(tuple(d(x) for x in xs) for d in derivs)
+    """p', p'', p''' at each node; on rational coefficients exact and rounded once."""
+    form = poly._integer_form()
+    if form is None:
+        return tuple(tuple(poly.derivative(k)(x) for x in xs) for k in (1, 2, 3))
+    a, d = form
+    return tuple(tuple(_at_double(b, d, x) for x in xs) for b in _derivative_lists(a, 3)[1:])
 
 
 def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
@@ -172,14 +207,16 @@ def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _polish(poly: Polynomial, deriv: Polynomial, z: complex) -> complex:
-    """Newton from a companion-matrix guess, deriv = poly'; exact evaluation when possible."""
-    exact = poly.mode == "rational"
+def _polish(poly: Polynomial, deriv: Polynomial, z: complex, real=None) -> complex:
+    """Newton from a companion-matrix guess, deriv = poly'.
+
+    real(x), when given, returns p(x) and p'(x) at a real double x,
+    evaluated exactly; complex iterates take the plain loop.
+    """
     x = z
     for _ in range(60):
-        if exact and x.imag == 0.0:
-            xq = Fraction(x.real)
-            fx, dfx = float(poly(xq)), float(deriv(xq))
+        if real is not None and x.imag == 0.0:
+            fx, dfx = real(x.real)
         else:
             fx, dfx = poly(x), deriv(x)
         if dfx == 0:
@@ -208,8 +245,21 @@ def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
     cf = np.array([float(c) for c in p.coeffs])
     if not np.all(np.isfinite(cf)):
         raise ValueError("coefficients overflow double precision; reduce the degree")
+    form = p._integer_form()
+    if form is None:
+        value, real = p, None
+    else:
+        ints, den = form
+        slope = _derivative_lists(ints, 1)[1]
+
+        def value(x: float) -> float:
+            return _at_double(ints, den, x)
+
+        def real(x: float) -> tuple[float, float]:
+            return value(x), _at_double(slope, den, x)
+
     deriv = p.derivative()
-    roots = [_polish(p, deriv, z) for z in _companion_eigenvalues(cf)]
+    roots = [_polish(p, deriv, z, real) for z in _companion_eigenvalues(cf)]
 
     worst_imag = max(abs(z.imag) for z in roots)
     if worst_imag > 1e-8:
@@ -222,11 +272,9 @@ def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
 
     for x in xs:
         scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(cf))
-        residual = abs(p(Fraction(x))) if p.mode == "rational" else abs(p(x))
-        if float(residual) > 1e-14 * max(1.0, scale):
-            raise RootfindingError(
-                f"|p({x})| = {float(residual):.3e} above 1e-14 * coefficient scale"
-            )
+        residual = abs(value(x))
+        if residual > 1e-14 * max(1.0, scale):
+            raise RootfindingError(f"|p({x})| = {residual:.3e} above 1e-14 * coefficient scale")
 
     if spec is not None:
         lo, hi = spec.hull()

@@ -297,6 +297,39 @@ class TestOutputFile:
         assert lines[2].startswith("similarity,krall-laguerre,alpha=2,3")
 
 
+class TestNegativeParameters:
+    """Parameters in (-1, 0) given as a separate token, which argparse would read as an option."""
+
+    CASES = [
+        ("laguerre", ["--alpha", "-1/2"]),
+        ("jacobi", ["--alpha", "-1/2", "--beta", "-1/3"]),
+        ("krall-jacobi", ["--alpha", "-1/2", "--m-param", "1"]),
+    ]
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "eigenpair", "--n", "3"],
+        ["zeros", "--n", "4"],
+        ["family", "--n", "3"],
+        ["matrix", "--kind", "dc", "--n", "3"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("family, params", CASES, ids=[c[0] for c in CASES])
+    def test_space_separated_form(self, capsys, command, family, params):
+        code, out = run(capsys, *command, "--family", family, *params, "--format", "json")
+        assert code == 0
+        joined = [f"{name}={value}" for name, value in zip(params[::2], params[1::2])]
+        assert run(capsys, *command, "--family", family, *joined, "--format", "json") == (0, out)
+
+    def test_parameters_reach_the_family(self, capsys):
+        code, out = run(capsys, "family", "--family", "jacobi", "--alpha", "-1/2", "--beta", "-1e-1", "--n", "0",
+                        "--format", "json")
+        assert code == 0 and json.loads(out)["family"] == "jacobi(alpha=-1/2, beta=-1/10)"
+
+    def test_nodes_after_a_negative_parameter(self, capsys):
+        code, out = run(capsys, "matrix", "--kind", "linv", "--family", "laguerre", "--alpha", "-1/2",
+                        "--n", "2", "--nodes", "-1,1", "--format", "json")
+        assert code == 0 and json.loads(out)["shape"] == [2, 2]
+
+
 def test_report_command_small_range(capsys):
     code, out = run(capsys, "report", "--n", "2..3", "--format", "json")
     assert code == 0

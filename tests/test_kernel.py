@@ -5,11 +5,14 @@ D p_m products behind the eigenpair, power and similarity checks, the
 exact collocation rows, the Christoffel numbers, the squared norms and the
 Newton refinement of the nodes, the node polynomial of NodeSet.from_points
 and the Jacobi coefficient expansion) runs on integers over common
-denominators. The float differentiation matrices are whole-array numpy
-operations. The references below are the plain Fraction loops and the
-entry-by-entry float loops these replaced, and the coefficient loops that
-rebuilt every Pochhammer product; results must be equal, as rationals or
-bit for bit as doubles, over random inputs.
+denominators, and so do the evaluations at double nodes: the Newton
+polish and the derivative caches of `zeros`, the value vectors of a cell,
+the 2^-512 grid values of the transition pair, and the coefficient tables
+of all six families. The float differentiation matrices are whole-array
+numpy operations. The references below are the plain Fraction loops and
+the entry-by-entry float loops these replaced, and the coefficient loops
+that rebuilt every Pochhammer product; results must be equal, as rationals
+or bit for bit as doubles, over random inputs.
 """
 
 import math
@@ -24,6 +27,7 @@ from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Poly
 from krallzeros.families import FAMILIES, common_denominator, inner_product, squared_norm, squared_norms
 from krallzeros.identities import Cell, _diffmat_report, _eigenpairs, _params_dict, _power, _similarity, worst_residual
 from krallzeros.matrices import (
+    _GRID,
     _inverse_residual,
     _quadrature_residuals,
     _transition_exact,
@@ -34,7 +38,13 @@ from krallzeros.matrices import (
     diffmats_exact,
     node_poly_derivatives,
 )
-from krallzeros.rootfinding import DEFAULT_REFINE_BITS, _newton_refine, _round_div
+from krallzeros.rootfinding import (
+    DEFAULT_REFINE_BITS,
+    _companion_eigenvalues,
+    _derivative_caches,
+    _newton_refine,
+    _round_div,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1 << 20)
 scalars = st.one_of(st.integers(-10**6, 10**6), rationals)
@@ -127,9 +137,14 @@ def float_cells_reference(tag, matrix, values, mus, tolerance):
     return worst_residual(c["residual"] for c in cells), cells, eigenpairs
 
 
+def values_reference(cell):
+    """p_m(x_k), m < N, by Fraction Horner at the double nodes."""
+    return [[cell.family[m](F(x)) for x in cell.nodes.nodes] for m in range(cell.n)]
+
+
 def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
     max_residual, cells, eigenpairs = eigen_cells_reference(
-        "eigenpair", cell.dc_exact, cell.values_exact, cell.mus, tolerance
+        "eigenpair", cell.dc_exact, values_reference(cell), cell.mus, tolerance
     )
     rowsum = worst_residual(float(abs(sum(row))) for row in cell.dc_exact)
     return cell.report(
@@ -143,7 +158,7 @@ def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
 def power_reference(cell, exponent, tolerance, arithmetic):
     n = cell.n
     if arithmetic == "exact":
-        dc, pv, mus, total, cells_of = cell.dc_exact, cell.values_exact, cell.mus, sum, eigen_cells_reference
+        dc, pv, mus, total, cells_of = cell.dc_exact, values_reference(cell), cell.mus, sum, eigen_cells_reference
     else:
         dc, pv, total, cells_of = cell.dc_float.tolist(), cell.values_float, math.fsum, float_cells_reference
         mus = [float(mu) for mu in cell.mus]
@@ -159,8 +174,8 @@ def power_reference(cell, exponent, tolerance, arithmetic):
 
 def similarity_reference(cell):
     n, mus = cell.n, cell.mus
-    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
-    dc, pv = cell.dc_exact, cell.values_exact
+    l_mat, l_inv = transition_reference(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    dc, pv = cell.dc_exact, values_reference(cell)
     worst = F(0)
     for m in range(n):
         total = F(0)
@@ -402,6 +417,82 @@ def coeffs_reference(spec, nu):
     return c
 
 
+def coefficients(spec, nu):
+    """The degree-nu coefficient table as Fractions."""
+    a, d = families._coeffs(spec, nu)
+    return [F(c, d) for c in a]
+
+
+def fraction_coeffs_reference(spec, nu):
+    """The coefficient builders that summed Fraction terms, one gcd per operation."""
+    a, c = spec.alpha, [F(0)] * (nu + 1)
+    if spec.family == "jacobi":
+        return coeffs_jacobi_reference(nu, a, spec.beta)
+    if spec.family == "krall-legendre":
+        for k in range(nu // 2 + 1):
+            num = (-1) ** k * math.factorial(2 * nu - 2 * k) * (a + F(nu * (nu - 1), 2) + 2 * k)
+            den = 2**nu * math.factorial(k) * math.factorial(nu - k) * math.factorial(nu - 2 * k)
+            c[nu - 2 * k] += num / den
+    elif spec.family == "krall-laguerre":
+        for k in range(nu + 1):
+            term = F((-1) ** k * math.comb(nu, k), math.factorial(k + 1))
+            c[k] += term * (k * (a + nu + 1) + a)
+    elif spec.family == "krall-jacobi":
+        den = rise = pochhammer_reference(a + 1, nu)  # rise = (alpha + 1)_(nu + k)
+        for k in range(nu + 1):
+            num = (-1) ** (nu - k) * math.comb(nu, k) * rise * (k * (nu + a) * (nu + 1) + (k + 1) * spec.mass)
+            c[k] += num / (math.factorial(k + 1) * den)
+            rise *= a + nu + k + 1
+    elif spec.family == "hermite":
+        for k in range(nu // 2 + 1):
+            c[nu - 2 * k] += F(
+                (-1) ** k * math.factorial(nu) * 2 ** (nu - 2 * k),
+                math.factorial(k) * math.factorial(nu - 2 * k),
+            )
+    else:  # laguerre
+        rise = F(1)  # (alpha + k + 1)_(nu - k)
+        for k in range(nu, -1, -1):
+            c[k] += (-1) ** k * rise / (math.factorial(nu - k) * math.factorial(k))
+            rise *= a + k
+    return c
+
+
+def polish_reference(poly, deriv, z):
+    """The Newton loop that evaluated each real step by Fraction Horner."""
+    exact = poly.mode == "rational"
+    x = z
+    for _ in range(60):
+        if exact and x.imag == 0.0:
+            xq = F(x.real)
+            fx, dfx = float(poly(xq)), float(deriv(xq))
+        else:
+            fx, dfx = poly(x), deriv(x)
+        if dfx == 0:
+            break
+        step = fx / dfx
+        x = x - step
+        if abs(x.imag) < 1e-12 * max(1.0, abs(x.real)):
+            x = complex(x.real, 0.0)
+        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+            break
+    return x
+
+
+def derivative_caches_reference(poly, xs):
+    derivs = [poly.derivative(k) for k in (1, 2, 3)]
+    if poly.mode == "rational":
+        return tuple(tuple(float(d(F(x))) for x in xs) for d in derivs)
+    return tuple(tuple(d(x) for x in xs) for d in derivs)
+
+
+def zeros_reference(p):
+    """Sorted polished real parts of the companion eigenvalues, with the derivative caches there."""
+    deriv = p.derivative()
+    roots = [polish_reference(p, deriv, z) for z in _companion_eigenvalues(np.array([float(c) for c in p.coeffs]))]
+    xs = sorted(z.real for z in roots)
+    return xs, derivative_caches_reference(p, xs)
+
+
 def perturbed(cell, data):
     """The cell with rational noise added to some entries of its exact collocation matrix.
 
@@ -431,7 +522,7 @@ pochhammer_specs = st.one_of(
 
 @given(pochhammer_specs, st.integers(0, 30))
 def test_coefficients_with_running_products(spec, nu):
-    assert families._coeffs(spec, nu) == coeffs_reference(spec, nu)
+    assert coefficients(spec, nu) == coeffs_reference(spec, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +536,13 @@ def test_common_denominator(values):
     assert d >= 1 and all(isinstance(v, int) for v in ints)
     assert [F(a, d) for a in ints] == values
     assert math.gcd(d, *ints) == 1
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(1, 10**6))
+def test_polynomial_over_keeps_the_least_integer_form(a, d):
+    p = Polynomial.over(a, d)
+    assert p == Polynomial([F(c, d) for c in a])
+    assert p._integer_form() == common_denominator(p.coeffs)
 
 
 @given(st.lists(scalars, max_size=9), scalars)
@@ -503,10 +601,14 @@ def test_quadrature_residuals_on_any_rationals(spec, pairs):
     assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
 
 
+def on_grid(matrix):
+    return [[F(v, _GRID) for v in row] for row in matrix]
+
+
 @given(cells)
 def test_inverse_residual_on_transition_pairs(cell):
     l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
-    assert _inverse_residual(l_mat, l_inv) == inverse_reference(l_mat, l_inv)
+    assert _inverse_residual(l_mat, l_inv, _GRID) == inverse_reference(on_grid(l_mat), on_grid(l_inv))
 
 
 def square_matrices(n):
@@ -516,7 +618,10 @@ def square_matrices(n):
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
 def test_inverse_residual_on_any_rationals(pair):
     l_mat, l_inv = pair
-    assert _inverse_residual(l_mat, l_inv) == inverse_reference(l_mat, l_inv)
+    n = len(l_mat)
+    ints, den = common_denominator([v for matrix in pair for row in matrix for v in row])
+    rows = [ints[i * n : (i + 1) * n] for i in range(2 * n)]
+    assert _inverse_residual(rows[:n], rows[n:], den) == inverse_reference(l_mat, l_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +745,7 @@ def test_squared_norms_of_any_rational_polynomials(spec, coefficient_lists):
 def test_transition_exact(cell):
     xq = cell.nodes.refined(cell.bits)
     args = (cell.family, cell.lams, xq, cell.spec)
-    assert _transition_exact(*args) == transition_reference(*args)
+    assert [on_grid(m) for m in _transition_exact(*args)] == list(transition_reference(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +854,74 @@ def test_from_points_on_integers(points):
 
 @given(_above(-1, 6, 64), _above(-1, 6, 64), st.integers(0, 30))
 def test_jacobi_coefficients_on_integers(alpha, beta, nu):
-    assert families._coeffs_jacobi(nu, alpha, beta) == coeffs_jacobi_reference(nu, alpha, beta)
+    assert coefficients(FamilySpec("jacobi", alpha=alpha, beta=beta), nu) == coeffs_jacobi_reference(nu, alpha, beta)
+
+
+# ---------------------------------------------------------------------------
+# evaluation at double nodes: zeros, value vectors, coefficient tables
+# ---------------------------------------------------------------------------
+
+
+def assert_zeros_match(p, spec=None):
+    nodes = zeros(p, spec)
+    xs, caches = zeros_reference(p)
+    assert same_bits(np.array(nodes.nodes), np.array(xs))
+    for got, expected in zip((nodes.d1, nodes.d2, nodes.d3), caches):
+        assert same_bits(np.array(got), np.array(expected))
+
+
+@pytest.mark.parametrize("family_specs", specs_by_family, ids=FAMILIES)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_zeros_on_integers(family_specs, data):
+    spec, n = data.draw(family_specs), data.draw(st.integers(1, 20))
+    assert_zeros_match(build_family(spec, n)[n], spec)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True), st.integers(1, 9), st.booleans())
+def test_zeros_of_polynomials_without_a_family(roots, scale, to_float):
+    """A spec-less rational polynomial takes the integer path; float coefficients keep the plain loop."""
+    p = Polynomial([F(1)])
+    for r in roots:
+        p = p * Polynomial([-F(r, 4 * scale), F(1)])
+    assert_zeros_match(p.to_float() if to_float else p)
+
+
+def test_overflowing_derivative_raises_as_before():
+    big = F(10) ** 308
+    p = Polynomial([0, -big, 0, big])  # zeros -1, 0, 1 and p'(+-1) = 2e308
+    for fn in (zeros, zeros_reference):
+        with pytest.raises(OverflowError):
+            fn(p)
+    for fn in (_derivative_caches, derivative_caches_reference):
+        with pytest.raises(OverflowError):
+            fn(p, [1.0])
+
+
+@given(cells)
+def test_value_vectors_on_integers(cell):
+    exact = values_reference(cell)
+    assert cell.values_scaled == [common_denominator(row) for row in exact]
+    for got, row in zip(cell.values_float, exact):
+        assert same_bits(np.array(got), np.array([float(v) for v in row]))
+
+
+coefficient_specs = st.one_of(
+    st.just(FamilySpec("hermite")),
+    st.builds(lambda a: FamilySpec("laguerre", alpha=a), _above(-1, 6, 64)),
+    st.builds(lambda a, b: FamilySpec("jacobi", alpha=a, beta=b), _above(-1, 6, 64), _above(-1, 6, 64)),
+    st.builds(lambda a: FamilySpec("krall-legendre", alpha=a), _above(0, 6, 64)),
+    st.builds(lambda a: FamilySpec("krall-laguerre", alpha=a), _above(0, 6, 64)),
+    st.builds(lambda a, m: FamilySpec("krall-jacobi", alpha=a, mass=m), _above(-1, 6, 64), _above(0, 6, 64)),
+)
+
+
+@given(coefficient_specs, st.integers(0, 30))
+def test_coefficients_on_integers(spec, nu):
+    assert coefficients(spec, nu) == fraction_coeffs_reference(spec, nu)
+    member = build_family(spec, nu)[nu]
+    assert all(type(c) is F for c in member.coeffs)
+    assert member._integer_form() == common_denominator(member.coeffs)  # kept by build_family, not recomputed
 
 
 # ---------------------------------------------------------------------------

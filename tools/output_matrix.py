@@ -1,0 +1,82 @@
+"""Write the command-line outputs that a change to the package must leave unchanged.
+
+    python3 tools/output_matrix.py OUTDIR
+
+krallzeros is imported from the `src/` directory of the tree this script
+sits in. Through the command-line driver, in one process, it runs:
+
+- `report --format json` with `--seed 0` and `--seed 1`;
+- `verify --suite S --format json --n 2..8` for every suite S and every
+  reference spec (a suite that does not apply to a family exits 2);
+- `zeros` and `family` with `--format json --n 12` for every reference spec.
+
+The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
+krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
+stdout goes to OUTDIR/<run>.json; OUTDIR/exit_codes.txt lists every run
+with its exit code and its stderr. To compare two trees, run the script
+from each into its own directory and `diff -r` the two directories.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from krallzeros import cli  # noqa: E402
+from krallzeros.identities import SUITES  # noqa: E402
+
+REFERENCE_SPECS = {
+    "hermite": ["--family", "hermite"],
+    "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
+    "jacobi-1_2-2": ["--family", "jacobi", "--alpha", "1/2", "--beta", "2"],
+    "krall-legendre-2": ["--family", "krall-legendre", "--alpha", "2"],
+    "krall-laguerre-1_2": ["--family", "krall-laguerre", "--alpha", "1/2"],
+    "krall-jacobi-1-2": ["--family", "krall-jacobi", "--alpha", "1", "--m-param", "2"],
+}
+
+
+def runs() -> dict[str, list[str]]:
+    """Output name -> command-line arguments."""
+    out = {f"report-seed{seed}": ["report", "--format", "json", "--seed", str(seed)] for seed in (0, 1)}
+    for name, spec in REFERENCE_SPECS.items():
+        for suite in SUITES:
+            out[f"verify-{suite}-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "2..8"]
+        for command in ("zeros", "family"):
+            out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command-line run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/output_matrix.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = argv[0]
+    os.makedirs(outdir, exist_ok=True)
+    codes = []
+    for name, args in runs().items():
+        code, out, err = run(args)
+        with open(os.path.join(outdir, f"{name}.json"), "w") as handle:
+            handle.write(out)
+        codes.append(f"{name}\t{code}\t{err.strip()}\n")
+    with open(os.path.join(outdir, "exit_codes.txt"), "w") as handle:
+        handle.writelines(codes)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
