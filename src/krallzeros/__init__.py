@@ -7,9 +7,7 @@ and verifies the algebraic identities those zeros satisfy.
 """
 
 from .families import (
-    DEFAULT_DEGREE_CAP,
     FAMILIES,
-    DegreeCapError,
     DiffOperator,
     FamilySpec,
     MomentFunctional,
@@ -61,9 +59,7 @@ from .rootfinding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DEGREE_CAP",
     "FAMILIES",
-    "DegreeCapError",
     "DiffOperator",
     "FamilySpec",
     "IdentityReport",

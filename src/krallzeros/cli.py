@@ -27,9 +27,7 @@ from typing import Optional
 
 from . import matrices
 from .families import (
-    DEFAULT_DEGREE_CAP,
     FAMILIES,
-    DegreeCapError,
     FamilySpec,
     ParameterError,
     build_family,
@@ -96,7 +94,7 @@ def _fraction_str(value) -> str:
 def cmd_family(args) -> int:
     spec = _spec_from_args(args)
     n = _parse_n(args)[-1]
-    members = build_family(spec, n, mode=args.mode, degree_cap=args.degree_cap)
+    members = build_family(spec, n, mode=args.mode)
     rows = []
     for nu, p in enumerate(members):
         if args.mode == "rational":
@@ -126,7 +124,7 @@ def cmd_family(args) -> int:
 def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
     n = _parse_n(args)[-1]
-    member = build_family(spec, n, degree_cap=args.degree_cap)[n]
+    member = build_family(spec, n)[n]
     node_set = zeros(member, spec)
     residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
     if args.format == "json":
@@ -159,7 +157,7 @@ def _matrix_for(args) -> matrices.MatrixRep:
         if node_set is None:
             spec = _spec_from_args(args)
             n = _parse_n(args)[-1]
-            node_set = zeros(build_family(spec, n, degree_cap=args.degree_cap)[n], spec)
+            node_set = zeros(build_family(spec, n)[n], spec)
         return matrices.diffmat(args.order, node_set, method=args.method)
 
     spec = _spec_from_args(args)
@@ -167,7 +165,7 @@ def _matrix_for(args) -> matrices.MatrixRep:
     if kind == "dtau":
         return matrices.tau_rep(operator_of(spec), spec, n)
     if node_set is None:
-        node_set = zeros(build_family(spec, n, degree_cap=args.degree_cap)[n], spec)
+        node_set = zeros(build_family(spec, n)[n], spec)
     if kind == "dc":
         return matrices.collocation_rep(operator_of(spec), node_set)
     if kind == "dc-simplified":
@@ -340,8 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (written atomically); stdout if omitted")
     common.add_argument("--seed", type=int, default=0, help="seed for the randomized differentiation checks")
-    common.add_argument("--degree-cap", dest="degree_cap", type=int, default=None,
-                        help=f"override the float-mode degree cap (default {DEFAULT_DEGREE_CAP})")
     common.add_argument("--always-wrap", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
@@ -401,7 +397,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (ParameterError, DegreeCapError, ValueError) as exc:
+    except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RootfindingError, matrices.PositivityError, matrices.InversionConsistencyError) as exc:

@@ -9,9 +9,10 @@ eigenfunctions of a fourth order operator a4*d4 + a3*d3 + a2*d2 + a1*d1.
 
 Everything here is exact over `fractions.Fraction` when the family
 parameters are rational: coefficient tables, moments, inner products,
-operator coefficients and eigenvalues. Float mode evaluates the same
-closed forms in double precision and is capped at a configurable degree,
-since the explicit coefficient formulas grow factorially.
+operator coefficients and eigenvalues. Float mode rounds the exact
+coefficients and moments to double precision once each, so no degree loses
+accuracy to the rounding; a member whose coefficients leave double range
+raises ValueError.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
@@ -37,17 +38,9 @@ CLASSICAL_FAMILIES = ("hermite", "laguerre", "jacobi")
 KRALL_FAMILIES = ("krall-legendre", "krall-laguerre", "krall-jacobi")
 FAMILIES = CLASSICAL_FAMILIES + KRALL_FAMILIES
 
-#: Above this degree the double-precision coefficient formulas start losing
-#: accuracy to factorial growth; callers must override explicitly.
-DEFAULT_DEGREE_CAP = 25
-
 
 class ParameterError(ValueError):
     """Family parameter outside its admissible range."""
-
-
-class DegreeCapError(ValueError):
-    """Float-mode construction above the degree cap without an override."""
 
 
 def as_fraction(value: Scalar | str) -> Fraction:
@@ -499,25 +492,16 @@ def build_family(
     spec: FamilySpec,
     max_degree: int,
     mode: str = "rational",
-    degree_cap: Optional[int] = None,
 ) -> list[Polynomial]:
     """Members of degree 0 .. max_degree of the family.
 
-    Rational mode is exact. Float mode rounds the exact coefficients and
-    refuses degrees above the cap (DEFAULT_DEGREE_CAP unless overridden),
-    where double precision can no longer represent the factorially growing
-    coefficients faithfully.
+    Rational mode is exact. Float mode rounds each exact coefficient once
+    and raises ValueError for a member with a coefficient beyond double range.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    if mode == "float" and max_degree > cap:
-        raise DegreeCapError(
-            f"degree {max_degree} above float-mode cap {cap}; "
-            "raise degree_cap explicitly to override"
-        )
     out = []
     for nu in range(max_degree + 1):
         p = Polynomial.over(*_coeffs(spec, nu))
@@ -525,7 +509,12 @@ def build_family(
             raise ParameterError(
                 f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
             )
-        out.append(p.to_float() if mode == "float" else p)
+        if mode == "float":
+            try:
+                p = p.to_float()
+            except OverflowError:
+                raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
+        out.append(p)
     return out
 
 

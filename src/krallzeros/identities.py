@@ -32,8 +32,10 @@ vector sit over one common denominator, D p_m is one integer matvec per m,
 reduced once, and each residual is one correctly rounded int / int. A plain
 double-precision engine is kept for comparison; its residuals
 carry the conditioning of the assembly (around 1e-7 for wide node spreads
-at N = 12). The closed-form family identities are evaluated in doubles on
-exactly-evaluated derivative caches, which is where their content lives.
+at N = 12). The closed-form identities read their entries from the cell's
+closed-form matrix, which `matrices.collocation_rep_simplified` evaluates in
+doubles on exactly-evaluated derivative caches; that is where their content
+lives.
 """
 
 from __future__ import annotations
@@ -60,15 +62,10 @@ from .families import (
     operator_of,
 )
 from .matrices import (
-    SINGULAR_COEFF_GUARD,
     _GRID,
-    _family_diag,
-    _family_offdiag,
-    _fourth_order_brace,
+    MatrixRep,
     _inverse_residual,
-    _operator_data,
     _quadrature_residuals,
-    _simplified_diag_fourth_order,
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
@@ -188,13 +185,15 @@ class Cell:
     binary digits. The exact engine reads the collocation matrix and the
     value vectors over common denominators (`dc_scaled`, `values_scaled`)
     and shares D p_m (`dp_exact`) between its checks, the float side the
-    recursive Z^(k) (`zmat`). Get cells from `get_cell`, which keeps the
-    last one built.
+    recursive Z^(k) (`zmat`); the closed-form identities read the
+    closed-form collocation matrix of each formula (`closed_form`). Get
+    cells from `get_cell`, which keeps the last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
         self.spec, self.n, self.bits = spec, n, bits
         self._zmats: dict[int, np.ndarray] = {}
+        self._closed_forms: dict[str, MatrixRep] = {}
 
     def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
         """IdentityReport on this cell; by default it passes when max_residual <= tolerance."""
@@ -269,6 +268,12 @@ class Cell:
         if k not in self._zmats:
             self._zmats[k] = matrices.diffmat(k, self.nodes).data
         return self._zmats[k]
+
+    def closed_form(self, formula: str) -> MatrixRep:
+        """collocation_rep_simplified on the zeros, built once per formula."""
+        if formula not in self._closed_forms:
+            self._closed_forms[formula] = matrices.collocation_rep_simplified(self.spec, self.nodes, formula)
+        return self._closed_forms[formula]
 
     @cached_property
     def dc_float(self) -> np.ndarray:
@@ -436,13 +441,35 @@ def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> Identi
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_inputs(cell: Cell):
-    """Nodes, p_N', p_N'', p_N''' and the rows where a_4 vanishes, as floats."""
-    nodes = cell.nodes
-    x = nodes.as_array()
-    a4 = cell.op.coefficient(4).to_float()
-    singular = [i for i in range(cell.n) if abs(a4(x[i])) < SINGULAR_COEFF_GUARD]
-    return x, np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3), singular
+def _row_sides(row: list, i: int, mu: float, values: list, trailing: float) -> tuple[float, float]:
+    """Row i of D p_m = mu_m p_m split at the diagonal: -sum_(k != i) D[i, k] p_m(x_k) and (D[i, i] - mu_m) trailing."""
+    return -math.fsum(map(mul, row[:i] + row[i + 1 :], values[:i] + values[i + 1 :])), (row[i] - mu) * trailing
+
+
+def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, printed: bool = False):
+    """(cells, notes, sides) of a closed-form zero identity on C = cell.closed_form(formula).
+
+    Row i and m < N compare -sum_(k != i) C[i, k] p_m(x_k) with
+    (C[i, i] - mu_m) t, where the trailing factor t is p_m(x_i), or p_N'(x_i)
+    in the printed reading, and scale the difference by
+    max(1, |mu_m t|, |C[i, i] t|). Rows under the singular guard are skipped
+    with a note. sides holds (i, m, mu_m, left, right) per cell.
+    """
+    rep = cell.closed_form(formula)
+    cells, sides = [], []
+    for i, row in enumerate(rep.data.tolist()):
+        if i in rep.flagged:
+            continue
+        for m, (mu, values) in enumerate(zip(cell.mus, cell.values_float)):
+            mu = float(mu)
+            trailing = cell.nodes.d1[i] if printed else values[i]
+            lhs, rhs = _row_sides(row, i, mu, values, trailing)
+            r = abs(lhs - rhs) / max(1.0, abs(mu * trailing), abs(row[i] * trailing))
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            sides.append((i, m, mu, lhs, rhs))
+    skipped = [i + 1 for i in rep.flagged]
+    notes = [f"rows {skipped} skipped: |a_4(x_n)| under the singular guard"] if skipped else []
+    return cells, notes, sides
 
 
 def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> IdentityReport:
@@ -459,43 +486,17 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
 
 
 def _fourth_order(cell: Cell, tolerance=1e-7) -> IdentityReport:
-    spec, n = cell.spec, cell.n
-    if not spec.is_krall:
+    if not cell.spec.is_krall:
         raise ValueError("the fourth order identity applies to the Krall families only")
-    x, p1, p2, p3, skipped = _closed_form_inputs(cell)
-    pv = cell.values_float
-    dc_general = cell.dc_float
-    mu_top = float(eigenvalue(spec, n))
-
-    cells = []
-    notes = []
-    cross_lhs = 0.0
-    cross_rhs = 0.0
-    for i in range(n):
-        if i in skipped:
-            continue
-        a, ap = _operator_data(cell.op, x[i])
-        diag = _simplified_diag_fourth_order(a, ap, mu_top, p1[i], p2[i], p3[i])
-        # (k, a_ik^2, brace) do not depend on m
-        terms = []
-        for k in range(n):
-            if k != i:
-                a_ik = 1.0 / (x[i] - x[k])
-                terms.append((k, a_ik * a_ik, _fourth_order_brace(a, a_ik, p1[i], p2[i], p3[i])))
-        for m in range(n):
-            lhs = math.fsum(a2 * pv[m][k] / p1[k] * brace for k, a2, brace in terms)
-            mu = float(cell.mus[m])
-            rhs = (-mu + diag) * pv[m][i]
-            scale = max(1.0, abs(mu * pv[m][i]), abs(diag * pv[m][i]))
-            r = float(abs(lhs - rhs) / scale)
-            cells.append({"identity": "fourth-order-zeros", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-            # the same sides, rearranged from the eigenpair relation
-            alt_lhs = -math.fsum(dc_general[i, k] * pv[m][k] for k in range(n) if k != i)
-            alt_rhs = (dc_general[i, i] - mu) * pv[m][i]
-            cross_lhs = max(cross_lhs, float(abs(lhs - alt_lhs)) / max(1.0, abs(lhs)))
-            cross_rhs = max(cross_rhs, float(abs(rhs - alt_rhs)) / max(1.0, float(abs(rhs))))
-    if skipped:
-        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
+    cells, notes, sides = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
+    general = cell.dc_float.tolist()
+    cross_lhs = cross_rhs = 0.0
+    for i, m, mu, lhs, rhs in sides:
+        # the same sides, rearranged from the eigenpair relation on the general assembly
+        values = cell.values_float[m]
+        alt_lhs, alt_rhs = _row_sides(general[i], i, mu, values, values[i])
+        cross_lhs = max(cross_lhs, abs(lhs - alt_lhs) / max(1.0, abs(lhs)))
+        cross_rhs = max(cross_rhs, abs(rhs - alt_rhs) / max(1.0, abs(rhs)))
 
     max_residual = worst_residual(c["residual"] for c in cells)
     return cell.report(
@@ -532,39 +533,14 @@ def verify_family_identity(
 
 
 def _family_identity(cell: Cell, variant="corrected", tolerance=1e-7) -> IdentityReport:
-    spec, n = cell.spec, cell.n
+    spec = cell.spec
     if not spec.is_krall:
         raise ValueError("family identities exist for the Krall families only")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    x, p1, p2, p3, skipped = _closed_form_inputs(cell)
-    pv = cell.values_float
     ambiguous = spec.family == "krall-laguerre"
     tag = FAMILY_IDENTITY_TAG[spec.family]
-
-    cells = []
-    notes = []
-    for i in range(n):
-        if i in skipped:
-            continue
-        diag = _family_diag(spec, n, x[i], p1[i], p2[i], p3[i])
-        # bracket = off-diagonal closed form read at the row node, sign
-        # flipped by moving it across the equation; it does not depend on m
-        terms = [
-            (k, -_family_offdiag(spec, x[i], 1.0 / (x[i] - x[k]), p1[i], p2[i], p3[i], p1[k]))
-            for k in range(n)
-            if k != i
-        ]
-        for m in range(n):
-            lhs = math.fsum(bracket * pv[m][k] for k, bracket in terms)
-            mu = float(cell.mus[m])
-            trailing = p1[i] if (ambiguous and variant == "printed") else pv[m][i]
-            rhs = (-mu + diag) * trailing
-            scale = max(1.0, abs(mu * trailing), abs(diag * trailing))
-            r = float(abs(lhs - rhs) / scale)
-            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-    if skipped:
-        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
+    cells, notes, _ = _closed_form_cells(cell, "family", tag, tolerance, printed=ambiguous and variant == "printed")
     if ambiguous:
         factor = "p_N'(x_n)" if variant == "printed" else "p_m(x_n)"
         notes.append(f"trailing right-hand factor read as {factor}")

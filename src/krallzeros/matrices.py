@@ -68,8 +68,9 @@ from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _at_double, _horner, _nod
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
-#: Below this |a_4(x_n)| the closed-form diagonal entries are abandoned for
-#: the general assembly (the formulas divide by a_4 there).
+#: Below this |a_4(x_n)| (|sigma(x_n)| for the classical families) the
+#: closed-form diagonal entries are abandoned for the general assembly (the
+#: formulas divide by that coefficient there).
 SINGULAR_COEFF_GUARD = 1e-10
 
 DIFFMAT_METHODS = ("explicit", "recursive", "alternative")
@@ -269,8 +270,8 @@ def collocation_rep(op: DiffOperator, nodes: NodesLike, zmat=None) -> MatrixRep:
     zmat = zmat or (lambda k: diffmat(k, x).data)
     n = len(x)
     out = np.zeros((n, n))
-    for order, a in op.terms:
-        av = np.array([float(a(float(xi))) for xi in x])
+    for order, a in op.to_float().terms:
+        av = np.array([a(xi) for xi in x.tolist()])
         if order == 0:
             out += np.diag(av)
         else:
@@ -284,18 +285,7 @@ def collocation_exact(op: DiffOperator, xq: Sequence[Fraction]) -> list[list[Fra
     return _collocation_exact_rows(xq, [[a(x) for a in coeffs] for x in xq])
 
 
-def _operator_data(op: DiffOperator, x: float):
-    """a_j(x) and a_j'(x), j = 1..4, as floats."""
-    a = {j: 0.0 for j in range(1, 5)}
-    ap = {j: 0.0 for j in range(1, 5)}
-    for order, c in op.terms:
-        cf = c.to_float()
-        a[order] = cf(x)
-        ap[order] = cf.derivative()(x)
-    return a, ap
-
-
-def _simplified_diag_fourth_order(a: dict, ap: dict, mu_top: float, p1: float, p2: float, p3: float) -> float:
+def _simplified_diag_fourth_order(a: list, ap: list, mu_top: float, p1: float, p2: float, p3: float) -> float:
     return (
         -(a[3] - 0.8 * (ap[4] + a[3]))
         * (a[3] * p3 + a[2] * p2 + a[1] * p1)
@@ -306,7 +296,7 @@ def _simplified_diag_fourth_order(a: dict, ap: dict, mu_top: float, p1: float, p
     )
 
 
-def _fourth_order_brace(a: dict, a_mn: float, p1m: float, p2m: float, p3m: float) -> float:
+def _fourth_order_brace(a: list, a_mn: float, p1m: float, p2m: float, p3m: float) -> float:
     return (
         4.0 * a[4] * p3m
         + 3.0 * (a[3] - 4.0 * a[4] * a_mn) * p2m
@@ -387,79 +377,70 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     equation), so the nodes must be the zeros of the degree-N member.
     formula="family" picks the per-family expressions; formula="fourth-order"
     the generic fourth order ones (Krall families only). Classical families
-    use their own two-term closed form under either name.
+    use their own second-order closed form under either name. This is the
+    only place the closed forms are evaluated; the closed-form identities
+    read their entries from this matrix.
 
-    Nodes where |a_4| (or |sigma|) falls under the singular guard get their
-    diagonal entry from the general assembly instead and are reported in
-    `flagged`.
+    Nodes where the leading coefficient (a_4, or sigma) falls under the
+    singular guard in absolute value get their diagonal entry from the
+    general assembly instead and are reported in `flagged`.
     """
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
-    if not spec.is_krall:
-        return _classical_simplified(spec, nodes)
-    x = nodes.as_array()
+    op = operator_of(spec, mode="float")
+    a = [op.coefficient(k) for k in range(op.max_order + 1)]
+    x = nodes.as_array().tolist()
     n = len(x)
-    n_total = n
-    p1, p2, p3 = np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3)
-
-    op = operator_of(spec)
-    a4 = op.coefficient(4).to_float()
-    flagged = tuple(i for i in range(n) if abs(a4(x[i])) < SINGULAR_COEFF_GUARD)
-    if formula == "fourth-order":
-        # a_j and a_j' at each row node, computed once per row
-        rows = [_operator_data(op, xi) for xi in x]
-        mu_top = float(eigenvalue(spec, n_total))
-
+    flagged = tuple(i for i, xi in enumerate(x) if abs(a[-1](xi)) < SINGULAR_COEFF_GUARD)
+    form = formula if spec.is_krall else "second-order"
+    entry = _closed_form_entry(spec, form, a, x, nodes)
+    general = collocation_rep(op, nodes).data if flagged else None
     out = np.zeros((n, n))
     for m in range(n):
-        for j in range(n):
-            if m == j:
-                continue
-            a_mn = 1.0 / (x[m] - x[j])
-            if formula == "family":
-                out[m, j] = _family_offdiag(spec, x[m], a_mn, p1[m], p2[m], p3[m], p1[j])
-            else:
-                out[m, j] = -(a_mn * a_mn) / p1[j] * _fourth_order_brace(rows[m][0], a_mn, p1[m], p2[m], p3[m])
-    general = collocation_rep(op, nodes).data if flagged else None
-    for i in range(n):
-        if i in flagged:
-            out[i, i] = general[i, i]
-        elif formula == "family":
-            out[i, i] = _family_diag(spec, n_total, x[i], p1[i], p2[i], p3[i])
-        else:
-            out[i, i] = _simplified_diag_fourth_order(*rows[i], mu_top, p1[i], p2[i], p3[i])
-    note = f"{formula} closed form at the zeros of the degree-{n} member"
+        row = [entry(m, j) for j in range(n) if j != m]
+        row.insert(m, general[m, m] if m in flagged else entry(m, m))
+        out[m] = row
+    note = f"{form} closed form at the zeros of the degree-{n} member"
     if flagged:
         note += f"; general-assembly fallback at nodes {list(flagged)}"
     return MatrixRep(out, kind="collocation", note=note, flagged=flagged)
 
 
-def _classical_simplified(spec: FamilySpec, nodes: NodeSet) -> MatrixRep:
-    x = nodes.as_array()
-    n = len(x)
-    op = operator_of(spec, mode="float")
-    sigma, tau = op.coefficient(2), op.coefficient(1)
-    sigma_d = sigma.derivative()
-    tau1 = tau.coeffs[1] if len(tau.coeffs) > 1 else 0.0
-    sigma2 = 2.0 * sigma.coeffs[2] if len(sigma.coeffs) > 2 else 0.0
-    p1 = np.array(nodes.d1)
-    out = np.zeros((n, n))
-    flagged = tuple(i for i in range(n) if abs(sigma(x[i])) < SINGULAR_COEFF_GUARD)
-    general = collocation_rep(op, nodes).data if flagged else None
-    for m in range(n):
-        for j in range(n):
+def _closed_form_entry(spec: FamilySpec, form: str, a: list, x: list, nodes: NodeSet):
+    """entry(m, j) of the closed form `form`, from the float coefficients a_k and the nodes x."""
+    n, p1, p2, p3 = len(x), nodes.d1, nodes.d2, nodes.d3
+    if form == "second-order":
+        sigma, tau = a[2], a[1]
+        sigma_d = sigma.derivative()
+        tau1 = tau.coeffs[1] if len(tau.coeffs) > 1 else 0.0
+        sigma2 = 2.0 * sigma.coeffs[2] if len(sigma.coeffs) > 2 else 0.0
+
+        def entry(m, j):
             if m != j:
-                out[m, j] = -2.0 * sigma(x[m]) / (x[m] - x[j]) ** 2 * p1[m] / p1[j]
-        if m in flagged:
-            out[m, m] = general[m, m]
-        else:
-            out[m, m] = -tau(x[m]) / (6.0 * sigma(x[m])) * (tau(x[m]) - 2.0 * sigma_d(x[m])) + (
+                return -2.0 * sigma(x[m]) / (x[m] - x[j]) ** 2 * p1[m] / p1[j]
+            return -tau(x[m]) / (6.0 * sigma(x[m])) * (tau(x[m]) - 2.0 * sigma_d(x[m])) + (
                 (n - 1) * (tau1 + 0.5 * n * sigma2) / 3.0
             )
-    note = f"second-order closed form at the zeros of the degree-{n} member"
-    if flagged:
-        note += f"; general-assembly fallback at nodes {list(flagged)}"
-    return MatrixRep(out, kind="collocation", note=note, flagged=flagged)
+
+    elif form == "family":
+
+        def entry(m, j):
+            if m != j:
+                return _family_offdiag(spec, x[m], 1.0 / (x[m] - x[j]), p1[m], p2[m], p3[m], p1[j])
+            return _family_diag(spec, n, x[m], p1[m], p2[m], p3[m])
+
+    else:
+        mu_top = float(eigenvalue(spec, n))
+        ap = [c.derivative() for c in a]
+        at = [([c(xm) for c in a], [c(xm) for c in ap]) for xm in x]  # a_k(x_m), a_k'(x_m)
+
+        def entry(m, j):
+            if m != j:
+                a_mn = 1.0 / (x[m] - x[j])
+                return -(a_mn * a_mn) / p1[j] * _fourth_order_brace(at[m][0], a_mn, p1[m], p2[m], p3[m])
+            return _simplified_diag_fourth_order(*at[m], mu_top, p1[m], p2[m], p3[m])
+
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,12 @@ class TestFamilyCommand:
         assert code == 0
         assert json.loads(out)["members"][1]["coefficients"] == ["1", "-2"]
 
+    def test_overflowing_float_table_exit_2(self, capsys):
+        code = main(["family", "--family", "hermite", "--n", "400", "--mode", "float"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "degree-263 coefficients overflow double precision" in captured.err
+
     def test_missing_parameters_exit_2(self, capsys):
         assert main(["family", "--family", "krall-laguerre", "--n", "1"]) == 2
         assert main(["family", "--family", "all", "--n", "1"]) == 2

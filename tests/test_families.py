@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from krallzeros import (
-    DegreeCapError,
     DiffOperator,
     FamilySpec,
     MomentFunctional,
@@ -117,11 +116,11 @@ class TestBuildFamily:
         assert fam[1].coeffs == (1.0, -2.0)
         assert fam[1].mode == "float"
 
-    def test_degree_cap(self):
-        with pytest.raises(DegreeCapError):
-            build_family(KLEG1, 26, mode="float")
-        assert len(build_family(KLEG1, 26, mode="float", degree_cap=30)) == 27
-        assert len(build_family(KLEG1, 26)) == 27  # no cap in rational mode
+    def test_float_mode_builds_any_degree_in_double_range(self):
+        exact = build_family(KLEG1, 26)
+        assert build_family(KLEG1, 26, mode="float") == [p.to_float() for p in exact]
+        with pytest.raises(ValueError, match="degree-263 coefficients overflow double precision"):
+            build_family(FamilySpec("hermite"), 263, mode="float")
 
 
 class TestMoments:

@@ -12,10 +12,14 @@ of all six families. The float differentiation matrices are whole-array
 numpy operations. The references below are the plain Fraction loops and
 the entry-by-entry float loops these replaced, and the coefficient loops
 that rebuilt every Pochhammer product; results must be equal, as rationals
-or bit for bit as doubles, over random inputs.
+or bit for bit as doubles, over random inputs. The closed-form identities
+read the cell's `collocation_rep_simplified` matrix; the loops that
+recomputed its entries in place are their references, equal for the family
+identity and within the rounding of the other term order for fourth-order.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import numpy as np
@@ -24,12 +28,30 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, families, matrices, zeros
-from krallzeros.families import FAMILIES, common_denominator, inner_product, squared_norm, squared_norms
-from krallzeros.identities import Cell, _diffmat_report, _eigenpairs, _params_dict, _power, _similarity, worst_residual
+from krallzeros.families import FAMILIES, common_denominator, eigenvalue, inner_product, squared_norm, squared_norms
+from krallzeros.identities import (
+    FAMILY_IDENTITY_TAG,
+    Cell,
+    _diffmat_report,
+    _eigenpairs,
+    _family_identity,
+    _fourth_order,
+    _params_dict,
+    _power,
+    _similarity,
+    discriminate_variants,
+    verify_family_identity,
+    verify_fourth_order,
+    worst_residual,
+)
 from krallzeros.matrices import (
     _GRID,
+    _family_diag,
+    _family_offdiag,
+    _fourth_order_brace,
     _inverse_residual,
     _quadrature_residuals,
+    _simplified_diag_fourth_order,
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
@@ -493,6 +515,102 @@ def zeros_reference(p):
     return xs, derivative_caches_reference(p, xs)
 
 
+def closed_form_inputs_reference(cell):
+    """Nodes, p_N', p_N'', p_N''' and the rows where a_4 vanishes, as floats."""
+    nodes = cell.nodes
+    x = nodes.as_array()
+    a4 = cell.op.coefficient(4).to_float()
+    singular = [i for i in range(cell.n) if abs(a4(x[i])) < matrices.SINGULAR_COEFF_GUARD]
+    return x, np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3), singular
+
+
+def operator_data_reference(op, x):
+    """a_j(x) and a_j'(x), j = 1..4, as floats."""
+    a = {j: 0.0 for j in range(1, 5)}
+    ap = {j: 0.0 for j in range(1, 5)}
+    for order, c in op.terms:
+        cf = c.to_float()
+        a[order] = cf(x)
+        ap[order] = cf.derivative()(x)
+    return a, ap
+
+
+def fourth_order_reference(cell, tolerance=1e-7):
+    """The fourth-order identity with every closed-form entry recomputed in place."""
+    spec, n = cell.spec, cell.n
+    x, p1, p2, p3, skipped = closed_form_inputs_reference(cell)
+    pv = cell.values_float
+    dc_general = cell.dc_float
+    mu_top = float(eigenvalue(spec, n))
+    cells, notes = [], []
+    cross_lhs = cross_rhs = 0.0
+    for i in range(n):
+        if i in skipped:
+            continue
+        a, ap = operator_data_reference(cell.op, x[i])
+        diag = _simplified_diag_fourth_order(a, ap, mu_top, p1[i], p2[i], p3[i])
+        terms = []
+        for k in range(n):
+            if k != i:
+                a_ik = 1.0 / (x[i] - x[k])
+                terms.append((k, a_ik * a_ik, _fourth_order_brace(a, a_ik, p1[i], p2[i], p3[i])))
+        for m in range(n):
+            lhs = math.fsum(a2 * pv[m][k] / p1[k] * brace for k, a2, brace in terms)
+            mu = float(cell.mus[m])
+            rhs = (-mu + diag) * pv[m][i]
+            scale = max(1.0, abs(mu * pv[m][i]), abs(diag * pv[m][i]))
+            r = float(abs(lhs - rhs) / scale)
+            cells.append({"identity": "fourth-order-zeros", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            alt_lhs = -math.fsum(dc_general[i, k] * pv[m][k] for k in range(n) if k != i)
+            alt_rhs = (dc_general[i, i] - mu) * pv[m][i]
+            cross_lhs = max(cross_lhs, float(abs(lhs - alt_lhs)) / max(1.0, abs(lhs)))
+            cross_rhs = max(cross_rhs, float(abs(rhs - alt_rhs)) / max(1.0, float(abs(rhs))))
+    if skipped:
+        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
+    return cell.report(
+        "fourth-order-zeros", tolerance, "float", worst_residual(c["residual"] for c in cells),
+        cells=cells,
+        notes=notes,
+        extras={"cross_check_lhs_vs_general": cross_lhs, "cross_check_rhs_vs_general": cross_rhs},
+    )
+
+
+def family_identity_reference(cell, variant, tolerance=1e-7):
+    """The family identity with every closed-form entry recomputed in place."""
+    spec, n = cell.spec, cell.n
+    x, p1, p2, p3, skipped = closed_form_inputs_reference(cell)
+    pv = cell.values_float
+    ambiguous = spec.family == "krall-laguerre"
+    tag = FAMILY_IDENTITY_TAG[spec.family]
+    cells, notes = [], []
+    for i in range(n):
+        if i in skipped:
+            continue
+        diag = _family_diag(spec, n, x[i], p1[i], p2[i], p3[i])
+        terms = [
+            (k, -_family_offdiag(spec, x[i], 1.0 / (x[i] - x[k]), p1[i], p2[i], p3[i], p1[k]))
+            for k in range(n)
+            if k != i
+        ]
+        for m in range(n):
+            lhs = math.fsum(bracket * pv[m][k] for k, bracket in terms)
+            mu = float(cell.mus[m])
+            trailing = p1[i] if (ambiguous and variant == "printed") else pv[m][i]
+            rhs = (-mu + diag) * trailing
+            scale = max(1.0, abs(mu * trailing), abs(diag * trailing))
+            r = float(abs(lhs - rhs) / scale)
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+    if skipped:
+        notes.append(f"rows {[i + 1 for i in skipped]} skipped: |a_4(x_n)| under the singular guard")
+    if ambiguous:
+        factor = "p_N'(x_n)" if variant == "printed" else "p_m(x_n)"
+        notes.append(f"trailing right-hand factor read as {factor}")
+    else:
+        notes.append("variants coincide for this family (trailing factor is the degree-m value)")
+    max_residual = worst_residual(c["residual"] for c in cells)
+    return cell.report(tag, tolerance, "float", max_residual, cells=cells, variant=variant, notes=notes)
+
+
 def perturbed(cell, data):
     """The cell with rational noise added to some entries of its exact collocation matrix.
 
@@ -947,3 +1065,82 @@ def test_float_collocation_shares_recursive_matrices(spec, monkeypatch):
     # the report's own 14 constructions (k = 1..4: recursive, alternative,
     # rescaled; explicit for k <= 2), the recursive ones shared with dc_float
     assert len(calls) == 14
+
+
+# ---------------------------------------------------------------------------
+# closed-form identities on the cell's collocation_rep_simplified matrix
+# ---------------------------------------------------------------------------
+
+krall_cells = st.builds(Cell, st.one_of(*specs_by_family[3:]), st.integers(1, 16))
+# 0.05 puts some rows of every Krall family under the singular guard
+guards = st.sampled_from([matrices.SINGULAR_COEFF_GUARD, 0.05])
+
+
+@contextmanager
+def singular_guard(value):
+    saved = matrices.SINGULAR_COEFF_GUARD
+    matrices.SINGULAR_COEFF_GUARD = value
+    try:
+        yield
+    finally:
+        matrices.SINGULAR_COEFF_GUARD = saved
+
+
+@given(krall_cells, guards)
+def test_family_identity_reads_the_closed_form_matrix(cell, guard):
+    with singular_guard(guard):
+        for variant in ("printed", "corrected"):
+            assert _family_identity(cell, variant).to_dict() == family_identity_reference(cell, variant).to_dict()
+
+
+@given(krall_cells, guards)
+def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
+    """Same cells and verdicts; residuals within the rounding of the two term orders.
+
+    The left side sums a_ik^2 p_m(x_k) brace_ik / p_N'(x_k) over k != i. The
+    reference rounds each term three times in one order, the matrix C[i, k]
+    and its product with p_m(x_k) three times in another, and math.fsum, the
+    subtraction of the right side and the division by the scale add one
+    rounding each, so the residuals differ by at most
+    16 u (sum_k |C[i, k] p_m(x_k)| + |right side|) / scale + 4 u residual.
+    """
+    tolerance = 1e-7
+    with singular_guard(guard):
+        got, expected = _fourth_order(cell, tolerance).to_dict(), fourth_order_reference(cell, tolerance).to_dict()
+        rows = cell.closed_form("fourth-order").data.tolist()
+    u = 2.0**-53
+    banded = False
+    assert len(got["results"]) == len(expected["results"])
+    for g, e in zip(got["results"], expected["results"]):
+        assert (g["identity"], g["m"], g["n"]) == (e["identity"], e["m"], e["n"])
+        i, m = g["n"] - 1, g["m"]
+        row, values, mu = rows[i], cell.values_float[m], float(cell.mus[m])
+        terms = math.fsum(abs(c * v) for k, (c, v) in enumerate(zip(row, values)) if k != i)
+        rhs = abs((row[i] - mu) * values[i])
+        scale = max(1.0, abs(mu * values[i]), abs(row[i] * values[i]))
+        bound = 16 * u * (terms + rhs) / scale + 4 * u * max(g["residual"], e["residual"])
+        assert abs(g["residual"] - e["residual"]) <= bound
+        if abs(e["residual"] - tolerance) <= bound:
+            banded = True  # the tolerance lies inside the rounding band: either verdict is right
+        else:
+            assert g["pass"] == e["pass"]
+    if not banded:
+        assert got["summary"]["pass"] == expected["summary"]["pass"]
+    assert got["summary"]["notes"] == expected["summary"]["notes"]
+    assert got["meta"] == expected["meta"]
+
+
+def test_closed_form_matrix_built_once_per_formula(monkeypatch):
+    spec, calls = FamilySpec("krall-laguerre", alpha=F(1, 2)), []
+    real = matrices.collocation_rep_simplified
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "collocation_rep_simplified", counting)
+    verify_fourth_order(spec, 6)
+    outcome = discriminate_variants(spec, 6)  # both readings of the krall-laguerre identity
+    assert outcome["printed"].variant == "printed" and outcome["corrected"].variant == "corrected"
+    verify_family_identity(spec, 6, "printed")
+    assert sorted(calls) == ["family", "fourth-order"]

@@ -8,7 +8,12 @@ sits in. Through the command-line driver, in one process, it runs:
 - `report --format json` with `--seed 0` and `--seed 1`;
 - `verify --suite S --format json --n 2..8` for every suite S and every
   reference spec (a suite that does not apply to a family exits 2);
-- `zeros` and `family` with `--format json --n 12` for every reference spec.
+- `zeros` and `family` with `--format json --n 12` for every reference spec;
+- `matrix --format json --n 12` for every reference spec and every matrix:
+  the float and both closed-form collocation matrices (`--kind dc`,
+  `dc-simplified --formula family` and `--formula fourth-order`), the
+  spectral matrix, the transition pair and the Christoffel weights (`dtau`,
+  `l`, `linv`, `lambda`) and the differentiation matrices `z --order 1..4`.
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
@@ -29,6 +34,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from krallzeros import cli  # noqa: E402
 from krallzeros.identities import SUITES  # noqa: E402
 
+MATRIX_RUNS = {
+    "dc": ["--kind", "dc"],
+    "dc-simplified-family": ["--kind", "dc-simplified", "--formula", "family"],
+    "dc-simplified-fourth-order": ["--kind", "dc-simplified", "--formula", "fourth-order"],
+    **{kind: ["--kind", kind] for kind in ("dtau", "l", "linv", "lambda")},
+    **{f"z{k}": ["--kind", "z", "--order", str(k)] for k in (1, 2, 3, 4)},
+}
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -47,6 +60,8 @@ def runs() -> dict[str, list[str]]:
             out[f"verify-{suite}-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "2..8"]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
+        for matrix, kind in MATRIX_RUNS.items():
+            out[f"matrix-{matrix}-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "12"]
     return out
 
 
