@@ -10,16 +10,13 @@ from .families import (
     FAMILIES,
     DiffOperator,
     FamilySpec,
-    MomentFunctional,
     ParameterError,
     Polynomial,
-    apply_operator,
     build_family,
     eigenvalue,
     inner_product,
     moment,
     operator_of,
-    squared_norm,
 )
 from .identities import (
     IdentityReport,
@@ -65,7 +62,6 @@ __all__ = [
     "IdentityReport",
     "InversionConsistencyError",
     "MatrixRep",
-    "MomentFunctional",
     "NodeSet",
     "NonRealRootError",
     "NonSimpleRootError",
@@ -73,7 +69,6 @@ __all__ = [
     "Polynomial",
     "PositivityError",
     "RootfindingError",
-    "apply_operator",
     "build_family",
     "christoffel",
     "christoffel_numbers",
@@ -91,7 +86,6 @@ __all__ = [
     "similarity_check",
     "similarity_residual",
     "spectrum_report",
-    "squared_norm",
     "tau_rep",
     "transition",
     "transition_general",

@@ -256,7 +256,7 @@ def _worst_cell(reports: list[IdentityReport]) -> Optional[dict]:
 
 def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict) -> None:
     if args.format == "json":
-        if len(reports) == 1 and not args.always_wrap:
+        if len(reports) == 1:
             text = json.dumps(reports[0].to_dict(), indent=2)
         else:
             text = json.dumps(
@@ -338,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (written atomically); stdout if omitted")
     common.add_argument("--seed", type=int, default=0, help="seed for the randomized differentiation checks")
-    common.add_argument("--always-wrap", action="store_true", help=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,9 +10,10 @@ eigenfunctions of a fourth order operator a4*d4 + a3*d3 + a2*d2 + a1*d1.
 Everything here is exact over `fractions.Fraction` when the family
 parameters are rational: coefficient tables, moments, inner products,
 operator coefficients and eigenvalues. Float mode rounds the exact
-coefficients and moments to double precision once each, so no degree loses
-accuracy to the rounding; a member whose coefficients leave double range
-raises ValueError.
+coefficients to double precision once each, so no degree loses accuracy to
+the rounding; a member whose coefficients leave double range raises
+ValueError. The measure is integrated in one place, `moment_table`, whose
+integer moments `integral` sums coefficients against.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
@@ -41,15 +42,6 @@ FAMILIES = CLASSICAL_FAMILIES + KRALL_FAMILIES
 
 class ParameterError(ValueError):
     """Family parameter outside its admissible range."""
-
-
-def as_fraction(value: Scalar | str) -> Fraction:
-    """Coerce a number (or a string like '1/2' or '0.25') to an exact Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
 
 
 def common_denominator(values: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
@@ -230,7 +222,7 @@ class FamilySpec:
         for name in ("alpha", "beta", "mass"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, as_fraction(v))
+                object.__setattr__(self, name, Fraction(v))
         self._validate()
 
     def _validate(self):
@@ -263,10 +255,6 @@ class FamilySpec:
     @property
     def is_krall(self) -> bool:
         return self.family in KRALL_FAMILIES
-
-    @property
-    def operator_order(self) -> int:
-        return 4 if self.is_krall else 2
 
     def hull(self) -> tuple[float, float]:
         """Convex hull of the measure support; zeros of every member lie inside."""
@@ -308,8 +296,8 @@ class FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def moment(spec: FamilySpec, k: int, mode: str = "rational"):
-    """k-th moment of the family measure, exact in rational mode.
+def moment(spec: FamilySpec, k: int) -> Fraction:
+    """k-th moment of the family measure, exact.
 
     Closed forms: the Krall measures combine the continuous part with the
     point masses (which only contribute at k = 0 except for krall-legendre,
@@ -342,66 +330,47 @@ def moment(spec: FamilySpec, k: int, mode: str = "rational"):
         for j in range(k + 1):
             m += Fraction(math.comb(k, j) * (-1) ** (k - j) * 2**j) * eu
             eu *= (b + 1 + j) / (a + b + 2 + j)
-    if mode == "float":
-        return float(m)
     return m
 
 
-class MomentFunctional:
-    """The family measure reduced to its moment sequence.
+MomentTable = tuple[list[int], int]
 
-    Exposes m_k via call syntax, plus the jump structure and a description
-    of the continuous part. Moments are memoized per instance.
+
+def moment_table(spec: FamilySpec, top: int) -> MomentTable:
+    """(M, mu) with m_k == M_k / mu for k = 0..top: the moments as integers over one denominator.
+
+    This is the one place the measure is integrated. Inner products, squared
+    norms, the spectral matrix, the Christoffel weights and the general
+    transition matrix sum integer coefficients against it (`integral`), and
+    the Gaussian moment residuals compare against its entries.
     """
-
-    def __init__(self, spec: FamilySpec, mode: str = "rational"):
-        self.spec = spec
-        self.mode = mode
-        self._cache: dict[int, Scalar] = {}
-
-    def __call__(self, k: int):
-        if k not in self._cache:
-            self._cache[k] = moment(self.spec, k, self.mode)
-        return self._cache[k]
-
-    @property
-    def jumps(self):
-        return self.spec.jumps()
-
-    @property
-    def continuous_part(self) -> str:
-        return {
-            "hermite": "exp(-x^2) on (-inf, inf), rescaled to unit mass",
-            "laguerre": "x^alpha exp(-x) on (0, inf), rescaled to unit mass",
-            "jacobi": "(1-x)^alpha (1+x)^beta on (-1, 1), rescaled to unit mass",
-            "krall-legendre": "alpha/2 on (-1, 1)",
-            "krall-laguerre": "exp(-x) on (0, inf)",
-            "krall-jacobi": "(1-x)^alpha on (0, 1)",
-        }[self.spec.family]
+    return common_denominator([moment(spec, k) for k in range(top + 1)])
 
 
-def inner_product(p: Polynomial, q: Polynomial, spec: FamilySpec):
-    """<p, q> against the family measure, via the moment sequence."""
-    mode = "float" if (p.mode == "float" or q.mode == "float") else "rational"
-    mom = MomentFunctional(spec, mode)
-    prod = p * q
-    zero = 0.0 if mode == "float" else Fraction(0)
-    return sum((prod.coeffs[i] * mom(i) for i in range(len(prod.coeffs))), zero)
+def integral(c: Sequence[int], d: int, table: MomentTable) -> Fraction:
+    """Integral of sum_k c_k x^k / d against the measure: sum_k c_k M_k / (d mu).
+
+    The table must reach degree len(c) - 1.
+    """
+    moments, mu = table
+    return Fraction(sum(map(mul, c, moments)), d * mu)
 
 
-def squared_norm(p: Polynomial, spec: FamilySpec):
-    return inner_product(p, p, spec)
+def pairing(p: Polynomial, q: Polynomial, table: MomentTable) -> Fraction:
+    """<p, q> for rational p = a / d and q = b / e: the integral of the integer product a b over d e."""
+    (a, d), (b, e) = p._integer_form(), q._integer_form()
+    return integral((Polynomial(a) * Polynomial(b)).coeffs, d * e, table)
+
+
+def inner_product(p: Polynomial, q: Polynomial, spec: FamilySpec) -> Fraction:
+    """<p, q> against the family measure, for polynomials with rational coefficients."""
+    return pairing(p, q, moment_table(spec, p.degree + q.degree))
 
 
 def squared_norms(members: Sequence[Polynomial], spec: FamilySpec) -> list[Fraction]:
-    """||p||^2 of rational members p = a / d: sum_(i,k) a_i a_k M_(i+k) / (d^2 mu), moments m_k = M_k / mu."""
-    top = 2 * max((p.degree for p in members), default=0)
-    moments, mu = common_denominator([moment(spec, k) for k in range(top + 1)])
-    norms = []
-    for p in members:
-        a, d = p._integer_form()
-        norms.append(Fraction(sum(ai * sum(map(mul, a, moments[i:])) for i, ai in enumerate(a)), d * d * mu))
-    return norms
+    """||p||^2 of rational polynomials, against one moment table."""
+    table = moment_table(spec, 2 * max((p.degree for p in members), default=0))
+    return [pairing(p, p, table) for p in members]
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +535,6 @@ class DiffOperator:
 
     def to_float(self) -> "DiffOperator":
         return DiffOperator(tuple((o, a.to_float()) for o, a in self.terms))
-
-
-def apply_operator(op: DiffOperator, p: Polynomial) -> Polynomial:
-    """Apply sum_j a_j(x) p^(j)(x) by exact differentiation and multiplication."""
-    return op.apply(p)
 
 
 def _sigma_tau(spec: FamilySpec) -> tuple[Polynomial, Polynomial]:

@@ -788,7 +788,8 @@ SUITES = {
     ),
     "fourth-order": Suite(
         lambda cell, tol, opt: [_fourth_order(cell, tol)], 1e-7, KRALL_FAMILIES,
-        "generic fourth-order closed-form identity in doubles; holds only at the zeros",
+        "generic fourth-order closed-form identity in doubles; holds only at the zeros; a krall-laguerre "
+        "verdict beyond N ~ 17 is decided by rounding until the closed forms run exactly",
     ),
     "kleg-main": Suite(
         lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-legendre",),
@@ -796,7 +797,8 @@ SUITES = {
     ),
     "klag-main": Suite(
         lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-laguerre",),
-        "Krall-Laguerre closed-form identity in doubles, with both readings of its trailing factor",
+        "Krall-Laguerre closed-form identity in doubles, with both readings of its trailing factor; a verdict "
+        "beyond N ~ 17 is decided by rounding until the closed forms run exactly",
     ),
     "kjac-main": Suite(
         lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-jacobi",),

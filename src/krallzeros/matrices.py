@@ -55,16 +55,17 @@ import numpy as np
 from .families import (
     DiffOperator,
     FamilySpec,
-    MomentFunctional,
     Polynomial,
     build_family,
     common_denominator,
     eigenvalue,
-    moment,
+    integral,
+    moment_table,
     operator_of,
+    pairing,
     squared_norms,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _at_double, _horner, _node_products, _round_div
+from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _at_double, _derivative_lists, _horner, _node_products, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -304,25 +305,21 @@ def _fourth_order_brace(a: list, a_mn: float, p1m: float, p2m: float, p3m: float
     )
 
 
-def _family_diag(spec: FamilySpec, n_total: int, x: float, p1: float, p2: float, p3: float) -> float:
-    al = float(spec.alpha) if spec.alpha is not None else 0.0
-    if spec.family == "krall-legendre":
-        mu_top = float(eigenvalue(spec, n_total))
+def _family_diag(family: str, al: float, mm: float, mu_top: float, x: float, p1: float, p2: float, p3: float) -> float:
+    """Diagonal entry of the per-family closed form; al, mm and mu_top are alpha, M and mu_N as doubles."""
+    if family == "krall-legendre":
         return (
             8.0 * al * (x * x - 1.0) / 15.0 * (p3 / p1)
             + 12.0 * al * x / 5.0 * (p2 / p1)
             + (8.0 * al * (x * x + 1.0) + mu_top * (x * x - 1.0)) / (5.0 * (x * x - 1.0))
         )
-    if spec.family == "krall-laguerre":
-        big_n = float(n_total * (n_total + 2 * spec.alpha + 1))
+    if family == "krall-laguerre":
         return (
             -x * (x + 4.0 * al) / 15.0 * (p3 / p1)
             + (x * x + 2.0 * (2.0 * al - 1.0) * x - 6.0 * al) / 10.0 * (p2 / p1)
-            + ((al + 1.0) * x * x + (big_n - al) * x - 2.0 * al) / (5.0 * x)
+            + ((al + 1.0) * x * x + (mu_top - al) * x - 2.0 * al) / (5.0 * x)
         )
     # krall-jacobi
-    mm = float(spec.mass)
-    mu_top = float(eigenvalue(spec, n_total))
     t3 = x * ((4.0 * mm - al * al + 4.0) * x - 4.0 * mm) / 15.0 * (p3 / p1)
     t2 = (
         (2.0 * mm * (x - 1.0) * (2.0 * (al + 3.0) * x - 3.0) - (al * al - 4.0) * x * ((al + 3.0) * x - 2.0))
@@ -337,22 +334,23 @@ def _family_diag(spec: FamilySpec, n_total: int, x: float, p1: float, p2: float,
     return t3 + t2 + t1
 
 
-def _family_offdiag(spec: FamilySpec, xm: float, a_mn: float, p1m: float, p2m: float, p3m: float, p1n: float) -> float:
-    al = float(spec.alpha) if spec.alpha is not None else 0.0
-    if spec.family == "krall-legendre":
+def _family_offdiag(
+    family: str, al: float, mm: float, xm: float, a_mn: float, p1m: float, p2m: float, p3m: float, p1n: float
+) -> float:
+    """Off-diagonal entry (m, n) of the per-family closed form, a_mn = 1 / (x_m - x_n)."""
+    if family == "krall-legendre":
         brace = (
             4.0 * (1.0 - xm * xm) ** 2 * p3m
             - 12.0 * (xm * xm - 1.0) * (a_mn * (xm * xm - 1.0) - 2.0 * xm) * p2m
             + 8.0 * (xm * xm - 1.0) * (3.0 * a_mn * a_mn * (xm * xm - 1.0) - 6.0 * a_mn * xm + al + 3.0) * p1m
         )
-    elif spec.family == "krall-laguerre":
+    elif family == "krall-laguerre":
         brace = (
             4.0 * xm * xm * p3m
             - 6.0 * xm * (2.0 * a_mn * xm + xm - 2.0) * p2m
             + 2.0 * xm * (12.0 * a_mn * a_mn * xm + 6.0 * a_mn * (xm - 2.0) + xm - 2.0 * (al + 3.0)) * p1m
         )
     else:  # krall-jacobi
-        mm = float(spec.mass)
         brace = (
             4.0 * xm * xm * (xm - 1.0) ** 2 * p3m
             + 6.0 * xm * (xm - 1.0) * (-2.0 * a_mn * xm * (xm - 1.0) + (4.0 + al) * xm - 2.0) * p2m
@@ -423,11 +421,13 @@ def _closed_form_entry(spec: FamilySpec, form: str, a: list, x: list, nodes: Nod
             )
 
     elif form == "family":
+        family, al, mm = spec.family, float(spec.alpha), float(spec.mass or 0)
+        mu_top = float(eigenvalue(spec, n))
 
         def entry(m, j):
             if m != j:
-                return _family_offdiag(spec, x[m], 1.0 / (x[m] - x[j]), p1[m], p2[m], p3[m], p1[j])
-            return _family_diag(spec, n, x[m], p1[m], p2[m], p3[m])
+                return _family_offdiag(family, al, mm, x[m], 1.0 / (x[m] - x[j]), p1[m], p2[m], p3[m], p1[j])
+            return _family_diag(family, al, mm, mu_top, x[m], p1[m], p2[m], p3[m])
 
     else:
         mu_top = float(eigenvalue(spec, n))
@@ -459,15 +459,13 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
     """
     fam = build_family(spec, n - 1)
     norms = squared_norms(fam, spec)
+    table = moment_table(spec, 2 * (n - 1))  # op keeps degrees
     op_exact = DiffOperator(tuple((o, Polynomial([Fraction(c) for c in a.coeffs])) for o, a in op.terms))
-    mom = MomentFunctional(spec)
     out = np.zeros((n, n))
     for j in range(n):
         image = op_exact.apply(fam[j])
         for k in range(n):
-            prod = image * fam[k]
-            val = sum((prod.coeffs[i] * mom(i) for i in range(len(prod.coeffs))), Fraction(0))
-            out[k, j] = float(val / norms[k])
+            out[k, j] = float(pairing(image, fam[k], table) / norms[k])
     return MatrixRep(out, kind="tau", note=f"inner-product expansion in the {spec.label()} basis")
 
 
@@ -480,25 +478,24 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_RE
     """Exact interpolatory weights lambda_j = integral of ell_j against the measure.
 
     lambda_j = <psi / (x - x_j)> / psi'(x_j), remainder dropped, on integers:
-    with psi = a / d, x_j = u / v and moments M_i / mu, synthetic division
-    gives quotient coefficients Q_i / (d v^(n-1-i)), Horner gives
-    psi'(x_j) = B / (d v^(n-1)), and lambda_j = sum_i Q_i M_i v^i / (mu B).
+    with psi = a / d and the refined x_j = u / 2^e, synthetic division gives
+    quotient coefficients Q_i / (d 2^(e (n-1-i))), Horner on the slope list
+    gives psi'(x_j) = B / (d 2^(e (n-1))), so ell_j = sum_i Q_i 2^(e i) x^i / B.
     The node set keeps them per (spec, bits); each call returns a new list.
     """
     if (spec, bits) in nodes._christoffel:
         return list(nodes._christoffel[spec, bits])
     a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
+    slope = _derivative_lists(a, 1)[1]
     n = len(a) - 1
-    moments, mu = common_denominator([moment(spec, k) for k in range(n)])
+    table = moment_table(spec, n - 1)
     lams = []
     for u, v in (x.as_integer_ratio() for x in nodes.refined(bits)):
-        q, b, vk, total = a[n], n * a[n], 1, a[n] * moments[n - 1]
-        for k in range(n - 1, 0, -1):  # Q_(k-1) and the k-th Horner step of B share v^(n-k)
-            vk *= v
-            q = q * u + a[k] * vk
-            b = b * u + k * a[k] * vk
-            total = total * v + q * moments[k - 1]
-        lams.append(Fraction(total, mu * b))
+        e = v.bit_length() - 1
+        q = [a[n]]
+        for k in range(n - 1, 0, -1):  # Q_(k-1) = Q_k u + a_k 2^(e (n-k))
+            q.append(q[-1] * u + (a[k] << e * (n - k)))
+        lams.append(integral([c << e * i for i, c in enumerate(reversed(q))], _horner(slope, u, e), table))
     nodes._christoffel[spec, bits] = lams
     return list(lams)
 
@@ -535,18 +532,16 @@ def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec
     step multiplies the weighted column w_j u_j^k by the short u_j and sums
     it in integers.
     """
-    mom = MomentFunctional(spec)
     column, den = common_denominator(lams)
     u, dx = common_denominator(xq)
+    moments, mu = moment_table(spec, 2 * len(u) - 1)
     residuals = []
-    for k in range(2 * len(u)):
+    for k, mk in enumerate(moments):
         if k > 0:
             column = list(map(mul, column, u))
             den *= dx
-        # |S/den - a/b| / max(1, |a/b|) = |S b - a den| / (den max(b, |a|))
-        mk = mom(k)
-        a, b = mk.numerator, mk.denominator
-        residuals.append(abs(sum(column) * b - a * den) / (den * max(b, abs(a))))
+        # |S/den - M_k/mu| / max(1, |M_k/mu|) = |S mu - M_k den| / (den max(mu, |M_k|))
+        residuals.append(abs(sum(column) * mu - mk * den) / (den * max(mu, abs(mk))))
     return residuals
 
 
@@ -632,7 +627,7 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
     xq = [Fraction(x) for x in nodes.nodes]
     fam = build_family(spec, n - 1)
     norms = squared_norms(fam, spec)
-    mom = MomentFunctional(spec)
+    table = moment_table(spec, 2 * (n - 1))
     psi = Polynomial([Fraction(1)])
     for x in xq:
         psi = psi * Polynomial([-x, Fraction(1)])
@@ -642,9 +637,7 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
         ell = psi.shifted_quotient(xq[j])
         scale = psi_d(xq[j])
         for m in range(n):
-            prod = ell * fam[m]
-            val = sum((prod.coeffs[i] * mom(i) for i in range(len(prod.coeffs))), Fraction(0))
-            l_mat[m][j] = val / (scale * norms[m])
+            l_mat[m][j] = pairing(ell, fam[m], table) / (scale * norms[m])
     l_inv = [[_at_double(*p._integer_form(), x) for p in fam] for x in nodes.nodes]
     l_rep = MatrixRep(
         np.array([[float(v) for v in row] for row in l_mat]),

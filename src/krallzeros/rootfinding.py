@@ -85,18 +85,16 @@ def _newton_refine(a: Sequence[int], x0: float, bits: int) -> Fraction:
 
     Iterates are rounded to the 2^-bits grid to keep operand sizes bounded;
     Newton doubles the correct digits per step, so a handful of steps from a
-    double-precision start saturates the grid. On integers: at x = u / v,
-    homogeneous Horner gives p(x) = A / (d v^n) and p'(x) = B / (d v^(n-1)),
-    so the step is A / (v B) and one division rounds x - step onto the grid.
+    double-precision start saturates the grid. On integers: every iterate
+    is dyadic, x = u / 2^e, so homogeneous Horner gives p(x) = A / (d 2^(e n))
+    and p'(x) = B / (d 2^(e (n-1))), the step is A / (2^e B) and one
+    division rounds x - step onto the grid.
     """
-    n, grid = len(a) - 1, 1 << bits
+    slope, grid = _derivative_lists(a, 1)[1], 1 << bits
     u, v = x0.as_integer_ratio()
     for _ in range(12):
-        big_a, big_b, vk = a[n], n * a[n], 1
-        for k in range(n - 1, 0, -1):
-            vk *= v
-            big_a, big_b = big_a * u + a[k] * vk, big_b * u + k * a[k] * vk
-        big_a = big_a * u + a[0] * vk * v
+        e = v.bit_length() - 1
+        big_a, big_b = _horner(a, u, e), _horner(slope, u, e)
         if big_b == 0:
             break
         den = v * big_b

@@ -15,7 +15,6 @@ import pytest
 
 from krallzeros import (
     FamilySpec,
-    apply_operator,
     build_family,
     collocation_rep,
     collocation_rep_simplified,
@@ -60,7 +59,7 @@ def test_criterion_1_exact_eigenfunction_relation():
         fam = build_family(spec, 12)
         op = operator_of(spec)
         for nu in range(13):
-            image = apply_operator(op, fam[nu])
+            image = op.apply(fam[nu])
             assert image == eigenvalue(spec, nu) * fam[nu], (spec.label(), nu)
     elapsed = time.perf_counter() - start
     _report(1, elapsed < 5.0,

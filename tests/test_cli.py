@@ -184,7 +184,7 @@ class TestVerifyCommand:
 
     def test_variant_discrimination(self, capsys):
         code, out = run(capsys, "verify", "--suite", "klag-main", "--variant", "both", "--n", "4",
-                        "--format", "json", "--always-wrap")
+                        "--format", "json")
         assert code == 0
         payload = json.loads(out)
         for report in payload["reports"]:
@@ -249,7 +249,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(Cell, "values_float", property(poisoned))
         code, out = run(capsys, "verify", "--suite", "fourth-order", "--family", "krall-legendre",
-                        "--alpha", "1", "--n", "3", "--format", "json", "--always-wrap")
+                        "--alpha", "1", "--n", "3..4", "--format", "json")  # two reports: the wrapped form
         assert code == 1
         payload = json.loads(out)
         report = payload["reports"][0]
@@ -257,7 +257,7 @@ class TestVerifyCommand:
         assert math.isnan(report["summary"]["max_residual"]) and report["summary"]["pass"] is False
         assert math.isnan(payload["summary"]["max_residual"]) and payload["summary"]["pass"] is False
         worst = payload["summary"]["worst_cell"]
-        assert (worst["identity"], worst["m"], worst["n"]) == ("fourth-order-zeros", 1, 1)
+        assert (worst["identity"], worst["N"], worst["m"], worst["n"]) == ("fourth-order-zeros", 3, 1, 1)
         assert math.isnan(worst["residual"])
 
     def test_unknown_suite(self, capsys):

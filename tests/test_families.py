@@ -7,10 +7,8 @@ import pytest
 from krallzeros import (
     DiffOperator,
     FamilySpec,
-    MomentFunctional,
     ParameterError,
     Polynomial,
-    apply_operator,
     build_family,
     eigenvalue,
     inner_product,
@@ -145,19 +143,10 @@ class TestMoments:
     @pytest.mark.parametrize("spec", SAMPLE_SPECS)
     def test_hankel_positive_definite(self, spec):
         # leading principal minors of [m_{i+j}] up to order 6, exact
-        mom = MomentFunctional(spec)
         for order in range(1, 7):
-            h = [[mom(i + j) for j in range(order)] for i in range(order)]
+            h = [[moment(spec, i + j) for j in range(order)] for i in range(order)]
             assert _det_exact(h) > 0, (spec.label(), order)
 
-    def test_float_mode_matches(self):
-        assert moment(KLAG1, 3, mode="float") == pytest.approx(6.0)
-
-    def test_functional_metadata(self):
-        fn = MomentFunctional(KLAG1)
-        assert fn(0) == 2
-        assert fn.jumps == ((F(0), F(1)),)
-        assert "exp(-x)" in fn.continuous_part
 
 
 def _det_exact(rows):
@@ -251,17 +240,17 @@ class TestEigenvalues:
 class TestApplyOperator:
     def test_constant_killed_without_zero_order_term(self):
         op = operator_of(KLAG1)
-        assert apply_operator(op, Polynomial([F(5)])).degree == -1
+        assert op.apply(Polynomial([F(5)])).degree == -1
 
     def test_krall_laguerre_degree_one(self):
         fam = build_family(KLAG1, 1)
-        image = apply_operator(operator_of(KLAG1), fam[1])
+        image = operator_of(KLAG1).apply(fam[1])
         assert image.coeffs == (F(4), F(-8))  # mu_1 * (1 - 2x) with mu_1 = 4
 
     def test_hermite_degree_two(self):
         spec = FamilySpec("hermite")
         fam = build_family(spec, 2)
-        image = apply_operator(operator_of(spec), fam[2])
+        image = operator_of(spec).apply(fam[2])
         assert image == eigenvalue(spec, 2) * fam[2]
 
     @pytest.mark.parametrize("spec", SAMPLE_SPECS)
@@ -269,14 +258,14 @@ class TestApplyOperator:
         fam = build_family(spec, 12)
         op = operator_of(spec)
         for nu in range(13):
-            assert apply_operator(op, fam[nu]) == eigenvalue(spec, nu) * fam[nu], (spec.label(), nu)
+            assert op.apply(fam[nu]) == eigenvalue(spec, nu) * fam[nu], (spec.label(), nu)
 
     @pytest.mark.parametrize("spec", [KLEG1, KLAG1, KJAC01])
     def test_degree_preserved(self, spec):
         # deg(D p) <= deg(p) for arbitrary p, not only eigenfunctions
         op = operator_of(spec)
         for p in (Polynomial([F(3), F(-1), F(2), F(7), F(1)]), Polynomial([F(2), F(5)])):
-            assert apply_operator(op, p).degree <= p.degree
+            assert op.apply(p).degree <= p.degree
 
 
 class TestFactoredForms:

@@ -27,8 +27,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krallzeros import DiffOperator, FamilySpec, MomentFunctional, NodeSet, Polynomial, build_family, families, matrices, zeros
-from krallzeros.families import FAMILIES, common_denominator, eigenvalue, inner_product, squared_norm, squared_norms
+from krallzeros import DiffOperator, FamilySpec, NodeSet, Polynomial, build_family, families, matrices, zeros
+from krallzeros.families import FAMILIES, common_denominator, eigenvalue, inner_product, moment, operator_of, squared_norms
 from krallzeros.identities import (
     FAMILY_IDENTITY_TAG,
     Cell,
@@ -101,8 +101,12 @@ def horner_reference(coeffs, x):
     return acc
 
 
+def inner_product_reference(p, q, spec):
+    prod = p * q
+    return sum((prod.coeffs[i] * moment(spec, i) for i in range(len(prod.coeffs))), F(0))
+
+
 def quadrature_reference(lams, xq, spec):
-    mom = MomentFunctional(spec)
     n = len(xq)
     residuals = []
     powers = [F(1)] * n
@@ -110,7 +114,7 @@ def quadrature_reference(lams, xq, spec):
         if k > 0:
             powers = [p * x for p, x in zip(powers, xq)]
         approx = sum((lam * p for lam, p in zip(lams, powers)), F(0))
-        mk = mom(k)
+        mk = moment(spec, k)
         residuals.append(float(abs(approx - mk) / max(F(1), abs(mk))))
     return residuals
 
@@ -385,22 +389,51 @@ def collocation_reference(op, xq):
 def christoffel_reference(nodes, spec, bits):
     poly = Polynomial([F(c) for c in nodes.poly.coeffs])
     deriv = poly.derivative()
-    mom = MomentFunctional(spec)
     lams = []
     for xj in nodes.refined(bits):
         quot = poly.shifted_quotient(xj)
-        val = sum((quot.coeffs[i] * mom(i) for i in range(len(quot.coeffs))), F(0))
+        val = sum((quot.coeffs[i] * moment(spec, i) for i in range(len(quot.coeffs))), F(0))
         lams.append(val / deriv(xj))
     return lams
 
 
 def transition_reference(fam, lams, xq, spec):
     n = len(xq)
-    norms = [squared_norm(p, spec) for p in fam[:n]]
+    norms = [inner_product_reference(p, p, spec) for p in fam[:n]]
     values = [[round_binary(fam[j](x), 512) for x in xq] for j in range(n)]
     l_mat = [[round_binary(lams[k] * values[j][k] / norms[j], 512) for k in range(n)] for j in range(n)]
     l_inv = [[values[k][j] for k in range(n)] for j in range(n)]
     return l_mat, l_inv
+
+
+def tau_rep_reference(op, spec, n):
+    fam = build_family(spec, n - 1)
+    norms = [inner_product_reference(p, p, spec) for p in fam]
+    op_exact = DiffOperator(tuple((o, Polynomial([F(c) for c in a.coeffs])) for o, a in op.terms))
+    out = np.zeros((n, n))
+    for j in range(n):
+        image = op_exact.apply(fam[j])
+        for k in range(n):
+            out[k, j] = float(inner_product_reference(image, fam[k], spec) / norms[k])
+    return out
+
+
+def transition_general_reference(nodes, spec):
+    n = len(nodes)
+    xq = [F(x) for x in nodes.nodes]
+    fam = build_family(spec, n - 1)
+    norms = [inner_product_reference(p, p, spec) for p in fam]
+    psi = Polynomial([F(1)])
+    for x in xq:
+        psi = psi * Polynomial([-x, F(1)])
+    psi_d = psi.derivative()
+    l_mat = [[F(0)] * n for _ in range(n)]
+    for j in range(n):
+        ell = psi.shifted_quotient(xq[j])
+        for m in range(n):
+            l_mat[m][j] = inner_product_reference(ell, fam[m], spec) / (psi_d(xq[j]) * norms[m])
+    l_inv = [[float(p(F(x))) for p in fam] for x in nodes.nodes]
+    return np.array([[float(v) for v in row] for row in l_mat]), np.array(l_inv)
 
 
 def pochhammer_reference(x, n):
@@ -575,6 +608,12 @@ def fourth_order_reference(cell, tolerance=1e-7):
     )
 
 
+def family_params_reference(spec, n):
+    """alpha, M and mu_N rounded as the closed forms once rounded them for every entry."""
+    mu_top = n * (n + 2 * spec.alpha + 1) if spec.family == "krall-laguerre" else eigenvalue(spec, n)
+    return spec.family, float(spec.alpha), float(spec.mass) if spec.mass is not None else 0.0, float(mu_top)
+
+
 def family_identity_reference(cell, variant, tolerance=1e-7):
     """The family identity with every closed-form entry recomputed in place."""
     spec, n = cell.spec, cell.n
@@ -586,9 +625,9 @@ def family_identity_reference(cell, variant, tolerance=1e-7):
     for i in range(n):
         if i in skipped:
             continue
-        diag = _family_diag(spec, n, x[i], p1[i], p2[i], p3[i])
+        diag = _family_diag(*family_params_reference(spec, n), x[i], p1[i], p2[i], p3[i])
         terms = [
-            (k, -_family_offdiag(spec, x[i], 1.0 / (x[i] - x[k]), p1[i], p2[i], p3[i], p1[k]))
+            (k, -_family_offdiag(*family_params_reference(spec, n)[:3], x[i], 1.0 / (x[i] - x[k]), p1[i], p2[i], p3[i], p1[k]))
             for k in range(n)
             if k != i
         ]
@@ -821,42 +860,67 @@ def test_christoffel_numbers_on_any_nodes(spec, xq, bits):
     assert christoffel_numbers(nodes, spec, bits) == christoffel_reference(nodes, spec, bits)
 
 
+def counting_moment_tables(monkeypatch):
+    """(spec, top) of every moment table the matrices module builds."""
+    tables = []
+    real = matrices.moment_table
+    monkeypatch.setattr(matrices, "moment_table", lambda spec, top: tables.append((spec, top)) or real(spec, top))
+    return tables
+
+
 def test_christoffel_numbers_cached_per_spec_and_bits(monkeypatch):
-    spec = FamilySpec("krall-jacobi", alpha=F(1, 2), mass=F(2))
+    spec, hermite = FamilySpec("krall-jacobi", alpha=F(1, 2), mass=F(2)), FamilySpec("hermite")
     nodes = NodeSet.from_points([-0.5, 0.25, 0.75])
-    moments = []
-    real = matrices.moment
-    monkeypatch.setattr(matrices, "moment", lambda spec, k: moments.append(k) or real(spec, k))
+    tables = counting_moment_tables(monkeypatch)
     first = christoffel_numbers(nodes, spec)
     first.append(F(0))  # the caller's list, not the node set's
     assert christoffel_numbers(nodes, spec) == christoffel_reference(nodes, spec, DEFAULT_REFINE_BITS)
-    assert len(moments) == 3  # one kernel run
+    assert tables == [(spec, 2)]  # one kernel run
     christoffel_numbers(nodes, spec, 64)
-    christoffel_numbers(nodes, FamilySpec("hermite"))
-    assert len(moments) == 9
+    christoffel_numbers(nodes, hermite)
+    assert tables == [(spec, 2), (spec, 2), (hermite, 2)]
 
 
 def test_quadrature_and_transition_share_the_christoffel_numbers(monkeypatch):
     spec = FamilySpec("laguerre", alpha=F(1, 2))
     nodes = zeros(build_family(spec, 5)[5], spec)
-    runs = []
-    real = matrices.moment
-    monkeypatch.setattr(matrices, "moment", lambda spec, k: runs.append(k) or real(spec, k))
+    tables = counting_moment_tables(monkeypatch)
     matrices.quadrature_exactness(nodes, spec)
     matrices.transition(nodes, spec)
-    assert runs == [0, 1, 2, 3, 4]
+    # one table through degree N - 1 for the weights, one through 2N - 1 for the moment residuals
+    assert tables == [(spec, 4), (spec, 9)]
+
+
+@given(specs, st.lists(scalars, max_size=8), st.lists(scalars, max_size=8))
+def test_inner_product(spec, a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    assert inner_product(p, q, spec) == inner_product_reference(p, q, spec)
 
 
 @given(specs, st.integers(0, 8))
 def test_squared_norms_of_members(spec, n):
     fam = build_family(spec, n)
-    assert squared_norms(fam, spec) == [inner_product(p, p, spec) for p in fam]
+    assert squared_norms(fam, spec) == [inner_product_reference(p, p, spec) for p in fam]
 
 
 @given(specs, st.lists(st.lists(scalars, max_size=8), min_size=1, max_size=4))
 def test_squared_norms_of_any_rational_polynomials(spec, coefficient_lists):
     polys = [Polynomial(c) for c in coefficient_lists]
-    assert squared_norms(polys, spec) == [inner_product(p, p, spec) for p in polys]
+    assert squared_norms(polys, spec) == [inner_product_reference(p, p, spec) for p in polys]
+
+
+@given(specs, st.integers(1, 7), st.booleans(), st.data())
+def test_tau_rep(spec, n, own, data):
+    op = operator_of(spec) if own else data.draw(operators())
+    assert same_bits(matrices.tau_rep(op, spec, n).data, tau_rep_reference(op, spec, n))
+
+
+@given(specs, st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=64), min_size=1, max_size=7, unique=True))
+def test_transition_general(spec, xq):
+    nodes = NodeSet.from_points([float(x) for x in xq])
+    l_mat, l_inv = matrices.transition_general(nodes, spec)
+    expected = transition_general_reference(nodes, spec)
+    assert same_bits(l_mat.data, expected[0]) and same_bits(l_inv.data, expected[1])
 
 
 @given(cells)

@@ -13,7 +13,11 @@ sits in. Through the command-line driver, in one process, it runs:
   the float and both closed-form collocation matrices (`--kind dc`,
   `dc-simplified --formula family` and `--formula fourth-order`), the
   spectral matrix, the transition pair and the Christoffel weights (`dtau`,
-  `l`, `linv`, `lambda`) and the differentiation matrices `z --order 1..4`.
+  `l`, `linv`, `lambda`) and the differentiation matrices `z --order 1..4`;
+- `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
+  reference spec and `--kind l`, `linv`, `lambda` and `dc`: matrices on
+  given nodes, which lie inside every support hull (`l` and `linv` come
+  from `transition_general` there).
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
@@ -42,6 +46,8 @@ MATRIX_RUNS = {
     **{f"z{k}": ["--kind", "z", "--order", str(k)] for k in (1, 2, 3, 4)},
 }
 
+GIVEN_NODES = "0.125,0.375,0.625,0.875"
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -62,6 +68,10 @@ def runs() -> dict[str, list[str]]:
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
         for matrix, kind in MATRIX_RUNS.items():
             out[f"matrix-{matrix}-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "12"]
+        for kind in ("l", "linv", "lambda", "dc"):
+            out[f"matrix-{kind}-nodes-{name}"] = [
+                "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES, "--n", "4",
+            ]
     return out
 
 
