@@ -150,6 +150,8 @@ def _matrix_for(args) -> matrices.MatrixRep:
         kind = "z"
     if args.nodes:
         node_set = NodeSet.from_points([float(Fraction(v)) for v in args.nodes.split(",")])
+        if (args.n or args.n_range) and _parse_n(args) != [len(node_set)]:
+            raise ParameterError(f"--n {args.n_range or args.n} disagrees with the {len(node_set)} given nodes")
     else:
         node_set = None
 
@@ -161,7 +163,7 @@ def _matrix_for(args) -> matrices.MatrixRep:
         return matrices.diffmat(args.order, node_set, method=args.method)
 
     spec = _spec_from_args(args)
-    n = _parse_n(args)[-1]
+    n = _parse_n(args)[-1] if node_set is None else len(node_set)
     if kind == "dtau":
         return matrices.tau_rep(operator_of(spec), spec, n)
     if node_set is None:
@@ -173,7 +175,7 @@ def _matrix_for(args) -> matrices.MatrixRep:
             raise ParameterError("dc-simplified holds only at the family zeros; drop --nodes or use --kind dc")
         return matrices.collocation_rep_simplified(spec, node_set, formula=args.formula)
     if kind == "lambda":
-        return matrices.christoffel(node_set, spec)
+        return (matrices.interpolatory_weights if args.nodes else matrices.christoffel)(node_set, spec)
     l_rep, li_rep = (matrices.transition_general if args.nodes else matrices.transition)(node_set, spec)
     return l_rep if kind == "l" else li_rep
 

@@ -29,8 +29,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
+from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -342,9 +344,55 @@ def moment_table(spec: FamilySpec, top: int) -> MomentTable:
     This is the one place the measure is integrated. Inner products, squared
     norms, the spectral matrix, the Christoffel weights and the general
     transition matrix sum integer coefficients against it (`integral`), and
-    the Gaussian moment residuals compare against its entries.
+    the Gaussian moment residuals compare against its entries. The moments
+    come from one sequence per spec, extended as far as a table asks.
     """
-    return common_denominator([moment(spec, k) for k in range(top + 1)])
+    return common_denominator(_moments(spec, top))
+
+
+@lru_cache(maxsize=64)
+def _moment_sequence(spec: FamilySpec) -> SimpleNamespace:
+    return SimpleNamespace(values=[])
+
+
+def _moments(spec: FamilySpec, top: int) -> list[Fraction]:
+    """m_0..m_top, from the spec's kept sequence, extended first if it is too short.
+
+    An extension builds a new list and rebinds it, so a concurrent reader
+    sees a whole sequence; the kept list is never handed out.
+    """
+    kept = _moment_sequence(spec)
+    values = kept.values
+    if len(values) <= top:
+        values = list(values)
+        for k in range(len(values), top + 1):
+            values.append(_next_moment(spec, k, values))
+        kept.values = values
+    return values[: top + 1]
+
+
+def _next_moment(spec: FamilySpec, k: int, m: Sequence[Fraction]) -> Fraction:
+    """m_k from m_0..m_(k-1), equal to moment(spec, k).
+
+    From k = 2 on, the point masses are behind and the moments are running
+    products: (alpha + 1)_k for laguerre, k! for krall-laguerre,
+    k! / (alpha + 1)_(k+1) for krall-jacobi and (k - 1)!! / 2^(k/2) for
+    even hermite k; jacobi follows its three-term recurrence
+    (k + 1 + alpha + beta) m_k = (beta - alpha) m_(k-1) + (k - 1) m_(k-2).
+    """
+    fam, a = spec.family, spec.alpha
+    if k < 2 or fam == "krall-legendre":
+        return moment(spec, k)
+    if fam == "laguerre":
+        return m[k - 1] * (a + k)
+    if fam == "krall-laguerre":
+        return m[k - 1] * k
+    if fam == "krall-jacobi":
+        return m[k - 1] * k / (a + k + 1)
+    if fam == "hermite":
+        return m[k - 2] * (k - 1) / 2
+    b = spec.beta
+    return ((b - a) * m[k - 1] + (k - 1) * m[k - 2]) / (k + 1 + a + b)
 
 
 def integral(c: Sequence[int], d: int, table: MomentTable) -> Fraction:

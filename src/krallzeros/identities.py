@@ -184,15 +184,15 @@ class Cell:
     `lams` are the Christoffel numbers on the nodes refined to `bits`
     binary digits. The exact engine reads the collocation matrix and the
     value vectors over common denominators (`dc_scaled`, `values_scaled`)
-    and shares D p_m (`dp_exact`) between its checks, the float side the
-    recursive Z^(k) (`zmat`); the closed-form identities read the
-    closed-form collocation matrix of each formula (`closed_form`). Get
-    cells from `get_cell`, which keeps the last one built.
+    and shares D p_m (`dp_exact`) between its checks; the float Z^(k) on the
+    zeros live in the node set's kernel (`matrices.node_kernel`). The
+    closed-form identities read the closed-form collocation matrix of each
+    formula (`closed_form`). Get cells from `get_cell`, which keeps the last
+    one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
         self.spec, self.n, self.bits = spec, n, bits
-        self._zmats: dict[int, np.ndarray] = {}
         self._closed_forms: dict[str, MatrixRep] = {}
 
     def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
@@ -245,9 +245,17 @@ class Cell:
 
     @cached_property
     def dc_scaled(self) -> tuple[list[list[int]], int]:
-        """dc_exact over one common denominator: (integer rows, denominator)."""
-        a, d = common_denominator([v for row in self.dc_exact for v in row])
-        return [a[i * self.n : (i + 1) * self.n] for i in range(self.n)], d
+        """dc_exact over one common denominator: (integer rows, denominator).
+
+        The lcm is taken column by column, each C_j about the size of one
+        entry, and then over the N column lcms: L = lcm(C_j), and an entry
+        v / q of column j becomes v (C_j / q) (L / C_j), never an lcm of N^2
+        denominators at the size of L.
+        """
+        columns = [common_denominator(column) for column in zip(*self.dc_exact)]
+        big_l = math.lcm(*(c for _, c in columns))
+        scaled = [[v * factor for v in a] for a, factor in ((a, big_l // c) for a, c in columns)]
+        return [list(row) for row in zip(*scaled)], big_l
 
     @cached_property
     def values_scaled(self) -> list[tuple[list[int], int]]:
@@ -263,12 +271,6 @@ class Cell:
         """D p_m for m < N by integer matvec, each vector reduced once."""
         return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
 
-    def zmat(self, k: int) -> np.ndarray:
-        """The recursive float Z^(k) on the zeros, built once."""
-        if k not in self._zmats:
-            self._zmats[k] = matrices.diffmat(k, self.nodes).data
-        return self._zmats[k]
-
     def closed_form(self, formula: str) -> MatrixRep:
         """collocation_rep_simplified on the zeros, built once per formula."""
         if formula not in self._closed_forms:
@@ -277,7 +279,7 @@ class Cell:
 
     @cached_property
     def dc_float(self) -> np.ndarray:
-        return collocation_rep(self.op, self.nodes, self.zmat).data
+        return collocation_rep(self.op, self.nodes).data
 
     @cached_property
     def lams(self) -> list[Fraction]:
@@ -336,25 +338,32 @@ def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[lis
     """(mu_m^e, residuals[m][i]) of D^e p_m = mu_m^e p_m at node row i, m < N.
 
     Each residual is scaled by max(1, |mu_m^e| max_k |p_m(x_k)|). The exact
-    engine works on integers; the float one sums each product with math.fsum,
-    D^e included.
+    engine works on integers; the float one forms the products as arrays and
+    sums each row of them with one math.fsum, D^e included.
     """
     if arithmetic == "exact":
         defects = _exact_defects(cell, exponent)
         return [mu**exponent for mu in cell.mus], [[abs(v) / scaled for v in d] for d, _, scaled in defects]
     if arithmetic != "float":
         raise ValueError("arithmetic must be 'exact' or 'float'")
-    n, dc = cell.n, cell.dc_float.tolist()
+    n, dc = cell.n, cell.dc_float
     power = dc
-    for _ in range(exponent - 1):
-        power = [[math.fsum(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     mus = [float(mu) ** exponent for mu in cell.mus]
-    residuals = []
-    for mu, pv in zip(mus, cell.values_float):
-        scale = max(1.0, abs(mu) * max(abs(v) for v in pv))
-        rows = [abs(math.fsum(row[k] * pv[k] for k in range(n)) - mu * pv[i]) for i, row in enumerate(power)]
-        residuals.append([res / scale for res in rows])
-    return mus, residuals
+    scales = [max(1.0, abs(mu) * max(map(abs, pv))) for mu, pv in zip(mus, cell.values_float)]
+    values = np.array(cell.values_float)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
+        for _ in range(exponent - 1):
+            # power[i, j] = sum_k power[i, k] dc[k, j]
+            power = np.array(_fsums(power[:, None, :] * dc.T)).reshape(n, n)
+        # sums[m, i] = sum_k power[i, k] p_m(x_k)
+        sums = np.array(_fsums(values[:, None, :] * power)).reshape(values.shape)
+        residuals = np.abs(sums - np.array(mus)[:, None] * values) / np.array(scales)[:, None]
+    return mus, residuals.tolist()
+
+
+def _fsums(terms: np.ndarray) -> list[float]:
+    """math.fsum along the last axis of terms, one correctly rounded sum per row, flattened."""
+    return [math.fsum(row) for row in terms.reshape(math.prod(terms.shape[:-1]), terms.shape[-1]).tolist()]
 
 
 def _eigen_cells(tag, mus, residuals, tolerance):
@@ -441,9 +450,18 @@ def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> Identi
 # ---------------------------------------------------------------------------
 
 
-def _row_sides(row: list, i: int, mu: float, values: list, trailing: float) -> tuple[float, float]:
-    """Row i of D p_m = mu_m p_m split at the diagonal: -sum_(k != i) D[i, k] p_m(x_k) and (D[i, i] - mu_m) trailing."""
-    return -math.fsum(map(mul, row[:i] + row[i + 1 :], values[:i] + values[i + 1 :])), (row[i] - mu) * trailing
+def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> list[list[float]]:
+    """sums[i][m] = sum_(k != i) matrix[i, k] values[m][k], one math.fsum each.
+
+    The products are formed as one array, and the diagonal term is dropped
+    from each sum, not zeroed, so a non-finite one leaves no trace.
+    """
+    n = len(matrix)
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
+        products = matrix[:, None, :] * np.array(values)
+    offdiagonal = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, :], products.shape)
+    sums = _fsums(products[offdiagonal].reshape(n, len(values), n - 1))
+    return [sums[i * len(values) : (i + 1) * len(values)] for i in range(n)]
 
 
 def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, printed: bool = False):
@@ -456,14 +474,15 @@ def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, pri
     with a note. sides holds (i, m, mu_m, left, right) per cell.
     """
     rep = cell.closed_form(formula)
+    sums = _offdiagonal_sums(rep.data, cell.values_float)
+    mus = [float(mu) for mu in cell.mus]
     cells, sides = [], []
     for i, row in enumerate(rep.data.tolist()):
         if i in rep.flagged:
             continue
-        for m, (mu, values) in enumerate(zip(cell.mus, cell.values_float)):
-            mu = float(mu)
+        for m, (mu, values) in enumerate(zip(mus, cell.values_float)):
             trailing = cell.nodes.d1[i] if printed else values[i]
-            lhs, rhs = _row_sides(row, i, mu, values, trailing)
+            lhs, rhs = -sums[i][m], (row[i] - mu) * trailing
             r = abs(lhs - rhs) / max(1.0, abs(mu * trailing), abs(row[i] * trailing))
             cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
             sides.append((i, m, mu, lhs, rhs))
@@ -489,12 +508,12 @@ def _fourth_order(cell: Cell, tolerance=1e-7) -> IdentityReport:
     if not cell.spec.is_krall:
         raise ValueError("the fourth order identity applies to the Krall families only")
     cells, notes, sides = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
-    general = cell.dc_float.tolist()
+    sums = _offdiagonal_sums(cell.dc_float, cell.values_float)
+    diagonal = cell.dc_float.diagonal().tolist()
     cross_lhs = cross_rhs = 0.0
     for i, m, mu, lhs, rhs in sides:
         # the same sides, rearranged from the eigenpair relation on the general assembly
-        values = cell.values_float[m]
-        alt_lhs, alt_rhs = _row_sides(general[i], i, mu, values, values[i])
+        alt_lhs, alt_rhs = -sums[i][m], (diagonal[i] - mu) * cell.values_float[m][i]
         cross_lhs = max(cross_lhs, abs(lhs - alt_lhs) / max(1.0, abs(lhs)))
         cross_rhs = max(cross_rhs, abs(rhs - alt_rhs) / max(1.0, abs(rhs)))
 
@@ -716,7 +735,7 @@ def _diffmat_report(cell: Cell, tolerance: float, seed: int) -> IdentityReport:
     vals = np.polynomial.polynomial.polyval(x, q)
     agreement, exactness = [], []
     for k in (1, 2, 3, 4):
-        rec = cell.zmat(k)
+        rec = matrices.diffmat(k, node_set).data
         others = [matrices.diffmat(k, node_set, "alternative"), matrices.diffmat(k, node_set, leading=lead)]
         if k <= 2:
             others.append(matrices.diffmat(k, node_set, "explicit"))

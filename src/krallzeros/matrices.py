@@ -18,6 +18,9 @@ with e_d the elementary symmetric functions, which is stable and cheap.
 The float Z^(k) are whole-array numpy operations on the differences
 x_m - x_j that round exactly as entry-by-entry loops would; powers come from
 math.pow, because numpy's array power can round differently from scalar pow.
+A NodeSet keeps one float kernel per leading coefficient (`node_kernel`):
+the differences, the derivative table and the four recursive Z^(k), built
+once and read by every construction and by the float collocation matrix.
 
 Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
@@ -76,6 +79,9 @@ SINGULAR_COEFF_GUARD = 1e-10
 
 DIFFMAT_METHODS = ("explicit", "recursive", "alternative")
 
+#: Highest derivative order of the float differentiation matrices.
+KMAX = 4
+
 
 class PositivityError(RuntimeError):
     """A Christoffel weight came out nonpositive."""
@@ -131,9 +137,12 @@ def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
 
     Returns (pd, pi) with pd[k, m] = psi^(k)(x_m) and pi[m] = psi'(x_m).
     """
-    x = _as_array(nodes)
-    n = len(x)
-    dx, r = _differences(x)
+    return _node_poly_table(*_differences(_as_array(nodes)), kmax, leading)
+
+
+def _node_poly_table(dx: np.ndarray, r: np.ndarray, kmax: int, leading: float):
+    """node_poly_derivatives from the differences; row k of pd does not depend on kmax."""
+    n = len(dx)
     pi = leading * np.prod(dx, axis=1)
     # e[d, m] = e_d(r[m, j], j != m), one j at a time; the diagonal adds exact zeros
     e = np.zeros((kmax + 1, n))
@@ -151,6 +160,136 @@ def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
+class NodeKernel:
+    """The float quantities of one node set that every Z^(k) on it reads.
+
+    dx and r are the differences and their reciprocals; pd[k] = psi^(k)(x_m)
+    for k <= KMAX + 1 and pi = psi'(x_m), for psi = leading * prod(x - x_j);
+    `recursive[k - 1]` is the recursive Z^(k), all four from one pass of the
+    recursion. The math.pow powers of dx that the alternative construction
+    divides by are built on first use, one per exponent. Every array is
+    read-only: callers that hand a matrix out copy it. Non-finite or
+    coincident nodes raise ValueError.
+    """
+
+    def __init__(self, x: np.ndarray, leading: float):
+        if not np.isfinite(x).all():
+            raise ValueError("nodes must be finite")
+        if len(set(x.tolist())) < len(x):
+            raise ValueError("nodes must be distinct")
+        with np.errstate(all="ignore"):  # an overflowed spread shows as a non-finite matrix in z()
+            self.dx, self.r = _differences(x)
+            self.pd, self.pi = _node_poly_table(self.dx, self.r, KMAX + 1, leading)
+            self.recursive = []
+            z = np.zeros_like(self.dx)  # off-diagonal entries of Z^(0) = I
+            for k in range(1, KMAX + 1):
+                z = self.r * (self.pd[k][:, None] / self.pi - k * z)
+                self.recursive.append(self._with_diagonal(z.copy(), k))
+        for a in (self.dx, self.r, self.pd, self.pi, *self.recursive):
+            a.setflags(write=False)
+        self._powers: dict[int, np.ndarray] = {}
+
+    def _with_diagonal(self, z: np.ndarray, k: int) -> np.ndarray:
+        np.fill_diagonal(z, self.pd[k + 1] / ((k + 1) * self.pi))
+        return z
+
+    def _power(self, p: int) -> np.ndarray:
+        """dx ** p entry by entry through math.pow (see the module docstring), kept once built."""
+        if p not in self._powers:
+            power = np.array([math.pow(d, p) for d in self.dx.ravel().tolist()]).reshape(self.dx.shape)
+            power.setflags(write=False)
+            self._powers[p] = power
+        return self._powers[p]
+
+    def z(self, k: int, method: str) -> np.ndarray:
+        """Z^(k) by `method`: the kernel's own recursive matrix, or a new one.
+
+        The explicit construction needs the kernel of leading coefficient 1.
+        A matrix the node spread overflows raises ValueError.
+        """
+        if method == "recursive":
+            z = self.recursive[k - 1]
+        else:
+            with np.errstate(all="ignore"):
+                z = self._explicit(k) if method == "explicit" else self._alternative(k)
+        if not np.isfinite(z).all():
+            raise ValueError(f"Z^({k}) is not finite: the node spread overflows double precision")
+        return z
+
+    def _alternative(self, k: int) -> np.ndarray:
+        z = np.zeros_like(self.dx)
+        for i in range(1, k + 1):
+            coefficient = (-1) ** (k - i) * math.factorial(k) / math.factorial(i)
+            z = z + coefficient * self.pd[i][:, None] / self._power(k - i + 1)
+        return self._with_diagonal(z / self.pi, k)
+
+    def _explicit(self, k: int) -> np.ndarray:
+        dx, pi = self.dx, self.pi
+        rows = self.r.tolist()  # math.fsum is correctly rounded, so a zero term or the order changes nothing
+        if k == 1:
+            z = pi[:, None] / pi / dx
+            np.fill_diagonal(z, [math.fsum(row) for row in rows])
+            return z
+        # sum over i != m, j of r[m, i]: the full row less r[m, j], from the row's exact sum held as a few doubles
+        s = np.array([[math.fsum(parts + [-v]) for v in row] for row, parts in zip(rows, map(_expansion, rows))])
+        z = 2.0 * pi[:, None] / pi / dx * s
+        np.fill_diagonal(z, self._explicit_diagonal())
+        return z
+
+    def _explicit_diagonal(self) -> list[float]:
+        """sum over i != m and p not in (m, i) of 1 / (dx[m, i] dx[m, p]), correctly rounded.
+
+        The terms are symmetric in (i, p), so the sum over i < p is half the
+        sum, and doubling its rounded value gives the rounded full sum: a sum
+        of doubles below 2^-1022 is itself a double, and above it doubling
+        keeps the rounding grid. A doubled sum that is not finite (overflow,
+        or infinite terms) is replaced by the sum of both halves.
+        """
+        n = len(self.dx)
+        i, p = np.triu_indices(n, 1)
+        half = 1.0 / (self.dx[:, i] * self.dx[:, p])
+        m = np.arange(n)[:, None]
+        half[(i == m) | (p == m)] = 0.0
+        out = []
+        for row in half.tolist():
+            total = 2.0 * math.fsum(row)
+            if not math.isfinite(total):
+                total = math.fsum(row + row)
+            out.append(total)
+        return out
+
+
+def _expansion(values: list[float]) -> list[float]:
+    """Doubles whose exact sum is the exact sum of values: repeated math.fsum residuals.
+
+    Each part is the correctly rounded remainder after the parts before it,
+    and the remainder is a multiple of the smallest ulp among the values, so
+    the loop ends with an exact zero after a few parts.
+    """
+    parts = []
+    while part := math.fsum(values + [-p for p in parts]):
+        parts.append(part)
+    return parts
+
+
+def node_kernel(nodes: NodesLike, leading: float = 1.0) -> NodeKernel:
+    """The kernel of the nodes for one leading coefficient, kept by a NodeSet and fresh for plain arrays."""
+    if not isinstance(nodes, NodeSet):
+        return NodeKernel(np.asarray(nodes, dtype=float), leading)
+    if leading not in nodes._kernels:
+        nodes._kernels[leading] = NodeKernel(nodes.as_array(), leading)
+    return nodes._kernels[leading]
+
+
+def _check_order(k: int, method: str = "recursive") -> None:
+    if not 1 <= k <= KMAX:
+        raise ValueError(f"derivative order k must be in 1..{KMAX}")
+    if method not in DIFFMAT_METHODS:
+        raise ValueError(f"method must be one of {DIFFMAT_METHODS}")
+    if method == "explicit" and k > 2:
+        raise ValueError("explicit formulas exist for k in {1, 2} only")
+
+
 def diffmat(k: int, nodes: NodesLike, method: str = "recursive", leading: float = 1.0) -> MatrixRep:
     """Differentiation matrix Z^(k): values on the nodes -> k-th derivative values.
 
@@ -166,71 +305,14 @@ def diffmat(k: int, nodes: NodesLike, method: str = "recursive", leading: float 
     The node polynomial's leading coefficient cancels throughout; `leading`
     is accepted anyway so that the invariance is testable. Non-finite or
     coincident nodes, or a spread that overflows double, raise ValueError.
+    All three read the node set's kernel (`node_kernel`); the matrix
+    returned is the caller's own.
     """
-    if not 1 <= k <= 4:
-        raise ValueError("derivative order k must be in 1..4")
-    if method not in DIFFMAT_METHODS:
-        raise ValueError(f"method must be one of {DIFFMAT_METHODS}")
-    if method == "explicit" and k > 2:
-        raise ValueError("explicit formulas exist for k in {1, 2} only")
-    x = _as_array(nodes)
-    n = len(x)
-    if not np.isfinite(x).all():
-        raise ValueError("nodes must be finite")
-    if len(set(x.tolist())) < n:
-        raise ValueError("nodes must be distinct")
-    with np.errstate(all="ignore"):  # an overflowed spread shows as a non-finite matrix below
-        z = _diffmat_explicit(k, x) if method == "explicit" else _diffmat_taylor(k, x, method, leading)
-    if not np.isfinite(z).all():
-        raise ValueError(f"Z^({k}) is not finite: the node spread overflows double precision")
-    return MatrixRep(z, kind=f"diffmat({k})", note=f"{method} construction on {n} nodes")
-
-
-def _diffmat_taylor(k: int, x: np.ndarray, method: str, leading: float) -> np.ndarray:
-    pd, pi = node_poly_derivatives(x, k + 1, leading)
-    dx, r = _differences(x)
-    z = np.zeros_like(dx)  # off-diagonal entries of Z^(0) = I
-    if method == "recursive":
-        for kk in range(1, k + 1):
-            z = r * (pd[kk][:, None] / pi - kk * z)
-    else:
-        flat = dx.ravel().tolist()  # math.pow per entry, see the module docstring
-        for i in range(1, k + 1):
-            powers = np.array([math.pow(d, k - i + 1) for d in flat]).reshape(dx.shape)
-            z = z + (-1) ** (k - i) * math.factorial(k) / math.factorial(i) * pd[i][:, None] / powers
-        z = z / pi
-    np.fill_diagonal(z, pd[k + 1] / ((k + 1) * pi))
-    return z
-
-
-def _diffmat_explicit(k: int, x: np.ndarray) -> np.ndarray:
-    dx, r = _differences(x)
-    pi = np.prod(dx, axis=1)
-    rows = r.tolist()  # math.fsum is correctly rounded, so a zero term or the order changes nothing
-    if k == 1:
-        z = pi[:, None] / pi / dx
-        np.fill_diagonal(z, [math.fsum(row) for row in rows])
-        return z
-    # sum over i != m, j of r[m, i]: the full row less r[m, j], from the row's exact sum held as a few doubles
-    s = np.array([[math.fsum(parts + [-v]) for v in row] for row, parts in zip(rows, map(_expansion, rows))])
-    z = 2.0 * pi[:, None] / pi / dx * s
-    eye = np.eye(len(x), dtype=bool)  # terms[m, i, p] with i != m and p not in (m, i)
-    terms = np.where(eye[:, :, None] | eye[:, None, :] | eye, 0.0, 1.0 / (dx[:, :, None] * dx[:, None, :]))
-    np.fill_diagonal(z, [math.fsum(t) for t in terms.reshape(len(x), -1).tolist()])
-    return z
-
-
-def _expansion(values: list[float]) -> list[float]:
-    """Doubles whose exact sum is the exact sum of values: repeated math.fsum residuals.
-
-    Each part is the correctly rounded remainder after the parts before it,
-    and the remainder is a multiple of the smallest ulp among the values, so
-    the loop ends with an exact zero after a few parts.
-    """
-    parts = []
-    while part := math.fsum(values + [-p for p in parts]):
-        parts.append(part)
-    return parts
+    _check_order(k, method)
+    kernel = node_kernel(nodes, 1.0 if method == "explicit" else leading)
+    z = kernel.z(k, method)
+    z = z.copy() if method == "recursive" else z
+    return MatrixRep(z, kind=f"diffmat({k})", note=f"{method} construction on {len(z)} nodes")
 
 
 def diffmats_exact(kmax: int, xq: Sequence[Fraction]) -> list[list[list[Fraction]]]:
@@ -262,13 +344,13 @@ def _collocation_exact_rows(xq: Sequence[Fraction], a_rows: Sequence[Sequence]) 
 # ---------------------------------------------------------------------------
 
 
-def collocation_rep(op: DiffOperator, nodes: NodesLike, zmat=None) -> MatrixRep:
+def collocation_rep(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
     """Pseudospectral matrix of op: row m, column n holds (op ell_n)(x_m).
 
-    zmat(k), when given, supplies the recursive Z^(k) on these nodes.
+    Assembled from the recursive Z^(k) of the node set's kernel.
     """
     x = _as_array(nodes)
-    zmat = zmat or (lambda k: diffmat(k, x).data)
+    kernel = node_kernel(nodes)
     n = len(x)
     out = np.zeros((n, n))
     for order, a in op.to_float().terms:
@@ -276,7 +358,8 @@ def collocation_rep(op: DiffOperator, nodes: NodesLike, zmat=None) -> MatrixRep:
         if order == 0:
             out += np.diag(av)
         else:
-            out += av[:, None] * zmat(order)
+            _check_order(order)
+            out += av[:, None] * kernel.z(order, "recursive")
     return MatrixRep(out, kind="collocation", note=f"assembled from differentiation matrices on {n} nodes")
 
 
@@ -501,14 +584,18 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_RE
 
 
 def christoffel(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> MatrixRep:
-    """Diagonal matrix of the Christoffel numbers; every entry must be positive."""
-    lams = christoffel_numbers(nodes, spec, bits)
-    for j, lam in enumerate(lams):
+    """Diagonal matrix of the Christoffel numbers at the family zeros; every entry must be positive."""
+    for j, lam in enumerate(christoffel_numbers(nodes, spec, bits)):
         if lam <= 0:
             raise PositivityError(
                 f"weight {j} is {float(lam):.3e} <= 0; nodes or moments are corrupted"
             )
-    data = np.diag([float(v) for v in lams])
+    return interpolatory_weights(nodes, spec, bits)
+
+
+def interpolatory_weights(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> MatrixRep:
+    """Diagonal matrix of the interpolatory weights on any nodes, where they may be negative."""
+    data = np.diag([float(v) for v in christoffel_numbers(nodes, spec, bits)])
     return MatrixRep(data, kind="christoffel_diag", note=f"interpolatory weights for {spec.label()}")
 
 

@@ -123,6 +123,7 @@ class NodeSet:
         self.spec = spec
         self._refined: dict[int, list[Fraction]] = {}
         self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits), see matrices.christoffel_numbers
+        self._kernels: dict[float, object] = {}  # per leading coefficient, see matrices.node_kernel
 
     @property
     def size(self) -> int:

@@ -158,6 +158,25 @@ class TestMatrixCommand:
         assert code == 2 and captured.out == ""
         assert "only at the family zeros" in captured.err
 
+    def test_weights_on_given_nodes_may_be_negative(self, capsys):
+        # interpolatory weights off the zeros: some negative, still summing to m_0 = 1 + alpha
+        code, out = run(capsys, "matrix", "--kind", "lambda", "--family", "krall-legendre", "--alpha", "2",
+                        "--nodes", "0.125,0.375,0.625,0.875", "--format", "json")
+        assert code == 0
+        weights = [row[j] for j, row in enumerate(json.loads(out)["data"])]
+        assert min(weights) < 0 and math.isclose(math.fsum(weights), 3.0)
+
+    def test_given_nodes_set_n(self, capsys):
+        for n in ([], ["--n", "3"], ["--n-range", "3..3"]):
+            code, out = run(capsys, "matrix", "--kind", "dtau", "--family", "hermite", "--nodes", "-1,0,1",
+                            *n, "--format", "json")
+            assert code == 0 and json.loads(out)["shape"] == [3, 3]
+        for n in (["--n", "4"], ["--n", "2..3"]):
+            code = main(["matrix", "--kind", "linv", "--family", "hermite", "--nodes", "-1,0,1", *n])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "disagrees with the 3 given nodes" in captured.err
+
     def test_overflowing_nodes_exit_2(self, capsys):
         code = main(["matrix", "--kind", "z", "--order", "1", "--nodes", "0,1e308,-1e308"])
         captured = capsys.readouterr()

@@ -9,13 +9,15 @@ denominators, and so do the evaluations at double nodes: the Newton
 polish and the derivative caches of `zeros`, the value vectors of a cell,
 the 2^-512 grid values of the transition pair, and the coefficient tables
 of all six families. The float differentiation matrices are whole-array
-numpy operations. The references below are the plain Fraction loops and
-the entry-by-entry float loops these replaced, and the coefficient loops
-that rebuilt every Pochhammer product; results must be equal, as rationals
-or bit for bit as doubles, over random inputs. The closed-form identities
-read the cell's `collocation_rep_simplified` matrix; the loops that
-recomputed its entries in place are their references, equal for the family
-identity and within the rounding of the other term order for fourth-order.
+numpy operations on one kernel per node set, and the float verifiers sum
+array-formed products. The references below are the plain Fraction loops
+and the entry-by-entry float loops these replaced, the coefficient loops
+that rebuilt every Pochhammer product and `moment` itself; results must be
+equal, as rationals or bit for bit as doubles, over random inputs. The
+closed-form identities read the cell's `collocation_rep_simplified` matrix;
+the loops that recomputed its entries in place are their references, equal
+for the family identity and within the rounding of the other term order for
+fourth-order, and the generator sums over that matrix are equal for both.
 """
 
 import math
@@ -28,7 +30,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from krallzeros import DiffOperator, FamilySpec, NodeSet, Polynomial, build_family, families, matrices, zeros
-from krallzeros.families import FAMILIES, common_denominator, eigenvalue, inner_product, moment, operator_of, squared_norms
+from krallzeros.families import (
+    FAMILIES,
+    common_denominator,
+    eigenvalue,
+    inner_product,
+    moment,
+    moment_table,
+    operator_of,
+    squared_norms,
+)
 from krallzeros.identities import (
     FAMILY_IDENTITY_TAG,
     Cell,
@@ -58,6 +69,7 @@ from krallzeros.matrices import (
     collocation_rep,
     diffmat,
     diffmats_exact,
+    node_kernel,
     node_poly_derivatives,
 )
 from krallzeros.rootfinding import (
@@ -198,6 +210,19 @@ def power_reference(cell, exponent, tolerance, arithmetic):
     )
 
 
+def float_eigenpairs_reference(cell, tolerance, rowsum_tolerance):
+    dc = cell.dc_float.tolist()
+    mus = [float(mu) for mu in cell.mus]
+    max_residual, cells, eigenpairs = float_cells_reference("eigenpair", dc, cell.values_float, mus, tolerance)
+    rowsum = worst_residual(float(abs(math.fsum(row))) for row in dc)
+    return cell.report(
+        "eigenpair", tolerance, "float", max_residual,
+        passed=max_residual <= tolerance and rowsum <= rowsum_tolerance,
+        cells=cells, eigenpairs=eigenpairs,
+        rowsum_residual=rowsum, rowsum_tolerance=rowsum_tolerance, rowsum_passed=rowsum <= rowsum_tolerance,
+    )
+
+
 def similarity_reference(cell):
     n, mus = cell.n, cell.mus
     l_mat, l_inv = transition_reference(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
@@ -312,6 +337,15 @@ def diffmat_reference(k, x, method, leading=1.0):
                     )
                 z[m, j] = acc / pi[j]
     return z
+
+
+def float_collocation_reference(op, x):
+    """The float coefficients at the nodes times the recursive Z^(k) loops, term by term."""
+    out = np.zeros((len(x), len(x)))
+    for order, a in op.to_float().terms:
+        av = np.array([a(xi) for xi in x.tolist()])
+        out += np.diag(av) if order == 0 else av[:, None] * diffmat_reference(order, x, "recursive")
+    return out
 
 
 def from_points_reference(points):
@@ -608,6 +642,38 @@ def fourth_order_reference(cell, tolerance=1e-7):
     )
 
 
+def row_sides_reference(row, i, mu, values, trailing):
+    """-sum_(k != i) row[k] values[k] by one generator sum, and (row[i] - mu) trailing."""
+    return -math.fsum(row[k] * values[k] for k in range(len(row)) if k != i), (row[i] - mu) * trailing
+
+
+def fourth_order_sums_reference(cell, tolerance=1e-7):
+    """The fourth-order report summed row by row over the cell's closed-form and general matrices."""
+    rep = cell.closed_form("fourth-order")
+    general = cell.dc_float.tolist()
+    cells = []
+    cross_lhs = cross_rhs = 0.0
+    for i, row in enumerate(rep.data.tolist()):
+        if i in rep.flagged:
+            continue
+        for m, (mu, values) in enumerate(zip(cell.mus, cell.values_float)):
+            mu = float(mu)
+            lhs, rhs = row_sides_reference(row, i, mu, values, values[i])
+            r = abs(lhs - rhs) / max(1.0, abs(mu * values[i]), abs(row[i] * values[i]))
+            cells.append({"identity": "fourth-order-zeros", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            alt_lhs, alt_rhs = row_sides_reference(general[i], i, mu, values, values[i])
+            cross_lhs = max(cross_lhs, abs(lhs - alt_lhs) / max(1.0, abs(lhs)))
+            cross_rhs = max(cross_rhs, abs(rhs - alt_rhs) / max(1.0, abs(rhs)))
+    skipped = [i + 1 for i in rep.flagged]
+    notes = [f"rows {skipped} skipped: |a_4(x_n)| under the singular guard"] if skipped else []
+    return cell.report(
+        "fourth-order-zeros", tolerance, "float", worst_residual(c["residual"] for c in cells),
+        cells=cells,
+        notes=notes,
+        extras={"cross_check_lhs_vs_general": cross_lhs, "cross_check_rhs_vs_general": cross_rhs},
+    )
+
+
 def family_params_reference(spec, n):
     """alpha, M and mu_N rounded as the closed forms once rounded them for every entry."""
     mu_top = n * (n + 2 * spec.alpha + 1) if spec.family == "krall-laguerre" else eigenvalue(spec, n)
@@ -801,6 +867,19 @@ def test_exact_power(cell, exponent, data):
 @given(cells, st.integers(1, 3))
 def test_float_power_unchanged(cell, exponent):
     assert _power(cell, exponent, 1e-6, "float").to_dict() == power_reference(cell, exponent, 1e-6, "float").to_dict()
+
+
+@given(cells)
+def test_float_eigenpairs_unchanged(cell):
+    got = _eigenpairs(cell, 1e-8, 1e-9, "float").to_dict()
+    assert got == float_eigenpairs_reference(cell, 1e-8, 1e-9).to_dict()
+
+
+@given(cells)
+def test_dc_scaled_column_by_column(cell):
+    """The same integers and denominator as one lcm over all N^2 entries."""
+    a, d = common_denominator([v for row in cell.dc_exact for v in row])
+    assert cell.dc_scaled == ([a[i * cell.n : (i + 1) * cell.n] for i in range(cell.n)], d)
 
 
 @given(cells, st.data())
@@ -1013,6 +1092,88 @@ def test_diffmats_on_family_zeros(family_specs, data):
     assert_diffmats_match(zeros(build_family(spec, n)[n], spec).as_array())
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1.0, 1.0 + 2**-40, 1.0 + 2**-39, 1.0 + 3 * 2**-40],  # tiny spread
+        [0.0, 1e-154, 2.5e-154],  # terms near the top of the double range
+        [0.0, 1e-160, 2e-160],  # infinite terms: the matrix is refused
+        [0.0, 2.0**510, 1.5 * 2.0**511],  # subnormal sums
+        [-3e5, -1.0, 2e-3, 7e4, 1e6],  # wide spread
+        [0.0, 1e200, -1e200],  # the spread overflows
+    ],
+)
+def test_explicit_diagonal_on_extreme_spreads(x):
+    x = np.array(sorted(x))
+    with np.errstate(all="ignore"):
+        expected = diffmat_explicit_reference(2, x)
+    if np.isfinite(expected).all():
+        assert same_bits(diffmat(2, x, "explicit").data, expected)
+    else:
+        with pytest.raises(ValueError, match="overflows double precision"):
+            diffmat(2, x, "explicit")
+
+
+# ---------------------------------------------------------------------------
+# one float kernel per node set
+# ---------------------------------------------------------------------------
+
+kernel_calls = st.lists(
+    st.one_of(st.none(), st.tuples(st.sampled_from(DIFFMAT_CASES), st.sampled_from([1.0, 0.37]))),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(spread_nodes.filter(lambda x: np.all(np.diff(x) >= 1e-10)), kernel_calls, operators())
+def test_node_kernel_in_any_call_order(x, calls, op):
+    """Each call (None for collocation_rep) equals the loops and a fresh node set's result, bit for bit."""
+    nodes = NodeSet.from_points(x.tolist())
+    for call in calls:
+        fresh = NodeSet.from_points(x.tolist())
+        if call is None:
+            got = collocation_rep(op, nodes).data
+            assert same_bits(got, float_collocation_reference(op, x))
+            assert same_bits(got, collocation_rep(op, fresh).data)
+        else:
+            (k, method), leading = call
+            got = diffmat(k, nodes, method, leading).data
+            assert same_bits(got, diffmat_reference(k, x, method, leading)), (k, method, leading)
+            assert same_bits(got, diffmat(k, fresh, method, leading).data)
+
+
+def test_returned_matrices_are_the_callers_own():
+    spec = FamilySpec("krall-jacobi", alpha=F(1), mass=F(2))
+    nodes, op = zeros(build_family(spec, 7)[7], spec), operator_of(spec)
+
+    def build():
+        return [diffmat(k, nodes, method).data for k, method in DIFFMAT_CASES] + [collocation_rep(op, nodes).data]
+
+    first = build()
+    expected = [a.copy() for a in first]
+    for a in first:
+        a[:] = 0.0
+    assert all(same_bits(a, b) for a, b in zip(build(), expected))
+    with pytest.raises(ValueError, match="read-only"):
+        node_kernel(nodes).recursive[0][0, 0] = 0.0
+
+
+def test_one_kernel_per_node_set_and_leading_coefficient(monkeypatch):
+    cell, built = Cell(FamilySpec("krall-laguerre", alpha=F(1, 2)), 6), []
+    real = matrices.NodeKernel.__init__
+
+    def counting(self, x, leading):
+        built.append(leading)
+        real(self, x, leading)
+
+    monkeypatch.setattr(matrices.NodeKernel, "__init__", counting)
+    cell.dc_float
+    assert _diffmat_report(cell, 1e-11, 0).passed
+    _fourth_order(cell)
+    lead = float(cell.family[6].coeffs[-1])
+    assert lead != 1.0 and built == [1.0, lead]
+
+
 # ---------------------------------------------------------------------------
 # the node polynomial of NodeSet.from_points and the Jacobi expansion
 # ---------------------------------------------------------------------------
@@ -1106,6 +1267,13 @@ def test_coefficients_on_integers(spec, nu):
     assert member._integer_form() == common_denominator(member.coeffs)  # kept by build_family, not recomputed
 
 
+@given(coefficient_specs, st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_moment_table_extends_one_sequence(spec, tops):
+    """Tables of any length in any order, against moment() term by term."""
+    for top in tops:
+        assert moment_table(spec, top) == common_denominator([moment(spec, k) for k in range(top + 1)])
+
+
 # ---------------------------------------------------------------------------
 # float collocation shares the recursive Z^(k) with the diffmat report
 # ---------------------------------------------------------------------------
@@ -1155,6 +1323,12 @@ def test_family_identity_reads_the_closed_form_matrix(cell, guard):
     with singular_guard(guard):
         for variant in ("printed", "corrected"):
             assert _family_identity(cell, variant).to_dict() == family_identity_reference(cell, variant).to_dict()
+
+
+@given(krall_cells, guards)
+def test_fourth_order_sums_unchanged(cell, guard):
+    with singular_guard(guard):
+        assert _fourth_order(cell).to_dict() == fourth_order_sums_reference(cell).to_dict()
 
 
 @given(krall_cells, guards)

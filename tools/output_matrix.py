@@ -13,11 +13,13 @@ sits in. Through the command-line driver, in one process, it runs:
   the float and both closed-form collocation matrices (`--kind dc`,
   `dc-simplified --formula family` and `--formula fourth-order`), the
   spectral matrix, the transition pair and the Christoffel weights (`dtau`,
-  `l`, `linv`, `lambda`) and the differentiation matrices `z --order 1..4`;
+  `l`, `linv`, `lambda`) and the differentiation matrices by every
+  construction, `z --order 1..4` (recursive and `--method alternative`)
+  and `z --order 1..2 --method explicit`;
 - `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
   reference spec and `--kind l`, `linv`, `lambda` and `dc`: matrices on
   given nodes, which lie inside every support hull (`l` and `linv` come
-  from `transition_general` there).
+  from `transition_general` there), with N taken from the node count.
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
@@ -44,6 +46,8 @@ MATRIX_RUNS = {
     "dc-simplified-fourth-order": ["--kind", "dc-simplified", "--formula", "fourth-order"],
     **{kind: ["--kind", kind] for kind in ("dtau", "l", "linv", "lambda")},
     **{f"z{k}": ["--kind", "z", "--order", str(k)] for k in (1, 2, 3, 4)},
+    **{f"z{k}-alternative": ["--kind", "z", "--order", str(k), "--method", "alternative"] for k in (1, 2, 3, 4)},
+    **{f"z{k}-explicit": ["--kind", "z", "--order", str(k), "--method", "explicit"] for k in (1, 2)},
 }
 
 GIVEN_NODES = "0.125,0.375,0.625,0.875"
@@ -70,7 +74,7 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{matrix}-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "12"]
         for kind in ("l", "linv", "lambda", "dc"):
             out[f"matrix-{kind}-nodes-{name}"] = [
-                "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES, "--n", "4",
+                "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
             ]
     return out
 
