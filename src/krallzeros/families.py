@@ -29,10 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from types import SimpleNamespace
 from typing import Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
@@ -345,30 +343,12 @@ def moment_table(spec: FamilySpec, top: int) -> MomentTable:
     norms, the spectral matrix, the Christoffel weights and the general
     transition matrix sum integer coefficients against it (`integral`), and
     the Gaussian moment residuals compare against its entries. The moments
-    come from one sequence per spec, extended as far as a table asks.
+    are built in order by `_next_moment`.
     """
-    return common_denominator(_moments(spec, top))
-
-
-@lru_cache(maxsize=64)
-def _moment_sequence(spec: FamilySpec) -> SimpleNamespace:
-    return SimpleNamespace(values=[])
-
-
-def _moments(spec: FamilySpec, top: int) -> list[Fraction]:
-    """m_0..m_top, from the spec's kept sequence, extended first if it is too short.
-
-    An extension builds a new list and rebinds it, so a concurrent reader
-    sees a whole sequence; the kept list is never handed out.
-    """
-    kept = _moment_sequence(spec)
-    values = kept.values
-    if len(values) <= top:
-        values = list(values)
-        for k in range(len(values), top + 1):
-            values.append(_next_moment(spec, k, values))
-        kept.values = values
-    return values[: top + 1]
+    values: list[Fraction] = []
+    for k in range(top + 1):
+        values.append(_next_moment(spec, k, values))
+    return common_denominator(values)
 
 
 def _next_moment(spec: FamilySpec, k: int, m: Sequence[Fraction]) -> Fraction:

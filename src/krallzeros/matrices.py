@@ -132,16 +132,12 @@ def _differences(x: np.ndarray):
     return dx, r
 
 
-def node_poly_derivatives(nodes: NodesLike, kmax: int, leading: float = 1.0):
-    """psi^(k)(x_m) for k = 1..kmax and psi'(x_m), for psi = leading * prod(x - x_j).
-
-    Returns (pd, pi) with pd[k, m] = psi^(k)(x_m) and pi[m] = psi'(x_m).
-    """
-    return _node_poly_table(*_differences(_as_array(nodes)), kmax, leading)
-
-
 def _node_poly_table(dx: np.ndarray, r: np.ndarray, kmax: int, leading: float):
-    """node_poly_derivatives from the differences; row k of pd does not depend on kmax."""
+    """psi^(k)(x_m) for k = 1..kmax and psi'(x_m), for psi = leading * prod(x - x_j), from the differences.
+
+    Returns (pd, pi) with pd[k, m] = psi^(k)(x_m) and pi[m] = psi'(x_m); row k
+    of pd does not depend on kmax.
+    """
     n = len(dx)
     pi = leading * np.prod(dx, axis=1)
     # e[d, m] = e_d(r[m, j], j != m), one j at a time; the diagonal adds exact zeros
@@ -242,21 +238,16 @@ class NodeKernel:
         The terms are symmetric in (i, p), so the sum over i < p is half the
         sum, and doubling its rounded value gives the rounded full sum: a sum
         of doubles below 2^-1022 is itself a double, and above it doubling
-        keeps the rounding grid. A doubled sum that is not finite (overflow,
-        or infinite terms) is replaced by the sum of both halves.
+        keeps the rounding grid. A doubled sum that overflows comes out
+        infinite, and z() refuses the matrix; a half sum whose partial sums
+        overflow raises fsum's OverflowError, as the full sum did.
         """
         n = len(self.dx)
         i, p = np.triu_indices(n, 1)
         half = 1.0 / (self.dx[:, i] * self.dx[:, p])
         m = np.arange(n)[:, None]
         half[(i == m) | (p == m)] = 0.0
-        out = []
-        for row in half.tolist():
-            total = 2.0 * math.fsum(row)
-            if not math.isfinite(total):
-                total = math.fsum(row + row)
-            out.append(total)
-        return out
+        return [2.0 * math.fsum(row) for row in half.tolist()]
 
 
 def _expansion(values: list[float]) -> list[float]:
