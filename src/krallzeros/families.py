@@ -13,7 +13,8 @@ operator coefficients and eigenvalues. Float mode rounds the exact
 coefficients to double precision once each, so no degree loses accuracy to
 the rounding; a member whose coefficients leave double range raises
 ValueError. The measure is integrated in one place, `moment_table`, whose
-integer moments `integral` sums coefficients against.
+integer moments `integral` sums coefficients against. `build_family` keeps
+the members of the last family it built and extends them on demand.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
@@ -485,6 +486,10 @@ def _coeffs(spec: FamilySpec, nu: int) -> tuple[list[int], int]:
     return _coeffs_jacobi(nu, spec.alpha, spec.beta)
 
 
+#: The last (spec, mode) family built and its members so far; see build_family.
+_last_family: dict[tuple[FamilySpec, str], list[Polynomial]] = {}
+
+
 def build_family(
     spec: FamilySpec,
     max_degree: int,
@@ -494,25 +499,38 @@ def build_family(
 
     Rational mode is exact. Float mode rounds each exact coefficient once
     and raises ValueError for a member with a coefficient beyond double range.
+
+    The members of the last (spec, mode) are kept: a call on the same key
+    builds only the degrees above the ones it has, so a cell's family and
+    its lower-degree prefixes are built once. Every call returns a new list
+    over the shared members, which are immutable.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if mode not in ("rational", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for nu in range(max_degree + 1):
-        p = Polynomial.over(*_coeffs(spec, nu))
-        if p.degree != nu:
-            raise ParameterError(
-                f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
-            )
-        if mode == "float":
-            try:
-                p = p.to_float()
-            except OverflowError:
-                raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
-        out.append(p)
-    return out
+    key = (spec, mode)
+    if key not in _last_family:
+        _last_family.clear()
+        _last_family[key] = []
+    members = _last_family[key]
+    for nu in range(len(members), max_degree + 1):
+        members.append(_member(spec, nu, mode))  # a member that raises leaves the valid prefix kept
+    return members[: max_degree + 1]
+
+
+def _member(spec: FamilySpec, nu: int, mode: str) -> Polynomial:
+    p = Polynomial.over(*_coeffs(spec, nu))
+    if p.degree != nu:
+        raise ParameterError(
+            f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
+        )
+    if mode == "float":
+        try:
+            p = p.to_float()
+        except OverflowError:
+            raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,19 @@ class Cell:
     `lams` are the Christoffel numbers on the nodes refined to `bits`
     binary digits. The exact engine reads the collocation matrix and the
     value vectors over common denominators (`dc_scaled`, `values_scaled`)
-    and shares D p_m (`dp_exact`) between its checks; the float Z^(k) on the
-    zeros live in the node set's kernel (`matrices.node_kernel`). The
-    closed-form identities read the closed-form collocation matrix of each
-    formula (`closed_form`). Get cells from `get_cell`, which keeps the last
-    one built.
+    and shares D p_m (`dp_exact`) and the defects D p_m - mu_m p_m
+    (`exact_defects`) between its checks. The family and the zeros come
+    from `build_family` and `zeros`, which keep their last result, so a cell
+    reuses what its caller built on the same (spec, N). What depends only
+    on the zeros lives on the node set and is shared with every node set
+    `zeros` returns for the member: the float Z^(k) in its kernel
+    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers and
+    the closed-form collocation matrix of each formula (`closed_form`). Get
+    cells from `get_cell`, which keeps the last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
         self.spec, self.n, self.bits = spec, n, bits
-        self._closed_forms: dict[str, MatrixRep] = {}
 
     def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
         """IdentityReport on this cell; by default it passes when max_residual <= tolerance."""
@@ -271,11 +274,14 @@ class Cell:
         """D p_m for m < N by integer matvec, each vector reduced once."""
         return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
 
+    @cached_property
+    def exact_defects(self) -> list[tuple[list[int], int, int]]:
+        """D p_m - mu_m p_m for m < N, exactly, as _defect gives them."""
+        return [_defect(dp, vector, mu) for dp, vector, mu in zip(self.dp_exact, self.values_scaled, self.mus)]
+
     def closed_form(self, formula: str) -> MatrixRep:
-        """collocation_rep_simplified on the zeros, built once per formula."""
-        if formula not in self._closed_forms:
-            self._closed_forms[formula] = matrices.collocation_rep_simplified(self.spec, self.nodes, formula)
-        return self._closed_forms[formula]
+        """The closed-form collocation matrix on the zeros, which the node set keeps (read-only)."""
+        return matrices._closed_form(self.spec, self.nodes, formula)
 
     @cached_property
     def dc_float(self) -> np.ndarray:
@@ -315,22 +321,36 @@ def _matvec(matrix: tuple[list[list[int]], int], vector: tuple[list[int], int]) 
     return [v // g for v in p], d * e // g
 
 
-def _exact_defects(cell: Cell, exponent: int = 1) -> list[tuple[list[int], int, int]]:
-    """D^e p_m - mu_m^e p_m for m < N, exactly: (integers, denominator, scaled denominator).
+def _defect(power: tuple[list[int], int], vector: tuple[list[int], int], mu: Fraction) -> tuple[list[int], int, int]:
+    """D^e p - mu p, exactly: (integers, denominator, scaled denominator).
 
-    With D^e p_m = P / den (integer matvecs from the cell's D p_m), p_m = b / e
-    and mu_m^e = a / c, the defect is (P c e - a b den) / (den c e).
-    Dividing it by the residual scale max(1, |mu_m^e| max_k |p_m(x_k)|)
-    instead leaves the scaled denominator den max(c e, |a| max|b|).
+    With D^e p = P / den, p = b / e and mu = a / c, the defect is
+    (P c e - a b den) / (den c e). Dividing it by the residual scale
+    max(1, |mu| max_k |p(x_k)|) instead leaves the scaled denominator
+    den max(c e, |a| max|b|).
     """
+    (p, den), (b, e) = power, vector
+    a, ce = mu.numerator, mu.denominator * e
+    return [v * ce - a * bk * den for v, bk in zip(p, b)], den * ce, den * max(ce, abs(a) * max(map(abs, b)))
+
+
+def _exact_defects(cell: Cell, exponent: int = 1) -> list[tuple[list[int], int, int]]:
+    """D^e p_m - mu_m^e p_m for m < N, exactly, by integer matvecs from the cell's D p_m.
+
+    Exponent 1 is the cell's table. Above it, a row whose exponent-1 defect
+    is identically zero is zero too, and takes no matvec:
+    D^e p - mu^e p = sum_j mu^j D^(e-1-j) (D p - mu p).
+    """
+    if exponent == 1:
+        return cell.exact_defects
     out = []
-    for (p, den), (b, e), mu in zip(cell.dp_exact, cell.values_scaled, cell.mus):
+    for power, vector, mu, (first, _, _) in zip(cell.dp_exact, cell.values_scaled, cell.mus, cell.exact_defects):
+        if not any(first):
+            out.append(([0] * len(first), 1, 1))
+            continue
         for _ in range(exponent - 1):
-            p, den = _matvec(cell.dc_scaled, (p, den))
-        mu = mu**exponent
-        a, ce = mu.numerator, mu.denominator * e
-        defect = [v * ce - a * bk * den for v, bk in zip(p, b)]
-        out.append((defect, den * ce, den * max(ce, abs(a) * max(map(abs, b)))))
+            power = _matvec(cell.dc_scaled, power)
+        out.append(_defect(power, vector, mu**exponent))
     return out
 
 
@@ -690,7 +710,7 @@ def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
     l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
     # column j of D L_inv - L_inv D_tau at the raw nodes is the defect of D p_j = mu_j p_j
-    defects = _exact_defects(cell)
+    defects = cell.exact_defects
     common = math.lcm(*(den for _, den, _ in defects))
     worst = max(sum(abs(d[m]) * (common // den) for d, den, _ in defects) for m in range(cell.n))
     denom = max(Fraction(1), max(abs(v) for v in cell.mus))

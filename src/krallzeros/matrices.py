@@ -21,6 +21,8 @@ math.pow, because numpy's array power can round differently from scalar pow.
 A NodeSet keeps one float kernel per leading coefficient (`node_kernel`):
 the differences, the derivative table and the four recursive Z^(k), built
 once and read by every construction and by the float collocation matrix.
+It keeps the closed-form collocation matrices the same way, and the node
+sets `zeros` returns for one member share both.
 
 Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
@@ -48,7 +50,7 @@ quantities built on the current node set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
@@ -190,7 +192,10 @@ class NodeKernel:
         return z
 
     def _power(self, p: int) -> np.ndarray:
-        """dx ** p entry by entry through math.pow (see the module docstring), kept once built."""
+        """dx ** p entry by entry through math.pow (see the module docstring), kept once built.
+
+        math.pow raises OverflowError past double range; z() turns that into ValueError.
+        """
         if p not in self._powers:
             power = np.array([math.pow(d, p) for d in self.dx.ravel().tolist()]).reshape(self.dx.shape)
             power.setflags(write=False)
@@ -206,9 +211,12 @@ class NodeKernel:
         if method == "recursive":
             z = self.recursive[k - 1]
         else:
-            with np.errstate(all="ignore"):
-                z = self._explicit(k) if method == "explicit" else self._alternative(k)
-        if not np.isfinite(z).all():
+            try:
+                with np.errstate(all="ignore"):
+                    z = self._explicit(k) if method == "explicit" else self._alternative(k)
+            except OverflowError:  # math.pow or a partial sum of math.fsum past double range
+                z = None
+        if z is None or not np.isfinite(z).all():
             raise ValueError(f"Z^({k}) is not finite: the node spread overflows double precision")
         return z
 
@@ -239,8 +247,8 @@ class NodeKernel:
         sum, and doubling its rounded value gives the rounded full sum: a sum
         of doubles below 2^-1022 is itself a double, and above it doubling
         keeps the rounding grid. A doubled sum that overflows comes out
-        infinite, and z() refuses the matrix; a half sum whose partial sums
-        overflow raises fsum's OverflowError, as the full sum did.
+        infinite, and z() refuses the matrix, as it does when the partial
+        sums of a half row overflow and fsum raises OverflowError.
         """
         n = len(self.dx)
         i, p = np.triu_indices(n, 1)
@@ -456,7 +464,26 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     Nodes where the leading coefficient (a_4, or sigma) falls under the
     singular guard in absolute value get their diagonal entry from the
     general assembly instead and are reported in `flagged`.
+
+    The node set keeps the matrix per (spec, formula, guard), so every node
+    set zeros() returns for one member shares one evaluation; each call
+    returns a copy.
     """
+    rep = _closed_form(spec, nodes, formula)
+    return replace(rep, data=rep.data.copy())
+
+
+def _closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
+    """The node set's closed-form matrix, evaluated on first use; its data is read-only."""
+    key = (spec, formula, SINGULAR_COEFF_GUARD)
+    if key not in nodes._closed_forms:
+        rep = _evaluate_closed_form(spec, nodes, formula)
+        rep.data.setflags(write=False)
+        nodes._closed_forms[key] = rep
+    return nodes._closed_forms[key]
+
+
+def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
     op = operator_of(spec, mode="float")

@@ -22,10 +22,17 @@ for Laguerre-type node spreads a 1-ulp node error already shows up at the
 1e-4 level in the high quadrature moments. NodeSet.refined() therefore
 exposes the nodes re-polished in rational arithmetic to a requested number
 of binary digits; the exact verification paths consume those.
+
+zeros() keeps its last (p, spec) result. A repeated call, such as the one a
+cell makes after the caller found the same zeros, returns a new NodeSet
+over the same nodes, and all of them share the node set's caches: the
+refined nodes, the Christoffel numbers, the float kernels and the
+closed-form matrices are each built once for the zeros of one member.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -112,6 +119,13 @@ class NodeSet:
     with exactly those roots). `poly` keeps the defining polynomial with
     exact rational coefficients whenever they are available, which is what
     makes high-precision refinement possible.
+
+    What is derived from the nodes is kept in private caches: the refined
+    nodes, the Christoffel numbers (`matrices.christoffel_numbers`), the
+    float kernels (`matrices.node_kernel`) and the closed-form collocation
+    matrices (`matrices.collocation_rep_simplified`). The node sets that
+    zeros() returns for one polynomial share these caches; rebinding a
+    public attribute gives a node set caches of its own.
     """
 
     def __init__(self, nodes, d1, d2, d3, poly: Polynomial, spec: Optional[FamilySpec] = None):
@@ -121,9 +135,18 @@ class NodeSet:
         self.d3 = tuple(float(v) for v in d3)
         self.poly = poly
         self.spec = spec
+        self._new_caches()
+
+    def _new_caches(self) -> None:
         self._refined: dict[int, list[Fraction]] = {}
-        self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits), see matrices.christoffel_numbers
-        self._kernels: dict[float, object] = {}  # per leading coefficient, see matrices.node_kernel
+        self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits)
+        self._kernels: dict[float, object] = {}  # per leading coefficient
+        self._closed_forms: dict[tuple, object] = {}  # per (spec, formula, singular guard)
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if not name.startswith("_") and "_kernels" in self.__dict__:  # the caches describe the old value
+            self._new_caches()
 
     @property
     def size(self) -> int:
@@ -140,12 +163,12 @@ class NodeSet:
         return np.array(self.nodes)
 
     def refined(self, bits: int = DEFAULT_REFINE_BITS) -> list[Fraction]:
-        """Nodes as rationals accurate to ~2^-bits (cached per bit count)."""
+        """Nodes as rationals accurate to ~2^-bits, cached per bit count; each call returns a new list."""
         if bits not in self._refined:
             # float coefficients refine against their exact rationalization
             a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
             self._refined[bits] = [_newton_refine(a, x, bits) for x in self.nodes]
-        return self._refined[bits]
+        return list(self._refined[bits])
 
     @classmethod
     def from_points(cls, points: Sequence[float], spec: Optional[FamilySpec] = None) -> "NodeSet":
@@ -229,6 +252,10 @@ def _polish(poly: Polynomial, deriv: Polynomial, z: complex, real=None) -> compl
     return x
 
 
+#: (p, spec, node set) of the last zeros() call that returned; see zeros.
+_last_zeros: list[tuple[Polynomial, Optional[FamilySpec], NodeSet]] = []
+
+
 def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
     """All N zeros of p, polished, sorted ascending, with derivative caches.
 
@@ -237,7 +264,20 @@ def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
     both signal corrupted coefficients or exhausted precision rather than a
     property of the supported families. When a family spec is passed, the
     nodes are also checked against the convex hull of its measure support.
+
+    The zeros of the last (p, spec) are kept, so a repeated call finds no
+    roots: it returns a new NodeSet over the same nodes, sharing the node
+    set's caches (see NodeSet). A call that raised is not kept.
     """
+    for q, s, found in _last_zeros:
+        if q == p and s == spec:
+            return copy.copy(found)
+    found = _zeros(p, spec)
+    _last_zeros[:] = [(p, spec, found)]
+    return copy.copy(found)
+
+
+def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
     n = p.degree
     if n < 1:
         raise ValueError("need a polynomial of degree at least 1")

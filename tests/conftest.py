@@ -5,20 +5,23 @@ examples on every run, a bounded number of them, no per-example deadline
 (exact arithmetic at N = 8 can take tens of milliseconds) and no example
 database written next to the sources.
 
-Every test starts without a memoised cell (`identities.get_cell` keeps the
-last one), so a test that counts builds does not depend on which test ran
-before it.
+Every test starts without a memoised cell, family or zero set
+(`identities.get_cell`, `families.build_family` and `rootfinding.zeros`
+each keep the last one), so a test that counts builds does not depend on
+which test ran before it.
 """
 
 import pytest
 from hypothesis import settings
 
-from krallzeros import identities
+from krallzeros import families, identities, rootfinding
 
 settings.register_profile("krallzeros", derandomize=True, max_examples=30, deadline=None, database=None)
 settings.load_profile("krallzeros")
 
 
 @pytest.fixture(autouse=True)
-def fresh_cell_memo():
+def fresh_memos():
     identities._last_cell.cache_clear()
+    families._last_family.clear()
+    rootfinding._last_zeros.clear()

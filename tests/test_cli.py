@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from krallzeros import identities
+from krallzeros import families, identities, rootfinding
 from krallzeros.cli import main
 from krallzeros.identities import Cell, IdentityReport
 
@@ -182,6 +182,13 @@ class TestMatrixCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "overflow double precision" in captured.err
+
+    def test_overflowing_alternative_powers_exit_2(self, capsys):
+        code = main(["matrix", "--kind", "z", "--order", "4", "--method", "alternative",
+                     "--nodes", "0,1e80,2e80,3e80"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows double precision" in captured.err
 
 
 class TestVerifyCommand:
@@ -378,6 +385,19 @@ def test_report_builds_each_cell_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["reports"]) == 10 * 3 * 9
     assert len(calls) == 30 and len(set(calls)) == 30  # 10 specs x N = 2..4
+
+
+def test_warm_memos_do_not_change_the_report(capsys):
+    argv = ("report", "--format", "json", "--n", "2..5")
+    cold = run(capsys, *argv)
+    assert cold[0] == 0
+    assert run(capsys, *argv) == cold
+    assert run(capsys, "verify", "--suite", "all", "--family", "hermite", "--n", "7")[0] == 0
+    assert run(capsys, *argv) == cold
+    identities._last_cell.cache_clear()
+    families._last_family.clear()
+    rootfinding._last_zeros.clear()
+    assert run(capsys, *argv) == cold
 
 
 def test_module_entry_point():

@@ -29,7 +29,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krallzeros import DiffOperator, FamilySpec, NodeSet, Polynomial, build_family, families, matrices, zeros
+from krallzeros import (
+    DiffOperator,
+    FamilySpec,
+    NodeSet,
+    Polynomial,
+    build_family,
+    families,
+    identities,
+    matrices,
+    zeros,
+)
 from krallzeros.families import (
     FAMILIES,
     common_denominator,
@@ -863,6 +873,27 @@ def test_exact_power(cell, exponent, data):
     assert _power(cell, exponent, 1e-6).to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
 
 
+def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
+    """Row 2 of D broken by +1 at column 0 and -1 at column 5: D 1 is unchanged, so
+    the m = 0 defect stays zero and skips its matvecs, and every other m keeps them."""
+    cell = Cell(FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)), 6)
+    dc = [list(row) for row in cell.dc_exact]
+    dc[2][0] += 1
+    dc[2][5] -= 1
+    cell.dc_exact = dc
+    defects = [d for d, _, _ in cell.exact_defects]
+    assert not any(defects[0]) and all(any(d) for d in defects[1:])
+    matvecs = []
+    real = identities._matvec
+    monkeypatch.setattr(identities, "_matvec", lambda *args: matvecs.append(args) or real(*args))
+    for exponent in (2, 3):
+        matvecs.clear()
+        report = _power(cell, exponent, 1e-6)
+        assert len(matvecs) == (cell.n - 1) * (exponent - 1)
+        assert report.to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
+        assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
+
+
 @given(cells, st.integers(1, 3))
 def test_float_power_unchanged(cell, exponent):
     assert _power(cell, exponent, 1e-6, "float").to_dict() == power_reference(cell, exponent, 1e-6, "float").to_dict()
@@ -1114,6 +1145,20 @@ def test_explicit_diagonal_on_extreme_spreads(x):
     else:
         with pytest.raises(ValueError, match="overflows double precision"):
             diffmat(2, x, "explicit")
+
+
+def test_overflowing_half_row_sum_raises_value_error():
+    # the partial sums of a half row of the k = 2 diagonal overflow inside math.fsum
+    with pytest.raises(ValueError, match="overflows double precision"):
+        diffmat(2, [0.0, 1e-154, 1.0000001e-154, 1.0000002e-154], "explicit")
+
+
+def test_overflowing_alternative_power_raises_value_error():
+    # math.pow(dx, 4) overflows for dx ~ 1e80; the recursive Z^(4) on the same nodes is finite
+    x = [0.0, 1e80, 2e80, 3e80]
+    assert np.isfinite(diffmat(4, x).data).all()
+    with pytest.raises(ValueError, match="overflows double precision"):
+        diffmat(4, x, "alternative")
 
 
 # ---------------------------------------------------------------------------
@@ -1372,13 +1417,13 @@ def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
 
 def test_closed_form_matrix_built_once_per_formula(monkeypatch):
     spec, calls = FamilySpec("krall-laguerre", alpha=F(1, 2)), []
-    real = matrices.collocation_rep_simplified
+    real = matrices._evaluate_closed_form
 
     def counting(*args):
         calls.append(args[2])
         return real(*args)
 
-    monkeypatch.setattr(matrices, "collocation_rep_simplified", counting)
+    monkeypatch.setattr(matrices, "_evaluate_closed_form", counting)
     verify_fourth_order(spec, 6)
     outcome = discriminate_variants(spec, 6)  # both readings of the krall-laguerre identity
     assert outcome["printed"].variant == "printed" and outcome["corrected"].variant == "corrected"

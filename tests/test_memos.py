@@ -1,0 +1,188 @@
+"""The one-entry memos of build_family and zeros, and the caches their node sets share.
+
+`families.build_family` keeps the last (spec, mode) family and `rootfinding.zeros`
+the last (p, spec) zero set, so a script that builds a family, finds its
+zeros and then calls the `verify_*(spec, n)` functions does each step once:
+the cell those functions build reads the same members and the same node-set
+caches (float kernels, refined nodes, Christoffel numbers, closed forms).
+What a caller receives stays the caller's own.
+"""
+
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from krallzeros import (
+    FamilySpec,
+    NonRealRootError,
+    build_family,
+    collocation_rep_simplified,
+    diffmat,
+    discriminate_variants,
+    families,
+    matrices,
+    rootfinding,
+    verify_eigenpairs,
+    verify_fourth_order,
+    zeros,
+)
+
+KLAG = FamilySpec("krall-laguerre", alpha=F(1, 2))
+KJAC = FamilySpec("krall-jacobi", alpha=F(1), mass=F(2))
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the first argument of every call."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0] if args else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture
+def coefficient_tables(monkeypatch):
+    return count_calls(monkeypatch, families, "_coeffs")
+
+
+@pytest.fixture
+def root_findings(monkeypatch):
+    return count_calls(monkeypatch, rootfinding, "_companion_eigenvalues")
+
+
+class TestBuildFamily:
+    def test_same_key_and_lower_degrees_build_nothing(self, coefficient_tables):
+        first = build_family(KLAG, 6)
+        assert len(coefficient_tables) == 7
+        again, lower = build_family(KLAG, 6), build_family(KLAG, 3)
+        assert len(coefficient_tables) == 7
+        assert again == first and lower == first[:4]
+        assert all(p is q for p, q in zip(again, first))
+
+    def test_higher_degree_builds_only_the_new_members(self, monkeypatch):
+        degrees = []
+        real = families._coeffs
+        monkeypatch.setattr(families, "_coeffs", lambda spec, nu: degrees.append(nu) or real(spec, nu))
+        low = build_family(KLAG, 3)
+        high = build_family(KLAG, 6)
+        assert degrees == [0, 1, 2, 3, 4, 5, 6]
+        assert all(p is q for p, q in zip(high, low))
+
+    def test_another_key_rebuilds(self, coefficient_tables):
+        build_family(KLAG, 2)
+        build_family(KLAG, 2, mode="float")
+        build_family(KJAC, 2)
+        build_family(KLAG, 2)  # one entry: the first family is gone
+        assert len(coefficient_tables) == 12
+
+    def test_extended_family_equals_a_cold_build(self):
+        build_family(KJAC, 3)
+        warm = build_family(KJAC, 9)
+        families._last_family.clear()
+        assert build_family(KJAC, 9) == warm
+
+    def test_mutated_list_does_not_reach_the_next_call(self):
+        first = build_family(KLAG, 4)
+        expected = list(first)
+        first.clear()
+        assert build_family(KLAG, 4) == expected
+
+    def test_raising_degree_raises_again(self):
+        hermite = FamilySpec("hermite")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degree-263 coefficients overflow double precision"):
+                build_family(hermite, 263, mode="float")
+        assert len(build_family(hermite, 262, mode="float")) == 263
+
+
+class TestZeros:
+    def test_same_key_finds_no_roots(self, root_findings):
+        member = build_family(KLAG, 6)[6]
+        first = zeros(member, KLAG)
+        again = zeros(member, KLAG)
+        assert len(root_findings) == 1
+        assert again is not first
+        assert (again.nodes, again.d1, again.d2, again.d3) == (first.nodes, first.d1, first.d2, first.d3)
+        assert again.poly is first.poly and again.spec == KLAG
+
+    def test_equal_polynomial_and_spec_share_the_key(self, root_findings):
+        zeros(build_family(KLAG, 6)[6], KLAG)
+        families._last_family.clear()  # a new but equal member
+        zeros(build_family(FamilySpec("krall-laguerre", alpha=F(2, 4)), 6)[6], KLAG)
+        assert len(root_findings) == 1
+
+    def test_another_key_finds_roots_again(self, root_findings):
+        member = build_family(KLAG, 6)[6]
+        zeros(member, KLAG)
+        zeros(member)  # no spec: no hull check, another key
+        zeros(member, KLAG)
+        assert len(root_findings) == 3
+
+    def test_raising_zeros_are_not_kept(self, root_findings):
+        member = build_family(KJAC, 24)[24]  # companion-matrix zeros break at N = 24
+        for _ in range(2):
+            with pytest.raises(NonRealRootError):
+                zeros(member, KJAC)
+        assert len(root_findings) == 2
+
+    def test_node_sets_share_their_caches(self):
+        member = build_family(KLAG, 5)[5]
+        first, again = zeros(member, KLAG), zeros(member, KLAG)
+        assert matrices.node_kernel(first) is matrices.node_kernel(again)
+        assert again.refined() == first.refined()
+        assert matrices.christoffel_numbers(again, KLAG) == matrices.christoffel_numbers(first, KLAG)
+
+    def test_mutations_do_not_reach_the_next_call(self):
+        member = build_family(KJAC, 5)[5]
+        first = zeros(member, KJAC)
+        points, refined = first.nodes, first.refined()
+        z2 = diffmat(2, first).data
+        closed = collocation_rep_simplified(KJAC, first).data
+
+        first.refined().append(F(0))
+        first.refined()[0] = F(7)
+        collocation_rep_simplified(KJAC, first).data[:] = 0.0
+        first.nodes = tuple(2.0 * x for x in points)  # a changed node set stops sharing
+        assert not np.array_equal(diffmat(2, first).data, z2)
+        first.d1 = ()
+
+        again = zeros(member, KJAC)
+        assert again.nodes == points and len(again.d1) == 5 and again.refined() == refined
+        assert np.array_equal(diffmat(2, again).data, z2)
+        assert np.array_equal(collocation_rep_simplified(KJAC, again).data, closed)
+        with pytest.raises(ValueError, match="read-only"):
+            matrices._closed_form(KJAC, again, "family").data[0, 0] = 0.0
+
+
+def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, root_findings):
+    """build_family, zeros, then the cell of verify_*(spec, n): one family, one root finding,
+    one float kernel and one evaluation per closed-form formula."""
+    kernels = []
+    real_kernel = matrices.NodeKernel.__init__
+
+    def counting_kernel(self, x, leading):
+        kernels.append(leading)
+        real_kernel(self, x, leading)
+
+    monkeypatch.setattr(matrices.NodeKernel, "__init__", counting_kernel)
+    closed_forms = count_calls(monkeypatch, matrices, "_evaluate_closed_form")
+
+    n = 6
+    family = build_family(KLAG, n)
+    nodes = zeros(family[n], KLAG)
+    for k, method in ((1, "explicit"), (2, "recursive"), (3, "alternative"), (4, "recursive")):
+        diffmat(k, nodes, method)
+    for formula in ("family", "fourth-order"):
+        collocation_rep_simplified(KLAG, nodes, formula)
+    verify_eigenpairs(KLAG, n, arithmetic="float")
+    verify_fourth_order(KLAG, n)
+    discriminate_variants(KLAG, n)
+
+    assert len(coefficient_tables) == n + 1
+    assert len(root_findings) == 1
+    assert kernels == [1.0]
+    assert len(closed_forms) == 2

@@ -14,6 +14,7 @@ from krallzeros import (
     Polynomial,
     RootfindingError,
     build_family,
+    rootfinding,
     zeros,
 )
 
@@ -133,9 +134,13 @@ class TestRefined:
             # the rational iterate sits far below double-precision residuals
             assert abs(member(x_exact)) < F(1, 10**40)
 
-    def test_refinement_cached(self):
+    def test_refinement_cached(self, monkeypatch):
         nodes = zeros(build_family(KLEG1, 4)[4], KLEG1)
-        assert nodes.refined() is nodes.refined()
+        first, steps = nodes.refined(), []
+        real = rootfinding._newton_refine
+        monkeypatch.setattr(rootfinding, "_newton_refine", lambda *args: steps.append(args) or real(*args))
+        again = nodes.refined()
+        assert again == first and again is not first and steps == []
 
     def test_from_points_refined_is_exact(self):
         ns = NodeSet.from_points([-0.5, 0.25, 3.0])
