@@ -9,6 +9,15 @@ Output is machine-readable: JSON reports follow a fixed
 meta / results / summary layout, CSV files carry a provenance comment line
 followed by an RFC-4180 style header row, rationals are printed as "p/q",
 and doubles with 17 significant digits so they round-trip bit-faithfully.
+`--format json` output is byte-identical to json.dumps with indent=2
+but is written through CPython's C encoder (`_dumps`), which json.dumps
+uses only without indentation. It rests on one invariant: encoded JSON
+never holds a raw newline inside a string, so every raw newline is a
+separator the writer chose. A container of scalars is one C call whose
+item separator carries the newline and indentation; a list of non-empty
+dicts of scalars (the record case: `results`, `eigenpairs`) is one C call
+too, its record boundaries `},<newline>{` then re-indented by one
+str.replace. Anything else recurses.
 Runs are deterministic for a fixed configuration; the only randomness (test
 polynomials for the differentiation-matrix suite) is seeded and the seed is
 echoed in the report.
@@ -23,6 +32,9 @@ import re
 import sys
 import tempfile
 from fractions import Fraction
+from functools import cache
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from . import matrices
@@ -43,6 +55,76 @@ MATRIX_KINDS = ("z", "ztilde", "dc", "dc-simplified", "dtau", "l", "linv", "lamb
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+#: Types the C encoder writes exactly as json.dumps with indent=2 does, at any depth.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _encoder(newline: str):
+    """CPython's C JSON encoder with item separator ',' + newline; call it as encoder(value, 0)[0]."""
+    # markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
+    default = json.JSONEncoder().default
+    return c_make_encoder(None, default, encode_basestring_ascii, None, ": ", "," + newline, False, False, True)
+
+
+def _scalar(value) -> str:
+    return _encoder("")(value, 0)[0]
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return '"' + _scalar(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """Exactly json.dumps(value) with indent=2 for an acyclic value, with whole containers in the C encoder.
+
+    `newline` is the line break plus the indentation of the line the value
+    starts on. Encoded JSON holds no raw newline inside a string, so the
+    writer can put the newline and indentation into the C encoder's item
+    separator:
+    - a list, tuple or dict whose values are all scalars is one C call,
+      wrapped in its brackets;
+    - a list of non-empty dicts whose values are all scalars (the record
+      case) is one C call with the records' separator. No scalar ends in
+      '}' and every record item starts with a key, so '},' + newline + '{'
+      occurs only between records, and one str.replace gives the list its
+      own separators;
+    - anything else recurses, one item at a time.
+    Types are checked per container at C speed (set(map(type, ...))).
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        types = set(map(type, value))
+        if types <= _SCALARS:
+            return "[" + inner + _encoder(inner)(value, 0)[0][1:-1] + newline + "]"
+        if types == {dict} and all(value) and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS:
+            deeper = inner + "  "
+            body = _encoder(deeper)(value, 0)[0][2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            return "[" + inner + "{" + deeper + body + inner + "}" + newline + "]"
+        parts = [_scalar(v) if type(v) in _SCALARS else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        if type(value) is dict and set(map(type, value.values())) <= _SCALARS:
+            return "{" + inner + _encoder(inner)(value, 0)[0][1:-1] + newline + "}"
+        parts = [
+            (encode_basestring_ascii(k) if type(k) is str else _key(k))
+            + ": "
+            + (_scalar(v) if type(v) in _SCALARS else _dumps(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    return _scalar(value)
 
 
 def _write_out(text: str, path: Optional[str]) -> None:
@@ -103,7 +185,7 @@ def cmd_family(args) -> int:
             coeffs = [_fmt(c) for c in p.coeffs]
         rows.append({"degree": nu, "coefficients": coeffs})
     if args.format == "json":
-        text = json.dumps({"family": spec.label(), "mode": args.mode, "members": rows}, indent=2)
+        text = _dumps({"family": spec.label(), "mode": args.mode, "members": rows})
     elif args.format == "csv":
         lines = [f"# coefficient table for {spec.label()}, mode={args.mode}"]
         width = n + 1
@@ -128,10 +210,7 @@ def cmd_zeros(args) -> int:
     node_set = zeros(member, spec)
     residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
     if args.format == "json":
-        text = json.dumps(
-            {"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals},
-            indent=2,
-        )
+        text = _dumps({"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals})
     elif args.format == "csv":
         lines = [f"# zeros of the degree-{n} member of {spec.label()}", "zero,residual"]
         lines += [f"{_fmt(x)},{_fmt(r)}" for x, r in zip(node_set.nodes, residuals)]
@@ -184,10 +263,7 @@ def cmd_matrix(args) -> int:
     rep = _matrix_for(args)
     data = rep.data
     if args.format == "json":
-        text = json.dumps(
-            {"kind": rep.kind, "note": rep.note, "shape": list(data.shape), "data": data.tolist()},
-            indent=2,
-        )
+        text = _dumps({"kind": rep.kind, "note": rep.note, "shape": list(data.shape), "data": data.tolist()})
     elif args.format == "csv":
         n = data.shape[1]
         lines = [f"# {rep.kind}: {rep.note}"]
@@ -259,12 +335,9 @@ def _worst_cell(reports: list[IdentityReport]) -> Optional[dict]:
 def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict) -> None:
     if args.format == "json":
         if len(reports) == 1:
-            text = json.dumps(reports[0].to_dict(), indent=2)
+            text = _dumps(reports[0].to_dict())
         else:
-            text = json.dumps(
-                {"meta": meta, "reports": [r.to_dict() for r in reports], "summary": summary},
-                indent=2,
-            )
+            text = _dumps({"meta": meta, "reports": [r.to_dict() for r in reports], "summary": summary})
     elif args.format == "csv":
         lines = [f"# verification run: {json.dumps(meta)}"]
         lines.append("identity,family,params,N,variant,max_residual,pass")

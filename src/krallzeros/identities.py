@@ -190,8 +190,9 @@ class Cell:
     reuses what its caller built on the same (spec, N). What depends only
     on the zeros lives on the node set and is shared with every node set
     `zeros` returns for the member: the float Z^(k) in its kernel
-    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers and
-    the closed-form collocation matrix of each formula (`closed_form`). Get
+    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers,
+    the float collocation matrix (`dc_float`) and the closed-form
+    collocation matrix of each formula (`closed_form`). Get
     cells from `get_cell`, which keeps the last one built.
     """
 
@@ -285,7 +286,8 @@ class Cell:
 
     @cached_property
     def dc_float(self) -> np.ndarray:
-        return collocation_rep(self.op, self.nodes).data
+        """The float collocation matrix on the zeros, which the node set keeps (read-only)."""
+        return matrices._collocation(self.op, self.nodes).data
 
     @cached_property
     def lams(self) -> list[Fraction]:

@@ -7,9 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krallzeros import families, identities, rootfinding
-from krallzeros.cli import main
+from krallzeros.cli import _dumps, main
 from krallzeros.identities import Cell, IdentityReport
 
 
@@ -409,3 +411,110 @@ def test_module_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "PASS" in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+_TEXT = st.text(st.one_of(
+    st.sampled_from('{}[]",: \\\n\r\t\x00\x1f\x7f\u2028\ud800\udfff\u00e9\u4e2d\U0001f600'),
+    st.characters(exclude_categories=()),  # includes lone surrogates
+))
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**200), 10**4000]),
+    st.floats(),  # NaN, +-inf, -0.0
+    _TEXT,
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats()),
+    st.builds(_Str, _TEXT),
+)
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none(), st.builds(_Str, _TEXT))
+_RECORD = st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=4)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4).map(_Dict),
+        st.lists(_RECORD, min_size=1, max_size=4),  # the record case
+        # record lists broken by an empty dict, a nested value, a non-dict or a dict subclass
+        st.lists(st.one_of(_RECORD, st.just({}), st.dictionaries(_TEXT, children, min_size=1, max_size=2),
+                           children, _RECORD.map(_Dict)), min_size=1, max_size=4),
+    )
+
+
+_REPORT = {
+    "meta": {"suite": "all", "families": ["hermite"], "n_values": [2, 3], "tolerance": None, "seed": 1},
+    "reports": [
+        {
+            "meta": {"identity": "eigenpair", "family": "hermite", "params": {}, "N": 2, "tolerance": 1e-08,
+                     "arithmetic": "exact", "variant": None, "seed": None},
+            "results": [{"identity": "eigenpair", "m": 0, "n": 1, "residual": 0.0, "pass": True},
+                        {"identity": "eigenpair", "m": 1, "n": 2, "residual": -0.0, "pass": False}],
+            "summary": {"max_residual": float("nan"), "pass": True,
+                        "eigenpairs": [{"m": 0, "eigenvalue": 0.0, "residual": 0.0},
+                                       {"m": 1, "eigenvalue": float("inf"), "residual": 1e-300}],
+                        "notes": ["nodes: family zeros", "x}, {\n"], "extras": {}},
+        },
+    ],
+    "summary": {"max_residual": 0.0, "pass": True, "worst_cell": None, "reports": 1},
+}
+
+
+@settings(max_examples=100)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+@example(_REPORT)
+@example([{"a": 1}, {}, {"b": 2}])  # an empty record
+@example([{"a": 1}, {"b": [2]}])  # a nested value
+@example([{"a": 1}, 3, {"b": 2}])  # a non-dict element
+@example([{"a": 1}, _Dict(b=2)])  # a dict subclass
+@example({1: [], 1.5: {}, True: (), None: "", float("nan"): -0.0, 2**70: _Int(7)})  # non-str keys
+@example(["}," + "\n" + "    {", {"k": "},\n    {"}])
+def test_dumps_matches_json_dumps_with_indent_2(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), [1, {2j: 3}], {"a": [1, {(): 2}]}, {"a": {1, 2}}, (b"x",)])
+def test_dumps_raises_as_json_dumps_does(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        _dumps(value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--n", "2..4"),
+    ("verify", "--suite", "eigenpair", "--family", "krall-laguerre", "--alpha", "1", "--n", "5"),
+    ("family", "--family", "krall-jacobi", "--alpha", "1", "--m-param", "2", "--n", "4"),
+    ("family", "--family", "laguerre", "--alpha", "1/2", "--n", "3", "--mode", "float"),
+    ("zeros", "--family", "krall-legendre", "--alpha", "1", "--n", "6"),
+    ("matrix", "--kind", "dc", "--family", "hermite", "--n", "4"),
+])
+def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
