@@ -63,21 +63,27 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 @cache
 def _encoder(newline: str):
-    """CPython's C JSON encoder with item separator ',' + newline; call it as encoder(value, 0)[0]."""
+    """CPython's C JSON encoder with item separator ',' + newline.
+
+    Calling it as encoder(value, 0) returns a list of chunks: the C
+    accumulator starts a new chunk every 100,000 pieces, so a long list
+    comes back split. Read it through `_c`, which joins them.
+    """
     # markers, default, encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan
     default = json.JSONEncoder().default
     return c_make_encoder(None, default, encode_basestring_ascii, None, ": ", "," + newline, False, False, True)
 
 
-def _scalar(value) -> str:
-    return _encoder("")(value, 0)[0]
+def _c(value, newline: str = "") -> str:
+    """The C encoding of `value` with item separator ',' + newline, all chunks joined."""
+    return "".join(_encoder(newline)(value, 0))
 
 
 def _key(key) -> str:
     if isinstance(key, str):
         return encode_basestring_ascii(key)
     if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return '"' + _scalar(key) + '"'
+        return '"' + _c(key) + '"'
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
@@ -104,27 +110,27 @@ def _dumps(value, newline: str = "\n") -> str:
         inner = newline + "  "
         types = set(map(type, value))
         if types <= _SCALARS:
-            return "[" + inner + _encoder(inner)(value, 0)[0][1:-1] + newline + "]"
+            return "[" + inner + _c(value, inner)[1:-1] + newline + "]"
         if types == {dict} and all(value) and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS:
             deeper = inner + "  "
-            body = _encoder(deeper)(value, 0)[0][2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            body = _c(value, deeper)[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
             return "[" + inner + "{" + deeper + body + inner + "}" + newline + "]"
-        parts = [_scalar(v) if type(v) in _SCALARS else _dumps(v, inner) for v in value]
+        parts = [_c(v) if type(v) in _SCALARS else _dumps(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(parts) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + "  "
         if type(value) is dict and set(map(type, value.values())) <= _SCALARS:
-            return "{" + inner + _encoder(inner)(value, 0)[0][1:-1] + newline + "}"
+            return "{" + inner + _c(value, inner)[1:-1] + newline + "}"
         parts = [
             (encode_basestring_ascii(k) if type(k) is str else _key(k))
             + ": "
-            + (_scalar(v) if type(v) in _SCALARS else _dumps(v, inner))
+            + (_c(v) if type(v) in _SCALARS else _dumps(v, inner))
             for k, v in value.items()
         ]
         return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    return _scalar(value)
+    return _c(value)
 
 
 def _write_out(text: str, path: Optional[str]) -> None:

@@ -69,7 +69,6 @@ from .matrices import (
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
-    collocation_rep,
 )
 from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _horner, zeros
 
@@ -692,8 +691,8 @@ def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> Id
         dc = cell.dc_float
     elif len(nodes) != cell.n:
         raise ValueError(f"node set has {len(nodes)} nodes, expected {cell.n}")
-    else:
-        dc = collocation_rep(cell.op, nodes).data
+    else:  # caller-supplied nodes are seldom reused: assembled, neither kept nor copied
+        dc = matrices._assemble_collocation(cell.op, nodes).data
     eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), [float(mu) for mu in cell.mus])
     max_residual = worst_residual(row["residual"] for row in eigenpairs)
     return cell.report(

@@ -12,11 +12,11 @@ bench_trajectory = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trajectory)
 
 
-def _record(out_dir, commit, seed, wall, workload="report-grid", trace=0):
+def _record(out_dir, commit, seed, wall, workload="report-grid", trace=0, nproc=2):
     """A result record as bench/run.py writes it to out_dir, reduced to the fields the tool reads, read back."""
     record = {
         "args": {"workload": workload, "seed": seed, "seconds": 35, "trace": trace},
-        "environment": {"commit": commit, "python": "3.11.7", "numpy": "1.26.4", "nproc": 2},
+        "environment": {"commit": commit, "python": "3.11.7", "numpy": "1.26.4", "nproc": nproc},
         "setups": [],
         "passes": [],
         "result": {
@@ -77,3 +77,16 @@ def test_one_file_per_workload_and_traced_records_refused(tmp_path):
     with pytest.raises(ValueError, match="trace 1"):
         bench_trajectory.add([_record(out, "aaa", 11, 0.7, trace=1)], root=str(tmp_path))
     assert bench_trajectory.main([]) == 2
+
+
+def test_a_run_from_another_environment_is_refused_and_nothing_is_written(tmp_path):
+    out = tmp_path / ".bench_out"
+    out.mkdir()
+    bench_trajectory.add([_record(out, "aaa", 11, 1.3)], root=str(tmp_path))
+    before = (tmp_path / "BENCH_report-grid.json").read_text()
+    other_host = [_record(out, "aaa", 12, 0.9, "exact-deep"), _record(out, "aaa", 12, 1.2, nproc=8)]
+    with pytest.raises(ValueError, match="commit aaa was measured in"):
+        bench_trajectory.add(other_host, root=str(tmp_path))
+    assert (tmp_path / "BENCH_report-grid.json").read_text() == before
+    assert not (tmp_path / "BENCH_exact-deep.json").exists()
+    bench_trajectory.add([_record(out, "bbb", 12, 1.2, nproc=8)], root=str(tmp_path))  # another commit may differ

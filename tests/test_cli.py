@@ -497,6 +497,21 @@ def test_dumps_matches_json_dumps_with_indent_2(value):
     assert _dumps(value) == json.dumps(value, indent=2)
 
 
+_RECORDS = [{"identity": "fourth-order", "m": i, "n": i + 1, "residual": i / 7, "pass": True} for i in range(5000)]
+
+
+# CPython's C encoder returns its output in chunks of at most 100,000 pieces,
+# so each of these comes back from one C call as more than one chunk.
+@pytest.mark.parametrize("value", [
+    [i / 7 for i in range(60000)],
+    {str(i): i for i in range(60000)},
+    _RECORDS,
+    {"results": _RECORDS, "notes": ["x"]},
+], ids=["floats", "scalar-dict", "records", "nested-records"])
+def test_dumps_matches_json_dumps_past_the_c_chunk_size(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("value", [object(), [1, {2j: 3}], {"a": [1, {(): 2}]}, {"a": {1, 2}}, (b"x",)])
 def test_dumps_raises_as_json_dumps_does(value):
     with pytest.raises(TypeError) as expected:

@@ -9,7 +9,9 @@ script sits in, one entry per measured commit (the commit is the one the
 record's environment names): the seeds, each run's metrics, and the median
 and quartiles of every metric across the entry's runs. A run replaces an
 earlier run of the same commit and seed; the entries of other commits are
-kept, in the order they were first added.
+kept, in the order they were first added. A record whose environment
+(python, numpy, host) differs from its commit's entry is refused, so one
+entry's median never mixes machines.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def add(records: list[dict], root: str = ROOT) -> list[str]:
         if args["trace"] != 0:
             raise ValueError(f"{args['workload']} seed {args['seed']}: a --trace 1 record has no end-to-end metrics")
         by_workload.setdefault(args["workload"], []).append(record)
-    written = []
+    trajectories = {}
     for workload, group in by_workload.items():
         path = os.path.join(root, f"BENCH_{workload}.json")
         try:
@@ -62,23 +64,29 @@ def add(records: list[dict], root: str = ROOT) -> list[str]:
             trajectory = {"workload": workload, "entries": []}
         entries = {entry["commit"]: entry for entry in trajectory["entries"]}
         for record in group:
+            args = record["args"]
             env = dict(record["environment"])
             commit = env.pop("commit")
             entry = entries.get(commit)
             if entry is None:
                 entry = entries[commit] = {"commit": commit, "environment": env, "seeds": [], "runs": [], "summary": {}}
                 trajectory["entries"].append(entry)
+            elif entry["environment"] != env:
+                raise ValueError(
+                    f"{workload} seed {args['seed']}: commit {commit} was measured in {entry['environment']}, not {env}"
+                )
             run = _run(record)
             others = [r for r in entry["runs"] if r["seed"] != run["seed"]]
             entry["runs"] = sorted(others + [run], key=lambda r: r["seed"])
             entry["seeds"] = [r["seed"] for r in entry["runs"]]
             units = {name: m["unit"] for name, m in record["result"]["metrics"].items()}
             entry["summary"] = _summary(entry["runs"], units)
+        trajectories[path] = trajectory
+    for path, trajectory in trajectories.items():  # only once every record is accepted
         with open(path, "w") as handle:
             json.dump(trajectory, handle, indent=1)
             handle.write("\n")
-        written.append(path)
-    return written
+    return list(trajectories)
 
 
 def main(argv: list[str]) -> int:
@@ -91,8 +99,11 @@ def main(argv: list[str]) -> int:
             records.append(json.load(handle))
     try:
         written = add(records)
-    except (KeyError, ValueError) as exc:
-        print(f"error: not a bench/run.py --trace 0 result: {exc}", file=sys.stderr)
+    except KeyError as exc:
+        print(f"error: not a bench/run.py result record, no field {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:
         print(path)
