@@ -69,6 +69,7 @@ from .matrices import (
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
+    collocation_rep,
 )
 from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _horner, zeros
 
@@ -189,9 +190,8 @@ class Cell:
     reuses what its caller built on the same (spec, N). What depends only
     on the zeros lives on the node set and is shared with every node set
     `zeros` returns for the member: the float Z^(k) in its kernel
-    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers,
-    the float collocation matrix (`dc_float`) and the closed-form
-    collocation matrix of each formula (`closed_form`). Get
+    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers and
+    the closed-form collocation matrix of each formula (`closed_form`). Get
     cells from `get_cell`, which keeps the last one built.
     """
 
@@ -285,8 +285,7 @@ class Cell:
 
     @cached_property
     def dc_float(self) -> np.ndarray:
-        """The float collocation matrix on the zeros, which the node set keeps (read-only)."""
-        return matrices._collocation(self.op, self.nodes).data
+        return collocation_rep(self.op, self.nodes).data
 
     @cached_property
     def lams(self) -> list[Fraction]:
@@ -691,8 +690,8 @@ def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> Id
         dc = cell.dc_float
     elif len(nodes) != cell.n:
         raise ValueError(f"node set has {len(nodes)} nodes, expected {cell.n}")
-    else:  # caller-supplied nodes are seldom reused: assembled, neither kept nor copied
-        dc = matrices._assemble_collocation(cell.op, nodes).data
+    else:
+        dc = collocation_rep(cell.op, nodes).data
     eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), [float(mu) for mu in cell.mus])
     max_residual = worst_residual(row["residual"] for row in eigenpairs)
     return cell.report(

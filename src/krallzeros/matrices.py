@@ -346,26 +346,8 @@ def _collocation_exact_rows(xq: Sequence[Fraction], a_rows: Sequence[Sequence]) 
 def collocation_rep(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
     """Pseudospectral matrix of op: row m, column n holds (op ell_n)(x_m).
 
-    Assembled from the recursive Z^(k) of the node set's kernel. A NodeSet
-    keeps the matrix per operator, so every node set zeros() returns for one
-    member shares one assembly; each call returns a copy.
+    Assembled from the recursive Z^(k) of the node set's kernel.
     """
-    if not isinstance(nodes, NodeSet):
-        return _assemble_collocation(op, nodes)
-    rep = _collocation(op, nodes)
-    return replace(rep, data=rep.data.copy())
-
-
-def _collocation(op: DiffOperator, nodes: NodeSet) -> MatrixRep:
-    """The node set's collocation matrix of op, assembled on first use; its data is read-only."""
-    if op not in nodes._collocations:
-        rep = _assemble_collocation(op, nodes)
-        rep.data.setflags(write=False)
-        nodes._collocations[op] = rep
-    return nodes._collocations[op]
-
-
-def _assemble_collocation(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
     x = _as_array(nodes)
     kernel = node_kernel(nodes)
     n = len(x)
@@ -511,7 +493,7 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
     flagged = tuple(i for i, xi in enumerate(x) if abs(a[-1](xi)) < SINGULAR_COEFF_GUARD)
     form = formula if spec.is_krall else "second-order"
     entry = _closed_form_entry(spec, form, a, x, nodes)
-    general = _collocation(op, nodes).data if flagged else None
+    general = collocation_rep(op, nodes).data if flagged else None
     out = np.zeros((n, n))
     for m in range(n):
         row = [entry(m, j) for j in range(n) if j != m]

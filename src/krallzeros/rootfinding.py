@@ -122,11 +122,10 @@ class NodeSet:
 
     What is derived from the nodes is kept in private caches: the refined
     nodes, the Christoffel numbers (`matrices.christoffel_numbers`), the
-    float kernels (`matrices.node_kernel`), the float collocation matrix of
-    each operator (`matrices.collocation_rep`) and the closed-form
-    collocation matrices (`matrices.collocation_rep_simplified`). The node
-    sets that zeros() returns for one polynomial share these caches;
-    rebinding a public attribute gives a node set caches of its own.
+    float kernels (`matrices.node_kernel`) and the closed-form collocation
+    matrices (`matrices.collocation_rep_simplified`). The node sets that
+    zeros() returns for one polynomial share these caches; rebinding a
+    public attribute gives a node set caches of its own.
     """
 
     def __init__(self, nodes, d1, d2, d3, poly: Polynomial, spec: Optional[FamilySpec] = None):
@@ -142,7 +141,6 @@ class NodeSet:
         self._refined: dict[int, list[Fraction]] = {}
         self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits)
         self._kernels: dict[float, object] = {}  # per leading coefficient
-        self._collocations: dict[object, object] = {}  # per operator
         self._closed_forms: dict[tuple, object] = {}  # per (spec, formula, singular guard)
 
     def __setattr__(self, name: str, value) -> None:

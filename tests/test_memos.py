@@ -4,8 +4,7 @@
 the last (p, spec) zero set, so a script that builds a family, finds its
 zeros and then calls the `verify_*(spec, n)` functions does each step once:
 the cell those functions build reads the same members and the same node-set
-caches (float kernels, refined nodes, Christoffel numbers, float and
-closed-form collocation matrices).
+caches (float kernels, refined nodes, Christoffel numbers, closed forms).
 What a caller receives stays the caller's own.
 """
 
@@ -18,20 +17,16 @@ from krallzeros import (
     FamilySpec,
     NonRealRootError,
     build_family,
-    collocation_rep,
     collocation_rep_simplified,
     diffmat,
     discriminate_variants,
     families,
     matrices,
-    operator_of,
     rootfinding,
-    spectrum_report,
     verify_eigenpairs,
     verify_fourth_order,
     zeros,
 )
-from krallzeros.identities import get_cell
 
 KLAG = FamilySpec("krall-laguerre", alpha=F(1, 2))
 KJAC = FamilySpec("krall-jacobi", alpha=F(1), mass=F(2))
@@ -162,22 +157,10 @@ class TestZeros:
         with pytest.raises(ValueError, match="read-only"):
             matrices._closed_form(KJAC, again, "family").data[0, 0] = 0.0
 
-    def test_a_mutated_collocation_copy_does_not_reach_the_cell(self):
-        op = operator_of(KJAC)
-        nodes = zeros(build_family(KJAC, 5)[5], KJAC)
-        mine = collocation_rep(op, nodes).data
-        reference = mine.copy()
-        mine[:] = 0.0
-        collocation_rep(op, nodes).data[0, 0] = 1e300
-        assert np.array_equal(collocation_rep(op, nodes).data, reference)
-        assert np.array_equal(get_cell(KJAC, 5).dc_float, reference)
-        with pytest.raises(ValueError, match="read-only"):
-            get_cell(KJAC, 5).dc_float[0, 0] = 0.0
-
 
 def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, root_findings):
     """build_family, zeros, then the cell of verify_*(spec, n): one family, one root finding,
-    one float kernel, one float collocation matrix and one evaluation per closed-form formula."""
+    one float kernel and one evaluation per closed-form formula."""
     kernels = []
     real_kernel = matrices.NodeKernel.__init__
 
@@ -187,18 +170,15 @@ def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, 
 
     monkeypatch.setattr(matrices.NodeKernel, "__init__", counting_kernel)
     closed_forms = count_calls(monkeypatch, matrices, "_evaluate_closed_form")
-    collocations = count_calls(monkeypatch, matrices, "_assemble_collocation")
 
     n = 6
     family = build_family(KLAG, n)
     nodes = zeros(family[n], KLAG)
     for k, method in ((1, "explicit"), (2, "recursive"), (3, "alternative"), (4, "recursive")):
         diffmat(k, nodes, method)
-    collocation_rep(operator_of(KLAG), nodes)
     for formula in ("family", "fourth-order"):
         collocation_rep_simplified(KLAG, nodes, formula)
     verify_eigenpairs(KLAG, n, arithmetic="float")
-    spectrum_report(KLAG, n)
     verify_fourth_order(KLAG, n)
     discriminate_variants(KLAG, n)
 
@@ -206,4 +186,3 @@ def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, 
     assert len(root_findings) == 1
     assert kernels == [1.0]
     assert len(closed_forms) == 2
-    assert len(collocations) == 1
