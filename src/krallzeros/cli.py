@@ -45,7 +45,7 @@ from .families import (
     build_family,
     operator_of,
 )
-from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, get_cell, severity, worst_residual
+from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, severity, worst_residual
 from .rootfinding import NodeSet, RootfindingError, _at_double, zeros
 
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
@@ -294,8 +294,9 @@ def cmd_matrix(args) -> int:
 def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
     """Run the suites over the grid, one cell at a time, reporting suite by suite.
 
-    Each (spec, N) cell is built once and handed to every suite that applies
-    to it; the reports still come out in suite -> spec -> N order.
+    Every suite that applies to a (spec, N) runs on it before the next
+    (spec, N), so all of them read the one cell `identities.get_cell` keeps;
+    the reports still come out in suite -> spec -> N order.
     """
     named = args.family not in (None, "all")
     specs = [FamilySpec(args.family, alpha=args.alpha, beta=args.beta, mass=args.m_param)] if named else default_grid()
@@ -305,11 +306,10 @@ def _verify_many(args, suites: list[str]) -> tuple[list[IdentityReport], dict]:
     for spec in specs:
         applicable = [name for name in suites if SUITES[name].applies(name, spec, strict)]
         for n in _parse_n(args):
-            cell = get_cell(spec, n)
             for name in applicable:
                 suite = SUITES[name]
                 tolerance = args.tolerance if args.tolerance is not None else suite.tolerance
-                by_suite[name].extend(suite.run(cell, tolerance, args))
+                by_suite[name].extend(suite.run(spec, n, tolerance, args))
     reports = [report for name in suites for report in by_suite[name]]
     summary = {
         "max_residual": worst_residual(r.max_residual for r in reports),
@@ -477,7 +477,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (ParameterError, ValueError) as exc:
+    except (ParameterError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RootfindingError, matrices.PositivityError, matrices.InversionConsistencyError) as exc:

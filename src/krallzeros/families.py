@@ -91,12 +91,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def mode(self) -> str:
-        if any(isinstance(c, float) for c in self.coeffs):
-            return "float"
-        return "rational"
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -267,17 +261,6 @@ class FamilySpec:
             "krall-laguerre": (0.0, math.inf),
             "krall-jacobi": (0.0, 1.0),
         }[self.family]
-
-    def jumps(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Locations and masses of the Dirac terms of the measure."""
-        if self.family == "krall-legendre":
-            half = Fraction(1, 2)
-            return ((Fraction(-1), half), (Fraction(1), half))
-        if self.family == "krall-laguerre":
-            return ((Fraction(0), 1 / self.alpha),)
-        if self.family == "krall-jacobi":
-            return ((Fraction(0), 1 / self.mass),)
-        return ()
 
     def params(self) -> dict[str, Fraction]:
         out = {}

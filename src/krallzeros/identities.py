@@ -2,12 +2,12 @@
 
 Every identity is read off one chain per (family, N) cell: the degree-N
 member, its zeros, the collocation matrix on those zeros, and the spectral
-and transition data. A `Cell` builds each link of that chain at most once;
-the verifiers take a cell and report per-cell residuals of one identity
-together with a pass verdict at a configured tolerance. Every caller gets
-its cell from `get_cell`, which builds it once for consecutive calls on the
-same (spec, N): the public `verify_*(spec, n)` functions and the CLI, which
-hands one cell to every suite of the registry `SUITES` that applies to it.
+and transition data. A `Cell` builds each link of that chain at most once.
+Each identity has one verifier, a public function of (spec, N) that reports
+per-cell residuals of the identity together with a pass verdict at a
+configured tolerance. It takes its cell from `get_cell`, which builds it
+once for consecutive calls on the same (spec, N), so every suite of the
+registry `SUITES` that the CLI runs on one (spec, N) reads one cell.
 
 The ground truth throughout is the eigenpair relation: the vector of values
 of the degree-m member at the zeros of the degree-N member is an
@@ -65,13 +65,13 @@ from .matrices import (
     _GRID,
     MatrixRep,
     _inverse_residual,
-    _quadrature_residuals,
     _transition_exact,
     christoffel_numbers,
     collocation_exact,
     collocation_rep,
+    quadrature_exactness,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _horner, zeros
+from .rootfinding import NodeSet, _horner, zeros
 
 FAMILY_IDENTITY_TAG = {
     "krall-legendre": "kleg-main",
@@ -159,13 +159,13 @@ def severity(residual: float) -> tuple:
     return (True, 0.0) if math.isnan(residual) else (False, residual)
 
 
-def worst_residual(residuals: Iterable[float], default: float = 0.0) -> float:
-    """The largest residual, NaN if any residual is NaN.
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual, NaN if any residual is NaN, 0.0 if there is none.
 
     Plain max() keeps its running value when compared with a NaN, so a NaN
     anywhere but first would vanish and its report would pass.
     """
-    return max(residuals, key=severity, default=default)
+    return max(residuals, key=severity, default=0.0)
 
 
 def _params_dict(spec: FamilySpec, **extra) -> dict:
@@ -180,23 +180,23 @@ class Cell:
     The family holds the members of degree 0..N, `nodes` the zeros of the
     degree-N member and `mus` the eigenvalues mu_0..mu_{N-1}. The value
     vectors p_m(x_k), m < N, and the collocation matrix come in exact
-    arithmetic (at the double nodes read as rationals) and in doubles;
-    `lams` are the Christoffel numbers on the nodes refined to `bits`
-    binary digits. The exact engine reads the collocation matrix and the
-    value vectors over common denominators (`dc_scaled`, `values_scaled`)
-    and shares D p_m (`dp_exact`) and the defects D p_m - mu_m p_m
-    (`exact_defects`) between its checks. The family and the zeros come
-    from `build_family` and `zeros`, which keep their last result, so a cell
-    reuses what its caller built on the same (spec, N). What depends only
-    on the zeros lives on the node set and is shared with every node set
-    `zeros` returns for the member: the float Z^(k) in its kernel
-    (`matrices.node_kernel`), the refined nodes, the Christoffel numbers and
-    the closed-form collocation matrix of each formula (`closed_form`). Get
-    cells from `get_cell`, which keeps the last one built.
+    arithmetic (at the double nodes read as rationals) and in doubles. The
+    exact engine reads the collocation matrix and the value vectors over
+    common denominators (`dc_scaled`, `values_scaled`) and shares D p_m
+    (`dp_exact`) and the defects D p_m - mu_m p_m (`exact_defects`) between
+    its checks. The family and the zeros come from `build_family` and
+    `zeros`, which keep their last result, so a cell reuses what its caller
+    built on the same (spec, N). What depends only on the zeros lives on the
+    node set and is shared with every node set `zeros` returns for the
+    member: the float Z^(k) in its kernel (`matrices.node_kernel`), the
+    refined nodes, the Christoffel numbers (`matrices.christoffel_numbers`,
+    the cell keeps no copy) and the closed-form collocation matrix of each
+    formula (`closed_form`). Get cells from `get_cell`, which keeps the last
+    one built.
     """
 
-    def __init__(self, spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS):
-        self.spec, self.n, self.bits = spec, n, bits
+    def __init__(self, spec: FamilySpec, n: int):
+        self.spec, self.n = spec, n
 
     def report(self, identity, tolerance, arithmetic, max_residual, passed=None, params=None, **fields):
         """IdentityReport on this cell; by default it passes when max_residual <= tolerance."""
@@ -287,25 +287,18 @@ class Cell:
     def dc_float(self) -> np.ndarray:
         return collocation_rep(self.op, self.nodes).data
 
-    @cached_property
-    def lams(self) -> list[Fraction]:
-        return christoffel_numbers(self.nodes, self.spec, self.bits)
-
-
-def get_cell(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) -> Cell:
-    """The cell of (spec, N, bits): the one last returned when the key repeats, else a new one.
-
-    The memo holds one cell, so the last cell stays in memory until a call
-    with another key replaces it. A link that raised was not cached and
-    raises again on the next use. Verifiers build their outputs fresh, so
-    nothing a caller receives belongs to the cell.
-    """
-    return _last_cell(spec, n, bits)  # one positional key for every calling form
-
 
 @lru_cache(maxsize=1)
-def _last_cell(spec: FamilySpec, n: int, bits: int) -> Cell:
-    return Cell(spec, n, bits)
+def get_cell(spec: FamilySpec, n: int) -> Cell:
+    """The cell of (spec, N): the one last returned when the key repeats, else a new one.
+
+    The memo holds one cell, so the last cell stays in memory until a call
+    with another key replaces it. Its key is the call as written, so every
+    caller passes (spec, n) positionally. A link that raised was not cached
+    and raises again on the next use. Verifiers build their outputs fresh,
+    so nothing a caller receives belongs to the cell.
+    """
+    return Cell(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +406,7 @@ def verify_eigenpairs(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _eigenpairs(get_cell(spec, n), tolerance, rowsum_tolerance, arithmetic)
-
-
-def _eigenpairs(cell: Cell, tolerance=1e-8, rowsum_tolerance=1e-9, arithmetic="exact") -> IdentityReport:
+    cell = get_cell(spec, n)
     max_residual, cells, eigenpairs = _eigen_cells("eigenpair", *_eigen_relation(cell, arithmetic), tolerance)
     if arithmetic == "exact":
         rows, d = cell.dc_scaled
@@ -448,18 +438,15 @@ def verify_power(
     same eigenvectors with eigenvalues mu_m^e. Entries scale like mu^e; an
     overflow guard rejects exponents that would leave double range.
     """
-    return _power(get_cell(spec, n), exponent, tolerance, arithmetic)
-
-
-def _power(cell: Cell, exponent=2, tolerance=1e-6, arithmetic="exact") -> IdentityReport:
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
+    cell = get_cell(spec, n)
     top = max((abs(float(m)) for m in cell.mus), default=1.0)
     if top > 1.0 and exponent * math.log10(top) > 250:
         raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {top:.3e})")
     relation = _eigen_relation(cell, arithmetic, exponent)
     max_residual, cells, eigenpairs = _eigen_cells("operator-power", *relation, tolerance)
-    params = _params_dict(cell.spec, exponent=exponent)
+    params = _params_dict(spec, exponent=exponent)
     return cell.report(
         "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
     )
@@ -521,12 +508,9 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
     where a_4 nearly vanishes are skipped with a note. Both sides are also
     cross-checked against the general assembly rearranged the same way.
     """
-    return _fourth_order(get_cell(spec, n), tolerance)
-
-
-def _fourth_order(cell: Cell, tolerance=1e-7) -> IdentityReport:
-    if not cell.spec.is_krall:
+    if not spec.is_krall:
         raise ValueError("the fourth order identity applies to the Krall families only")
+    cell = get_cell(spec, n)
     cells, notes, sides = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
     sums = _offdiagonal_sums(cell.dc_float, cell.values_float)
     diagonal = cell.dc_float.diagonal().tolist()
@@ -568,15 +552,11 @@ def verify_family_identity(
     factor is already the degree-m value) and the variant is recorded as
     informational only.
     """
-    return _family_identity(get_cell(spec, n), variant, tolerance)
-
-
-def _family_identity(cell: Cell, variant="corrected", tolerance=1e-7) -> IdentityReport:
-    spec = cell.spec
     if not spec.is_krall:
         raise ValueError("family identities exist for the Krall families only")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
+    cell = get_cell(spec, n)
     ambiguous = spec.family == "krall-laguerre"
     tag = FAMILY_IDENTITY_TAG[spec.family]
     cells, notes, _ = _closed_form_cells(cell, "family", tag, tolerance, printed=ambiguous and variant == "printed")
@@ -597,15 +577,11 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
     experiment is decisive when exactly one passes. For the other two
     families the readings coincide and the verdict is "identical".
     """
-    return _discriminate(get_cell(spec, n), tolerance)
-
-
-def _discriminate(cell: Cell, tolerance=1e-7) -> dict:
-    corrected = _family_identity(cell, "corrected", tolerance)
-    if cell.spec.family != "krall-laguerre":
+    corrected = verify_family_identity(spec, n, "corrected", tolerance)
+    if spec.family != "krall-laguerre":
         # one computation: the readings differ only in the recorded variant
         return {"printed": replace(corrected, variant="printed"), "corrected": corrected, "verdict": "identical"}
-    printed = _family_identity(cell, "printed", tolerance)
+    printed = verify_family_identity(spec, n, "printed", tolerance)
     if printed.passed == corrected.passed:
         verdict = "ambiguous"
     else:
@@ -617,17 +593,17 @@ def _discriminate(cell: Cell, tolerance=1e-7) -> dict:
     }
 
 
-def _family_main(cell: Cell, tolerance: float, variant: str) -> IdentityReport:
+def _family_main(spec: FamilySpec, n: int, tolerance: float, variant: str) -> IdentityReport:
     """One reading of the family identity, or with variant="both" the experiment's verdict."""
     if variant != "both":
-        return _family_identity(cell, variant, tolerance)
-    both = _discriminate(cell, tolerance)
+        return verify_family_identity(spec, n, variant, tolerance)
+    both = discriminate_variants(spec, n, tolerance)
     verdict = both["verdict"]
     printed, corrected = both["printed"].max_residual, both["corrected"].max_residual
     # the experiment succeeds when the verdict is decisive; the residual
     # reported is the one of the surviving reading
     survivor = both["corrected"] if verdict in ("corrected", "identical") else both["printed"]
-    return cell.report(
+    return get_cell(spec, n).report(
         survivor.identity, tolerance, "float",
         survivor.max_residual if verdict != "ambiguous" else worst_residual([printed, corrected]),
         passed=verdict != "ambiguous",
@@ -644,11 +620,7 @@ def _family_main(cell: Cell, tolerance: float, variant: str) -> IdentityReport:
 
 def equally_spaced_nodes(spec: FamilySpec, n: int) -> NodeSet:
     """n equally spaced nodes on the hull (on the zero span when unbounded)."""
-    return _equally_spaced(get_cell(spec, n))
-
-
-def _equally_spaced(cell: Cell) -> NodeSet:
-    spec, n = cell.spec, cell.n
+    cell = get_cell(spec, n)
     lo, hi = spec.hull()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         xs = cell.nodes.nodes
@@ -682,14 +654,11 @@ def spectrum_report(
     independent of which distinct real nodes are used; pass any NodeSet to
     exercise that (family zeros are the default).
     """
-    return _spectrum(get_cell(spec, n), tolerance, nodes)
-
-
-def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> IdentityReport:
+    cell = get_cell(spec, n)
     if nodes is None:
         dc = cell.dc_float
-    elif len(nodes) != cell.n:
-        raise ValueError(f"node set has {len(nodes)} nodes, expected {cell.n}")
+    elif len(nodes) != n:
+        raise ValueError(f"node set has {len(nodes)} nodes, expected {n}")
     else:
         dc = collocation_rep(cell.op, nodes).data
     eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), [float(mu) for mu in cell.mus])
@@ -708,7 +677,8 @@ def _spectrum(cell: Cell, tolerance=1e-8, nodes: Optional[NodeSet] = None) -> Id
 
 def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
-    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    lams = christoffel_numbers(cell.nodes, cell.spec)
+    l_mat, l_inv = _transition_exact(cell.family, lams, cell.nodes.refined(), cell.spec)
     # column j of D L_inv - L_inv D_tau at the raw nodes is the defect of D p_j = mu_j p_j
     defects = cell.exact_defects
     common = math.lcm(*(den for _, den, _ in defects))
@@ -720,7 +690,8 @@ def _similarity(cell: Cell) -> dict:
     }
 
 
-def _similarity_report(cell: Cell, tolerance: float) -> IdentityReport:
+def _similarity_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityReport:
+    cell = get_cell(spec, n)
     res = _similarity(cell)
     inverse, similar = res["inverse_residual"], res["similarity_residual"]
     return cell.report(
@@ -731,10 +702,11 @@ def _similarity_report(cell: Cell, tolerance: float) -> IdentityReport:
     )
 
 
-def _quadrature_report(cell: Cell, tolerance: float) -> IdentityReport:
-    per_k = _quadrature_residuals(cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+def _quadrature_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityReport:
+    cell = get_cell(spec, n)
+    _, per_k = quadrature_exactness(cell.nodes, spec)
     worst = worst_residual(per_k)
-    positive = all(lam > 0 for lam in cell.lams)
+    positive = all(lam > 0 for lam in christoffel_numbers(cell.nodes, spec))
     cells = [
         {"identity": "quadrature", "m": k, "n": 0, "residual": r, "pass": r <= tolerance} for k, r in enumerate(per_k)
     ]
@@ -742,13 +714,14 @@ def _quadrature_report(cell: Cell, tolerance: float) -> IdentityReport:
         "quadrature", tolerance, "exact", worst,
         passed=worst <= tolerance and positive,
         cells=cells,
-        notes=[f"moments matched through degree {2 * cell.n - 1}; weights all positive: {positive}"],
+        notes=[f"moments matched through degree {2 * n - 1}; weights all positive: {positive}"],
     )
 
 
-def _diffmat_report(cell: Cell, tolerance: float, seed: int) -> IdentityReport:
+def _diffmat_report(spec: FamilySpec, n: int, tolerance: float, seed: int) -> IdentityReport:
     """Cross-formula agreement of the differentiation matrices plus exactness."""
-    n, node_set = cell.n, cell.nodes
+    cell = get_cell(spec, n)
+    node_set = cell.nodes
     lead = float(cell.family[n].coeffs[-1])
     q = np.random.default_rng(seed).standard_normal(n)  # degree N-1
     x = node_set.as_array()
@@ -775,8 +748,8 @@ def _diffmat_report(cell: Cell, tolerance: float, seed: int) -> IdentityReport:
     )
 
 
-def _rowsum_report(cell: Cell, tolerance: float) -> IdentityReport:
-    report = _eigenpairs(cell, rowsum_tolerance=tolerance)
+def _rowsum_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityReport:
+    report = verify_eigenpairs(spec, n, rowsum_tolerance=tolerance)
     report.passed = bool(report.rowsum_passed)
     report.identity = "rowsum"
     return report
@@ -791,13 +764,13 @@ def _rowsum_report(cell: Cell, tolerance: float) -> IdentityReport:
 class Suite:
     """One verification suite.
 
-    `run(cell, tolerance, options)` returns the suite's reports on one cell;
-    `options` carries `exponent`, `variant` and `seed`. `families` lists
-    the families the suite applies to, and `certifies` says what a pass
-    establishes.
+    `run(spec, n, tolerance, options)` returns the suite's reports on one
+    (spec, N) cell from the public verifiers; `options` carries `exponent`,
+    `variant` and `seed`. `families` lists the families the suite applies
+    to, and `certifies` says what a pass establishes.
     """
 
-    run: Callable[[Cell, float, object], list]
+    run: Callable[[FamilySpec, int, float, object], list]
     tolerance: float
     families: tuple[str, ...]
     certifies: str
@@ -813,52 +786,55 @@ class Suite:
 
 SUITES = {
     "eigenpair": Suite(
-        lambda cell, tol, opt: [_eigenpairs(cell, tol)], 1e-8, FAMILIES,
+        lambda spec, n, tol, opt: [verify_eigenpairs(spec, n, tol)], 1e-8, FAMILIES,
         "exact D p_m = mu_m p_m, m < N; holds on any distinct rational nodes, so it certifies the "
         "differentiation-matrix formulas, not the zeros",
     ),
     "rowsum": Suite(
-        lambda cell, tol, opt: [_rowsum_report(cell, tol)], 1e-9, FAMILIES,
+        lambda spec, n, tol, opt: [_rowsum_report(spec, n, tol)], 1e-9, FAMILIES,
         "exact row sums of D vanish (the m = 0 eigenpair); node-independent like `eigenpair`",
     ),
     "power": Suite(
-        lambda cell, tol, opt: [_power(cell, opt.exponent, tol)], 1e-6, FAMILIES,
+        lambda spec, n, tol, opt: [verify_power(spec, n, opt.exponent, tol)], 1e-6, FAMILIES,
         "exact D^e p_m = mu_m^e p_m; certifies the differentiation-matrix formulas, not the zeros",
     ),
     "fourth-order": Suite(
-        lambda cell, tol, opt: [_fourth_order(cell, tol)], 1e-7, KRALL_FAMILIES,
+        lambda spec, n, tol, opt: [verify_fourth_order(spec, n, tol)], 1e-7, KRALL_FAMILIES,
         "generic fourth-order closed-form identity in doubles; holds only at the zeros; a krall-laguerre "
         "verdict beyond N ~ 17 is decided by rounding until the closed forms run exactly",
     ),
     "kleg-main": Suite(
-        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-legendre",),
+        lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-legendre",),
         "Krall-Legendre closed-form identity in doubles; holds only at the zeros",
     ),
     "klag-main": Suite(
-        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-laguerre",),
+        lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-laguerre",),
         "Krall-Laguerre closed-form identity in doubles, with both readings of its trailing factor; a verdict "
         "beyond N ~ 17 is decided by rounding until the closed forms run exactly",
     ),
     "kjac-main": Suite(
-        lambda cell, tol, opt: [_family_main(cell, tol, opt.variant)], 1e-7, ("krall-jacobi",),
+        lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-jacobi",),
         "Krall-Jacobi closed-form identity in doubles; holds only at the zeros",
     ),
     "spectrum": Suite(
-        lambda cell, tol, opt: [_spectrum(cell, tol), _spectrum(cell, max(tol, 1e-6), _equally_spaced(cell))],
+        lambda spec, n, tol, opt: [
+            spectrum_report(spec, n, tolerance=tol),
+            spectrum_report(spec, n, equally_spaced_nodes(spec, n), max(tol, 1e-6)),
+        ],
         1e-8, FAMILIES,
         "eigenvalues of D in doubles match mu_m on the zeros and on equally spaced nodes (at 1e-6 or looser)",
     ),
     "similarity": Suite(
-        lambda cell, tol, opt: [_similarity_report(cell, tol)], 1e-8, FAMILIES,
+        lambda spec, n, tol, opt: [_similarity_report(spec, n, tol)], 1e-8, FAMILIES,
         "exact L L_inv = I at 1e-10 on refined zeros, which needs the zeros; exact D L_inv = L_inv D_tau, "
         "which certifies the formulas, not the zeros",
     ),
     "quadrature": Suite(
-        lambda cell, tol, opt: [_quadrature_report(cell, tol)], 1e-10, FAMILIES,
+        lambda spec, n, tol, opt: [_quadrature_report(spec, n, tol)], 1e-10, FAMILIES,
         "exact Gaussian exactness through degree 2N-1 and positive Christoffel weights on refined zeros",
     ),
     "diffmat": Suite(
-        lambda cell, tol, opt: [_diffmat_report(cell, tol, opt.seed)], 1e-11, FAMILIES,
+        lambda spec, n, tol, opt: [_diffmat_report(spec, n, tol, opt.seed)], 1e-11, FAMILIES,
         "the three Z^(k) constructions, k = 1..4, agree in doubles and are exact (at 1e-9) on a seeded polynomial",
     ),
 }

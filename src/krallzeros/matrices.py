@@ -70,7 +70,7 @@ from .families import (
     pairing,
     squared_norms,
 )
-from .rootfinding import DEFAULT_REFINE_BITS, NodeSet, _at_double, _derivative_lists, _horner, _node_products, _round_div
+from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _node_products, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -575,49 +575,50 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_numbers(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> list[Fraction]:
+def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
     """Exact interpolatory weights lambda_j = integral of ell_j against the measure.
 
     lambda_j = <psi / (x - x_j)> / psi'(x_j), remainder dropped, on integers:
-    with psi = a / d and the refined x_j = u / 2^e, synthetic division gives
-    quotient coefficients Q_i / (d 2^(e (n-1-i))), Horner on the slope list
-    gives psi'(x_j) = B / (d 2^(e (n-1))), so ell_j = sum_i Q_i 2^(e i) x^i / B.
-    The node set keeps them per (spec, bits); each call returns a new list.
+    with psi = a / d and the refined x_j = u / 2^e (`NodeSet.refined`),
+    synthetic division gives quotient coefficients Q_i / (d 2^(e (n-1-i))),
+    Horner on the slope list gives psi'(x_j) = B / (d 2^(e (n-1))), so
+    ell_j = sum_i Q_i 2^(e i) x^i / B. The node set keeps them per spec,
+    the only copy of them; each call returns a new list.
     """
-    if (spec, bits) in nodes._christoffel:
-        return list(nodes._christoffel[spec, bits])
+    if spec in nodes._christoffel:
+        return list(nodes._christoffel[spec])
     a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
     slope = _derivative_lists(a, 1)[1]
     n = len(a) - 1
     table = moment_table(spec, n - 1)
     lams = []
-    for u, v in (x.as_integer_ratio() for x in nodes.refined(bits)):
+    for u, v in (x.as_integer_ratio() for x in nodes.refined()):
         e = v.bit_length() - 1
         q = [a[n]]
         for k in range(n - 1, 0, -1):  # Q_(k-1) = Q_k u + a_k 2^(e (n-k))
             q.append(q[-1] * u + (a[k] << e * (n - k)))
         lams.append(integral([c << e * i for i, c in enumerate(reversed(q))], _horner(slope, u, e), table))
-    nodes._christoffel[spec, bits] = lams
+    nodes._christoffel[spec] = lams
     return list(lams)
 
 
-def christoffel(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> MatrixRep:
+def christoffel(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
     """Diagonal matrix of the Christoffel numbers at the family zeros; every entry must be positive."""
-    for j, lam in enumerate(christoffel_numbers(nodes, spec, bits)):
+    for j, lam in enumerate(christoffel_numbers(nodes, spec)):
         if lam <= 0:
             raise PositivityError(
                 f"weight {j} is {float(lam):.3e} <= 0; nodes or moments are corrupted"
             )
-    return interpolatory_weights(nodes, spec, bits)
+    return interpolatory_weights(nodes, spec)
 
 
-def interpolatory_weights(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> MatrixRep:
+def interpolatory_weights(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
     """Diagonal matrix of the interpolatory weights on any nodes, where they may be negative."""
-    data = np.diag([float(v) for v in christoffel_numbers(nodes, spec, bits)])
+    data = np.diag([float(v) for v in christoffel_numbers(nodes, spec)])
     return MatrixRep(data, kind="christoffel_diag", note=f"interpolatory weights for {spec.label()}")
 
 
-def quadrature_exactness(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS):
+def quadrature_exactness(nodes: NodeSet, spec: FamilySpec):
     """Relative moment-matching residuals of the Gaussian rule, k = 0..2N-1.
 
     Returns (max_residual, per_k_list). Evaluated in exact arithmetic on the
@@ -625,7 +626,7 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_R
     only at the true zeros, and its sensitivity to node error dwarfs double
     precision for spread-out node sets.
     """
-    residuals = _quadrature_residuals(christoffel_numbers(nodes, spec, bits), nodes.refined(bits), spec)
+    residuals = _quadrature_residuals(christoffel_numbers(nodes, spec), nodes.refined(), spec)
     return max(residuals), residuals
 
 
@@ -690,7 +691,7 @@ def _inverse_residual(l_mat: Sequence[Sequence[int]], l_inv: Sequence[Sequence[i
     return worst / one
 
 
-def transition(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS) -> tuple[MatrixRep, MatrixRep]:
+def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
     """Basis-transition pair (L, L_inv) at the zeros of the degree-N member.
 
     L factors as P * Lambda: row j of P holds p_{j-1}(x_k) / ||p_{j-1}||^2
@@ -699,7 +700,7 @@ def transition(nodes: NodeSet, spec: FamilySpec, bits: int = DEFAULT_REFINE_BITS
     the 1e-10 consistency bound before returning.
     """
     fam = build_family(spec, len(nodes) - 1)
-    l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec, bits), nodes.refined(bits), spec)
+    l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec), nodes.refined(), spec)
     residual = _inverse_residual(l_mat, l_inv, _GRID)
     if residual > 1e-10:
         raise InversionConsistencyError(
@@ -770,7 +771,7 @@ def similarity_residual(a_coll, a_tau, l_mat, l_inv) -> float:
     return float(num / max(1.0, np.linalg.norm(at, np.inf)))
 
 
-def similarity_check(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) -> dict:
+def similarity_check(spec: FamilySpec, n: int) -> dict:
     """Exact-arithmetic consistency of the two representations at family zeros.
 
     Returns {"inverse_residual", "similarity_residual"}: the first is
@@ -780,4 +781,4 @@ def similarity_check(spec: FamilySpec, n: int, bits: int = DEFAULT_REFINE_BITS) 
     """
     from .identities import _similarity, get_cell  # identities builds its cells on this module
 
-    return _similarity(get_cell(spec, n, bits))
+    return _similarity(get_cell(spec, n))

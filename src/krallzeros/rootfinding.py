@@ -20,8 +20,8 @@ Some verification tasks (Gaussian exactness, inverting the basis-transition
 matrix) are sensitive to node perturbations far beyond double precision:
 for Laguerre-type node spreads a 1-ulp node error already shows up at the
 1e-4 level in the high quadrature moments. NodeSet.refined() therefore
-exposes the nodes re-polished in rational arithmetic to a requested number
-of binary digits; the exact verification paths consume those.
+exposes the nodes re-polished in rational arithmetic to DEFAULT_REFINE_BITS
+binary digits; the exact verification paths consume those.
 
 zeros() keeps its last (p, spec) result. A repeated call, such as the one a
 cell makes after the caller found the same zeros, returns a new NodeSet
@@ -138,8 +138,8 @@ class NodeSet:
         self._new_caches()
 
     def _new_caches(self) -> None:
-        self._refined: dict[int, list[Fraction]] = {}
-        self._christoffel: dict[tuple, list[Fraction]] = {}  # per (spec, bits)
+        self._refined: Optional[list[Fraction]] = None
+        self._christoffel: dict[FamilySpec, list[Fraction]] = {}  # per spec
         self._kernels: dict[float, object] = {}  # per leading coefficient
         self._closed_forms: dict[tuple, object] = {}  # per (spec, formula, singular guard)
 
@@ -147,10 +147,6 @@ class NodeSet:
         super().__setattr__(name, value)
         if not name.startswith("_") and "_kernels" in self.__dict__:  # the caches describe the old value
             self._new_caches()
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -162,13 +158,13 @@ class NodeSet:
     def as_array(self) -> np.ndarray:
         return np.array(self.nodes)
 
-    def refined(self, bits: int = DEFAULT_REFINE_BITS) -> list[Fraction]:
-        """Nodes as rationals accurate to ~2^-bits, cached per bit count; each call returns a new list."""
-        if bits not in self._refined:
+    def refined(self) -> list[Fraction]:
+        """Nodes as rationals accurate to ~2^-DEFAULT_REFINE_BITS, computed once; each call returns a new list."""
+        if self._refined is None:
             # float coefficients refine against their exact rationalization
             a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
-            self._refined[bits] = [_newton_refine(a, x, bits) for x in self.nodes]
-        return list(self._refined[bits])
+            self._refined = [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in self.nodes]
+        return list(self._refined)
 
     @classmethod
     def from_points(cls, points: Sequence[float], spec: Optional[FamilySpec] = None) -> "NodeSet":
@@ -195,7 +191,7 @@ class NodeSet:
             raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
         node_set = cls(pts, *caches, poly=poly, spec=spec)
         # the points are exact roots of the constructed polynomial
-        node_set._refined[DEFAULT_REFINE_BITS] = [Fraction(p) for p in pts]
+        node_set._refined = [Fraction(p) for p in pts]
         return node_set
 
 
@@ -281,8 +277,11 @@ def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
     n = p.degree
     if n < 1:
         raise ValueError("need a polynomial of degree at least 1")
-    cf = np.array([float(c) for c in p.coeffs])
-    if not np.all(np.isfinite(cf)):
+    try:
+        cf = np.array([float(c) for c in p.coeffs])
+    except OverflowError:  # float() of a Fraction past double range
+        cf = None
+    if cf is None or not np.all(np.isfinite(cf)):
         raise ValueError("coefficients overflow double precision; reduce the degree")
     form = p._integer_form()
     if form is None:

@@ -22,6 +22,6 @@ settings.load_profile("krallzeros")
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    identities._last_cell.cache_clear()
+    identities.get_cell.cache_clear()
     families._last_family.clear()
     rootfinding._last_zeros.clear()

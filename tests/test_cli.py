@@ -193,6 +193,19 @@ class TestMatrixCommand:
         assert captured.err.startswith("error: ") and "overflows double precision" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "power", "--family", "krall-legendre", "--alpha", "1", "--n", "8", "--exponent", "200"],
+    ["matrix", "--kind", "z", "--nodes", "0,1e400"],
+    ["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
+    ["zeros", "--family", "hermite", "--n", "300"],
+], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree"])
+def test_double_overflow_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 class TestVerifyCommand:
     def test_eigenpair_sweep_all_families(self, capsys):
         code, out = run(capsys, "verify", "--suite", "thm1", "--family", "all", "--n", "2..4",
@@ -396,7 +409,7 @@ def test_warm_memos_do_not_change_the_report(capsys):
     assert run(capsys, *argv) == cold
     assert run(capsys, "verify", "--suite", "all", "--family", "hermite", "--n", "7")[0] == 0
     assert run(capsys, *argv) == cold
-    identities._last_cell.cache_clear()
+    identities.get_cell.cache_clear()
     families._last_family.clear()
     rootfinding._last_zeros.clear()
     assert run(capsys, *argv) == cold

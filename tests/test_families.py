@@ -81,11 +81,6 @@ class TestFamilySpec:
         with pytest.raises(ParameterError):
             FamilySpec(**kwargs)
 
-    def test_jumps(self):
-        assert KLEG1.jumps() == ((F(-1), F(1, 2)), (F(1), F(1, 2)))
-        assert FamilySpec("krall-laguerre", alpha=2).jumps() == ((F(0), F(1, 2)),)
-        assert FamilySpec("jacobi", alpha=0, beta=0).jumps() == ()
-
 
 class TestBuildFamily:
     def test_krall_legendre_degree_one(self):
@@ -112,7 +107,6 @@ class TestBuildFamily:
     def test_float_mode_rounds_rational(self):
         fam = build_family(KLAG1, 2, mode="float")
         assert fam[1].coeffs == (1.0, -2.0)
-        assert fam[1].mode == "float"
 
     def test_float_mode_builds_any_degree_in_double_range(self):
         exact = build_family(KLEG1, 26)

@@ -27,7 +27,7 @@ from krallzeros import identities
 from krallzeros.families import FAMILIES, KRALL_FAMILIES
 from krallzeros.identities import SUITES, get_cell, worst_residual
 from krallzeros.matrices import similarity_check
-from krallzeros.rootfinding import DEFAULT_REFINE_BITS, NonRealRootError
+from krallzeros.rootfinding import NonRealRootError
 
 KLEG1 = FamilySpec("krall-legendre", alpha=1)
 KLAG1 = FamilySpec("krall-laguerre", alpha=1)
@@ -272,7 +272,7 @@ def test_readme_suite_table_matches_registry():
 
 
 class TestCellFactory:
-    """Consecutive public calls on one (spec, N, bits) share one cell; outputs stay the caller's."""
+    """Consecutive public calls on one (spec, N) share one cell; outputs stay the caller's."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -303,8 +303,6 @@ class TestCellFactory:
             lambda: spectrum_report(KLAG1, 5),
             lambda: equally_spaced_nodes(KLAG1, 5),  # unbounded hull: reads the zeros
             lambda: similarity_check(KLAG1, 5),
-            lambda: similarity_check(KLAG1, 5, DEFAULT_REFINE_BITS),
-            lambda: similarity_check(KLAG1, 5, bits=DEFAULT_REFINE_BITS),
         ]
         for call in calls:
             call()
@@ -312,17 +310,16 @@ class TestCellFactory:
 
     def test_calling_forms_share_one_key(self):
         first = get_cell(KLEG1, 4)
-        assert get_cell(KLEG1, 4, DEFAULT_REFINE_BITS) is first
-        assert get_cell(KLEG1, 4, bits=DEFAULT_REFINE_BITS) is first
+        assert get_cell(KLEG1, 4) is first
         assert get_cell(FamilySpec("krall-legendre", alpha=F(1)), 4) is first  # an equal spec
 
     def test_another_key_rebuilds(self, builds):
         verify_eigenpairs(KLAG1, 5)
         verify_eigenpairs(KLAG1, 6)
         verify_eigenpairs(KLEG1, 6)
-        similarity_check(KLEG1, 6, 64)
+        similarity_check(KLEG1, 7)
         verify_eigenpairs(KLAG1, 5)  # one entry: the first cell is gone
-        assert builds["zeros"] == [(KLAG1, 5), (KLAG1, 6), (KLEG1, 6), (KLEG1, 6), (KLAG1, 5)]
+        assert builds["zeros"] == [(KLAG1, 5), (KLAG1, 6), (KLEG1, 6), (KLEG1, 7), (KLAG1, 5)]
 
     def test_raising_cell_raises_again(self, builds):
         spec = FamilySpec("krall-jacobi", alpha=1, mass=2)  # companion-matrix zeros break at N = 24

@@ -52,17 +52,15 @@ from krallzeros.families import (
 )
 from krallzeros.identities import (
     FAMILY_IDENTITY_TAG,
-    Cell,
     _diffmat_report,
-    _eigenpairs,
-    _family_identity,
-    _fourth_order,
     _params_dict,
-    _power,
     _similarity,
     discriminate_variants,
+    get_cell,
+    verify_eigenpairs,
     verify_family_identity,
     verify_fourth_order,
+    verify_power,
     worst_residual,
 )
 from krallzeros.matrices import (
@@ -107,7 +105,7 @@ specs_by_family = (
     st.builds(lambda a, m: FamilySpec("krall-jacobi", alpha=a, mass=m), _above(-1, 4), _above(0, 4)),
 )
 specs = st.one_of(*specs_by_family)
-cells = st.builds(Cell, specs, st.integers(1, 8))
+cells = st.builds(get_cell, specs, st.integers(1, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,8 @@ def float_eigenpairs_reference(cell, tolerance, rowsum_tolerance):
 
 def similarity_reference(cell):
     n, mus = cell.n, cell.mus
-    l_mat, l_inv = transition_reference(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    lams = christoffel_numbers(cell.nodes, cell.spec)
+    l_mat, l_inv = transition_reference(cell.family, lams, cell.nodes.refined(), cell.spec)
     dc, pv = cell.dc_exact, values_reference(cell)
     worst = F(0)
     for m in range(n):
@@ -429,11 +428,11 @@ def collocation_reference(op, xq):
     return out
 
 
-def christoffel_reference(nodes, spec, bits):
+def christoffel_reference(nodes, spec):
     poly = Polynomial([F(c) for c in nodes.poly.coeffs])
     deriv = poly.derivative()
     lams = []
-    for xj in nodes.refined(bits):
+    for xj in nodes.refined():
         quot = poly.shifted_quotient(xj)
         val = sum((quot.coeffs[i] * moment(spec, i) for i in range(len(quot.coeffs))), F(0))
         lams.append(val / deriv(xj))
@@ -557,7 +556,7 @@ def fraction_coeffs_reference(spec, nu):
 
 def polish_reference(poly, deriv, z):
     """The Newton loop that evaluated each real step by Fraction Horner."""
-    exact = poly.mode == "rational"
+    exact = poly._integer_form() is not None
     x = z
     for _ in range(60):
         if exact and x.imag == 0.0:
@@ -578,7 +577,7 @@ def polish_reference(poly, deriv, z):
 
 def derivative_caches_reference(poly, xs):
     derivs = [poly.derivative(k) for k in (1, 2, 3)]
-    if poly.mode == "rational":
+    if poly._integer_form() is not None:
         return tuple(tuple(float(d(F(x))) for x in xs) for d in derivs)
     return tuple(tuple(d(x) for x in xs) for d in derivs)
 
@@ -726,17 +725,19 @@ def family_identity_reference(cell, variant, tolerance=1e-7):
 
 
 def perturbed(cell, data):
-    """The cell with rational noise added to some entries of its exact collocation matrix.
+    """A new cell of get_cell, with rational noise added to some entries of its exact collocation matrix.
 
     At any distinct nodes the exact relations hold with residual 0, so the
-    noise is what gives the kernel nonzero defects to reduce.
+    noise is what gives the kernel nonzero defects to reduce. The verifiers
+    of (cell.spec, cell.n) read the new cell until get_cell builds another.
     """
     n = cell.n
     dc = [list(row) for row in cell.dc_exact]
     entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rationals)
     for i, j, noise in data.draw(st.lists(entries, max_size=4)):
         dc[i][j] += noise
-    fresh = Cell(cell.spec, n)
+    identities.get_cell.cache_clear()
+    fresh = get_cell(cell.spec, n)
     fresh.dc_exact = dc  # cached_property: the instance attribute takes precedence
     return fresh
 
@@ -823,8 +824,8 @@ def test_horner_zero_and_constant(coeffs, x):
 
 @given(cells)
 def test_quadrature_residuals_on_refined_zeros(cell):
-    xq = cell.nodes.refined(cell.bits)
-    assert _quadrature_residuals(cell.lams, xq, cell.spec) == quadrature_reference(cell.lams, xq, cell.spec)
+    lams, xq = christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined()
+    assert _quadrature_residuals(lams, xq, cell.spec) == quadrature_reference(lams, xq, cell.spec)
 
 
 @given(specs, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
@@ -839,7 +840,8 @@ def on_grid(matrix):
 
 @given(cells)
 def test_inverse_residual_on_transition_pairs(cell):
-    l_mat, l_inv = _transition_exact(cell.family, cell.lams, cell.nodes.refined(cell.bits), cell.spec)
+    lams = christoffel_numbers(cell.nodes, cell.spec)
+    l_mat, l_inv = _transition_exact(cell.family, lams, cell.nodes.refined(), cell.spec)
     assert _inverse_residual(l_mat, l_inv, _GRID) == inverse_reference(on_grid(l_mat), on_grid(l_inv))
 
 
@@ -864,19 +866,21 @@ def test_inverse_residual_on_any_rationals(pair):
 @given(cells, st.data())
 def test_exact_eigenpairs(cell, data):
     cell = perturbed(cell, data)
-    assert _eigenpairs(cell, 1e-8, 1e-9).to_dict() == eigenpairs_reference(cell, 1e-8, 1e-9).to_dict()
+    got = verify_eigenpairs(cell.spec, cell.n, 1e-8, 1e-9).to_dict()
+    assert got == eigenpairs_reference(cell, 1e-8, 1e-9).to_dict()
 
 
 @given(cells, st.integers(1, 3), st.data())
 def test_exact_power(cell, exponent, data):
     cell = perturbed(cell, data)
-    assert _power(cell, exponent, 1e-6).to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
+    got = verify_power(cell.spec, cell.n, exponent, 1e-6).to_dict()
+    assert got == power_reference(cell, exponent, 1e-6, "exact").to_dict()
 
 
 def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
     """Row 2 of D broken by +1 at column 0 and -1 at column 5: D 1 is unchanged, so
     the m = 0 defect stays zero and skips its matvecs, and every other m keeps them."""
-    cell = Cell(FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)), 6)
+    cell = get_cell(FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)), 6)
     dc = [list(row) for row in cell.dc_exact]
     dc[2][0] += 1
     dc[2][5] -= 1
@@ -888,7 +892,7 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
     monkeypatch.setattr(identities, "_matvec", lambda *args: matvecs.append(args) or real(*args))
     for exponent in (2, 3):
         matvecs.clear()
-        report = _power(cell, exponent, 1e-6)
+        report = verify_power(cell.spec, 6, exponent, 1e-6)
         assert len(matvecs) == (cell.n - 1) * (exponent - 1)
         assert report.to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
         assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
@@ -896,12 +900,13 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
 
 @given(cells, st.integers(1, 3))
 def test_float_power_unchanged(cell, exponent):
-    assert _power(cell, exponent, 1e-6, "float").to_dict() == power_reference(cell, exponent, 1e-6, "float").to_dict()
+    got = verify_power(cell.spec, cell.n, exponent, 1e-6, "float").to_dict()
+    assert got == power_reference(cell, exponent, 1e-6, "float").to_dict()
 
 
 @given(cells)
 def test_float_eigenpairs_unchanged(cell):
-    got = _eigenpairs(cell, 1e-8, 1e-9, "float").to_dict()
+    got = verify_eigenpairs(cell.spec, cell.n, 1e-8, 1e-9, "float").to_dict()
     assert got == float_eigenpairs_reference(cell, 1e-8, 1e-9).to_dict()
 
 
@@ -953,20 +958,19 @@ def test_diffmats_exact(xq, kmax):
 # ---------------------------------------------------------------------------
 
 
-@given(cells, st.sampled_from([64, 192, 512]))
-def test_christoffel_numbers(cell, bits):
-    assert christoffel_numbers(cell.nodes, cell.spec, bits) == christoffel_reference(cell.nodes, cell.spec, bits)
+@given(cells)
+def test_christoffel_numbers(cell):
+    assert christoffel_numbers(cell.nodes, cell.spec) == christoffel_reference(cell.nodes, cell.spec)
 
 
 @given(
     specs,
     # NodeSet.from_points wants points at least 1e-10 apart
     st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=1000), min_size=1, max_size=8, unique=True),
-    st.sampled_from([64, 192, 512]),
 )
-def test_christoffel_numbers_on_any_nodes(spec, xq, bits):
+def test_christoffel_numbers_on_any_nodes(spec, xq):
     nodes = NodeSet.from_points([float(x) for x in xq])
-    assert christoffel_numbers(nodes, spec, bits) == christoffel_reference(nodes, spec, bits)
+    assert christoffel_numbers(nodes, spec) == christoffel_reference(nodes, spec)
 
 
 def counting_moment_tables(monkeypatch):
@@ -977,17 +981,16 @@ def counting_moment_tables(monkeypatch):
     return tables
 
 
-def test_christoffel_numbers_cached_per_spec_and_bits(monkeypatch):
+def test_christoffel_numbers_cached_per_spec(monkeypatch):
     spec, hermite = FamilySpec("krall-jacobi", alpha=F(1, 2), mass=F(2)), FamilySpec("hermite")
     nodes = NodeSet.from_points([-0.5, 0.25, 0.75])
     tables = counting_moment_tables(monkeypatch)
     first = christoffel_numbers(nodes, spec)
     first.append(F(0))  # the caller's list, not the node set's
-    assert christoffel_numbers(nodes, spec) == christoffel_reference(nodes, spec, DEFAULT_REFINE_BITS)
+    assert christoffel_numbers(nodes, spec) == christoffel_reference(nodes, spec)
     assert tables == [(spec, 2)]  # one kernel run
-    christoffel_numbers(nodes, spec, 64)
     christoffel_numbers(nodes, hermite)
-    assert tables == [(spec, 2), (spec, 2), (hermite, 2)]
+    assert tables == [(spec, 2), (hermite, 2)]
 
 
 def test_quadrature_and_transition_share_the_christoffel_numbers(monkeypatch):
@@ -1034,8 +1037,7 @@ def test_transition_general(spec, xq):
 
 @given(cells)
 def test_transition_exact(cell):
-    xq = cell.nodes.refined(cell.bits)
-    args = (cell.family, cell.lams, xq, cell.spec)
+    args = (cell.family, christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined(), cell.spec)
     assert [on_grid(m) for m in _transition_exact(*args)] == list(transition_reference(*args))
 
 
@@ -1056,7 +1058,10 @@ def test_round_div_ties_to_even(p, q):
 
 @given(cells, st.sampled_from([64, 192, 512]))
 def test_refined_zeros(cell, bits):
-    assert cell.nodes.refined(bits) == refined_reference(cell.nodes, bits)
+    """refined() is _newton_refine at DEFAULT_REFINE_BITS, which matches the Fraction loop at any depth."""
+    a = common_denominator([F(c) for c in cell.nodes.poly.coeffs])[0]
+    assert cell.nodes.refined() == [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in cell.nodes.nodes]
+    assert [_newton_refine(a, x, bits) for x in cell.nodes.nodes] == refined_reference(cell.nodes, bits)
 
 
 @given(
@@ -1206,7 +1211,8 @@ def test_returned_matrices_are_the_callers_own():
 
 
 def test_one_kernel_per_node_set_and_leading_coefficient(monkeypatch):
-    cell, built = Cell(FamilySpec("krall-laguerre", alpha=F(1, 2)), 6), []
+    spec, built = FamilySpec("krall-laguerre", alpha=F(1, 2)), []
+    cell = get_cell(spec, 6)
     real = matrices.NodeKernel.__init__
 
     def counting(self, x, leading):
@@ -1215,8 +1221,8 @@ def test_one_kernel_per_node_set_and_leading_coefficient(monkeypatch):
 
     monkeypatch.setattr(matrices.NodeKernel, "__init__", counting)
     cell.dc_float
-    assert _diffmat_report(cell, 1e-11, 0).passed
-    _fourth_order(cell)
+    assert _diffmat_report(spec, 6, 1e-11, 0).passed
+    verify_fourth_order(spec, 6)
     lead = float(cell.family[6].coeffs[-1])
     assert lead != 1.0 and built == [1.0, lead]
 
@@ -1328,7 +1334,7 @@ def test_moment_table_by_recurrence(spec, tops):
 
 @pytest.mark.parametrize("spec", [FamilySpec("hermite"), FamilySpec("krall-laguerre", alpha=F(1, 2))])
 def test_float_collocation_shares_recursive_matrices(spec, monkeypatch):
-    cell = Cell(spec, 6)
+    cell = get_cell(spec, 6)
     expected = collocation_rep(cell.op, cell.nodes).data
     calls = []
     real = matrices.diffmat
@@ -1339,7 +1345,7 @@ def test_float_collocation_shares_recursive_matrices(spec, monkeypatch):
 
     monkeypatch.setattr(matrices, "diffmat", counting)
     assert np.array_equal(cell.dc_float, expected)
-    report = _diffmat_report(cell, 1e-11, 0)
+    report = _diffmat_report(spec, 6, 1e-11, 0)
     assert report.passed
     # the report's own 14 constructions (k = 1..4: recursive, alternative,
     # rescaled; explicit for k <= 2), the recursive ones shared with dc_float
@@ -1350,7 +1356,7 @@ def test_float_collocation_shares_recursive_matrices(spec, monkeypatch):
 # closed-form identities on the cell's collocation_rep_simplified matrix
 # ---------------------------------------------------------------------------
 
-krall_cells = st.builds(Cell, st.one_of(*specs_by_family[3:]), st.integers(1, 16))
+krall_cells = st.builds(get_cell, st.one_of(*specs_by_family[3:]), st.integers(1, 16))
 # 0.05 puts some rows of every Krall family under the singular guard
 guards = st.sampled_from([matrices.SINGULAR_COEFF_GUARD, 0.05])
 
@@ -1369,13 +1375,14 @@ def singular_guard(value):
 def test_family_identity_reads_the_closed_form_matrix(cell, guard):
     with singular_guard(guard):
         for variant in ("printed", "corrected"):
-            assert _family_identity(cell, variant).to_dict() == family_identity_reference(cell, variant).to_dict()
+            got = verify_family_identity(cell.spec, cell.n, variant).to_dict()
+            assert got == family_identity_reference(cell, variant).to_dict()
 
 
 @given(krall_cells, guards)
 def test_fourth_order_sums_unchanged(cell, guard):
     with singular_guard(guard):
-        assert _fourth_order(cell).to_dict() == fourth_order_sums_reference(cell).to_dict()
+        assert verify_fourth_order(cell.spec, cell.n).to_dict() == fourth_order_sums_reference(cell).to_dict()
 
 
 @given(krall_cells, guards)
@@ -1391,7 +1398,8 @@ def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
     """
     tolerance = 1e-7
     with singular_guard(guard):
-        got, expected = _fourth_order(cell, tolerance).to_dict(), fourth_order_reference(cell, tolerance).to_dict()
+        got = verify_fourth_order(cell.spec, cell.n, tolerance).to_dict()
+        expected = fourth_order_reference(cell, tolerance).to_dict()
         rows = cell.closed_form("fourth-order").data.tolist()
     u = 2.0**-53
     banded = False

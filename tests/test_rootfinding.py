@@ -128,7 +128,7 @@ class TestRefined:
     def test_refinement_reduces_residual(self):
         member = build_family(KLAG1, 9)[9]
         nodes = zeros(member, KLAG1)
-        refined = nodes.refined(192)
+        refined = nodes.refined()
         for x_float, x_exact in zip(nodes.nodes, refined):
             assert abs(float(x_exact) - x_float) < 1e-13 * max(1.0, abs(x_float))
             # the rational iterate sits far below double-precision residuals

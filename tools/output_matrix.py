@@ -5,9 +5,12 @@
 krallzeros is imported from the `src/` directory of the tree this script
 sits in. Through the command-line driver, in one process, it runs:
 
-- `report --format json` with `--seed 0` and `--seed 1`;
+- `report --format json` with `--seed 0` and `--seed 1`, and `report
+  --seed 0` with `--format text` and `--format csv`;
 - `verify --suite S --format json --n 2..8` for every suite S and every
-  reference spec (a suite that does not apply to a family exits 2);
+  reference spec (a suite that does not apply to a family exits 2), and
+  for every reference spec also `--suite klag-main` with `--variant
+  printed` and `--variant both` and `--suite power --exponent 3`;
 - `zeros` and `family` with `--format json --n 12` for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
   the float and both closed-form collocation matrices (`--kind dc`,
@@ -23,7 +26,7 @@ sits in. Through the command-line driver, in one process, it runs:
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
-stdout goes to OUTDIR/<run>.json; OUTDIR/exit_codes.txt lists every run
+stdout goes to OUTDIR/<run>.<format>; OUTDIR/exit_codes.txt lists every run
 with its exit code and its stderr. To compare two trees, run the script
 from each into its own directory and `diff -r` the two directories.
 """
@@ -52,6 +55,13 @@ MATRIX_RUNS = {
 
 GIVEN_NODES = "0.125,0.375,0.625,0.875"
 
+SUITE_RUNS = {
+    **{suite: [suite] for suite in SUITES},
+    "klag-main-printed": ["klag-main", "--variant", "printed"],
+    "klag-main-both": ["klag-main", "--variant", "both"],
+    "power-exponent3": ["power", "--exponent", "3"],
+}
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -65,9 +75,11 @@ REFERENCE_SPECS = {
 def runs() -> dict[str, list[str]]:
     """Output name -> command-line arguments."""
     out = {f"report-seed{seed}": ["report", "--format", "json", "--seed", str(seed)] for seed in (0, 1)}
+    for fmt in ("text", "csv"):
+        out[f"report-seed0-{fmt}"] = ["report", "--format", fmt, "--seed", "0"]
     for name, spec in REFERENCE_SPECS.items():
-        for suite in SUITES:
-            out[f"verify-{suite}-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "2..8"]
+        for suite, options in SUITE_RUNS.items():
+            out[f"verify-{suite}-{name}"] = ["verify", "--suite", *options, *spec, "--format", "json", "--n", "2..8"]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
         for matrix, kind in MATRIX_RUNS.items():
@@ -99,7 +111,7 @@ def main(argv: list[str]) -> int:
     codes = []
     for name, args in runs().items():
         code, out, err = run(args)
-        with open(os.path.join(outdir, f"{name}.json"), "w") as handle:
+        with open(os.path.join(outdir, f"{name}.{args[args.index('--format') + 1]}"), "w") as handle:
             handle.write(out)
         codes.append(f"{name}\t{code}\t{err.strip()}\n")
     with open(os.path.join(outdir, "exit_codes.txt"), "w") as handle:
