@@ -182,13 +182,18 @@ def _fraction_str(value) -> str:
 def cmd_family(args) -> int:
     spec = _spec_from_args(args)
     n = _parse_n(args)[-1]
-    members = build_family(spec, n, mode=args.mode)
+    # member by member, so a float table stops at its first member past double
+    # range; build_family(spec, n) refuses a negative n
+    members = (build_family(spec, nu)[nu] for nu in range(n + 1)) if n >= 0 else build_family(spec, n)
     rows = []
     for nu, p in enumerate(members):
         if args.mode == "rational":
             coeffs = [_fraction_str(c) for c in p.coeffs]
         else:
-            coeffs = [_fmt(c) for c in p.coeffs]
+            try:
+                coeffs = [_fmt(c) for c in p.to_float().coeffs]
+            except OverflowError:
+                raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
         rows.append({"degree": nu, "coefficients": coeffs})
     if args.format == "json":
         text = _dumps({"family": spec.label(), "mode": args.mode, "members": rows})
@@ -229,12 +234,19 @@ def cmd_zeros(args) -> int:
     return 0
 
 
+def _node_value(text: str) -> float:
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        raise ParameterError(f"--nodes value {text} is outside double range") from None
+
+
 def _matrix_for(args) -> matrices.MatrixRep:
     kind = args.kind
     if kind == "ztilde":
         kind = "z"
     if args.nodes:
-        node_set = NodeSet.from_points([float(Fraction(v)) for v in args.nodes.split(",")])
+        node_set = NodeSet.from_points([_node_value(v) for v in args.nodes.split(",")])
         if (args.n or args.n_range) and _parse_n(args) != [len(node_set)]:
             raise ParameterError(f"--n {args.n_range or args.n} disagrees with the {len(node_set)} given nodes")
     else:
@@ -415,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", help="degree / matrix size, a single integer or a range like 2..12")
     common.add_argument("--n-range", dest="n_range", help="alias for a range value of --n")
     common.add_argument("--tolerance", type=float, default=None, help="residual tolerance (per-suite default if omitted)")
-    common.add_argument("--mode", choices=("rational", "float"), default="rational")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (written atomically); stdout if omitted")
     common.add_argument("--seed", type=int, default=0, help="seed for the randomized differentiation checks")
@@ -424,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_family = sub.add_parser("family", parents=[common], help="coefficient table of the members up to degree N")
+    p_family.add_argument("--mode", choices=("rational", "float"), default="rational", help="exact or rounded coefficients")
     p_family.set_defaults(func=cmd_family)
 
     p_zeros = sub.add_parser("zeros", parents=[common], help="zeros of the degree-N member with residuals")

@@ -9,17 +9,16 @@ eigenfunctions of a fourth order operator a4*d4 + a3*d3 + a2*d2 + a1*d1.
 
 Everything here is exact over `fractions.Fraction` when the family
 parameters are rational: coefficient tables, moments, inner products,
-operator coefficients and eigenvalues. Float mode rounds the exact
-coefficients to double precision once each, so no degree loses accuracy to
-the rounding; a member whose coefficients leave double range raises
-ValueError. The measure is integrated in one place, `moment_table`, whose
+operator coefficients and eigenvalues. Float consumers round each exact
+coefficient once (`Polynomial.to_float`), so no degree loses accuracy to
+the rounding. The measure is integrated in one place, `moment_table`, whose
 integer moments `integral` sums coefficients against. `build_family` keeps
 the members of the last family it built and extends them on demand.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
 weights are rescaled by a positive constant so that the zeroth moment is 1;
-this removes sqrt(pi) and Gamma factors, keeps rational mode exact for any
+this removes sqrt(pi) and Gamma factors, keeps the tables exact for any
 rational parameters, and changes nothing that is verified downstream
 (orthogonality, eigenvalue relations and quadrature are all checked against
 the same moment sequence).
@@ -469,51 +468,32 @@ def _coeffs(spec: FamilySpec, nu: int) -> tuple[list[int], int]:
     return _coeffs_jacobi(nu, spec.alpha, spec.beta)
 
 
-#: The last (spec, mode) family built and its members so far; see build_family.
-_last_family: dict[tuple[FamilySpec, str], list[Polynomial]] = {}
+#: The last spec's family and its members so far; see build_family.
+_last_family: dict[FamilySpec, list[Polynomial]] = {}
 
 
-def build_family(
-    spec: FamilySpec,
-    max_degree: int,
-    mode: str = "rational",
-) -> list[Polynomial]:
-    """Members of degree 0 .. max_degree of the family.
+def build_family(spec: FamilySpec, max_degree: int) -> list[Polynomial]:
+    """Members of degree 0 .. max_degree of the family, exact.
 
-    Rational mode is exact. Float mode rounds each exact coefficient once
-    and raises ValueError for a member with a coefficient beyond double range.
-
-    The members of the last (spec, mode) are kept: a call on the same key
-    builds only the degrees above the ones it has, so a cell's family and
-    its lower-degree prefixes are built once. Every call returns a new list
+    The members of the last spec are kept: a call on the same spec builds
+    only the degrees above the ones it has, so a cell's family and its
+    lower-degree prefixes are built once. Every call returns a new list
     over the shared members, which are immutable.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if mode not in ("rational", "float"):
-        raise ValueError(f"unknown mode {mode!r}")
-    key = (spec, mode)
-    if key not in _last_family:
+    if spec not in _last_family:
         _last_family.clear()
-        _last_family[key] = []
-    members = _last_family[key]
-    for nu in range(len(members), max_degree + 1):
-        members.append(_member(spec, nu, mode))  # a member that raises leaves the valid prefix kept
+        _last_family[spec] = []
+    members = _last_family[spec]
+    for nu in range(len(members), max_degree + 1):  # a member that raises leaves the valid prefix kept
+        p = Polynomial.over(*_coeffs(spec, nu))
+        if p.degree != nu:
+            raise ParameterError(
+                f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
+            )
+        members.append(p)
     return members[: max_degree + 1]
-
-
-def _member(spec: FamilySpec, nu: int, mode: str) -> Polynomial:
-    p = Polynomial.over(*_coeffs(spec, nu))
-    if p.degree != nu:
-        raise ParameterError(
-            f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
-        )
-    if mode == "float":
-        try:
-            p = p.to_float()
-        except OverflowError:
-            raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +563,7 @@ def _sigma_tau(spec: FamilySpec) -> tuple[Polynomial, Polynomial]:
     raise ParameterError(f"{spec.family} is not a classical family")
 
 
-def operator_of(spec: FamilySpec, mode: str = "rational") -> DiffOperator:
+def operator_of(spec: FamilySpec) -> DiffOperator:
     """The differential operator whose eigenfunctions are the family members.
 
     Krall families get the expanded fourth order coefficients; classical
@@ -615,8 +595,7 @@ def operator_of(spec: FamilySpec, mode: str = "rational") -> DiffOperator:
     else:
         sigma, tau = _sigma_tau(spec)
         terms = ((2, sigma), (1, tau))
-    op = DiffOperator(terms)
-    return op.to_float() if mode == "float" else op
+    return DiffOperator(terms)
 
 
 def eigenvalue(spec: FamilySpec, nu: int) -> Fraction:

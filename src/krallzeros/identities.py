@@ -186,13 +186,13 @@ class Cell:
     (`dp_exact`) and the defects D p_m - mu_m p_m (`exact_defects`) between
     its checks. The family and the zeros come from `build_family` and
     `zeros`, which keep their last result, so a cell reuses what its caller
-    built on the same (spec, N). What depends only on the zeros lives on the
-    node set and is shared with every node set `zeros` returns for the
-    member: the float Z^(k) in its kernel (`matrices.node_kernel`), the
-    refined nodes, the Christoffel numbers (`matrices.christoffel_numbers`,
-    the cell keeps no copy) and the closed-form collocation matrix of each
-    formula (`closed_form`). Get cells from `get_cell`, which keeps the last
-    one built.
+    built on the same (spec, N). What depends only on the zeros lives in the
+    memo of the one node set `zeros` returns for the member: the float
+    Z^(k) in its kernel (`matrices.node_kernel`), the refined nodes, the
+    Christoffel numbers (`matrices.christoffel_numbers`, the cell keeps no
+    copy) and the closed-form collocation matrix of each formula
+    (`closed_form`). Get cells from `get_cell`, which keeps the last one
+    built.
     """
 
     def __init__(self, spec: FamilySpec, n: int):
@@ -289,13 +289,13 @@ class Cell:
 
 
 @lru_cache(maxsize=1)
-def get_cell(spec: FamilySpec, n: int) -> Cell:
+def get_cell(spec: FamilySpec, n: int, /) -> Cell:
     """The cell of (spec, N): the one last returned when the key repeats, else a new one.
 
     The memo holds one cell, so the last cell stays in memory until a call
-    with another key replaces it. Its key is the call as written, so every
-    caller passes (spec, n) positionally. A link that raised was not cached
-    and raises again on the next use. Verifiers build their outputs fresh,
+    with another key replaces it; the parameters are positional-only, so
+    each (spec, n) has one key. A link that raised was not cached and
+    raises again on the next use. Verifiers build their outputs fresh,
     so nothing a caller receives belongs to the cell.
     """
     return Cell(spec, n)

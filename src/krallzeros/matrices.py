@@ -21,8 +21,8 @@ math.pow, because numpy's array power can round differently from scalar pow.
 A NodeSet keeps one float kernel per leading coefficient (`node_kernel`):
 the differences, the derivative table and the four recursive Z^(k), built
 once and read by every construction and by the float collocation matrix.
-It keeps the closed-form collocation matrices the same way, and the node
-sets `zeros` returns for one member share both.
+It keeps the closed-form collocation matrices the same way, both in its one
+memo (`NodeSet.cached`), and `zeros` returns one node set per member.
 
 Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
@@ -70,7 +70,7 @@ from .families import (
     pairing,
     squared_norms,
 )
-from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _node_products, _round_div
+from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _round_div
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -275,9 +275,7 @@ def node_kernel(nodes: NodesLike, leading: float = 1.0) -> NodeKernel:
     """The kernel of the nodes for one leading coefficient, kept by a NodeSet and fresh for plain arrays."""
     if not isinstance(nodes, NodeSet):
         return NodeKernel(np.asarray(nodes, dtype=float), leading)
-    if leading not in nodes._kernels:
-        nodes._kernels[leading] = NodeKernel(nodes.as_array(), leading)
-    return nodes._kernels[leading]
+    return nodes.cached(leading, lambda: NodeKernel(nodes.as_array(), leading))
 
 
 def _check_order(k: int, method: str = "recursive") -> None:
@@ -317,6 +315,17 @@ def diffmat(k: int, nodes: NodesLike, method: str = "recursive", leading: float 
 def diffmats_exact(kmax: int, xq: Sequence[Fraction]) -> list[list[list[Fraction]]]:
     """Z^(0)..Z^(kmax) over exact rationals at rational nodes."""
     return [_collocation_exact_rows(xq, [[int(i == k) for i in range(k + 1)]] * len(xq)) for k in range(kmax + 1)]
+
+
+def _node_products(u: Sequence[int], kmax: int) -> list[list[int]]:
+    """[s^d] prod_(i != m)(u_m - u_i + s) for d = 0..kmax, one list per m; d = 0 gives P_m."""
+    out = []
+    for m, um in enumerate(u):
+        q = [1] + [0] * kmax
+        for delta in (um - ui for i, ui in enumerate(u) if i != m):
+            q = [q[0] * delta] + [q[d] * delta + q[d - 1] for d in range(1, kmax + 1)]
+        out.append(q)
+    return out
 
 
 def _collocation_exact_rows(xq: Sequence[Fraction], a_rows: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -465,9 +474,8 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     singular guard in absolute value get their diagonal entry from the
     general assembly instead and are reported in `flagged`.
 
-    The node set keeps the matrix per (spec, formula, guard), so every node
-    set zeros() returns for one member shares one evaluation; each call
-    returns a copy.
+    The node set keeps the matrix per (spec, formula, guard), so the zeros
+    of one member get one evaluation; each call returns a copy.
     """
     rep = _closed_form(spec, nodes, formula)
     return replace(rep, data=rep.data.copy())
@@ -475,18 +483,13 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
 
 def _closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
     """The node set's closed-form matrix, evaluated on first use; its data is read-only."""
-    key = (spec, formula, SINGULAR_COEFF_GUARD)
-    if key not in nodes._closed_forms:
-        rep = _evaluate_closed_form(spec, nodes, formula)
-        rep.data.setflags(write=False)
-        nodes._closed_forms[key] = rep
-    return nodes._closed_forms[key]
+    return nodes.cached((spec, formula, SINGULAR_COEFF_GUARD), lambda: _evaluate_closed_form(spec, nodes, formula))
 
 
 def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
-    op = operator_of(spec, mode="float")
+    op = operator_of(spec).to_float()
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
     x = nodes.as_array().tolist()
     n = len(x)
@@ -499,6 +502,7 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
         row = [entry(m, j) for j in range(n) if j != m]
         row.insert(m, general[m, m] if m in flagged else entry(m, m))
         out[m] = row
+    out.setflags(write=False)
     note = f"{form} closed form at the zeros of the degree-{n} member"
     if flagged:
         note += f"; general-assembly fallback at nodes {list(flagged)}"
@@ -585,8 +589,10 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
     ell_j = sum_i Q_i 2^(e i) x^i / B. The node set keeps them per spec,
     the only copy of them; each call returns a new list.
     """
-    if spec in nodes._christoffel:
-        return list(nodes._christoffel[spec])
+    return list(nodes.cached(spec, lambda: _christoffel_numbers(nodes, spec)))
+
+
+def _christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
     a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
     slope = _derivative_lists(a, 1)[1]
     n = len(a) - 1
@@ -598,8 +604,7 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
         for k in range(n - 1, 0, -1):  # Q_(k-1) = Q_k u + a_k 2^(e (n-k))
             q.append(q[-1] * u + (a[k] << e * (n - k)))
         lams.append(integral([c << e * i for i, c in enumerate(reversed(q))], _horner(slope, u, e), table))
-    nodes._christoffel[spec] = lams
-    return list(lams)
+    return lams
 
 
 def christoffel(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:

@@ -24,15 +24,14 @@ exposes the nodes re-polished in rational arithmetic to DEFAULT_REFINE_BITS
 binary digits; the exact verification paths consume those.
 
 zeros() keeps its last (p, spec) result. A repeated call, such as the one a
-cell makes after the caller found the same zeros, returns a new NodeSet
-over the same nodes, and all of them share the node set's caches: the
-refined nodes, the Christoffel numbers, the float kernels and the
-closed-form matrices are each built once for the zeros of one member.
+cell makes after the caller found the same zeros, returns the same
+immutable NodeSet, whose memo builds the refined nodes, the Christoffel
+numbers, the float kernels and the closed-form matrices once for the zeros
+of one member.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -112,41 +111,32 @@ def _newton_refine(a: Sequence[int], x0: float, bits: int) -> Fraction:
 
 
 class NodeSet:
-    """Sorted distinct real nodes with cached p', p'', p''' values.
+    """Sorted distinct real nodes with p', p'', p''' there (d1, d2, d3); immutable.
 
-    Built either from the zeros of a polynomial (see zeros()) or from an
-    explicit point list (from_points, which makes the monic node polynomial
-    with exactly those roots). `poly` keeps the defining polynomial with
-    exact rational coefficients whenever they are available, which is what
-    makes high-precision refinement possible.
+    Built from the zeros of a polynomial (see zeros()) or from an explicit
+    point list (from_points, which makes the monic node polynomial with
+    exactly those roots); the constructor derives d1, d2, d3 from `poly`,
+    which keeps exact rational coefficients whenever they are available, as
+    high-precision refinement needs. Rebinding an attribute raises
+    AttributeError.
 
-    What is derived from the nodes is kept in private caches: the refined
-    nodes, the Christoffel numbers (`matrices.christoffel_numbers`), the
-    float kernels (`matrices.node_kernel`) and the closed-form collocation
-    matrices (`matrices.collocation_rep_simplified`). The node sets that
-    zeros() returns for one polynomial share these caches; rebinding a
-    public attribute gives a node set caches of its own.
+    One memo, read through `cached`, keeps what is derived from the nodes:
+    the refined nodes, the Christoffel numbers per spec, the float kernels
+    per leading coefficient and the closed-form matrices per (spec, formula,
+    singular guard), built by `matrices`. What it hands out is a copy or
+    read-only.
     """
 
-    def __init__(self, nodes, d1, d2, d3, poly: Polynomial, spec: Optional[FamilySpec] = None):
-        self.nodes = tuple(float(x) for x in nodes)
-        self.d1 = tuple(float(v) for v in d1)
-        self.d2 = tuple(float(v) for v in d2)
-        self.d3 = tuple(float(v) for v in d3)
-        self.poly = poly
-        self.spec = spec
-        self._new_caches()
-
-    def _new_caches(self) -> None:
-        self._refined: Optional[list[Fraction]] = None
-        self._christoffel: dict[FamilySpec, list[Fraction]] = {}  # per spec
-        self._kernels: dict[float, object] = {}  # per leading coefficient
-        self._closed_forms: dict[tuple, object] = {}  # per (spec, formula, singular guard)
+    def __init__(self, nodes, poly: Polynomial, spec: Optional[FamilySpec] = None):
+        nodes = tuple(float(x) for x in nodes)
+        try:
+            d1, d2, d3 = _derivative_caches(poly, nodes)
+        except OverflowError:
+            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
+        vars(self).update(nodes=nodes, d1=d1, d2=d2, d3=d3, poly=poly, spec=spec, _memo={})
 
     def __setattr__(self, name: str, value) -> None:
-        super().__setattr__(name, value)
-        if not name.startswith("_") and "_kernels" in self.__dict__:  # the caches describe the old value
-            self._new_caches()
+        raise AttributeError(f"NodeSet is immutable; {name!r} cannot be rebound")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -158,20 +148,27 @@ class NodeSet:
     def as_array(self) -> np.ndarray:
         return np.array(self.nodes)
 
+    def cached(self, key, build):
+        """The value kept under key, made by build() on first use; a build that raises keeps nothing."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def refined(self) -> list[Fraction]:
         """Nodes as rationals accurate to ~2^-DEFAULT_REFINE_BITS, computed once; each call returns a new list."""
-        if self._refined is None:
-            # float coefficients refine against their exact rationalization
-            a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
-            self._refined = [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in self.nodes]
-        return list(self._refined)
+        return list(self.cached("refined", self._refine))
+
+    def _refine(self) -> list[Fraction]:
+        # float coefficients refine against their exact rationalization
+        a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
+        return [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in self.nodes]
 
     @classmethod
     def from_points(cls, points: Sequence[float], spec: Optional[FamilySpec] = None) -> "NodeSet":
         """NodeSet on arbitrary distinct points, with the monic node polynomial.
 
-        On integers, with x_i = u_i / D: p = D^-N prod(D x - u_i) and
-        p^(k)(x_m) = k! [s^(k-1)] prod_(i != m)(u_m - u_i + s) D^k / D^N, rounded once.
+        With x_i = u_i / D on integers, p = D^-N prod(D x - u_i). The points
+        are its exact roots, so they are the refined nodes as they stand.
         """
         pts = sorted(float(p) for p in points)
         if not all(map(math.isfinite, pts)):
@@ -183,27 +180,9 @@ class NodeSet:
         n, q = len(u), [1]
         for ui in u:
             q = [a - ui * b for a, b in zip([0] + q, q + [0])]
-        poly = Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)])
-        products = _node_products(u, 2)
-        try:
-            caches = [[math.factorial(k) * pm[k - 1] * big_d**k / big_d**n for pm in products] for k in (1, 2, 3)]
-        except OverflowError:
-            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
-        node_set = cls(pts, *caches, poly=poly, spec=spec)
-        # the points are exact roots of the constructed polynomial
-        node_set._refined = [Fraction(p) for p in pts]
+        node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]), spec)
+        node_set.cached("refined", lambda: [Fraction(p) for p in pts])
         return node_set
-
-
-def _node_products(u: Sequence[int], kmax: int) -> list[list[int]]:
-    """[s^d] prod_(i != m)(u_m - u_i + s) for d = 0..kmax, one list per m; d = 0 gives P_m."""
-    out = []
-    for m, um in enumerate(u):
-        q = [1] + [0] * kmax
-        for delta in (um - ui for i, ui in enumerate(u) if i != m):
-            q = [q[0] * delta] + [q[d] * delta + q[d - 1] for d in range(1, kmax + 1)]
-        out.append(q)
-    return out
 
 
 def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
@@ -262,15 +241,15 @@ def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
     nodes are also checked against the convex hull of its measure support.
 
     The zeros of the last (p, spec) are kept, so a repeated call finds no
-    roots: it returns a new NodeSet over the same nodes, sharing the node
-    set's caches (see NodeSet). A call that raised is not kept.
+    roots: it returns the same NodeSet, which is immutable. A call that
+    raised is not kept.
     """
     for q, s, found in _last_zeros:
         if q == p and s == spec:
-            return copy.copy(found)
+            return found
     found = _zeros(p, spec)
     _last_zeros[:] = [(p, spec, found)]
-    return copy.copy(found)
+    return found
 
 
 def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
@@ -282,7 +261,7 @@ def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
     except OverflowError:  # float() of a Fraction past double range
         cf = None
     if cf is None or not np.all(np.isfinite(cf)):
-        raise ValueError("coefficients overflow double precision; reduce the degree")
+        raise ValueError(f"the degree-{n} member's coefficients overflow double precision")
     form = p._integer_form()
     if form is None:
         value, real = p, None
@@ -323,4 +302,4 @@ def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
                     f"zero {x} outside the support hull [{lo}, {hi}] of {spec.label()}"
                 )
 
-    return NodeSet(xs, *_derivative_caches(p, xs), poly=p, spec=spec)
+    return NodeSet(xs, p, spec)

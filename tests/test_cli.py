@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krallzeros import families, identities, rootfinding
+from krallzeros import FamilySpec, build_family, families, identities, rootfinding
 from krallzeros.cli import _dumps, main
 from krallzeros.identities import Cell, IdentityReport
 
@@ -55,6 +55,13 @@ class TestFamilyCommand:
                         "--mode", "float", "--format", "json")
         assert code == 0
         assert json.loads(out)["members"][1]["coefficients"] == ["1", "-2"]
+        # every coefficient of every degree in double range is the exact one rounded once
+        code, out = run(capsys, "family", "--family", "krall-legendre", "--alpha", "1", "--n", "26",
+                        "--mode", "float", "--format", "json")
+        assert code == 0
+        exact = build_family(FamilySpec("krall-legendre", alpha=1), 26)
+        printed = [[float(c) for c in row["coefficients"]] for row in json.loads(out)["members"]]
+        assert printed == [[float(c) for c in p.coeffs] for p in exact]
 
     def test_overflowing_float_table_exit_2(self, capsys):
         code = main(["family", "--family", "hermite", "--n", "400", "--mode", "float"])
@@ -193,17 +200,20 @@ class TestMatrixCommand:
         assert captured.err.startswith("error: ") and "overflows double precision" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "power", "--family", "krall-legendre", "--alpha", "1", "--n", "8", "--exponent", "200"],
-    ["matrix", "--kind", "z", "--nodes", "0,1e400"],
-    ["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
-    ["zeros", "--family", "hermite", "--n", "300"],
+@pytest.mark.parametrize("argv, culprit", [
+    (["verify", "--suite", "power", "--family", "krall-legendre", "--alpha", "1", "--n", "8", "--exponent", "200"],
+     "mu^200 leaves double range"),
+    (["matrix", "--kind", "z", "--nodes", "0,1e400"], "--nodes value 1e400 is outside double range"),
+    (["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
+     "the degree-3 member's coefficients overflow double precision"),
+    (["zeros", "--family", "hermite", "--n", "300"], "the degree-300 member's coefficients overflow double precision"),
 ], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree"])
-def test_double_overflow_exits_2(capsys, argv):
+def test_double_overflow_exits_2(capsys, argv, culprit):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert culprit in captured.err
 
 
 class TestVerifyCommand:

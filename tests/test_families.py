@@ -104,16 +104,6 @@ class TestBuildFamily:
         for nu, p in enumerate(fam):
             assert p.degree == nu
 
-    def test_float_mode_rounds_rational(self):
-        fam = build_family(KLAG1, 2, mode="float")
-        assert fam[1].coeffs == (1.0, -2.0)
-
-    def test_float_mode_builds_any_degree_in_double_range(self):
-        exact = build_family(KLEG1, 26)
-        assert build_family(KLEG1, 26, mode="float") == [p.to_float() for p in exact]
-        with pytest.raises(ValueError, match="degree-263 coefficients overflow double precision"):
-            build_family(FamilySpec("hermite"), 263, mode="float")
-
 
 class TestMoments:
     def test_odd_legendre_moments_vanish(self):

@@ -313,6 +313,12 @@ class TestCellFactory:
         assert get_cell(KLEG1, 4) is first
         assert get_cell(FamilySpec("krall-legendre", alpha=F(1)), 4) is first  # an equal spec
 
+    def test_keyword_call_is_refused(self):
+        # positional-only: a keyword call would otherwise be a second key for the same cell
+        with pytest.raises(TypeError):
+            get_cell(KLEG1, n=4)
+        assert get_cell.cache_info().currsize == 0
+
     def test_another_key_rebuilds(self, builds):
         verify_eigenpairs(KLAG1, 5)
         verify_eigenpairs(KLAG1, 6)
@@ -358,7 +364,8 @@ class TestCellFactory:
         for spec in (KJAC11, KLAG1):  # bounded and unbounded hull
             nodes = equally_spaced_nodes(spec, 4)
             points, refined = nodes.nodes, list(nodes.refined())
-            nodes.nodes = ()
+            with pytest.raises(AttributeError):
+                nodes.nodes = ()
             nodes.refined().append(F(0))
             nodes = equally_spaced_nodes(spec, 4)
             assert nodes.nodes == points and nodes.refined() == refined

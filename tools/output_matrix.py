@@ -11,7 +11,8 @@ sits in. Through the command-line driver, in one process, it runs:
   reference spec (a suite that does not apply to a family exits 2), and
   for every reference spec also `--suite klag-main` with `--variant
   printed` and `--variant both` and `--suite power --exponent 3`;
-- `zeros` and `family` with `--format json --n 12` for every reference spec;
+- `zeros`, `family` and `family --mode float` with `--format json --n 12`
+  for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
   the float and both closed-form collocation matrices (`--kind dc`,
   `dc-simplified --formula family` and `--formula fourth-order`), the
@@ -82,6 +83,7 @@ def runs() -> dict[str, list[str]]:
             out[f"verify-{suite}-{name}"] = ["verify", "--suite", *options, *spec, "--format", "json", "--n", "2..8"]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
+        out[f"family-float-{name}"] = ["family", "--mode", "float", *spec, "--format", "json", "--n", "12"]
         for matrix, kind in MATRIX_RUNS.items():
             out[f"matrix-{matrix}-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "12"]
         for kind in ("l", "linv", "lambda", "dc"):
