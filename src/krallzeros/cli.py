@@ -191,9 +191,13 @@ def cmd_family(args) -> int:
             coeffs = [_fraction_str(c) for c in p.coeffs]
         else:
             try:
-                coeffs = [_fmt(c) for c in p.to_float().coeffs]
+                rounded = p.to_float().coeffs
             except OverflowError:
                 raise ValueError(f"{spec.label()}: degree-{nu} coefficients overflow double precision") from None
+            # to_float trims a top coefficient that rounds to 0.0; interior zeros stay
+            if len(rounded) < len(p.coeffs):
+                raise ValueError(f"{spec.label()}: degree-{nu} leading coefficient underflows double precision")
+            coeffs = [_fmt(c) for c in rounded]
         rows.append({"degree": nu, "coefficients": coeffs})
     if args.format == "json":
         text = _dumps({"family": spec.label(), "mode": args.mode, "members": rows})

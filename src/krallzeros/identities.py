@@ -28,7 +28,8 @@ algebra in the nodes, so the default engine evaluates them in exact
 rational arithmetic at the double-precision nodes, where a formula error
 shows up at full strength and an honest implementation gives residual
 zero. It runs on integers: the cell's collocation matrix and each value
-vector sit over one common denominator, D p_m is one integer matvec per m,
+vector sit over one common denominator, D p_m is the matrix applied to the
+monomials x^k at the nodes and then combined with the coefficients of p_m,
 reduced once, and each residual is one correctly rounded int / int. A plain
 double-precision engine is kept for comparison; its residuals
 carry the conditioning of the assembly (around 1e-7 for wide node spreads
@@ -183,10 +184,11 @@ class Cell:
     arithmetic (at the double nodes read as rationals) and in doubles. The
     exact engine reads the collocation matrix and the value vectors over
     common denominators (`dc_scaled`, `values_scaled`) and shares D p_m
-    (`dp_exact`) and the defects D p_m - mu_m p_m (`exact_defects`) between
-    its checks. The family and the zeros come from `build_family` and
-    `zeros`, which keep their last result, so a cell reuses what its caller
-    built on the same (spec, N). What depends only on the zeros lives in the
+    (`dp_exact`, formed as D x^k against the members' integer coefficients)
+    and the defects D p_m - mu_m p_m (`exact_defects`) between its checks.
+    The family and the zeros come from `build_family` and `zeros`, which
+    keep their last result, so a cell reuses what its caller built on the
+    same (spec, N). What depends only on the zeros lives in the
     memo of the one node set `zeros` returns for the member: the float
     Z^(k) in its kernel (`matrices.node_kernel`), the refined nodes, the
     Christoffel numbers (`matrices.christoffel_numbers`, the cell keeps no
@@ -271,8 +273,38 @@ class Cell:
 
     @cached_property
     def dp_exact(self) -> list[tuple[list[int], int]]:
-        """D p_m for m < N by integer matvec, each vector reduced once."""
-        return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
+        """D p_m for m < N as (D x^k) times the coefficients of p_m, each vector reduced once.
+
+        With D = A / L and the nodes u_j / 2^e, row i of D x^k is
+        W[i][k] / (L 2^(e k)), W[i][k] = sum_j A[i][j] u_j^k, built by
+        multiplying a running column by u: each product is an L-bit entry
+        times a node numerator of about 60 bits, where A times the value
+        vectors multiplies it by value numerators of about e N bits. Over
+        2^(e (N-1)) and a member a / d,
+        (D p_m)_i = sum_k a_k W[i][k] 2^(e (N-1-k)) / (L d 2^(e (N-1))).
+        The integer product is only regrouped, so every entry of A still
+        enters it, and one gcd leaves the least denominator: the same
+        integers `_matvec(dc_scaled, v)` gives for v in `values_scaled`.
+        """
+        rows, big_l = self.dc_scaled
+        u, big_d = common_denominator(self.xq)
+        e = big_d.bit_length() - 1
+        top = e * (self.n - 1)
+        homogeneous = []
+        for row in rows:
+            col, w = row, [sum(row) << top]
+            for k in range(1, self.n):
+                col = list(map(mul, col, u))
+                w.append(sum(col) << top - e * k)
+            homogeneous.append(w)
+        out = []
+        for p in self.family[: self.n]:
+            a, d = p._integer_form()
+            num = [sum(map(mul, a, w)) for w in homogeneous]
+            den = big_l * d << top
+            g = math.gcd(den, *num)
+            out.append(([v // g for v in num], den // g))
+        return out
 
     @cached_property
     def exact_defects(self) -> list[tuple[list[int], int, int]]:
@@ -307,7 +339,11 @@ def get_cell(spec: FamilySpec, n: int, /) -> Cell:
 
 
 def _matvec(matrix: tuple[list[list[int]], int], vector: tuple[list[int], int]) -> tuple[list[int], int]:
-    """(A / d)(b / e) as (integers, denominator), reduced once for the whole vector."""
+    """(A / d)(b / e) as (integers, denominator), reduced once for the whole vector.
+
+    The powers D^e p of `_exact_defects` take it; D p itself comes from
+    `Cell.dp_exact`, which gives the same reduced integers.
+    """
     (a, d), (b, e) = matrix, vector
     p = [sum(map(mul, row, b)) for row in a]
     g = math.gcd(d * e, *p)

@@ -69,6 +69,18 @@ class TestFamilyCommand:
         assert code == 2 and captured.out == ""
         assert "degree-263 coefficients overflow double precision" in captured.err
 
+    def test_underflowing_leading_coefficient_exit_2(self, capsys):
+        """laguerre(0) has leading coefficient (-1)^n / n!, which rounds to 0.0 from degree 178 on."""
+        code = main(["family", "--family", "laguerre", "--alpha", "0", "--n", "200", "--mode", "float"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "degree-178 leading coefficient underflows double precision" in captured.err
+        # up to degree 177 every row keeps all its coefficients
+        code, out = run(capsys, "family", "--family", "laguerre", "--alpha", "0", "--n", "177",
+                        "--mode", "float", "--format", "json")
+        assert code == 0
+        assert [len(row["coefficients"]) for row in json.loads(out)["members"]] == list(range(1, 179))
+
     def test_missing_parameters_exit_2(self, capsys):
         assert main(["family", "--family", "krall-laguerre", "--n", "1"]) == 2
         assert main(["family", "--family", "all", "--n", "1"]) == 2

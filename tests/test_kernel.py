@@ -898,6 +898,23 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
         assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
 
 
+def matvec_route(cell):
+    """D p_m as one integer matvec of the collocation matrix per value vector."""
+    return [identities._matvec(cell.dc_scaled, vector) for vector in cell.values_scaled]
+
+
+@given(cells, st.data())
+def test_dp_exact_is_the_matvec_of_each_value_vector(cell, data):
+    """On the cell's own matrix (no noise drawn) and on perturbed ones."""
+    cell = perturbed(cell, data)
+    assert cell.dp_exact == matvec_route(cell)
+
+
+def test_dp_exact_is_the_matvec_at_n_24():
+    cell = get_cell(FamilySpec("krall-legendre", alpha=F(1)), 24)
+    assert cell.dp_exact == matvec_route(cell)
+
+
 @given(cells, st.integers(1, 3))
 def test_float_power_unchanged(cell, exponent):
     got = verify_power(cell.spec, cell.n, exponent, 1e-6, "float").to_dict()

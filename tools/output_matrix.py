@@ -11,6 +11,8 @@ sits in. Through the command-line driver, in one process, it runs:
   reference spec (a suite that does not apply to a family exits 2), and
   for every reference spec also `--suite klag-main` with `--variant
   printed` and `--variant both` and `--suite power --exponent 3`;
+- `verify --suite S --format json --n 20` for S in eigenpair, power and
+  similarity and every reference spec: the exact D p_m at N = 20;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -63,6 +65,8 @@ SUITE_RUNS = {
     "power-exponent3": ["power", "--exponent", "3"],
 }
 
+EXACT_SUITES = ("eigenpair", "power", "similarity")
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -81,6 +85,8 @@ def runs() -> dict[str, list[str]]:
     for name, spec in REFERENCE_SPECS.items():
         for suite, options in SUITE_RUNS.items():
             out[f"verify-{suite}-{name}"] = ["verify", "--suite", *options, *spec, "--format", "json", "--n", "2..8"]
+        for suite in EXACT_SUITES:
+            out[f"verify-{suite}-n20-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "20"]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
         out[f"family-float-{name}"] = ["family", "--mode", "float", *spec, "--format", "json", "--n", "12"]
