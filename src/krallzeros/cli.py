@@ -157,16 +157,18 @@ def _spec_from_args(args) -> FamilySpec:
 
 
 def _parse_n(args) -> list[int]:
-    raw = args.n_range if getattr(args, "n_range", None) else args.n
+    option, raw = ("--n-range", args.n_range) if getattr(args, "n_range", None) else ("--n", args.n)
     if raw is None:
         raise ParameterError("--n (or --n-range) is required")
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ParameterError(f"empty range {raw!r}")
-        return list(range(lo, hi + 1))
-    return [int(raw)]
+    try:
+        lo, hi = map(int, raw.split("..", 1)) if ".." in raw else (int(raw), None)
+    except ValueError:
+        raise ParameterError(f"{option} value {raw!r} is not an integer or a range like 2..12") from None
+    if hi is None:
+        return [lo]
+    if hi < lo:
+        raise ParameterError(f"empty range {raw!r}")
+    return list(range(lo, hi + 1))
 
 
 def _fraction_str(value) -> str:

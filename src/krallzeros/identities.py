@@ -24,19 +24,20 @@ number would be meaningless across the grid. Aggregates go through
 `worst_residual`, so a non-finite residual anywhere fails the report.
 
 Arithmetic: the eigenpair and operator-power relations are pure polynomial
-algebra in the nodes, so the default engine evaluates them in exact
-rational arithmetic at the double-precision nodes, where a formula error
-shows up at full strength and an honest implementation gives residual
-zero. It runs on integers: the cell's collocation matrix and each value
-vector sit over one common denominator, D p_m is the matrix applied to the
-monomials x^k at the nodes and then combined with the coefficients of p_m,
+algebra in the nodes and hold on any N distinct nodes, so the default
+engine evaluates them in exact rational arithmetic on small dyadic nodes
+that span the zeros (`Cell.xq`), where a formula error shows up at full
+strength and an honest implementation gives residual zero. It runs on
+integers: the cell's collocation matrix and each value vector sit over one
+common denominator (under 50 bits for the matrix at N = 20, where the
+double zeros read as rationals gave it 5-10k), D p_m is one integer matvec
 reduced once, and each residual is one correctly rounded int / int. A plain
-double-precision engine is kept for comparison; its residuals
-carry the conditioning of the assembly (around 1e-7 for wide node spreads
-at N = 12). The closed-form identities read their entries from the cell's
-closed-form matrix, which `matrices.collocation_rep_simplified` evaluates in
-doubles on exactly-evaluated derivative caches; that is where their content
-lives.
+double-precision engine, on the zeros, is kept for comparison; its
+residuals carry the conditioning of the assembly (around 1e-7 for wide
+node spreads at N = 12). The closed-form identities read their entries
+from the cell's closed-form matrix, which
+`matrices.collocation_rep_simplified` evaluates in doubles on
+exactly-evaluated derivative caches; that is where their content lives.
 """
 
 from __future__ import annotations
@@ -180,12 +181,15 @@ class Cell:
 
     The family holds the members of degree 0..N, `nodes` the zeros of the
     degree-N member and `mus` the eigenvalues mu_0..mu_{N-1}. The value
-    vectors p_m(x_k), m < N, and the collocation matrix come in exact
-    arithmetic (at the double nodes read as rationals) and in doubles. The
-    exact engine reads the collocation matrix and the value vectors over
+    vectors p_m(x_k), m < N, and the collocation matrix come in doubles on
+    the zeros (`values_float`, `dc_float`) and in exact arithmetic on the
+    exact nodes `xq`, an equally spaced dyadic grid across the zeros' span.
+    The exact engine reads the collocation matrix and the value vectors over
     common denominators (`dc_scaled`, `values_scaled`) and shares D p_m
-    (`dp_exact`, formed as D x^k against the members' integer coefficients)
-    and the defects D p_m - mu_m p_m (`exact_defects`) between its checks.
+    (`dp_exact`) and the defects D p_m - mu_m p_m (`exact_defects`) between
+    the exact eigenpair, rowsum and power checks and the D half of
+    similarity. The Christoffel numbers, the quadrature and the transition
+    pair read the refined zeros.
     The family and the zeros come from `build_family` and `zeros`, which
     keep their last result, so a cell reuses what its caller built on the
     same (spec, N). What depends only on the zeros lives in the
@@ -222,27 +226,31 @@ class Cell:
 
     @cached_property
     def xq(self) -> list[Fraction]:
-        return [Fraction(x) for x in self.nodes.nodes]
+        """The exact nodes: N points (a + k) h of the dyadic grid h Z across the zeros' span.
+
+        h is the largest power of two not above the mean gap
+        (x_N - x_1) / (N - 1) of the zeros (h = 1 when N = 1) and
+        a = ceil(x_1 / h), so the first node lies in [x_1, x_1 + h).
+        """
+        xs = self.nodes.nodes
+        lo, h = Fraction(xs[0]), Fraction(1)
+        if self.n > 1:
+            gap = (Fraction(xs[-1]) - lo) / (self.n - 1)
+            h = Fraction(2) ** (gap.numerator.bit_length() - gap.denominator.bit_length())
+            if h > gap:
+                h /= 2
+        a = math.ceil(lo / h)
+        return [(a + k) * h for k in range(self.n)]
 
     @cached_property
     def mus(self) -> list[Fraction]:
         return [eigenvalue(self.spec, m) for m in range(self.n)]
 
     @cached_property
-    def _value_numerators(self) -> list[tuple[list[int], int]]:
-        """p_m(x_k) = A_mk / (d_m D^m), m < N: members a / d_m at the nodes u_k / D, D = 2^E, on integers."""
-        u, big_d = common_denominator(self.xq)
-        e = big_d.bit_length() - 1
-        out = []
-        for p in self.family[: self.n]:
-            a, d = p._integer_form()
-            out.append(([_horner(a, uk, e) for uk in u], d << e * p.degree))
-        return out
-
-    @cached_property
     def values_float(self) -> list[list[float]]:
-        # exact, rounded once per value by int / int
-        return [[v / den for v in row] for row, den in self._value_numerators]
+        # exact at the zeros, rounded once per value by int / int
+        zeros_q = [Fraction(x) for x in self.nodes.nodes]
+        return [[v / den for v in row] for row, den in _value_numerators(self.family[: self.n], zeros_q)]
 
     @cached_property
     def dc_exact(self) -> list[list[Fraction]]:
@@ -250,61 +258,23 @@ class Cell:
 
     @cached_property
     def dc_scaled(self) -> tuple[list[list[int]], int]:
-        """dc_exact over one common denominator: (integer rows, denominator).
-
-        The lcm is taken column by column, each C_j about the size of one
-        entry, and then over the N column lcms: L = lcm(C_j), and an entry
-        v / q of column j becomes v (C_j / q) (L / C_j), never an lcm of N^2
-        denominators at the size of L.
-        """
-        columns = [common_denominator(column) for column in zip(*self.dc_exact)]
-        big_l = math.lcm(*(c for _, c in columns))
-        scaled = [[v * factor for v in a] for a, factor in ((a, big_l // c) for a, c in columns)]
-        return [list(row) for row in zip(*scaled)], big_l
+        """dc_exact over one common denominator: (integer rows, denominator)."""
+        a, big_l = common_denominator([v for row in self.dc_exact for v in row])
+        return [a[i : i + self.n] for i in range(0, len(a), self.n)], big_l
 
     @cached_property
     def values_scaled(self) -> list[tuple[list[int], int]]:
         """Each exact value vector p_m(x_k) over its own least common denominator, reduced by one gcd."""
         out = []
-        for row, den in self._value_numerators:
+        for row, den in _value_numerators(self.family[: self.n], self.xq):
             g = math.gcd(den, *row)
             out.append(([v // g for v in row], den // g))
         return out
 
     @cached_property
     def dp_exact(self) -> list[tuple[list[int], int]]:
-        """D p_m for m < N as (D x^k) times the coefficients of p_m, each vector reduced once.
-
-        With D = A / L and the nodes u_j / 2^e, row i of D x^k is
-        W[i][k] / (L 2^(e k)), W[i][k] = sum_j A[i][j] u_j^k, built by
-        multiplying a running column by u: each product is an L-bit entry
-        times a node numerator of about 60 bits, where A times the value
-        vectors multiplies it by value numerators of about e N bits. Over
-        2^(e (N-1)) and a member a / d,
-        (D p_m)_i = sum_k a_k W[i][k] 2^(e (N-1-k)) / (L d 2^(e (N-1))).
-        The integer product is only regrouped, so every entry of A still
-        enters it, and one gcd leaves the least denominator: the same
-        integers `_matvec(dc_scaled, v)` gives for v in `values_scaled`.
-        """
-        rows, big_l = self.dc_scaled
-        u, big_d = common_denominator(self.xq)
-        e = big_d.bit_length() - 1
-        top = e * (self.n - 1)
-        homogeneous = []
-        for row in rows:
-            col, w = row, [sum(row) << top]
-            for k in range(1, self.n):
-                col = list(map(mul, col, u))
-                w.append(sum(col) << top - e * k)
-            homogeneous.append(w)
-        out = []
-        for p in self.family[: self.n]:
-            a, d = p._integer_form()
-            num = [sum(map(mul, a, w)) for w in homogeneous]
-            den = big_l * d << top
-            g = math.gcd(den, *num)
-            out.append(([v // g for v in num], den // g))
-        return out
+        """D p_m for m < N, one integer matvec per value vector."""
+        return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
 
     @cached_property
     def exact_defects(self) -> list[tuple[list[int], int, int]]:
@@ -318,6 +288,17 @@ class Cell:
     @cached_property
     def dc_float(self) -> np.ndarray:
         return collocation_rep(self.op, self.nodes).data
+
+
+def _value_numerators(members, xq: Sequence[Fraction]) -> list[tuple[list[int], int]]:
+    """p_m(x_k) = A_mk / (d_m D^m): members a / d_m at dyadic nodes u_k / D, D = 2^E, on integers."""
+    u, big_d = common_denominator(xq)
+    e = big_d.bit_length() - 1
+    out = []
+    for p in members:
+        a, d = p._integer_form()
+        out.append(([_horner(a, uk, e) for uk in u], d << e * p.degree))
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -341,8 +322,7 @@ def get_cell(spec: FamilySpec, n: int, /) -> Cell:
 def _matvec(matrix: tuple[list[list[int]], int], vector: tuple[list[int], int]) -> tuple[list[int], int]:
     """(A / d)(b / e) as (integers, denominator), reduced once for the whole vector.
 
-    The powers D^e p of `_exact_defects` take it; D p itself comes from
-    `Cell.dp_exact`, which gives the same reduced integers.
+    `Cell.dp_exact` takes it for D p, and `_exact_defects` for the powers D^e p.
     """
     (a, d), (b, e) = matrix, vector
     p = [sum(map(mul, row, b)) for row in a]
@@ -715,7 +695,7 @@ def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
     lams = christoffel_numbers(cell.nodes, cell.spec)
     l_mat, l_inv = _transition_exact(cell.family, lams, cell.nodes.refined(), cell.spec)
-    # column j of D L_inv - L_inv D_tau at the raw nodes is the defect of D p_j = mu_j p_j
+    # column j of D L_inv - L_inv D_tau at the exact nodes is the defect of D p_j = mu_j p_j
     defects = cell.exact_defects
     common = math.lcm(*(den for _, den, _ in defects))
     worst = max(sum(abs(d[m]) * (common // den) for d, den, _ in defects) for m in range(cell.n))
@@ -823,16 +803,17 @@ class Suite:
 SUITES = {
     "eigenpair": Suite(
         lambda spec, n, tol, opt: [verify_eigenpairs(spec, n, tol)], 1e-8, FAMILIES,
-        "exact D p_m = mu_m p_m, m < N; holds on any distinct rational nodes, so it certifies the "
-        "differentiation-matrix formulas, not the zeros",
+        "exact D p_m = mu_m p_m, m < N, on a dyadic grid across the zeros' span; holds on any distinct "
+        "rational nodes, so it certifies the differentiation-matrix formulas, not the zeros",
     ),
     "rowsum": Suite(
         lambda spec, n, tol, opt: [_rowsum_report(spec, n, tol)], 1e-9, FAMILIES,
-        "exact row sums of D vanish (the m = 0 eigenpair); node-independent like `eigenpair`",
+        "exact row sums of D vanish (the m = 0 eigenpair), on the nodes of `eigenpair`; node-independent like it",
     ),
     "power": Suite(
         lambda spec, n, tol, opt: [verify_power(spec, n, opt.exponent, tol)], 1e-6, FAMILIES,
-        "exact D^e p_m = mu_m^e p_m; certifies the differentiation-matrix formulas, not the zeros",
+        "exact D^e p_m = mu_m^e p_m on the nodes of `eigenpair`; certifies the differentiation-matrix formulas, "
+        "not the zeros",
     ),
     "fourth-order": Suite(
         lambda spec, n, tol, opt: [verify_fourth_order(spec, n, tol)], 1e-7, KRALL_FAMILIES,
@@ -862,8 +843,8 @@ SUITES = {
     ),
     "similarity": Suite(
         lambda spec, n, tol, opt: [_similarity_report(spec, n, tol)], 1e-8, FAMILIES,
-        "exact L L_inv = I at 1e-10 on refined zeros, which needs the zeros; exact D L_inv = L_inv D_tau, "
-        "which certifies the formulas, not the zeros",
+        "exact L L_inv = I at 1e-10 on refined zeros, which needs the zeros; exact D L_inv = L_inv D_tau on the "
+        "nodes of `eigenpair`, which certifies the formulas, not the zeros",
     ),
     "quadrature": Suite(
         lambda spec, n, tol, opt: [_quadrature_report(spec, n, tol)], 1e-10, FAMILIES,

@@ -777,12 +777,14 @@ def similarity_residual(a_coll, a_tau, l_mat, l_inv) -> float:
 
 
 def similarity_check(spec: FamilySpec, n: int) -> dict:
-    """Exact-arithmetic consistency of the two representations at family zeros.
+    """Exact-arithmetic consistency of the two representations.
 
     Returns {"inverse_residual", "similarity_residual"}: the first is
-    ||L L_inv - I||_inf with L = P Lambda on refined nodes, the second
+    ||L L_inv - I||_inf with L = P Lambda on the refined zeros, the second
     ||D_coll L_inv - L_inv D_tau||_inf / max(1, ||D_tau||_inf) with the
-    collocation matrix assembled exactly at the double-precision nodes.
+    collocation matrix and L_inv = [p_j(x_k)] assembled exactly on the
+    cell's exact nodes, a dyadic grid across the zeros' span
+    (`identities.Cell.xq`), since that relation holds on any distinct nodes.
     """
     from .identities import _similarity, get_cell  # identities builds its cells on this module
 

@@ -212,6 +212,14 @@ class TestMatrixCommand:
         assert captured.err.startswith("error: ") and "overflows double precision" in captured.err
 
 
+@pytest.mark.parametrize("option, value", [("--n", "2..x"), ("--n-range", "x..3"), ("--n", "1.5")])
+def test_malformed_degree_names_the_option_and_value(capsys, option, value):
+    code = main(["verify", "--suite", "eigenpair", "--family", "hermite", option, value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {option} value {value!r} is not an integer or a range like 2..12\n"
+
+
 @pytest.mark.parametrize("argv, culprit", [
     (["verify", "--suite", "power", "--family", "krall-legendre", "--alpha", "1", "--n", "8", "--exponent", "200"],
      "mu^200 leaves double range"),

@@ -6,7 +6,8 @@ exact collocation rows, the Christoffel numbers, the squared norms and the
 Newton refinement of the nodes, the node polynomial of NodeSet.from_points
 and the Jacobi coefficient expansion) runs on integers over common
 denominators, and so do the evaluations at double nodes: the Newton
-polish and the derivative caches of `zeros`, the value vectors of a cell,
+polish and the derivative caches of `zeros`, the value vectors of a cell
+(at the zeros, and on its exact dyadic nodes),
 the 2^-512 grid values of the transition pair, and the coefficient tables
 of all six families. The float differentiation matrices are whole-array
 numpy operations on one kernel per node set, and the float verifiers sum
@@ -23,6 +24,7 @@ fourth-order, and the generator sums over that matrix are equal for both.
 import math
 from contextlib import contextmanager
 from fractions import Fraction as F
+from operator import mul
 
 import numpy as np
 import pytest
@@ -182,14 +184,14 @@ def float_cells_reference(tag, matrix, values, mus, tolerance):
     return worst_residual(c["residual"] for c in cells), cells, eigenpairs
 
 
-def values_reference(cell):
-    """p_m(x_k), m < N, by Fraction Horner at the double nodes."""
-    return [[cell.family[m](F(x)) for x in cell.nodes.nodes] for m in range(cell.n)]
+def values_reference(cell, xq):
+    """p_m(x_k), m < N, by Fraction Horner at the nodes xq."""
+    return [[cell.family[m](x) for x in xq] for m in range(cell.n)]
 
 
 def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
     max_residual, cells, eigenpairs = eigen_cells_reference(
-        "eigenpair", cell.dc_exact, values_reference(cell), cell.mus, tolerance
+        "eigenpair", cell.dc_exact, values_reference(cell, cell.xq), cell.mus, tolerance
     )
     rowsum = worst_residual(float(abs(sum(row))) for row in cell.dc_exact)
     return cell.report(
@@ -203,7 +205,8 @@ def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
 def power_reference(cell, exponent, tolerance, arithmetic):
     n = cell.n
     if arithmetic == "exact":
-        dc, pv, mus, total, cells_of = cell.dc_exact, values_reference(cell), cell.mus, sum, eigen_cells_reference
+        dc, pv, mus = cell.dc_exact, values_reference(cell, cell.xq), cell.mus
+        total, cells_of = sum, eigen_cells_reference
     else:
         dc, pv, total, cells_of = cell.dc_float.tolist(), cell.values_float, math.fsum, float_cells_reference
         mus = [float(mu) for mu in cell.mus]
@@ -234,7 +237,7 @@ def similarity_reference(cell):
     n, mus = cell.n, cell.mus
     lams = christoffel_numbers(cell.nodes, cell.spec)
     l_mat, l_inv = transition_reference(cell.family, lams, cell.nodes.refined(), cell.spec)
-    dc, pv = cell.dc_exact, values_reference(cell)
+    dc, pv = cell.dc_exact, values_reference(cell, cell.xq)
     worst = F(0)
     for m in range(n):
         total = F(0)
@@ -898,21 +901,24 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
         assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
 
 
-def matvec_route(cell):
-    """D p_m as one integer matvec of the collocation matrix per value vector."""
-    return [identities._matvec(cell.dc_scaled, vector) for vector in cell.values_scaled]
+def dp_reference(cell):
+    """D p_m by Fraction sums over the exact matrix and values, each vector over its least denominator."""
+    return [
+        common_denominator([sum(map(mul, row, values)) for row in cell.dc_exact])
+        for values in values_reference(cell, cell.xq)
+    ]
 
 
 @given(cells, st.data())
 def test_dp_exact_is_the_matvec_of_each_value_vector(cell, data):
     """On the cell's own matrix (no noise drawn) and on perturbed ones."""
     cell = perturbed(cell, data)
-    assert cell.dp_exact == matvec_route(cell)
+    assert cell.dp_exact == dp_reference(cell)
 
 
 def test_dp_exact_is_the_matvec_at_n_24():
     cell = get_cell(FamilySpec("krall-legendre", alpha=F(1)), 24)
-    assert cell.dp_exact == matvec_route(cell)
+    assert cell.dp_exact == dp_reference(cell)
 
 
 @given(cells, st.integers(1, 3))
@@ -928,10 +934,30 @@ def test_float_eigenpairs_unchanged(cell):
 
 
 @given(cells)
-def test_dc_scaled_column_by_column(cell):
-    """The same integers and denominator as one lcm over all N^2 entries."""
-    a, d = common_denominator([v for row in cell.dc_exact for v in row])
-    assert cell.dc_scaled == ([a[i * cell.n : (i + 1) * cell.n] for i in range(cell.n)], d)
+def test_dc_scaled_is_the_least_common_denominator(cell):
+    rows, d = cell.dc_scaled
+    assert [[F(v, d) for v in row] for row in rows] == cell.dc_exact
+    assert math.gcd(d, *(v for row in rows for v in row)) == 1
+
+
+def is_power_of_two(h):
+    return h > 0 and 1 in (h.numerator, h.denominator) and (h.numerator * h.denominator).bit_count() == 1
+
+
+@given(specs, st.integers(1, 8))
+@example(FamilySpec("hermite"), 1)
+@example(FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)), 2)
+def test_exact_nodes_are_a_dyadic_grid_across_the_zeros(spec, n):
+    """N points of hZ, h a power of two not above the zeros' mean gap, from [x_1, x_1 + h); zero defects."""
+    cell = identities.Cell(spec, n)  # not get_cell: a perturbed cell may sit in its memo
+    x1, xn, xq = F(cell.nodes.nodes[0]), F(cell.nodes.nodes[-1]), cell.xq
+    h = xq[1] - xq[0] if n > 1 else F(1)
+    assert is_power_of_two(h) and (xq[0] / h).denominator == 1
+    assert xq == [xq[0] + k * h for k in range(n)] and len(set(xq)) == n
+    assert n == 1 or h <= (xn - x1) / (n - 1) < 2 * h
+    assert x1 <= xq[0] < x1 + h
+    assert all(not any(d) for d, _, _ in cell.exact_defects)
+    assert cell.dc_scaled[1].bit_length() <= 4 * n
 
 
 @given(cells, st.data())
@@ -957,7 +983,9 @@ def operators(draw):
 
 @given(cells)
 def test_collocation_exact_on_zeros(cell):
-    assert collocation_exact(cell.op, cell.xq) == collocation_reference(cell.op, cell.xq)
+    """At the double zeros, where node numerators have 53 bits and stray float arithmetic would show."""
+    xq = [F(x) for x in cell.nodes.nodes]
+    assert collocation_exact(cell.op, xq) == collocation_reference(cell.op, xq)
 
 
 @given(distinct_nodes, operators())
@@ -1313,9 +1341,9 @@ def test_overflowing_derivative_raises_as_before():
 
 @given(cells)
 def test_value_vectors_on_integers(cell):
-    exact = values_reference(cell)
+    exact = values_reference(cell, cell.xq)
     assert cell.values_scaled == [common_denominator(row) for row in exact]
-    for got, row in zip(cell.values_float, exact):
+    for got, row in zip(cell.values_float, values_reference(cell, [F(x) for x in cell.nodes.nodes])):
         assert same_bits(np.array(got), np.array([float(v) for v in row]))
 
 

@@ -13,6 +13,8 @@ sits in. Through the command-line driver, in one process, it runs:
   printed` and `--variant both` and `--suite power --exponent 3`;
 - `verify --suite S --format json --n 20` for S in eigenpair, power and
   similarity and every reference spec: the exact D p_m at N = 20;
+- `verify --suite S --format json --n 40` for S in eigenpair and power on
+  krall-legendre(1) and hermite, whose zeros exist there;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -67,6 +69,11 @@ SUITE_RUNS = {
 
 EXACT_SUITES = ("eigenpair", "power", "similarity")
 
+N40_SPECS = {
+    "krall-legendre-1": ["--family", "krall-legendre", "--alpha", "1"],
+    "hermite": ["--family", "hermite"],
+}
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -96,6 +103,9 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{kind}-nodes-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
             ]
+    for name, spec in N40_SPECS.items():
+        for suite in ("eigenpair", "power"):
+            out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
     return out
 
 
