@@ -46,7 +46,7 @@ from .families import (
     operator_of,
 )
 from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, severity, worst_residual
-from .rootfinding import NodeSet, RootfindingError, _at_double, zeros
+from .rootfinding import NodeSet, NonSimpleRootError, RootfindingError, _at_double, zeros
 
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
 
@@ -139,15 +139,17 @@ def _write_out(text: str, path: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".krallzeros-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".krallzeros-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ParameterError(f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _spec_from_args(args) -> FamilySpec:
@@ -245,6 +247,8 @@ def _node_value(text: str) -> float:
         return float(Fraction(text))
     except OverflowError:
         raise ParameterError(f"--nodes value {text} is outside double range") from None
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"--nodes value {text!r} is not a finite number") from None
 
 
 def _matrix_for(args) -> matrices.MatrixRep:
@@ -252,7 +256,10 @@ def _matrix_for(args) -> matrices.MatrixRep:
     if kind == "ztilde":
         kind = "z"
     if args.nodes:
-        node_set = NodeSet.from_points([_node_value(v) for v in args.nodes.split(",")])
+        try:
+            node_set = NodeSet.from_points([_node_value(v) for v in args.nodes.split(",")])
+        except NonSimpleRootError as exc:
+            raise ParameterError(f"--nodes {exc}") from None
         if (args.n or args.n_range) and _parse_n(args) != [len(node_set)]:
             raise ParameterError(f"--n {args.n_range or args.n} disagrees with the {len(node_set)} given nodes")
     else:

@@ -38,6 +38,9 @@ node spreads at N = 12). The closed-form identities read their entries
 from the cell's closed-form matrix, which
 `matrices.collocation_rep_simplified` evaluates in doubles on
 exactly-evaluated derivative caches; that is where their content lives.
+The value vectors come from the one value table in `rootfinding`
+(`_value_numerators`), and the L L_inv = I half of similarity reads the one
+transition-pair check, `matrices._transition_pair`.
 """
 
 from __future__ import annotations
@@ -63,17 +66,8 @@ from .families import (
     eigenvalue,
     operator_of,
 )
-from .matrices import (
-    _GRID,
-    MatrixRep,
-    _inverse_residual,
-    _transition_exact,
-    christoffel_numbers,
-    collocation_exact,
-    collocation_rep,
-    quadrature_exactness,
-)
-from .rootfinding import NodeSet, _horner, zeros
+from .matrices import MatrixRep, christoffel_numbers, collocation_exact, collocation_rep, quadrature_exactness
+from .rootfinding import NodeSet, _value_numerators, zeros
 
 FAMILY_IDENTITY_TAG = {
     "krall-legendre": "kleg-main",
@@ -105,55 +99,39 @@ class IdentityReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready form: meta / results / summary."""
-        summary = {
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-            "eigenpairs": self.eigenpairs,
-            "notes": self.notes,
-            "extras": self.extras,
-        }
-        if self.rowsum_residual is not None:
-            summary["rowsum_residual"] = self.rowsum_residual
-            summary["rowsum_tolerance"] = self.rowsum_tolerance
-            summary["rowsum_pass"] = self.rowsum_passed
-        return {
-            "meta": {
-                "identity": self.identity,
-                "family": self.family,
-                "params": self.params,
-                "N": self.n,
-                "tolerance": self.tolerance,
-                "arithmetic": self.arithmetic,
-                "variant": self.variant,
-                "seed": self.seed,
-            },
-            "results": self.cells,
-            "summary": summary,
-        }
+        """Flat JSON-ready form: meta / results / summary, laid out by _LAYOUT."""
+        out = {section: {} for section, _, _ in _LAYOUT}
+        for section, key, name in _LAYOUT:
+            value = getattr(self, name)
+            if key is None:
+                out[section] = value
+            elif value is not None or name not in _ROWSUM:
+                out[section][key] = value
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "IdentityReport":
-        meta, summary = payload["meta"], payload["summary"]
-        return cls(
-            identity=meta["identity"],
-            family=meta["family"],
-            params=meta["params"],
-            n=meta["N"],
-            tolerance=meta["tolerance"],
-            arithmetic=meta["arithmetic"],
-            max_residual=summary["max_residual"],
-            passed=summary["pass"],
-            cells=payload["results"],
-            eigenpairs=summary["eigenpairs"],
-            rowsum_residual=summary.get("rowsum_residual"),
-            rowsum_tolerance=summary.get("rowsum_tolerance"),
-            rowsum_passed=summary.get("rowsum_pass"),
-            variant=meta["variant"],
-            seed=meta["seed"],
-            notes=summary["notes"],
-            extras=summary["extras"],
-        )
+        """The report to_dict wrote; a missing key raises KeyError, unless it is a rowsum key."""
+        fields = {}
+        for section, key, name in _LAYOUT:
+            part = payload[section]
+            fields[name] = part if key is None else part.get(key) if name in _ROWSUM else part[key]
+        return cls(**fields)
+
+
+#: (section, JSON key, field) of IdentityReport.to_dict in output order; "results" is the
+#: cells list itself, and the _ROWSUM fields are written only when set.
+_LAYOUT = (
+    ("meta", "identity", "identity"), ("meta", "family", "family"), ("meta", "params", "params"),
+    ("meta", "N", "n"), ("meta", "tolerance", "tolerance"), ("meta", "arithmetic", "arithmetic"),
+    ("meta", "variant", "variant"), ("meta", "seed", "seed"),
+    ("results", None, "cells"),
+    ("summary", "max_residual", "max_residual"), ("summary", "pass", "passed"),
+    ("summary", "eigenpairs", "eigenpairs"), ("summary", "notes", "notes"), ("summary", "extras", "extras"),
+    ("summary", "rowsum_residual", "rowsum_residual"), ("summary", "rowsum_tolerance", "rowsum_tolerance"),
+    ("summary", "rowsum_pass", "rowsum_passed"),
+)
+_ROWSUM = ("rowsum_residual", "rowsum_tolerance", "rowsum_passed")
 
 
 def severity(residual: float) -> tuple:
@@ -288,17 +266,6 @@ class Cell:
     @cached_property
     def dc_float(self) -> np.ndarray:
         return collocation_rep(self.op, self.nodes).data
-
-
-def _value_numerators(members, xq: Sequence[Fraction]) -> list[tuple[list[int], int]]:
-    """p_m(x_k) = A_mk / (d_m D^m): members a / d_m at dyadic nodes u_k / D, D = 2^E, on integers."""
-    u, big_d = common_denominator(xq)
-    e = big_d.bit_length() - 1
-    out = []
-    for p in members:
-        a, d = p._integer_form()
-        out.append(([_horner(a, uk, e) for uk in u], d << e * p.degree))
-    return out
 
 
 @lru_cache(maxsize=1)
@@ -693,15 +660,14 @@ def spectrum_report(
 
 def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
-    lams = christoffel_numbers(cell.nodes, cell.spec)
-    l_mat, l_inv = _transition_exact(cell.family, lams, cell.nodes.refined(), cell.spec)
+    inverse = matrices._transition_pair(cell.nodes, cell.spec)[2]
     # column j of D L_inv - L_inv D_tau at the exact nodes is the defect of D p_j = mu_j p_j
     defects = cell.exact_defects
     common = math.lcm(*(den for _, den, _ in defects))
     worst = max(sum(abs(d[m]) * (common // den) for d, den, _ in defects) for m in range(cell.n))
     denom = max(Fraction(1), max(abs(v) for v in cell.mus))
     return {
-        "inverse_residual": _inverse_residual(l_mat, l_inv, _GRID),
+        "inverse_residual": inverse,
         "similarity_residual": worst * denom.denominator / (common * denom.numerator),
     }
 

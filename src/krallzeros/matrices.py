@@ -39,7 +39,9 @@ gives e_d = D^d [s^d] prod_(i != m)(delta_mi + s) / P_m, and for sum_k a_k d^k
 one integer polynomial in delta_mj and one Fraction per entry. Quantities
 that depend on the nodes being true zeros (the Christoffel weights, the
 inverse pair of the basis-transition matrix) pull high-precision refined
-nodes from the NodeSet.
+nodes from the NodeSet. The transition pair and its inverse check are built
+in one place, `_transition_pair`, which `transition` and the similarity
+suite both read; its values come from `rootfinding._value_numerators`.
 
 Notation note: the Christoffel weights and the degree-(N-1) Lagrange basis
 appear under several decorated symbols in the literature (superscripts
@@ -70,7 +72,7 @@ from .families import (
     pairing,
     squared_norms,
 )
-from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _round_div
+from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _round_div, _value_numerators
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -665,18 +667,14 @@ def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: S
 
     xq are the refined nodes, dyadic rationals u_k / 2^E. Entries are
     rounded half to even onto the grid, one integer division each and no
-    gcd: integer Horner gives p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to
+    gcd: the value table gives p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to
     V_jk grid steps, and with lambda_k = a / b and ||p_j||^2 = s / t,
     L[j][k] is a V_jk t / (b s) steps.
     """
-    n = len(xq)
-    u, big_d = common_denominator(xq)
-    e = big_d.bit_length() - 1
+    members = fam[: len(xq)]
     values, l_mat = [], []
-    for p, norm in zip(fam, squared_norms(fam[:n], spec)):
-        c, d = p._integer_form()
-        den = d << e * p.degree
-        row = [_round_div(_horner(c, uk, e) << _PRODUCT_BITS, den) for uk in u]
+    for (nums, den), norm in zip(_value_numerators(members, xq), squared_norms(members, spec)):
+        row = [_round_div(v << _PRODUCT_BITS, den) for v in nums]
         values.append(row)
         s, t = norm.numerator, norm.denominator
         l_mat.append([_round_div(lam.numerator * vk * t, lam.denominator * s) for lam, vk in zip(lams, row)])
@@ -696,33 +694,34 @@ def _inverse_residual(l_mat: Sequence[Sequence[int]], l_inv: Sequence[Sequence[i
     return worst / one
 
 
+def _transition_pair(nodes: NodeSet, spec: FamilySpec) -> tuple[list[list[int]], list[list[int]], float]:
+    """(L, L_inv, ||L L_inv - I||_inf): the pair on the 2^-_PRODUCT_BITS grid for p_0..p_{N-1} on the refined zeros."""
+    fam = build_family(spec, len(nodes) - 1)
+    l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec), nodes.refined(), spec)
+    return l_mat, l_inv, _inverse_residual(l_mat, l_inv, _GRID)
+
+
 def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
     """Basis-transition pair (L, L_inv) at the zeros of the degree-N member.
 
     L factors as P * Lambda: row j of P holds p_{j-1}(x_k) / ||p_{j-1}||^2
     and Lambda carries the Christoffel numbers. Gaussian exactness makes the
-    inverse explicit, L_inv[j][k] = p_{k-1}(x_j); the product is checked to
-    the 1e-10 consistency bound before returning.
+    inverse explicit, L_inv[j][k] = p_{k-1}(x_j). `_transition_pair` builds both
+    on the refined zeros, on the 2^-512 grid, with the residual of their
+    product, which must be within 1e-10 and which the similarity suite reads.
     """
-    fam = build_family(spec, len(nodes) - 1)
-    l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec), nodes.refined(), spec)
-    residual = _inverse_residual(l_mat, l_inv, _GRID)
+    l_mat, l_inv, residual = _transition_pair(nodes, spec)
     if residual > 1e-10:
         raise InversionConsistencyError(
             f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; nodes are not "
             f"accurate zeros for {spec.label()}"
         )
-    l_rep = MatrixRep(
-        np.array([[v / _GRID for v in row] for row in l_mat]),
-        kind="transition",
-        note=f"P * Lambda at the zeros of the degree-{len(nodes)} member of {spec.label()}",
+    l_data, li_data = (np.array([[v / _GRID for v in row] for row in m]) for m in (l_mat, l_inv))
+    note = f"P * Lambda at the zeros of the degree-{len(nodes)} member of {spec.label()}"
+    return (
+        MatrixRep(l_data, kind="transition", note=note),
+        MatrixRep(li_data, kind="transition_inverse", note="basis values p_{k-1}(x_j)"),
     )
-    li_rep = MatrixRep(
-        np.array([[v / _GRID for v in row] for row in l_inv]),
-        kind="transition_inverse",
-        note="basis values p_{k-1}(x_j)",
-    )
-    return l_rep, li_rep
 
 
 def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:

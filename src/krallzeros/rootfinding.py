@@ -14,7 +14,8 @@ True division of ints is correctly rounded, so the double is float() of the
 reduced Fraction, without the gcd. The real Newton steps, the residual gate
 and p', p'', p''' (from the integer lists k a_k over the same d) take this
 path; complex Newton iterates and float-coefficient polynomials take the
-plain Horner loop.
+plain Horner loop. The one value table of exact members at dyadic nodes,
+`_value_numerators`, lives here; the cells and the transition pair read it.
 
 Some verification tasks (Gaussian exactness, inverting the basis-transition
 matrix) are sensitive to node perturbations far beyond double precision:
@@ -69,6 +70,17 @@ def _horner(a: Sequence[int], u: int, e: int) -> int:
         acc = acc * u + (c << shift)
         shift += e
     return acc
+
+
+def _value_numerators(members: Sequence[Polynomial], xq: Sequence[Fraction]) -> list[tuple[list[int], int]]:
+    """p_m(x_k) = A_mk / (d_m D^m): members a / d_m at dyadic nodes u_k / D, D = 2^E, on integers."""
+    u, big_d = common_denominator(xq)
+    e = big_d.bit_length() - 1
+    out = []
+    for p in members:
+        a, d = p._integer_form()
+        out.append(([_horner(a, uk, e) for uk in u], d << e * p.degree))
+    return out
 
 
 def _at_double(a: Sequence[int], d: int, x: float) -> float:

@@ -236,6 +236,18 @@ def test_double_overflow_exits_2(capsys, argv, culprit):
     assert culprit in captured.err
 
 
+@pytest.mark.parametrize("nodes, culprit", [
+    ("1,abc", "--nodes value 'abc' is not a finite number"),
+    ("1,inf", "--nodes value 'inf' is not a finite number"),
+    ("0.1,0.1", "--nodes points 0.1 and 0.1 closer than 1e-10"),
+], ids=["literal", "infinite", "coincident"])
+def test_bad_nodes_name_the_option_and_value(capsys, nodes, culprit):
+    code = main(["matrix", "--kind", "dc", "--family", "hermite", "--nodes", nodes])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {culprit}\n"
+
+
 class TestVerifyCommand:
     def test_eigenpair_sweep_all_families(self, capsys):
         code, out = run(capsys, "verify", "--suite", "thm1", "--family", "all", "--n", "2..4",
@@ -361,6 +373,17 @@ class TestOutputFile:
         payload = json.loads(target.read_text())
         assert payload["summary"]["pass"] is True
         assert list(tmp_path.iterdir()) == [target]  # no temp litter
+
+    @pytest.mark.parametrize("name, reason", [("missing/x.json", "No such file or directory"),
+                                              ("taken", "Is a directory")])
+    def test_unwritable_target_exits_2_and_leaves_nothing(self, tmp_path, capsys, name, reason):
+        (tmp_path / "taken").mkdir()
+        target = tmp_path / name
+        code = main(["zeros", "--family", "hermite", "--n", "3", "--format", "json", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --out {target}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any((tmp_path / "taken").iterdir())
 
     def test_csv_report(self, tmp_path, capsys):
         target = tmp_path / "cells.csv"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from krallzeros import (
     FamilySpec,
@@ -214,6 +216,19 @@ class TestReportSerialization:
             recovered = IdentityReport.from_dict(json.loads(wire))
             assert recovered == report
 
+    def test_missing_required_key_raises(self):
+        payload = verify_eigenpairs(KLAG1, 2).to_dict()
+        del payload["summary"]["rowsum_pass"]
+        assert IdentityReport.from_dict(payload).rowsum_passed is None
+        for section, keys in (("meta", ["identity", "N", "seed"]), ("summary", ["pass", "extras"])):
+            for key in keys:
+                broken = json.loads(json.dumps(payload))
+                del broken[section][key]
+                with pytest.raises(KeyError):
+                    IdentityReport.from_dict(broken)
+        with pytest.raises(KeyError):
+            IdentityReport.from_dict({"meta": payload["meta"], "summary": payload["summary"]})
+
     def test_dict_shape(self):
         payload = verify_eigenpairs(KLAG1, 2).to_dict()
         assert set(payload) == {"meta", "results", "summary"}
@@ -221,6 +236,39 @@ class TestReportSerialization:
         assert payload["meta"]["N"] == 2
         for cell in payload["results"]:
             assert set(cell) == {"identity", "m", "n", "residual", "pass"}
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=5))
+optional = st.one_of(st.none(), st.floats(allow_nan=False))
+reports = st.builds(
+    IdentityReport,
+    identity=st.text(max_size=8), family=st.sampled_from(FAMILIES),
+    params=st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=3),
+    n=st.integers(0, 40), tolerance=st.floats(0, 1), arithmetic=st.sampled_from(["exact", "float"]),
+    max_residual=st.floats(allow_nan=False), passed=st.booleans(),
+    cells=st.lists(st.dictionaries(st.text(max_size=3), json_scalars, max_size=3), max_size=3),
+    eigenpairs=st.lists(st.dictionaries(st.text(max_size=3), json_scalars, max_size=3), max_size=3),
+    rowsum_residual=optional, rowsum_tolerance=optional, rowsum_passed=st.one_of(st.none(), st.booleans()),
+    variant=st.one_of(st.none(), st.sampled_from(["printed", "corrected"])),
+    seed=st.one_of(st.none(), st.integers(0, 2**32)),
+    notes=st.lists(st.text(max_size=8), max_size=2),
+    extras=st.dictionaries(st.text(max_size=3), json_scalars, max_size=3),
+)
+
+
+@given(reports)
+def test_report_round_trip_and_key_order(report):
+    """from_dict inverts to_dict, whose keys come out in one fixed order; a rowsum key only when set."""
+    payload = report.to_dict()
+    assert IdentityReport.from_dict(payload) == report
+    rowsum = [("rowsum_residual", report.rowsum_residual), ("rowsum_tolerance", report.rowsum_tolerance),
+              ("rowsum_pass", report.rowsum_passed)]
+    assert list(payload) == ["meta", "results", "summary"]
+    assert list(payload["meta"]) == ["identity", "family", "params", "N", "tolerance", "arithmetic", "variant", "seed"]
+    assert payload["results"] is report.cells
+    assert list(payload["summary"]) == ["max_residual", "pass", "eigenpairs", "notes", "extras"] + [
+        key for key, value in rowsum if value is not None
+    ]
 
 
 def test_default_grid_contents():

@@ -848,6 +848,15 @@ def test_inverse_residual_on_transition_pairs(cell):
     assert _inverse_residual(l_mat, l_inv, _GRID) == inverse_reference(on_grid(l_mat), on_grid(l_inv))
 
 
+@pytest.mark.parametrize("spec", identities.default_grid(), ids=FamilySpec.label)
+def test_similarity_reads_the_residual_that_transition_checks(spec):
+    for n in range(2, 7):
+        nodes = zeros(build_family(spec, n)[n], spec)
+        args = (build_family(spec, n - 1), christoffel_numbers(nodes, spec), nodes.refined(), spec)
+        expected = _inverse_residual(*_transition_exact(*args), _GRID)
+        assert matrices.similarity_check(spec, n)["inverse_residual"] == expected
+
+
 def square_matrices(n):
     return st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
 
