@@ -660,7 +660,7 @@ def spectrum_report(
 
 def _similarity(cell: Cell) -> dict:
     """Exact consistency of the two representations; see matrices.similarity_check."""
-    inverse = matrices._transition_pair(cell.nodes, cell.spec)[2]
+    inverse = matrices._transition_pair(cell.family, cell.nodes, cell.spec)[2]
     # column j of D L_inv - L_inv D_tau at the exact nodes is the defect of D p_j = mu_j p_j
     defects = cell.exact_defects
     common = math.lcm(*(den for _, den, _ in defects))

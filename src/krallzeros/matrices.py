@@ -694,9 +694,8 @@ def _inverse_residual(l_mat: Sequence[Sequence[int]], l_inv: Sequence[Sequence[i
     return worst / one
 
 
-def _transition_pair(nodes: NodeSet, spec: FamilySpec) -> tuple[list[list[int]], list[list[int]], float]:
+def _transition_pair(fam: Sequence[Polynomial], nodes: NodeSet, spec: FamilySpec):
     """(L, L_inv, ||L L_inv - I||_inf): the pair on the 2^-_PRODUCT_BITS grid for p_0..p_{N-1} on the refined zeros."""
-    fam = build_family(spec, len(nodes) - 1)
     l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec), nodes.refined(), spec)
     return l_mat, l_inv, _inverse_residual(l_mat, l_inv, _GRID)
 
@@ -710,7 +709,7 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
     on the refined zeros, on the 2^-512 grid, with the residual of their
     product, which must be within 1e-10 and which the similarity suite reads.
     """
-    l_mat, l_inv, residual = _transition_pair(nodes, spec)
+    l_mat, l_inv, residual = _transition_pair(build_family(spec, len(nodes) - 1), nodes, spec)
     if residual > 1e-10:
         raise InversionConsistencyError(
             f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; nodes are not "
