@@ -431,12 +431,20 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _rational(text: str) -> Fraction:
+    """An --alpha, --beta or --m-param value; a zero denominator is a usage error, as an unreadable value is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"invalid rational value {text!r}: zero denominator") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", choices=FAMILIES + ("all",), help="family tag, or 'all' for the default grid")
-    common.add_argument("--alpha", type=Fraction, help="family parameter alpha (rational, e.g. 1/2)")
-    common.add_argument("--beta", type=Fraction, help="second Jacobi exponent (classical jacobi only)")
-    common.add_argument("--m-param", dest="m_param", type=Fraction, help="point-mass parameter M (krall-jacobi)")
+    common.add_argument("--alpha", type=_rational, help="family parameter alpha (rational, e.g. 1/2)")
+    common.add_argument("--beta", type=_rational, help="second Jacobi exponent (classical jacobi only)")
+    common.add_argument("--m-param", dest="m_param", type=_rational, help="point-mass parameter M (krall-jacobi)")
     common.add_argument("--n", help="degree / matrix size, a single integer or a range like 2..12")
     common.add_argument("--n-range", dest="n_range", help="alias for a range value of --n")
     common.add_argument("--tolerance", type=float, default=None, help="residual tolerance (per-suite default if omitted)")

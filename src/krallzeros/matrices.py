@@ -631,31 +631,59 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec):
     Returns (max_residual, per_k_list). Evaluated in exact arithmetic on the
     refined nodes: the statement being checked has degree of exactness 2N-1
     only at the true zeros, and its sensitivity to node error dwarfs double
-    precision for spread-out node sets.
+    precision for spread-out node sets. Each residual is the correctly
+    rounded double of the exact rational (`_quadrature_residuals`).
     """
     residuals = _quadrature_residuals(christoffel_numbers(nodes, spec), nodes.refined(), spec)
     return max(residuals), residuals
 
 
-def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec) -> list[float]:
-    """|sum_j lam_j x_j^k - m_k| / max(1, |m_k|) for k = 0..2N-1, rounded once each.
+_WEIGHT_BITS = 2048  # fixed-point bits of the Christoffel numbers in the moment sums
 
-    With lam_j = w_j / dw and x_j = u_j / dx over common denominators, the
-    rule's k-th moment is S_k / (dw dx^k) with S_k = sum_j w_j u_j^k: each
-    step multiplies the weighted column w_j u_j^k by the short u_j and sums
-    it in integers.
+
+def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec) -> list[float]:
+    """|sum_j lam_j x_j^k - m_k| / max(1, |m_k|) for k = 0..2N-1, each correctly rounded.
+
+    The weights' denominators share little, so their lcm would be tens of
+    thousands of bits at N = 20. Instead each lam_j is rounded once to
+    W_j / 2^P (P = _WEIGHT_BITS), off by at most 2^-(P+1), and with
+    x_j = u_j / dx and m_k = M_k / mu the residual is T / scale with
+    scale = 2^P dx^k max(mu, |M_k|) and T within err = mu sum_j |u_j|^k of
+    num = |mu sum_j W_j u_j^k - M_k 2^P dx^k|. Rounding is monotone, so when
+    (num - err) / scale and (num + err) / scale round to the same double,
+    that double is the residual (Ziv's test). Otherwise, or when a bound
+    leaves double range, that k alone is summed in Fractions
+    (`_exact_residual`), the only place an OverflowError can come from.
     """
-    column, den = common_denominator(lams)
+    column = [_round_div(lam.numerator << _WEIGHT_BITS, lam.denominator) for lam in lams]
     u, dx = common_denominator(xq)
+    powers, size = [1] * len(u), [abs(v) for v in u]
     moments, mu = moment_table(spec, 2 * len(u) - 1)
+    den = 1 << _WEIGHT_BITS
     residuals = []
     for k, mk in enumerate(moments):
         if k > 0:
             column = list(map(mul, column, u))
+            powers = list(map(mul, powers, size))
             den *= dx
-        # |S/den - M_k/mu| / max(1, |M_k/mu|) = |S mu - M_k den| / (den max(mu, |M_k|))
-        residuals.append(abs(sum(column) * mu - mk * den) / (den * max(mu, abs(mk))))
+        num, err = abs(sum(column) * mu - mk * den), sum(powers) * mu
+        rounded = _certain_quotient(num, err, den * max(mu, abs(mk)))
+        residuals.append(_exact_residual(lams, xq, Fraction(mk, mu), k) if rounded is None else rounded)
     return residuals
+
+
+def _certain_quotient(num: int, err: int, scale: int) -> float | None:
+    """The double nearest T / scale for every T >= 0 within err of num, or None if that is not one double."""
+    try:
+        lo, hi = max(0, num - err) / scale, (num + err) / scale
+    except OverflowError:
+        return None
+    return lo if lo == hi else None
+
+
+def _exact_residual(lams: Sequence[Fraction], xq: Sequence[Fraction], mk: Fraction, k: int) -> float:
+    """|sum_j lam_j x_j^k - m_k| / max(1, |m_k|) summed in Fractions and rounded once."""
+    return float(abs(sum(lam * x**k for lam, x in zip(lams, xq)) - mk) / max(1, abs(mk)))
 
 
 _PRODUCT_BITS = 512  # entry rounding before exact matrix products

@@ -248,6 +248,15 @@ def test_bad_nodes_name_the_option_and_value(capsys, nodes, culprit):
     assert captured.err == f"error: {culprit}\n"
 
 
+@pytest.mark.parametrize("option", ["--alpha", "--beta", "--m-param"])
+def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--family", "laguerre", option, "1/0", "--n", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: invalid rational value '1/0': zero denominator" in captured.err
+
+
 class TestVerifyCommand:
     def test_eigenpair_sweep_all_families(self, capsys):
         code, out = run(capsys, "verify", "--suite", "thm1", "--family", "all", "--n", "2..4",

@@ -837,6 +837,60 @@ def test_quadrature_residuals_on_any_rationals(spec, pairs):
     assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
 
 
+@contextmanager
+def few_weight_bits():
+    """Weights rounded to 4 bits, so nearly every k fails the rounding test; yields the k that took the exact sum."""
+    saved = matrices._WEIGHT_BITS, matrices._exact_residual
+    fallbacks = []
+
+    def counted(lams, xq, mk, k):
+        fallbacks.append(k)
+        return saved[1](lams, xq, mk, k)
+
+    matrices._WEIGHT_BITS, matrices._exact_residual = 4, counted
+    try:
+        yield fallbacks
+    finally:
+        matrices._WEIGHT_BITS, matrices._exact_residual = saved
+
+
+@given(cells)
+def test_quadrature_fallback_on_refined_zeros(cell):
+    lams, xq = christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined()
+    with few_weight_bits() as fallbacks:
+        assert _quadrature_residuals(lams, xq, cell.spec) == quadrature_reference(lams, xq, cell.spec)
+    assert fallbacks
+
+
+# a zero weight on a huge node: the bound leaves double range, the exact residual does not
+@example(FamilySpec("hermite"), [(F(0), F(2**1100)), (F(1), F(1, 2))])
+@given(specs, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
+def test_quadrature_fallback_on_any_rationals(spec, pairs):
+    lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
+    with few_weight_bits() as fallbacks:
+        assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
+    assert fallbacks
+
+
+@pytest.mark.parametrize("bits", [4, matrices._WEIGHT_BITS])
+def test_quadrature_residual_past_double_range_raises(bits, monkeypatch):
+    monkeypatch.setattr(matrices, "_WEIGHT_BITS", bits)
+    lams, xq = [F(1), F(1)], [F(2**1100), F(-1, 3)]
+    with pytest.raises(OverflowError):
+        quadrature_reference(lams, xq, FamilySpec("hermite"))
+    with pytest.raises(OverflowError):
+        _quadrature_residuals(lams, xq, FamilySpec("hermite"))
+
+
+def test_quadrature_residuals_at_n24_krall_legendre():
+    spec = FamilySpec("krall-legendre", alpha=F(1))
+    nodes = zeros(build_family(spec, 24)[24], spec)
+    lams, xq = christoffel_numbers(nodes, spec), nodes.refined()
+    got = _quadrature_residuals(lams, xq, spec)
+    assert got == quadrature_reference(lams, xq, spec)
+    assert got[1::2] == [0.0] * 24  # a symmetric measure: the odd moments cancel exactly
+
+
 def on_grid(matrix):
     return [[F(v, _GRID) for v in row] for row in matrix]
 

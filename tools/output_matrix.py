@@ -11,10 +11,11 @@ sits in. Through the command-line driver, in one process, it runs:
   reference spec (a suite that does not apply to a family exits 2), and
   for every reference spec also `--suite klag-main` with `--variant
   printed` and `--variant both` and `--suite power --exponent 3`;
-- `verify --suite S --format json --n 20` for S in eigenpair, power and
-  similarity and every reference spec: the exact D p_m at N = 20;
-- `verify --suite S --format json --n 40` for S in eigenpair and power on
-  krall-legendre(1) and hermite, whose zeros exist there;
+- `verify --suite S --format json --n 20` for S in eigenpair, power,
+  similarity and quadrature and every reference spec: the exact D p_m and
+  the Gaussian moment sums at N = 20;
+- `verify --suite S --format json --n 40` for S in eigenpair, power and
+  quadrature on krall-legendre(1) and hermite, whose zeros exist there;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -67,7 +68,7 @@ SUITE_RUNS = {
     "power-exponent3": ["power", "--exponent", "3"],
 }
 
-EXACT_SUITES = ("eigenpair", "power", "similarity")
+EXACT_SUITES = ("eigenpair", "power", "similarity", "quadrature")
 
 N40_SPECS = {
     "krall-legendre-1": ["--family", "krall-legendre", "--alpha", "1"],
@@ -104,7 +105,7 @@ def runs() -> dict[str, list[str]]:
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
             ]
     for name, spec in N40_SPECS.items():
-        for suite in ("eigenpair", "power"):
+        for suite in ("eigenpair", "power", "quadrature"):
             out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
     return out
 
