@@ -657,14 +657,14 @@ def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec
     """
     column = [_round_div(lam.numerator << _WEIGHT_BITS, lam.denominator) for lam in lams]
     u, dx = common_denominator(xq)
-    powers, size = [1] * len(u), [abs(v) for v in u]
+    powers, abs_u = [1] * len(u), [abs(v) for v in u]
     moments, mu = moment_table(spec, 2 * len(u) - 1)
     den = 1 << _WEIGHT_BITS
     residuals = []
     for k, mk in enumerate(moments):
         if k > 0:
             column = list(map(mul, column, u))
-            powers = list(map(mul, powers, size))
+            powers = list(map(mul, powers, abs_u))
             den *= dx
         num, err = abs(sum(column) * mu - mk * den), sum(powers) * mu
         rounded = _certain_quotient(num, err, den * max(mu, abs(mk)))

@@ -19,6 +19,9 @@ closed-form identities read the cell's `collocation_rep_simplified` matrix;
 the loops that recomputed its entries in place are their references, equal
 for the family identity and within the rounding of the other term order for
 fourth-order, and the generator sums over that matrix are equal for both.
+The Gaussian moment sums round the weights to fixed point and certify each
+residual's rounding; with the weights cut to 4 bits nearly every residual
+takes the exact per-k fallback, and the results must still be equal.
 """
 
 import math
