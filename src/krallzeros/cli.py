@@ -29,6 +29,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -134,17 +135,33 @@ def _dumps(value, newline: str = "\n") -> str:
 
 
 def _write_out(text: str, path: Optional[str]) -> None:
+    """Write text to stdout, or to path with symlinks followed.
+
+    A regular file is replaced atomically and keeps its mode (a new one gets
+    0o666 less the umask); any other target, a FIFO or a device, is written into.
+    """
     if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".krallzeros-")
+        if not os.path.exists(target):
+            os.umask(umask := os.umask(0))  # the umask is read by setting it, then put back
+            mode = 0o666 & ~umask
+        elif os.path.isfile(target):
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        else:  # a FIFO or a device is written into, never replaced
+            with open(target, "w") as handle:
+                handle.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".krallzeros-")
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(fd, mode)
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise
@@ -439,6 +456,18 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational value {text!r}: zero denominator") from None
 
 
+def _nonnegative(kind: type):
+    """The argparse type of --tolerance (float) or --seed (int): a NaN or negative value is a usage error."""
+
+    def parse(text: str):
+        if not (value := kind(text)) >= 0:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value {text!r}: must be a number >= 0")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type when kind() cannot read the value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", choices=FAMILIES + ("all",), help="family tag, or 'all' for the default grid")
@@ -447,10 +476,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--m-param", dest="m_param", type=_rational, help="point-mass parameter M (krall-jacobi)")
     common.add_argument("--n", help="degree / matrix size, a single integer or a range like 2..12")
     common.add_argument("--n-range", dest="n_range", help="alias for a range value of --n")
-    common.add_argument("--tolerance", type=float, default=None, help="residual tolerance (per-suite default if omitted)")
+    common.add_argument("--tolerance", type=_nonnegative(float), help="residual tolerance (per-suite default if omitted)")
     common.add_argument("--format", choices=("json", "csv", "text"), default="text")
     common.add_argument("--out", help="output path (written atomically); stdout if omitted")
-    common.add_argument("--seed", type=int, default=0, help="seed for the randomized differentiation checks")
+    common.add_argument("--seed", type=_nonnegative(int), default=0, help="seed for the randomized differentiation checks")
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

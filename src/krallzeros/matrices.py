@@ -20,9 +20,12 @@ x_m - x_j that round exactly as entry-by-entry loops would; powers come from
 math.pow, because numpy's array power can round differently from scalar pow.
 A NodeSet keeps one float kernel per leading coefficient (`node_kernel`):
 the differences, the derivative table and the four recursive Z^(k), built
-once and read by every construction and by the float collocation matrix.
-It keeps the closed-form collocation matrices the same way, both in its one
-memo (`NodeSet.cached`), and `zeros` returns one node set per member.
+once and read by every construction, by the float collocation matrix and by
+the closed forms: array expressions over the nodes and the kernel's r that
+square through the kernel's math.pow powers, or Python ** (C pow) on one
+row's floats, so each entry is the double of its per-entry formula. The node
+set keeps the closed-form matrices too, all in its one memo
+(`NodeSet.cached`), and `zeros` returns one node set per member.
 
 Both a double-precision and an exact-rational assembly are provided. The
 exact one exists because several verified statements sit far below what
@@ -364,7 +367,7 @@ def collocation_rep(op: DiffOperator, nodes: NodesLike) -> MatrixRep:
     n = len(x)
     out = np.zeros((n, n))
     for order, a in op.to_float().terms:
-        av = np.array([a(xi) for xi in x.tolist()])
+        av = a(x)
         if order == 0:
             out += np.diag(av)
         else:
@@ -399,7 +402,7 @@ def _fourth_order_brace(a: list, a_mn: float, p1m: float, p2m: float, p3m: float
 
 
 def _family_diag(family: str, al: float, mm: float, mu_top: float, x: float, p1: float, p2: float, p3: float) -> float:
-    """Diagonal entry of the per-family closed form; al, mm and mu_top are alpha, M and mu_N as doubles."""
+    """Diagonal entries of the per-family closed form; al, mm and mu_top are alpha, M and mu_N as doubles."""
     if family == "krall-legendre":
         return (
             8.0 * al * (x * x - 1.0) / 15.0 * (p3 / p1)
@@ -430,7 +433,7 @@ def _family_diag(family: str, al: float, mm: float, mu_top: float, x: float, p1:
 def _family_offdiag(
     family: str, al: float, mm: float, xm: float, a_mn: float, p1m: float, p2m: float, p3m: float, p1n: float
 ) -> float:
-    """Off-diagonal entry (m, n) of the per-family closed form, a_mn = 1 / (x_m - x_n)."""
+    """Off-diagonal entries (m, n) of the per-family closed form, a_mn = 1 / (x_m - x_n), along row m."""
     if family == "krall-legendre":
         brace = (
             4.0 * (1.0 - xm * xm) ** 2 * p3m
@@ -469,8 +472,9 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     formula="family" picks the per-family expressions; formula="fourth-order"
     the generic fourth order ones (Krall families only). Classical families
     use their own second-order closed form under either name. This is the
-    only place the closed forms are evaluated; the closed-form identities
-    read their entries from this matrix.
+    only place the closed forms are evaluated, on whole node arrays with the
+    kernel's r = 1 / (x_m - x_n) and math.pow squares (`node_kernel`); the
+    closed-form identities read their entries from this matrix.
 
     Nodes where the leading coefficient (a_4, or sigma) falls under the
     singular guard in absolute value get their diagonal entry from the
@@ -489,65 +493,42 @@ def _closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
 
 
 def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
+    """The closed form on whole node arrays and the kernel's r; no square goes through numpy's power."""
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
     op = operator_of(spec).to_float()
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
-    x = nodes.as_array().tolist()
-    n = len(x)
-    flagged = tuple(i for i, xi in enumerate(x) if abs(a[-1](xi)) < SINGULAR_COEFF_GUARD)
+    kernel, x, n = node_kernel(nodes), nodes.as_array(), len(nodes)
+    p1, p2, p3 = (np.array(d) for d in (nodes.d1, nodes.d2, nodes.d3))
     form = formula if spec.is_krall else "second-order"
-    entry = _closed_form_entry(spec, form, a, x, nodes)
-    general = collocation_rep(op, nodes).data if flagged else None
-    out = np.zeros((n, n))
-    for m in range(n):
-        row = [entry(m, j) for j in range(n) if j != m]
-        row.insert(m, general[m, m] if m in flagged else entry(m, m))
-        out[m] = row
+    with np.errstate(all="ignore"):  # the diagonal of a flagged row may divide by zero; it is replaced below
+        if form == "second-order":
+            sigma, tau = a[2](x), a[1](x)
+            tau1 = a[1].coeffs[1] if len(a[1].coeffs) > 1 else 0.0
+            sigma2 = 2.0 * a[2].coeffs[2] if len(a[2].coeffs) > 2 else 0.0
+            out = (-2.0 * sigma)[:, None] / kernel._power(2) * p1[:, None] / p1
+            diag = -tau / (6.0 * sigma) * (tau - 2.0 * a[2].derivative()(x)) + (
+                (n - 1) * (tau1 + 0.5 * n * sigma2) / 3.0
+            )
+        elif form == "family":
+            family, al, mm = spec.family, float(spec.alpha), float(spec.mass or 0)
+            rows = zip(x.tolist(), nodes.d1, nodes.d2, nodes.d3, kernel.r)
+            out = np.array([_family_offdiag(family, al, mm, xm, a_mn, *pm, p1) for xm, *pm, a_mn in rows])
+            diag = _family_diag(family, al, mm, float(eigenvalue(spec, n)), x, p1, p2, p3)
+        else:
+            r, at, ap = kernel.r, [c(x) for c in a], [c.derivative()(x) for c in a]  # a_k(x_m), a_k'(x_m)
+            brace = _fourth_order_brace([v[:, None] for v in at], r, p1[:, None], p2[:, None], p3[:, None])
+            out = -(r * r) / p1 * brace
+            diag = _simplified_diag_fourth_order(at, ap, float(eigenvalue(spec, n)), p1, p2, p3)
+    flagged = tuple(np.flatnonzero(np.abs(a[-1](x)) < SINGULAR_COEFF_GUARD).tolist())
+    if flagged:
+        diag[list(flagged)] = collocation_rep(op, nodes).data[flagged, flagged]
+    np.fill_diagonal(out, diag)
     out.setflags(write=False)
     note = f"{form} closed form at the zeros of the degree-{n} member"
     if flagged:
         note += f"; general-assembly fallback at nodes {list(flagged)}"
     return MatrixRep(out, kind="collocation", note=note, flagged=flagged)
-
-
-def _closed_form_entry(spec: FamilySpec, form: str, a: list, x: list, nodes: NodeSet):
-    """entry(m, j) of the closed form `form`, from the float coefficients a_k and the nodes x."""
-    n, p1, p2, p3 = len(x), nodes.d1, nodes.d2, nodes.d3
-    if form == "second-order":
-        sigma, tau = a[2], a[1]
-        sigma_d = sigma.derivative()
-        tau1 = tau.coeffs[1] if len(tau.coeffs) > 1 else 0.0
-        sigma2 = 2.0 * sigma.coeffs[2] if len(sigma.coeffs) > 2 else 0.0
-
-        def entry(m, j):
-            if m != j:
-                return -2.0 * sigma(x[m]) / (x[m] - x[j]) ** 2 * p1[m] / p1[j]
-            return -tau(x[m]) / (6.0 * sigma(x[m])) * (tau(x[m]) - 2.0 * sigma_d(x[m])) + (
-                (n - 1) * (tau1 + 0.5 * n * sigma2) / 3.0
-            )
-
-    elif form == "family":
-        family, al, mm = spec.family, float(spec.alpha), float(spec.mass or 0)
-        mu_top = float(eigenvalue(spec, n))
-
-        def entry(m, j):
-            if m != j:
-                return _family_offdiag(family, al, mm, x[m], 1.0 / (x[m] - x[j]), p1[m], p2[m], p3[m], p1[j])
-            return _family_diag(family, al, mm, mu_top, x[m], p1[m], p2[m], p3[m])
-
-    else:
-        mu_top = float(eigenvalue(spec, n))
-        ap = [c.derivative() for c in a]
-        at = [([c(xm) for c in a], [c(xm) for c in ap]) for xm in x]  # a_k(x_m), a_k'(x_m)
-
-        def entry(m, j):
-            if m != j:
-                a_mn = 1.0 / (x[m] - x[j])
-                return -(a_mn * a_mn) / p1[j] * _fourth_order_brace(at[m][0], a_mn, p1[m], p2[m], p3[m])
-            return _simplified_diag_fourth_order(*at[m], mu_top, p1[m], p2[m], p3[m])
-
-    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -257,6 +258,16 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
     assert f"argument {option}: invalid rational value '1/0': zero denominator" in captured.err
 
 
+@pytest.mark.parametrize("option, value, kind", [("--tolerance", "nan", "float"), ("--tolerance", "-1", "float"),
+                                                 ("--seed", "-1", "int")])
+def test_bad_tolerance_or_seed_names_the_option_and_value(capsys, option, value, kind):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "eigenpair", "--family", "hermite", "--n", "3", option, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: invalid {kind} value '{value}': must be a number >= 0" in captured.err
+
+
 class TestVerifyCommand:
     def test_eigenpair_sweep_all_families(self, capsys):
         code, out = run(capsys, "verify", "--suite", "thm1", "--family", "all", "--n", "2..4",
@@ -393,6 +404,45 @@ class TestOutputFile:
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: --out {target}: {reason}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any((tmp_path / "taken").iterdir())
+
+    ZEROS = ["zeros", "--family", "hermite", "--n", "3", "--format", "json"]
+
+    def test_symlink_keeps_pointing_at_its_target(self, tmp_path, capsys):
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        real.write_text("old")
+        link.symlink_to(real)
+        assert main(self.ZEROS + ["--out", str(link)]) == 0
+        assert main(self.ZEROS) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == capsys.readouterr().out.rstrip("\n")  # stdout gets a final newline
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_fifo_is_written_not_replaced(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader first, so opening for writing does not block
+        try:
+            assert main(self.ZEROS + ["--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert main(self.ZEROS) == 0
+        assert received == capsys.readouterr().out.rstrip("\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_new_file_takes_the_umask_and_an_existing_one_keeps_its_mode(self, tmp_path, capsys):
+        new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+        existing.write_text("old")
+        existing.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert main(self.ZEROS + ["--out", str(new)]) == 0
+            assert main(self.ZEROS + ["--out", str(existing)]) == 0
+        finally:
+            os.umask(umask)
+        capsys.readouterr()
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604 and existing.read_text() == new.read_text()
 
     def test_csv_report(self, tmp_path, capsys):
         target = tmp_path / "cells.csv"

@@ -19,7 +19,9 @@ closed-form identities read the cell's `collocation_rep_simplified` matrix;
 the loops that recomputed its entries in place are their references, equal
 for the family identity and within the rounding of the other term order for
 fourth-order, and the generator sums over that matrix are equal for both.
-The Gaussian moment sums round the weights to fixed point and certify each
+The closed-form collocation matrices are array expressions over the node
+set's kernel; the reference evaluates each entry on Python floats. The
+Gaussian moment sums round the weights to fixed point and certify each
 residual's rounding; with the weights cut to 4 bits nearly every residual
 takes the exact per-k fallback, and the results must still be equal.
 """
@@ -1480,6 +1482,66 @@ def singular_guard(value):
         yield
     finally:
         matrices.SINGULAR_COEFF_GUARD = saved
+
+
+def closed_form_reference(spec, nodes, formula):
+    """The closed-form matrix entry by entry on Python floats, the second-order entries written out.
+
+    A row whose top coefficient falls under the singular guard takes its
+    diagonal from the loop reference of the general assembly.
+    """
+    op = operator_of(spec).to_float()
+    a = [op.coefficient(k) for k in range(op.max_order + 1)]
+    x, p1, p2, p3, n = list(nodes.nodes), nodes.d1, nodes.d2, nodes.d3, len(nodes)
+    general = float_collocation_reference(op, nodes.as_array())
+    if spec.is_krall:
+        family, al, mm, mu_top = family_params_reference(spec, n)
+    else:
+        sigma, tau = a[2], a[1]
+        tau1 = tau.coeffs[1] if len(tau.coeffs) > 1 else 0.0
+        sigma2 = 2.0 * sigma.coeffs[2] if len(sigma.coeffs) > 2 else 0.0
+    rows = []
+    for m, xm in enumerate(x):
+        am, apm = [c(xm) for c in a], [c.derivative()(xm) for c in a]
+        row = []
+        for j, xj in enumerate(x):
+            if j == m and abs(a[-1](xm)) < matrices.SINGULAR_COEFF_GUARD:
+                row.append(general[m, m])
+            elif not spec.is_krall and j != m:
+                row.append(-2.0 * sigma(xm) / (xm - xj) ** 2 * p1[m] / p1[j])
+            elif not spec.is_krall:
+                row.append(
+                    -tau(xm) / (6.0 * sigma(xm)) * (tau(xm) - 2.0 * sigma.derivative()(xm))
+                    + (n - 1) * (tau1 + 0.5 * n * sigma2) / 3.0
+                )
+            elif formula == "family" and j != m:
+                row.append(_family_offdiag(family, al, mm, xm, 1.0 / (xm - xj), p1[m], p2[m], p3[m], p1[j]))
+            elif formula == "family":
+                row.append(_family_diag(family, al, mm, mu_top, xm, p1[m], p2[m], p3[m]))
+            elif j != m:
+                a_mj = 1.0 / (xm - xj)
+                row.append(-(a_mj * a_mj) / p1[j] * _fourth_order_brace(am, a_mj, p1[m], p2[m], p3[m]))
+            else:
+                row.append(_simplified_diag_fourth_order(am, apm, mu_top, p1[m], p2[m], p3[m]))
+        rows.append(row)
+    return np.array(rows)
+
+
+# x * x (numpy's array squares) and C pow differ on a few doubles; the explicit cells have such values
+# among their node differences (hermite, laguerre) and in a row's x_m - 1 (krall-jacobi)
+@given(specs, st.integers(1, 16), st.sampled_from(["family", "fourth-order"]), guards)
+@example(FamilySpec("hermite"), 5, "family", matrices.SINGULAR_COEFF_GUARD)
+@example(FamilySpec("laguerre", alpha=F(2)), 3, "family", matrices.SINGULAR_COEFF_GUARD)
+@example(FamilySpec("krall-jacobi", alpha=F(3), mass=F(3)), 10, "family", matrices.SINGULAR_COEFF_GUARD)
+def test_closed_form_matrix_equals_the_entry_loops(spec, n, formula, guard):
+    nodes = zeros(build_family(spec, n)[n], spec)
+    with singular_guard(guard):
+        got = matrices._evaluate_closed_form(spec, nodes, formula)
+        expected = closed_form_reference(spec, nodes, formula)
+        top = operator_of(spec).to_float().coefficient(4 if spec.is_krall else 2)
+        flagged = tuple(m for m, xm in enumerate(nodes.nodes) if abs(top(xm)) < guard)
+    assert got.data.tobytes() == expected.tobytes()
+    assert got.flagged == flagged and not got.data.flags.writeable
 
 
 @given(krall_cells, guards)

@@ -25,6 +25,9 @@ sits in. Through the command-line driver, in one process, it runs:
   `l`, `linv`, `lambda`) and the differentiation matrices by every
   construction, `z --order 1..4` (recursive and `--method alternative`)
   and `z --order 1..2 --method explicit`;
+- `matrix --kind dc-simplified --format json --n 20` with `--formula
+  family` and `--formula fourth-order` for every reference spec: the
+  closed-form collocation matrices at N = 20;
 - `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
   reference spec and `--kind l`, `linv`, `lambda` and `dc`: matrices on
   given nodes, which lie inside every support hull (`l` and `linv` come
@@ -100,6 +103,10 @@ def runs() -> dict[str, list[str]]:
         out[f"family-float-{name}"] = ["family", "--mode", "float", *spec, "--format", "json", "--n", "12"]
         for matrix, kind in MATRIX_RUNS.items():
             out[f"matrix-{matrix}-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "12"]
+        for formula in ("family", "fourth-order"):
+            out[f"matrix-dc-simplified-{formula}-n20-{name}"] = [
+                "matrix", "--kind", "dc-simplified", "--formula", formula, *spec, "--format", "json", "--n", "20",
+            ]
         for kind in ("l", "linv", "lambda", "dc"):
             out[f"matrix-{kind}-nodes-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
