@@ -175,8 +175,9 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, alpha=args.alpha, beta=args.beta, mass=args.m_param)
 
 
-def _parse_n(args) -> list[int]:
-    option, raw = ("--n-range", args.n_range) if getattr(args, "n_range", None) else ("--n", args.n)
+def _parse_n(args, single: bool = False) -> list[int]:
+    """The degrees of --n or --n-range; with single, a range of more than one degree is refused."""
+    option, raw = ("--n-range", args.n_range) if args.n_range else ("--n", args.n)
     if raw is None:
         raise ParameterError("--n (or --n-range) is required")
     try:
@@ -187,6 +188,8 @@ def _parse_n(args) -> list[int]:
         return [lo]
     if hi < lo:
         raise ParameterError(f"empty range {raw!r}")
+    if single and hi > lo:
+        raise ParameterError(f"{option} value {raw!r} spans {hi - lo + 1} degrees; {args.command} takes one")
     return list(range(lo, hi + 1))
 
 
@@ -202,7 +205,7 @@ def _fraction_str(value) -> str:
 
 def cmd_family(args) -> int:
     spec = _spec_from_args(args)
-    n = _parse_n(args)[-1]
+    n = _parse_n(args, single=True)[0]
     # member by member, so a float table stops at its first member past double
     # range; build_family(spec, n) refuses a negative n
     members = (build_family(spec, nu)[nu] for nu in range(n + 1)) if n >= 0 else build_family(spec, n)
@@ -241,7 +244,7 @@ def cmd_family(args) -> int:
 
 def cmd_zeros(args) -> int:
     spec = _spec_from_args(args)
-    n = _parse_n(args)[-1]
+    n = _parse_n(args, single=True)[0]
     member = build_family(spec, n)[n]
     node_set = zeros(member, spec)
     residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
@@ -285,12 +288,12 @@ def _matrix_for(args) -> matrices.MatrixRep:
     if kind == "z":
         if node_set is None:
             spec = _spec_from_args(args)
-            n = _parse_n(args)[-1]
+            n = _parse_n(args, single=True)[0]
             node_set = zeros(build_family(spec, n)[n], spec)
         return matrices.diffmat(args.order, node_set, method=args.method)
 
     spec = _spec_from_args(args)
-    n = _parse_n(args)[-1] if node_set is None else len(node_set)
+    n = _parse_n(args, single=True)[0] if node_set is None else len(node_set)
     if kind == "dtau":
         return matrices.tau_rep(operator_of(spec), spec, n)
     if node_set is None:
@@ -416,6 +419,10 @@ def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict
 
 
 def cmd_verify(args) -> int:
+    if args.family in (None, "all"):
+        for option, value in (("--alpha", args.alpha), ("--beta", args.beta), ("--m-param", args.m_param)):
+            if value is not None:
+                raise ParameterError(f"{option} {_fraction_str(value)} is read only with a single --family")
     suite = SUITE_ALIASES.get(args.suite, args.suite)
     if suite == "all":
         suites = list(ALL_SUITES)
@@ -436,8 +443,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    args.suite = "all"
-    args.family = "all"
     if args.n is None and args.n_range is None:
         args.n = "2..12"
     return cmd_verify(args)
@@ -469,29 +474,31 @@ def _nonnegative(kind: type):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", choices=FAMILIES + ("all",), help="family tag, or 'all' for the default grid")
-    common.add_argument("--alpha", type=_rational, help="family parameter alpha (rational, e.g. 1/2)")
-    common.add_argument("--beta", type=_rational, help="second Jacobi exponent (classical jacobi only)")
-    common.add_argument("--m-param", dest="m_param", type=_rational, help="point-mass parameter M (krall-jacobi)")
-    common.add_argument("--n", help="degree / matrix size, a single integer or a range like 2..12")
-    common.add_argument("--n-range", dest="n_range", help="alias for a range value of --n")
-    common.add_argument("--tolerance", type=_nonnegative(float), help="residual tolerance (per-suite default if omitted)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    common.add_argument("--out", help="output path (written atomically); stdout if omitted")
-    common.add_argument("--seed", type=_nonnegative(int), default=0, help="seed for the randomized differentiation checks")
+    """Each command takes the option groups it reads: spec, degree, output and check."""
+    spec, degree, output, check = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    spec.add_argument("--family", choices=FAMILIES + ("all",), help="family tag, or 'all' for the default grid")
+    spec.add_argument("--alpha", type=_rational, help="family parameter alpha (rational, e.g. 1/2)")
+    spec.add_argument("--beta", type=_rational, help="second Jacobi exponent (classical jacobi only)")
+    spec.add_argument("--m-param", dest="m_param", type=_rational, help="point-mass parameter M (krall-jacobi)")
+    degree.add_argument("--n", help="degree / matrix size, a single integer or a range like 2..12")
+    degree.add_argument("--n-range", dest="n_range", help="alias for a range value of --n")
+    output.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    output.add_argument("--out", help="output path (written atomically); stdout if omitted")
+    check.add_argument("--tolerance", type=_nonnegative(float), help="residual tolerance (per-suite default if omitted)")
+    check.add_argument("--seed", type=_nonnegative(int), default=0, help="seed for the randomized differentiation checks")
+    single = [spec, degree, output]
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_family = sub.add_parser("family", parents=[common], help="coefficient table of the members up to degree N")
+    p_family = sub.add_parser("family", parents=single, help="coefficient table of the members up to degree N")
     p_family.add_argument("--mode", choices=("rational", "float"), default="rational", help="exact or rounded coefficients")
     p_family.set_defaults(func=cmd_family)
 
-    p_zeros = sub.add_parser("zeros", parents=[common], help="zeros of the degree-N member with residuals")
+    p_zeros = sub.add_parser("zeros", parents=single, help="zeros of the degree-N member with residuals")
     p_zeros.set_defaults(func=cmd_zeros)
 
-    p_matrix = sub.add_parser("matrix", parents=[common], help="export a matrix")
+    p_matrix = sub.add_parser("matrix", parents=single, help="export a matrix")
     p_matrix.add_argument("--kind", choices=MATRIX_KINDS, required=True)
     p_matrix.add_argument("--order", type=int, default=1, help="derivative order for --kind z")
     p_matrix.add_argument("--method", choices=matrices.DIFFMAT_METHODS, default="recursive")
@@ -499,16 +506,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--nodes", help="comma-separated nodes instead of family zeros")
     p_matrix.set_defaults(func=cmd_matrix)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run an identity suite over a grid")
+    p_verify = sub.add_parser("verify", parents=[*single, check], help="run an identity suite over a grid")
     p_verify.add_argument("--suite", required=True, help=f"one of {(*SUITES, 'all')} (aliases: {sorted(SUITE_ALIASES)})")
     p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), default="corrected")
     p_verify.add_argument("--exponent", type=int, default=2, help="power for the operator-power suite")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_report = sub.add_parser("report", parents=[common], help="full default verification grid")
+    p_report = sub.add_parser("report", parents=[degree, output, check], help="full default verification grid")
     p_report.add_argument("--variant", choices=("printed", "corrected", "both"), default="both")
     p_report.add_argument("--exponent", type=int, default=2)
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(func=cmd_report, suite="all", family="all", alpha=None, beta=None, m_param=None)
 
     return parser
 

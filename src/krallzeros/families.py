@@ -178,18 +178,6 @@ class Polynomial:
     def to_float(self) -> "Polynomial":
         return Polynomial([float(c) for c in self.coeffs])
 
-    def shifted_quotient(self, root) -> "Polynomial":
-        """Quotient of self by (x - root), dropping the remainder."""
-        n = len(self.coeffs) - 1
-        if n < 0:
-            return Polynomial(())
-        out = [0 * root] * n
-        carry = self.coeffs[n]
-        for i in range(n - 1, -1, -1):
-            out[i] = carry
-            carry = self.coeffs[i] + carry * root
-        return Polynomial(out)
-
 
 # ---------------------------------------------------------------------------
 # family specification
@@ -323,10 +311,10 @@ def moment_table(spec: FamilySpec, top: int) -> MomentTable:
     """(M, mu) with m_k == M_k / mu for k = 0..top: the moments as integers over one denominator.
 
     This is the one place the measure is integrated. Inner products, squared
-    norms, the spectral matrix, the Christoffel weights and the general
-    transition matrix sum integer coefficients against it (`integral`), and
-    the Gaussian moment residuals compare against its entries. The moments
-    are built in order by `_next_moment`.
+    norms and the spectral matrix sum integer coefficients against it
+    (`integral`), the Lagrange-basis integrals of a node set build their
+    second-kind polynomials on it, and the Gaussian moment residuals compare
+    against its entries. The moments are built in order by `_next_moment`.
     """
     values: list[Fraction] = []
     for k in range(top + 1):

@@ -42,9 +42,11 @@ gives e_d = D^d [s^d] prod_(i != m)(delta_mi + s) / P_m, and for sum_k a_k d^k
 one integer polynomial in delta_mj and one Fraction per entry. Quantities
 that depend on the nodes being true zeros (the Christoffel weights, the
 inverse pair of the basis-transition matrix) pull high-precision refined
-nodes from the NodeSet. The transition pair and its inverse check are built
-in one place, `_transition_pair`, which `transition` and the similarity
-suite both read; its values come from `rootfinding._value_numerators`.
+nodes from the NodeSet. The Christoffel weights and the transition matrix
+on given nodes are rows of one integer kernel, `_lagrange_integrals`. The
+transition pair and its inverse check are built in one place,
+`_transition_pair`, which `transition` and the similarity suite both read;
+its values come from `rootfinding._value_numerators`.
 
 Notation note: the Christoffel weights and the degree-(N-1) Lagrange basis
 appear under several decorated symbols in the literature (superscripts
@@ -69,7 +71,6 @@ from .families import (
     build_family,
     common_denominator,
     eigenvalue,
-    integral,
     moment_table,
     operator_of,
     pairing,
@@ -562,32 +563,39 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
-    """Exact interpolatory weights lambda_j = integral of ell_j against the measure.
+def _lagrange_integrals(nodes: NodeSet, weights: Sequence[Polynomial], spec: FamilySpec) -> list[list[Fraction]]:
+    """Row w, column j: the integral of ell_j w against the measure, for each rational weight w.
 
-    lambda_j = <psi / (x - x_j)> / psi'(x_j), remainder dropped, on integers:
-    with psi = a / d and the refined x_j = u / 2^e (`NodeSet.refined`),
-    synthetic division gives quotient coefficients Q_i / (d 2^(e (n-1-i))),
-    Horner on the slope list gives psi'(x_j) = B / (d 2^(e (n-1))), so
-    ell_j = sum_i Q_i 2^(e i) x^i / B. The node set keeps them per spec,
-    the only copy of them; each call returns a new list.
+    For the node polynomial psi = sum_k a_k x^k / d and nu_t the integral of
+    x^t w, psi / (x - y), remainder dropped, integrates against w to the
+    second-kind polynomial sigma_w(y) = sum_k a_k sum_(i<k) nu_(k-1-i) y^i / d,
+    so the entry is sigma_w(x_j) / psi'(x_j) at the refined x_j = u / 2^e.
+    On integers, with w = b / c and one `moment_table` M / mu, sigma_w is
+    S / (c mu d); S and the slope list both have N coefficients, so their
+    `_horner` sums carry the same 2^(e (N-1)) and no quotient is formed.
     """
-    return list(nodes.cached(spec, lambda: _christoffel_numbers(nodes, spec)))
-
-
-def _christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
     a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
-    slope = _derivative_lists(a, 1)[1]
-    n = len(a) - 1
-    table = moment_table(spec, n - 1)
-    lams = []
-    for u, v in (x.as_integer_ratio() for x in nodes.refined()):
-        e = v.bit_length() - 1
-        q = [a[n]]
-        for k in range(n - 1, 0, -1):  # Q_(k-1) = Q_k u + a_k 2^(e (n-k))
-            q.append(q[-1] * u + (a[k] << e * (n - k)))
-        lams.append(integral([c << e * i for i, c in enumerate(reversed(q))], _horner(slope, u, e), table))
-    return lams
+    slope, n = _derivative_lists(a, 1)[1], len(a) - 1
+    forms = [w._integer_form() for w in weights]
+    moments, mu = moment_table(spec, n - 1 + max(len(b) for b, _ in forms) - 1)
+    points = [(u, v.bit_length() - 1) for u, v in (x.as_integer_ratio() for x in nodes.refined())]
+    slopes = [_horner(slope, u, e) for u, e in points]
+    rows = []
+    for b, c in forms:
+        nu = [sum(map(mul, b, moments[t:])) for t in range(n)]
+        s = [sum(a[k] * nu[k - 1 - i] for k in range(i + 1, n + 1)) for i in range(n)]
+        rows.append([Fraction(_horner(s, u, e), c * mu * p) for (u, e), p in zip(points, slopes)])
+    return rows
+
+
+def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
+    """Exact interpolatory weights lambda_j = integral of ell_j against the measure, reduced.
+
+    The w = 1 row of `_lagrange_integrals`, sigma_N(x_j) / psi'(x_j) on the
+    refined nodes, from moments through degree N - 1. The node set keeps
+    them per spec, the only copy of them; each call returns a new list.
+    """
+    return list(nodes.cached(spec, lambda: _lagrange_integrals(nodes, [Polynomial([1])], spec)[0]))
 
 
 def christoffel(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
@@ -735,32 +743,19 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
 def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
     """Transition pair from the defining inner products, for any distinct nodes.
 
-    L expands each Lagrange basis member in the orthogonal basis through
-    moments; no Gaussian shortcut is used, so the nodes need not be zeros of
-    a family member. The inverse is still the value matrix p_{k-1}(x_j):
-    evaluating the expansion of ell_j at the nodes gives the identity matrix
-    directly.
+    L[m][j] = <ell_j, p_m> / ||p_m||^2 for the Lagrange basis of the node
+    polynomial on its refined nodes: the rows w = p_0..p_{N-1} of
+    `_lagrange_integrals` over their squared norms, with no Gaussian
+    shortcut. The inverse is the value matrix p_{k-1}(x_j), since the
+    expansion of ell_j evaluated at the nodes is the identity.
     """
     n = len(nodes)
-    xq = [Fraction(x) for x in nodes.nodes]
     fam = build_family(spec, n - 1)
-    norms = squared_norms(fam, spec)
-    table = moment_table(spec, 2 * (n - 1))
-    psi = Polynomial([Fraction(1)])
-    for x in xq:
-        psi = psi * Polynomial([-x, Fraction(1)])
-    psi_d = psi.derivative()
-    l_mat = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        ell = psi.shifted_quotient(xq[j])
-        scale = psi_d(xq[j])
-        for m in range(n):
-            l_mat[m][j] = pairing(ell, fam[m], table) / (scale * norms[m])
+    rows = zip(_lagrange_integrals(nodes, fam, spec), squared_norms(fam, spec))
+    l_mat = [[float(v / norm) for v in row] for row, norm in rows]
     l_inv = [[_at_double(*p._integer_form(), x) for p in fam] for x in nodes.nodes]
     l_rep = MatrixRep(
-        np.array([[float(v) for v in row] for row in l_mat]),
-        kind="transition",
-        note=f"inner-product expansion of the Lagrange basis on {n} given nodes",
+        np.array(l_mat), kind="transition", note=f"inner-product expansion of the Lagrange basis on {n} given nodes"
     )
     li_rep = MatrixRep(np.array(l_inv), kind="transition_inverse", note="basis values p_{k-1}(x_j)")
     return l_rep, li_rep

@@ -258,6 +258,32 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
     assert f"argument {option}: invalid rational value '1/0': zero denominator" in captured.err
 
 
+@pytest.mark.parametrize("argv, culprit", [
+    (["report", "--family", "hermite", "--n", "2", "--format", "csv"], "unrecognized arguments: --family hermite"),
+    (["verify", "--suite", "eigenpair", "--family", "all", "--alpha", "3", "--n", "2"],
+     "error: --alpha 3 is read only with a single --family"),
+    (["verify", "--suite", "eigenpair", "--m-param", "1/2", "--n", "2"],
+     "error: --m-param 1/2 is read only with a single --family"),
+    (["family", "--family", "hermite", "--n", "2", "--tolerance", "1e-3"], "unrecognized arguments: --tolerance 1e-3"),
+    (["zeros", "--family", "hermite", "--n", "2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["matrix", "--kind", "dc", "--family", "hermite", "--n", "2", "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["zeros", "--family", "hermite", "--n", "2..4"], "error: --n value '2..4' spans 3 degrees; zeros takes one"),
+    (["family", "--family", "hermite", "--n-range", "1..2"],
+     "error: --n-range value '1..2' spans 2 degrees; family takes one"),
+    (["matrix", "--kind", "lambda", "--family", "hermite", "--n", "3..5"],
+     "error: --n value '3..5' spans 3 degrees; matrix takes one"),
+], ids=["report-family", "verify-all-alpha", "verify-no-family-m-param", "family-tolerance", "zeros-seed",
+        "matrix-seed", "zeros-range", "family-range", "matrix-range"])
+def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses an option the command does not take
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert culprit in captured.err
+
+
 @pytest.mark.parametrize("option, value, kind", [("--tolerance", "nan", "float"), ("--tolerance", "-1", "float"),
                                                  ("--seed", "-1", "int")])
 def test_bad_tolerance_or_seed_names_the_option_and_value(capsys, option, value, kind):

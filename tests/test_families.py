@@ -52,11 +52,6 @@ class TestPolynomial:
         assert p(F(2)) == 13
         assert p.derivative(2).coeffs == (F(6),)
 
-    def test_shifted_quotient(self):
-        # (x - 2)(x + 1) / (x - 2) = x + 1
-        p = Polynomial([F(-2), F(-1), F(1)])
-        assert p.shifted_quotient(F(2)).coeffs == (F(1), F(1))
-
 
 class TestFamilySpec:
     def test_parameter_coercion(self):

@@ -436,12 +436,21 @@ def collocation_reference(op, xq):
     return out
 
 
+def quotient_reference(poly, root):
+    """poly / (x - root) by synthetic division, remainder dropped."""
+    out, carry = [], F(0)
+    for c in reversed(poly.coeffs[1:]):
+        carry = c + carry * root
+        out.append(carry)
+    return Polynomial(out[::-1])
+
+
 def christoffel_reference(nodes, spec):
     poly = Polynomial([F(c) for c in nodes.poly.coeffs])
     deriv = poly.derivative()
     lams = []
     for xj in nodes.refined():
-        quot = poly.shifted_quotient(xj)
+        quot = quotient_reference(poly, xj)
         val = sum((quot.coeffs[i] * moment(spec, i) for i in range(len(quot.coeffs))), F(0))
         lams.append(val / deriv(xj))
     return lams
@@ -468,18 +477,32 @@ def tau_rep_reference(op, spec, n):
     return out
 
 
-def transition_general_reference(nodes, spec):
-    n = len(nodes)
-    xq = [F(x) for x in nodes.nodes]
-    fam = build_family(spec, n - 1)
-    norms = [inner_product_reference(p, p, spec) for p in fam]
+def lagrange_integrals_reference(nodes, weights, spec):
+    """Integrals of quotient(psi, x_j) w / psi'(x_j) by moment sums, psi the node polynomial, on the refined nodes."""
+    psi = Polynomial([F(c) for c in nodes.poly.coeffs])
+    deriv = psi.derivative()
+    return [
+        [inner_product_reference(quotient_reference(psi, x), w, spec) / deriv(x) for x in nodes.refined()]
+        for w in weights
+    ]
+
+
+def monic_product_reference(xq):
     psi = Polynomial([F(1)])
     for x in xq:
         psi = psi * Polynomial([-x, F(1)])
+    return psi
+
+
+def transition_general_reference(nodes, spec, psi, xq):
+    """L from the Lagrange basis of psi on the nodes xq, by Fraction loops; L_inv on the double nodes."""
+    n = len(xq)
+    fam = build_family(spec, n - 1)
+    norms = [inner_product_reference(p, p, spec) for p in fam]
     psi_d = psi.derivative()
     l_mat = [[F(0)] * n for _ in range(n)]
     for j in range(n):
-        ell = psi.shifted_quotient(xq[j])
+        ell = quotient_reference(psi, xq[j])
         for m in range(n):
             l_mat[m][j] = inner_product_reference(ell, fam[m], spec) / (psi_d(xq[j]) * norms[m])
     l_inv = [[float(p(F(x))) for p in fam] for x in nodes.nodes]
@@ -1144,8 +1167,33 @@ def test_tau_rep(spec, n, own, data):
 def test_transition_general(spec, xq):
     nodes = NodeSet.from_points([float(x) for x in xq])
     l_mat, l_inv = matrices.transition_general(nodes, spec)
-    expected = transition_general_reference(nodes, spec)
+    points = [F(x) for x in nodes.nodes]
+    expected = transition_general_reference(nodes, spec, monic_product_reference(points), points)
     assert same_bits(l_mat.data, expected[0]) and same_bits(l_inv.data, expected[1])
+
+
+@given(cells)
+def test_transition_general_at_zeros(cell):
+    """At the zeros, the Lagrange basis is p_N's on the refined zeros, not the double zeros' monic product."""
+    l_mat, l_inv = matrices.transition_general(cell.nodes, cell.spec)
+    member = build_family(cell.spec, cell.n)[cell.n]
+    expected = transition_general_reference(cell.nodes, cell.spec, member, cell.nodes.refined())
+    assert same_bits(l_mat.data, expected[0]) and same_bits(l_inv.data, expected[1])
+
+
+node_sets = st.one_of(
+    st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=256), min_size=1, max_size=7, unique=True).map(
+        lambda xq: NodeSet.from_points([float(x) for x in xq])
+    ),
+    cells.map(lambda cell: cell.nodes),
+)
+
+
+@given(node_sets, specs, st.lists(st.lists(scalars, max_size=8), min_size=1, max_size=4))
+def test_lagrange_integrals(nodes, spec, coefficient_lists):
+    weights = [Polynomial(c) for c in coefficient_lists]
+    got = matrices._lagrange_integrals(nodes, weights, spec)
+    assert got == lagrange_integrals_reference(nodes, weights, spec)
 
 
 @given(cells)
@@ -1594,6 +1642,26 @@ def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
         assert got["summary"]["pass"] == expected["summary"]["pass"]
     assert got["summary"]["notes"] == expected["summary"]["notes"]
     assert got["meta"] == expected["meta"]
+
+
+@pytest.mark.parametrize("entry, shows, stays", [
+    ((2, 3), "cross_check_lhs_vs_general", "cross_check_rhs_vs_general"),
+    ((2, 2), "cross_check_rhs_vs_general", "cross_check_lhs_vs_general"),
+], ids=["offdiagonal", "diagonal"])
+def test_fourth_order_cross_check_shows_a_nan(entry, shows, stays):
+    """A NaN in the general assembly reaches the cross-check it feeds: an off-diagonal entry the
+    left side's sums, a diagonal entry the right side; the other cross-check stays finite."""
+    spec = FamilySpec("krall-legendre", alpha=F(1))
+    identities.get_cell.cache_clear()
+    cell = get_cell(spec, 5)
+    dc = cell.dc_float.copy()
+    dc[entry] = math.nan
+    cell.dc_float = dc  # cached_property: the instance attribute takes precedence
+    try:
+        extras = verify_fourth_order(spec, 5).extras
+    finally:
+        identities.get_cell.cache_clear()
+    assert math.isnan(extras[shows]) and math.isfinite(extras[stays])
 
 
 def test_closed_form_matrix_built_once_per_formula(monkeypatch):

@@ -28,10 +28,15 @@ sits in. Through the command-line driver, in one process, it runs:
 - `matrix --kind dc-simplified --format json --n 20` with `--formula
   family` and `--formula fourth-order` for every reference spec: the
   closed-form collocation matrices at N = 20;
+- `matrix --kind K --format json --n 20` for K in lambda, l and linv and
+  every reference spec: the Christoffel weights and the transition pair at
+  N = 20;
 - `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
-  reference spec and `--kind l`, `linv`, `lambda` and `dc`: matrices on
-  given nodes, which lie inside every support hull (`l` and `linv` come
-  from `transition_general` there), with N taken from the node count.
+  reference spec and `--kind l`, `linv`, `lambda` and `dc`, and `--nodes`
+  at the eight points (2k + 1) / 16 with `--kind l`, `linv` and `lambda`:
+  matrices on given nodes, which lie inside every support hull (`l` and
+  `linv` come from `transition_general` there), with N taken from the node
+  count.
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
@@ -63,6 +68,7 @@ MATRIX_RUNS = {
 }
 
 GIVEN_NODES = "0.125,0.375,0.625,0.875"
+EIGHT_NODES = ",".join(str((2 * k + 1) / 16) for k in range(8))
 
 SUITE_RUNS = {
     **{suite: [suite] for suite in SUITES},
@@ -110,6 +116,11 @@ def runs() -> dict[str, list[str]]:
         for kind in ("l", "linv", "lambda", "dc"):
             out[f"matrix-{kind}-nodes-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
+            ]
+        for kind in ("lambda", "l", "linv"):
+            out[f"matrix-{kind}-n20-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "20"]
+            out[f"matrix-{kind}-nodes8-{name}"] = [
+                "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", EIGHT_NODES,
             ]
     for name, spec in N40_SPECS.items():
         for suite in ("eigenpair", "power", "quadrature"):
