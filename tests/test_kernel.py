@@ -2,8 +2,9 @@
 
 Each exact reduction (Horner, the Gaussian moment sums, L L_inv, the
 D p_m products behind the eigenpair, power and similarity checks, the
-exact collocation rows, the Christoffel numbers, the squared norms and the
-Newton refinement of the nodes, the node polynomial of NodeSet.from_points
+exact collocation rows, the Lagrange-basis integrals behind the
+Christoffel numbers and the transition matrix on given nodes, the squared
+norms and the Newton refinement of the nodes, the node polynomial of NodeSet.from_points
 and the Jacobi coefficient expansion) runs on integers over common
 denominators, and so do the evaluations at double nodes: the Newton
 polish and the derivative caches of `zeros`, the value vectors of a cell
@@ -446,14 +447,7 @@ def quotient_reference(poly, root):
 
 
 def christoffel_reference(nodes, spec):
-    poly = Polynomial([F(c) for c in nodes.poly.coeffs])
-    deriv = poly.derivative()
-    lams = []
-    for xj in nodes.refined():
-        quot = quotient_reference(poly, xj)
-        val = sum((quot.coeffs[i] * moment(spec, i) for i in range(len(quot.coeffs))), F(0))
-        lams.append(val / deriv(xj))
-    return lams
+    return lagrange_integrals_reference(nodes, [Polynomial([F(1)])], spec)[0]
 
 
 def transition_reference(fam, lams, xq, spec):
