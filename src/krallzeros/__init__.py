@@ -40,7 +40,6 @@ from .matrices import (
     diffmat,
     quadrature_exactness,
     similarity_check,
-    similarity_residual,
     tau_rep,
     transition,
     transition_general,
@@ -84,7 +83,6 @@ __all__ = [
     "operator_of",
     "quadrature_exactness",
     "similarity_check",
-    "similarity_residual",
     "spectrum_report",
     "tau_rep",
     "transition",

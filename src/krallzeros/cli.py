@@ -53,6 +53,9 @@ SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
 
 MATRIX_KINDS = ("z", "ztilde", "dc", "dc-simplified", "dtau", "l", "linv", "lambda")
 
+#: What an omitted --order, --method, --formula, --exponent, --variant or --seed means.
+DEFAULTS = {"order": 1, "method": "recursive", "formula": "family", "exponent": 2, "variant": "corrected", "seed": 0}
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -177,6 +180,8 @@ def _spec_from_args(args) -> FamilySpec:
 
 def _parse_n(args, single: bool = False) -> list[int]:
     """The degrees of --n or --n-range; with single, a range of more than one degree is refused."""
+    if args.n is not None and args.n_range is not None:
+        raise ParameterError("--n and --n-range both give the degrees; give one")
     option, raw = ("--n-range", args.n_range) if args.n_range else ("--n", args.n)
     if raw is None:
         raise ParameterError("--n (or --n-range) is required")
@@ -191,6 +196,15 @@ def _parse_n(args, single: bool = False) -> list[int]:
     if single and hi > lo:
         raise ParameterError(f"{option} value {raw!r} spans {hi - lo + 1} degrees; {args.command} takes one")
     return list(range(lo, hi + 1))
+
+
+def _settle(args, reader: str, **read: bool) -> None:
+    """Give each omitted option its default; one given to a `reader` that does not read it is refused."""
+    for dest, is_read in read.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, DEFAULTS.get(dest))
+        elif not is_read:
+            raise ParameterError(f"--{dest.replace('_', '-')} is not read by {reader}")
 
 
 def _fraction_str(value) -> str:
@@ -272,9 +286,13 @@ def _node_value(text: str) -> float:
 
 
 def _matrix_for(args) -> matrices.MatrixRep:
-    kind = args.kind
-    if kind == "ztilde":
-        kind = "z"
+    kind = "z" if args.kind == "ztilde" else args.kind
+    spec_read = not (kind == "z" and args.nodes)  # z on given nodes builds no spec
+    _settle(
+        args, f"--kind {args.kind}" + ("" if spec_read else " on given --nodes"),
+        order=kind == "z", method=kind == "z", formula=kind == "dc-simplified",
+        **dict.fromkeys(("family", "alpha", "beta", "m_param"), spec_read),
+    )
     if args.nodes:
         try:
             node_set = NodeSet.from_points([_node_value(v) for v in args.nodes.split(",")])
@@ -430,6 +448,8 @@ def cmd_verify(args) -> int:
         suites = [suite]
     else:
         raise ParameterError(f"unknown suite {args.suite!r}; choose from {(*SUITES, 'all')}")
+    reads = {option for name in suites for option in SUITES[name].reads}
+    _settle(args, f"--suite {args.suite}", **{dest: dest in reads for dest in ("exponent", "variant", "seed")})
     reports, summary = _verify_many(args, suites)
     meta = {
         "suite": args.suite,
@@ -485,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("json", "csv", "text"), default="text")
     output.add_argument("--out", help="output path (written atomically); stdout if omitted")
     check.add_argument("--tolerance", type=_nonnegative(float), help="residual tolerance (per-suite default if omitted)")
-    check.add_argument("--seed", type=_nonnegative(int), default=0, help="seed for the randomized differentiation checks")
+    check.add_argument("--seed", type=_nonnegative(int), help="seed for the randomized differentiation checks (0)")
     single = [spec, degree, output]
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
@@ -500,16 +520,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", parents=single, help="export a matrix")
     p_matrix.add_argument("--kind", choices=MATRIX_KINDS, required=True)
-    p_matrix.add_argument("--order", type=int, default=1, help="derivative order for --kind z")
-    p_matrix.add_argument("--method", choices=matrices.DIFFMAT_METHODS, default="recursive")
-    p_matrix.add_argument("--formula", choices=("family", "fourth-order"), default="family")
+    p_matrix.add_argument("--order", type=int, help="derivative order for --kind z (1)")
+    p_matrix.add_argument("--method", choices=matrices.DIFFMAT_METHODS, help="for --kind z (recursive)")
+    p_matrix.add_argument("--formula", choices=("family", "fourth-order"), help="for --kind dc-simplified (family)")
     p_matrix.add_argument("--nodes", help="comma-separated nodes instead of family zeros")
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_verify = sub.add_parser("verify", parents=[*single, check], help="run an identity suite over a grid")
     p_verify.add_argument("--suite", required=True, help=f"one of {(*SUITES, 'all')} (aliases: {sorted(SUITE_ALIASES)})")
-    p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), default="corrected")
-    p_verify.add_argument("--exponent", type=int, default=2, help="power for the operator-power suite")
+    p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), help="for *-main (corrected)")
+    p_verify.add_argument("--exponent", type=int, help="power for the operator-power suite (2)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", parents=[degree, output, check], help="full default verification grid")

@@ -601,16 +601,14 @@ def _family_main(spec: FamilySpec, n: int, tolerance: float, variant: str) -> Id
 # ---------------------------------------------------------------------------
 
 
-def equally_spaced_nodes(spec: FamilySpec, n: int) -> NodeSet:
-    """n equally spaced nodes on the hull (on the zero span when unbounded)."""
+def equally_spaced_nodes(spec: FamilySpec, n: int) -> tuple[float, ...]:
+    """n equally spaced doubles on the hull (on the zero span when unbounded), as np.linspace gives them."""
     cell = get_cell(spec, n)
     lo, hi = spec.hull()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         xs = cell.nodes.nodes
         lo, hi = min(xs), max(xs)
-    if n == 1:
-        return NodeSet.from_points([(lo + hi) / 2.0], spec)
-    return NodeSet.from_points(list(np.linspace(lo, hi, n)), spec)
+    return ((lo + hi) / 2.0,) if n == 1 else tuple(np.linspace(lo, hi, n).tolist())
 
 
 def _match_eigenvalues(found: np.ndarray, targets: Sequence[float]) -> list[dict]:
@@ -628,14 +626,14 @@ def _match_eigenvalues(found: np.ndarray, targets: Sequence[float]) -> list[dict
 def spectrum_report(
     spec: FamilySpec,
     n: int,
-    nodes: Optional[NodeSet] = None,
+    nodes: Optional[matrices.NodesLike] = None,
     tolerance: float = 1e-8,
 ) -> IdentityReport:
     """Eigenvalues of the collocation matrix against the family eigenvalue list.
 
     Similarity to the diagonal spectral representation makes the spectrum
-    independent of which distinct real nodes are used; pass any NodeSet to
-    exercise that (family zeros are the default).
+    independent of which distinct real nodes are used; pass any n nodes (a
+    NodeSet or plain points) to exercise that (family zeros are the default).
     """
     cell = get_cell(spec, n)
     if nodes is None:
@@ -748,14 +746,16 @@ class Suite:
 
     `run(spec, n, tolerance, options)` returns the suite's reports on one
     (spec, N) cell from the public verifiers; `options` carries `exponent`,
-    `variant` and `seed`. `families` lists the families the suite applies
-    to, and `certifies` says what a pass establishes.
+    `variant` and `seed`, and `reads` names those that `run` reads.
+    `families` lists the families the suite applies to, and `certifies`
+    says what a pass establishes.
     """
 
     run: Callable[[FamilySpec, int, float, object], list]
     tolerance: float
     families: tuple[str, ...]
     certifies: str
+    reads: tuple[str, ...] = ()
 
     def applies(self, name: str, spec: FamilySpec, strict: bool) -> bool:
         """Whether the suite runs on spec; strict turns a mismatch into an error."""
@@ -780,6 +780,7 @@ SUITES = {
         lambda spec, n, tol, opt: [verify_power(spec, n, opt.exponent, tol)], 1e-6, FAMILIES,
         "exact D^e p_m = mu_m^e p_m on the nodes of `eigenpair`; certifies the differentiation-matrix formulas, "
         "not the zeros",
+        reads=("exponent",),
     ),
     "fourth-order": Suite(
         lambda spec, n, tol, opt: [verify_fourth_order(spec, n, tol)], 1e-7, KRALL_FAMILIES,
@@ -789,15 +790,18 @@ SUITES = {
     "kleg-main": Suite(
         lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-legendre",),
         "Krall-Legendre closed-form identity in doubles; holds only at the zeros",
+        reads=("variant",),
     ),
     "klag-main": Suite(
         lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-laguerre",),
         "Krall-Laguerre closed-form identity in doubles, with both readings of its trailing factor; a verdict "
         "beyond N ~ 17 is decided by rounding until the closed forms run exactly",
+        reads=("variant",),
     ),
     "kjac-main": Suite(
         lambda spec, n, tol, opt: [_family_main(spec, n, tol, opt.variant)], 1e-7, ("krall-jacobi",),
         "Krall-Jacobi closed-form identity in doubles; holds only at the zeros",
+        reads=("variant",),
     ),
     "spectrum": Suite(
         lambda spec, n, tol, opt: [
@@ -819,6 +823,7 @@ SUITES = {
     "diffmat": Suite(
         lambda spec, n, tol, opt: [_diffmat_report(spec, n, tol, opt.seed)], 1e-11, FAMILIES,
         "the three Z^(k) constructions, k = 1..4, agree in doubles and are exact (at 1e-9) on a seeded polynomial",
+        reads=("seed",),
     ),
 }
 

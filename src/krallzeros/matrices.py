@@ -122,10 +122,6 @@ def _as_array(nodes: NodesLike) -> np.ndarray:
     return np.asarray(nodes, dtype=float)
 
 
-def _as_matrix(m: Union[MatrixRep, np.ndarray]) -> np.ndarray:
-    return m.data if isinstance(m, MatrixRep) else np.asarray(m, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # node-polynomial derivatives
 # ---------------------------------------------------------------------------
@@ -759,23 +755,6 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
     )
     li_rep = MatrixRep(np.array(l_inv), kind="transition_inverse", note="basis values p_{k-1}(x_j)")
     return l_rep, li_rep
-
-
-def similarity_residual(a_coll, a_tau, l_mat, l_inv) -> float:
-    """|| A_coll L_inv - L_inv A_tau ||_inf / max(1, ||A_tau||_inf), in doubles.
-
-    Measures how far the two representations are from being similar through
-    (L, L_inv). Note the double-precision floor: the products cancel from
-    ||A_coll|| * ||L_inv|| down to the result, so for families with huge
-    basis values at the nodes this cannot come out much below 1e-7; the
-    exact path in similarity_check() is the sharp version.
-    """
-    ac, at = _as_matrix(a_coll), _as_matrix(a_tau)
-    li = _as_matrix(l_inv)
-    if _as_matrix(l_mat).shape != li.shape:
-        raise ValueError("L and L_inv must have matching shapes")
-    num = np.linalg.norm(ac @ li - li @ at, np.inf)
-    return float(num / max(1.0, np.linalg.norm(at, np.inf)))
 
 
 def similarity_check(spec: FamilySpec, n: int) -> dict:

@@ -176,7 +176,7 @@ class NodeSet:
         return [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in self.nodes]
 
     @classmethod
-    def from_points(cls, points: Sequence[float], spec: Optional[FamilySpec] = None) -> "NodeSet":
+    def from_points(cls, points: Sequence[float]) -> "NodeSet":
         """NodeSet on arbitrary distinct points, with the monic node polynomial.
 
         With x_i = u_i / D on integers, p = D^-N prod(D x - u_i). The points
@@ -192,7 +192,7 @@ class NodeSet:
         n, q = len(u), [1]
         for ui in u:
             q = [a - ui * b for a, b in zip([0] + q, q + [0])]
-        node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]), spec)
+        node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]))
         node_set.cached("refined", lambda: [Fraction(p) for p in pts])
         return node_set
 

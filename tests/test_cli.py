@@ -284,6 +284,34 @@ def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
     assert culprit in captured.err
 
 
+@pytest.mark.parametrize("argv, culprit", [
+    (["matrix", "--kind", "dc", "--family", "hermite", "--n", "2", "--order", "4", "--method", "explicit"],
+     "error: --order is not read by --kind dc"),
+    (["matrix", "--kind", "dc", "--family", "hermite", "--n", "2", "--method", "explicit"],
+     "error: --method is not read by --kind dc"),
+    (["matrix", "--kind", "dtau", "--family", "hermite", "--n", "2", "--formula", "fourth-order"],
+     "error: --formula is not read by --kind dtau"),
+    (["matrix", "--kind", "z", "--nodes", "-1,1", "--family", "krall-jacobi"],
+     "error: --family is not read by --kind z on given --nodes"),
+    (["matrix", "--kind", "ztilde", "--nodes", "-1,1", "--alpha", "3"],
+     "error: --alpha is not read by --kind ztilde on given --nodes"),
+    (["verify", "--suite", "eigenpair", "--family", "hermite", "--n", "2", "--exponent", "9"],
+     "error: --exponent is not read by --suite eigenpair"),
+    (["verify", "--suite", "power", "--family", "hermite", "--n", "2", "--variant", "printed"],
+     "error: --variant is not read by --suite power"),
+    (["verify", "--suite", "thm1", "--family", "hermite", "--n", "2", "--seed", "5"],
+     "error: --seed is not read by --suite thm1"),
+    (["verify", "--suite", "eigenpair", "--family", "hermite", "--n", "3", "--n-range", "2..3"],
+     "error: --n and --n-range both give the degrees; give one"),
+], ids=["dc-order", "dc-method", "dtau-formula", "z-nodes-family", "ztilde-nodes-alpha", "eigenpair-exponent",
+        "power-variant", "thm1-seed", "n-and-n-range"])
+def test_options_the_kind_or_suite_does_not_read_exit_2(capsys, argv, culprit):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert culprit in captured.err
+
+
 @pytest.mark.parametrize("option, value, kind", [("--tolerance", "nan", "float"), ("--tolerance", "-1", "float"),
                                                  ("--seed", "-1", "int")])
 def test_bad_tolerance_or_seed_names_the_option_and_value(capsys, option, value, kind):

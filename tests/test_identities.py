@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from krallzeros import (
     FamilySpec,
     IdentityReport,
+    NodeSet,
     build_family,
     default_grid,
     discriminate_variants,
@@ -193,6 +194,17 @@ class TestSpectrum:
         nodes = equally_spaced_nodes(spec, 6)
         report = spectrum_report(spec, 6, nodes=nodes, tolerance=1e-6)
         assert report.max_residual < 1e-6
+
+    @pytest.mark.parametrize("spec", [KLAG1, FamilySpec("krall-jacobi", alpha=1, mass=2)])  # unbounded, bounded hull
+    def test_spaced_half_builds_no_node_set(self, spec, monkeypatch):
+        def refuse(cls, points):
+            raise AssertionError("the spectrum suite built a node set from points")
+
+        monkeypatch.setattr(NodeSet, "from_points", classmethod(refuse))
+        suite = SUITES["spectrum"]
+        on_zeros, spaced = suite.run(spec, 6, suite.tolerance, None)
+        assert on_zeros.passed and spaced.passed
+        assert "nodes: caller-supplied" in spaced.notes
 
     def test_single_node(self):
         report = spectrum_report(KLEG1, 1)
@@ -409,14 +421,9 @@ class TestCellFactory:
         assert json.dumps({k: v.to_dict() for k, v in again.items() if k != "verdict"}) == expected
         assert again["verdict"] == "identical"
 
-        for spec in (KJAC11, KLAG1):  # bounded and unbounded hull
-            nodes = equally_spaced_nodes(spec, 4)
-            points, refined = nodes.nodes, list(nodes.refined())
-            with pytest.raises(AttributeError):
-                nodes.nodes = ()
-            nodes.refined().append(F(0))
-            nodes = equally_spaced_nodes(spec, 4)
-            assert nodes.nodes == points and nodes.refined() == refined
+        for spec in (KJAC11, KLAG1):  # bounded and unbounded hull: the points come back immutable by type
+            assert type(equally_spaced_nodes(spec, 4)) is tuple
+
 
         pair = similarity_check(KJAC11, 4)
         expected = dict(pair)

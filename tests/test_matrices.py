@@ -24,7 +24,6 @@ from krallzeros import (
     operator_of,
     quadrature_exactness,
     similarity_check,
-    similarity_residual,
     tau_rep,
     transition,
     transition_general,
@@ -274,6 +273,13 @@ class TestTransition:
         l_short, _ = transition(nodes, KJAC12)
         l_gen, _ = transition_general(nodes, KJAC12)
         assert rel_gap(l_short.data, l_gen.data) < 1e-12
+
+
+def similarity_residual(a_coll, a_tau, l_rep, li_rep):
+    """||A_coll L_inv - L_inv A_tau||_inf / max(1, ||A_tau||_inf) in doubles, for the pair (L, L_inv)."""
+    ac, at, li = a_coll.data, a_tau.data, li_rep.data
+    assert l_rep.data.shape == li.shape
+    return np.linalg.norm(ac @ li - li @ at, np.inf) / max(1.0, np.linalg.norm(at, np.inf))
 
 
 class TestSimilarity:

@@ -12,8 +12,9 @@ sits in. Through the command-line driver, in one process, it runs:
   for every reference spec also `--suite klag-main` with `--variant
   printed` and `--variant both` and `--suite power --exponent 3`;
 - `verify --suite S --format json --n 20` for S in eigenpair, power,
-  similarity and quadrature and every reference spec: the exact D p_m and
-  the Gaussian moment sums at N = 20;
+  similarity, quadrature and spectrum and every reference spec: the exact
+  D p_m, the Gaussian moment sums and the float spectrum on the zeros and
+  on equally spaced points at N = 20;
 - `verify --suite S --format json --n 40` for S in eigenpair, power and
   quadrature on krall-legendre(1) and hermite, whose zeros exist there;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
@@ -77,7 +78,7 @@ SUITE_RUNS = {
     "power-exponent3": ["power", "--exponent", "3"],
 }
 
-EXACT_SUITES = ("eigenpair", "power", "similarity", "quadrature")
+N20_SUITES = ("eigenpair", "power", "similarity", "quadrature", "spectrum")
 
 N40_SPECS = {
     "krall-legendre-1": ["--family", "krall-legendre", "--alpha", "1"],
@@ -102,7 +103,7 @@ def runs() -> dict[str, list[str]]:
     for name, spec in REFERENCE_SPECS.items():
         for suite, options in SUITE_RUNS.items():
             out[f"verify-{suite}-{name}"] = ["verify", "--suite", *options, *spec, "--format", "json", "--n", "2..8"]
-        for suite in EXACT_SUITES:
+        for suite in N20_SUITES:
             out[f"verify-{suite}-n20-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "20"]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
