@@ -534,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", parents=[degree, output, check], help="full default verification grid")
     p_report.add_argument("--variant", choices=("printed", "corrected", "both"), default="both")
-    p_report.add_argument("--exponent", type=int, default=2)
+    p_report.add_argument("--exponent", type=int)
     p_report.set_defaults(func=cmd_report, suite="all", family="all", alpha=None, beta=None, m_param=None)
 
     return parser
