@@ -37,7 +37,13 @@ sits in. Through the command-line driver, in one process, it runs:
   at the eight points (2k + 1) / 16 with `--kind l`, `linv` and `lambda`:
   matrices on given nodes, which lie inside every support hull (`l` and
   `linv` come from `transition_general` there), with N taken from the node
-  count.
+  count;
+- with `--format csv` and with `--format text` for every reference spec:
+  `family --n 12` and `family --mode float --n 12`, `zeros --n 12`,
+  `matrix --kind dc --n 12` and `matrix --kind z --order 2 --n 12`,
+  `verify --suite all --n 2..4` and `verify --suite spectrum --n 4
+  --tolerance 1e-30`, which fails and names its worst cell: the CSV and
+  text layout of every command, a failing run's included.
 
 The reference specs are hermite, laguerre(1/2), jacobi(1/2, 2),
 krall-legendre(2), krall-laguerre(1/2) and krall-jacobi(1, 2). Each run's
@@ -85,6 +91,17 @@ N40_SPECS = {
     "hermite": ["--family", "hermite"],
 }
 
+#: Runs made with --format csv and --format text for every reference spec.
+LAYOUT_RUNS = {
+    "family": ["family", "--n", "12"],
+    "family-float": ["family", "--mode", "float", "--n", "12"],
+    "zeros": ["zeros", "--n", "12"],
+    "matrix-dc": ["matrix", "--kind", "dc", "--n", "12"],
+    "matrix-z2": ["matrix", "--kind", "z", "--order", "2", "--n", "12"],
+    "verify-all": ["verify", "--suite", "all", "--n", "2..4"],
+    "verify-spectrum-fail": ["verify", "--suite", "spectrum", "--n", "4", "--tolerance", "1e-30"],
+}
+
 REFERENCE_SPECS = {
     "hermite": ["--family", "hermite"],
     "laguerre-1_2": ["--family", "laguerre", "--alpha", "1/2"],
@@ -123,6 +140,9 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{kind}-nodes8-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", EIGHT_NODES,
             ]
+        for run_name, options in LAYOUT_RUNS.items():
+            for fmt in ("csv", "text"):
+                out[f"{run_name}-{name}-{fmt}"] = [*options, *spec, "--format", fmt]
     for name, spec in N40_SPECS.items():
         for suite in ("eigenpair", "power", "quadrature"):
             out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
