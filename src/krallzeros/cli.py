@@ -9,6 +9,8 @@ Output is machine-readable: JSON reports follow a fixed
 meta / results / summary layout, CSV files carry a provenance comment line
 followed by an RFC-4180 style header row, rationals are printed as "p/q",
 and doubles with 17 significant digits so they round-trip bit-faithfully.
+One writer, `_emit`, lays out all three formats for every command and
+builds only the one asked for; the commands hand it their pieces.
 `--format json` output is byte-identical to json.dumps with indent=2
 but is written through CPython's C encoder (`_dumps`), which json.dumps
 uses only without indentation. It rests on one invariant: encoded JSON
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import matrices
 from .families import (
@@ -172,6 +174,22 @@ def _write_out(text: str, path: Optional[str]) -> None:
         raise ParameterError(f"--out {path}: {exc.strerror or exc}") from None
 
 
+def _emit(args, payload: Callable, comment: str, header: str, rows: Iterable[str], lines: Iterable[str]) -> int:
+    """Write a command's output in --format, the only code that knows the three layouts; returns 0.
+
+    json is _dumps(payload()); csv is '# ' + comment, the header and the rows, each line ending in a
+    newline; text is the lines with no final newline. Only that format's piece is called or consumed.
+    """
+    if args.format == "json":
+        text = _dumps(payload())
+    elif args.format == "csv":
+        text = "".join(line + "\n" for line in chain((f"# {comment}", header), rows))
+    else:
+        text = "\n".join(lines)
+    _write_out(text, args.out)
+    return 0
+
+
 def _spec_from_args(args) -> FamilySpec:
     if not args.family or args.family == "all":
         raise ParameterError("this command needs a single --family")
@@ -237,23 +255,13 @@ def cmd_family(args) -> int:
                 raise ValueError(f"{spec.label()}: degree-{nu} leading coefficient underflows double precision")
             coeffs = [_fmt(c) for c in rounded]
         rows.append({"degree": nu, "coefficients": coeffs})
-    if args.format == "json":
-        text = _dumps({"family": spec.label(), "mode": args.mode, "members": rows})
-    elif args.format == "csv":
-        lines = [f"# coefficient table for {spec.label()}, mode={args.mode}"]
-        width = n + 1
-        lines.append("degree," + ",".join(f"c{k}" for k in range(width)))
-        for row in rows:
-            padded = row["coefficients"] + [""] * (width - len(row["coefficients"]))
-            lines.append(str(row["degree"]) + "," + ",".join(padded))
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{spec.label()}, coefficients by ascending power:"]
-        for row in rows:
-            lines.append(f"  degree {row['degree']}: [{', '.join(row['coefficients'])}]")
-        text = "\n".join(lines)
-    _write_out(text, args.out)
-    return 0
+    title = f"{spec.label()}, coefficients by ascending power:"
+    return _emit(
+        args, lambda: {"family": spec.label(), "mode": args.mode, "members": rows},
+        f"coefficient table for {spec.label()}, mode={args.mode}", "degree," + ",".join(f"c{k}" for k in range(n + 1)),
+        (",".join([str(r["degree"]), *r["coefficients"]] + [""] * (n + 1 - len(r["coefficients"]))) for r in rows),
+        chain([title], (f"  degree {r['degree']}: [{', '.join(r['coefficients'])}]" for r in rows)),
+    )
 
 
 def cmd_zeros(args) -> int:
@@ -262,18 +270,12 @@ def cmd_zeros(args) -> int:
     member = build_family(spec, n)[n]
     node_set = zeros(member, spec)
     residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
-    if args.format == "json":
-        text = _dumps({"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals})
-    elif args.format == "csv":
-        lines = [f"# zeros of the degree-{n} member of {spec.label()}", "zero,residual"]
-        lines += [f"{_fmt(x)},{_fmt(r)}" for x, r in zip(node_set.nodes, residuals)]
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"zeros of the degree-{n} member of {spec.label()}:"]
-        lines += [f"  {_fmt(x)}   |p| = {r:.3e}" for x, r in zip(node_set.nodes, residuals)]
-        text = "\n".join(lines)
-    _write_out(text, args.out)
-    return 0
+    title = f"zeros of the degree-{n} member of {spec.label()}"
+    return _emit(
+        args, lambda: {"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals},
+        title, "zero,residual", (f"{_fmt(x)},{_fmt(r)}" for x, r in zip(node_set.nodes, residuals)),
+        chain([title + ":"], (f"  {_fmt(x)}   |p| = {r:.3e}" for x, r in zip(node_set.nodes, residuals))),
+    )
 
 
 def _node_value(text: str) -> float:
@@ -331,22 +333,12 @@ def _matrix_for(args) -> matrices.MatrixRep:
 def cmd_matrix(args) -> int:
     rep = _matrix_for(args)
     data = rep.data
-    if args.format == "json":
-        text = _dumps({"kind": rep.kind, "note": rep.note, "shape": list(data.shape), "data": data.tolist()})
-    elif args.format == "csv":
-        n = data.shape[1]
-        lines = [f"# {rep.kind}: {rep.note}"]
-        lines.append(",".join(f"c{j+1}" for j in range(n)))
-        for row in data:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = [f"{rep.kind} ({rep.note}):"]
-        for row in data:
-            lines.append("  " + "  ".join(f"{v: .10e}" for v in row))
-        text = "\n".join(lines)
-    _write_out(text, args.out)
-    return 0
+    return _emit(
+        args, lambda: {"kind": rep.kind, "note": rep.note, "shape": list(data.shape), "data": data.tolist()},
+        f"{rep.kind}: {rep.note}", ",".join(f"c{j + 1}" for j in range(data.shape[1])),
+        (",".join(_fmt(v) for v in row) for row in data),
+        chain([f"{rep.kind} ({rep.note}):"], ("  " + "  ".join(f"{v: .10e}" for v in row) for row in data)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +393,23 @@ def _worst_cell(reports: list[IdentityReport]) -> Optional[dict]:
     return dict(c, family=r.family, params=r.params, N=r.n, identity=r.identity)
 
 
-def _emit_reports(reports: list[IdentityReport], summary: dict, args, meta: dict) -> None:
-    if args.format == "json":
-        if len(reports) == 1:
-            text = _dumps(reports[0].to_dict())
-        else:
-            text = _dumps({"meta": meta, "reports": [r.to_dict() for r in reports], "summary": summary})
-    elif args.format == "csv":
-        lines = [f"# verification run: {json.dumps(meta)}"]
-        lines.append("identity,family,params,N,variant,max_residual,pass")
-        for r in reports:
-            params = ";".join(f"{k}={v}" for k, v in r.params.items())
-            lines.append(
-                f"{r.identity},{r.family},{params},{r.n},{r.variant or ''},{_fmt(r.max_residual)},{r.passed}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        lines = []
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            extra = f" variant={r.variant}" if r.variant else ""
-            rowsum = f" rowsum={r.rowsum_residual:.3e}" if r.rowsum_residual is not None else ""
-            lines.append(
-                f"{status} {r.identity:<18} {r.family}({';'.join(f'{k}={v}' for k, v in r.params.items())}) "
-                f"N={r.n}{extra} max_residual={r.max_residual:.3e}{rowsum}"
-            )
-        ok = "PASS" if summary["pass"] else "FAIL"
-        lines.append(f"{ok}: {summary['reports']} reports, max residual {summary['max_residual']:.3e}")
-        if not summary["pass"] and summary.get("worst_cell"):
-            w = summary["worst_cell"]
-            where = f" m={w['m']} n={w['n']}" if "m" in w else ""
-            lines.append(f"worst cell: {w['identity']} {w['family']} N={w['N']}{where} residual={w['residual']:.3e}")
-        text = "\n".join(lines)
-    _write_out(text, args.out)
+def _params(r: IdentityReport) -> str:
+    return ";".join(f"{k}={v}" for k, v in r.params.items())
+
+
+def _report_lines(reports: list[IdentityReport], summary: dict) -> Iterator[str]:
+    """The text layout of a verification run: a line per report, then the summary and a failing run's worst cell."""
+    for r in reports:
+        status = "PASS" if r.passed else "FAIL"
+        extra = f" variant={r.variant}" if r.variant else ""
+        rowsum = f" rowsum={r.rowsum_residual:.3e}" if r.rowsum_residual is not None else ""
+        yield f"{status} {r.identity:<18} {r.family}({_params(r)}) N={r.n}{extra} max_residual={r.max_residual:.3e}{rowsum}"
+    status = "PASS" if summary["pass"] else "FAIL"
+    yield f"{status}: {summary['reports']} reports, max residual {summary['max_residual']:.3e}"
+    if not summary["pass"] and summary.get("worst_cell"):
+        w = summary["worst_cell"]
+        where = f" m={w['m']} n={w['n']}" if "m" in w else ""
+        yield f"worst cell: {w['identity']} {w['family']} N={w['N']}{where} residual={w['residual']:.3e}"
 
 
 def cmd_verify(args) -> int:
@@ -458,7 +434,14 @@ def cmd_verify(args) -> int:
         "tolerance": args.tolerance,
         "seed": args.seed,
     }
-    _emit_reports(reports, summary, args, meta)
+    _emit(
+        args, lambda: reports[0].to_dict() if len(reports) == 1 else dict(
+            meta=meta, reports=[r.to_dict() for r in reports], summary=summary),
+        f"verification run: {json.dumps(meta)}", "identity,family,params,N,variant,max_residual,pass",
+        (f"{r.identity},{r.family},{_params(r)},{r.n},{r.variant or ''},{_fmt(r.max_residual)},{r.passed}"
+         for r in reports),
+        _report_lines(reports, summary),
+    )
     return 0 if summary["pass"] else 1
 
 
@@ -495,6 +478,10 @@ def _nonnegative(kind: type):
 
 def _build_parser() -> argparse.ArgumentParser:
     """Each command takes the option groups it reads: spec, degree, output and check."""
+
+    def shown(text: str, dest: str) -> str:  # help that ends with what an omitted option means
+        return f"{text} ({DEFAULTS[dest]})"
+
     spec, degree, output, check = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     spec.add_argument("--family", choices=FAMILIES + ("all",), help="family tag, or 'all' for the default grid")
     spec.add_argument("--alpha", type=_rational, help="family parameter alpha (rational, e.g. 1/2)")
@@ -505,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--format", choices=("json", "csv", "text"), default="text")
     output.add_argument("--out", help="output path (written atomically); stdout if omitted")
     check.add_argument("--tolerance", type=_nonnegative(float), help="residual tolerance (per-suite default if omitted)")
-    check.add_argument("--seed", type=_nonnegative(int), help="seed for the randomized differentiation checks (0)")
+    check.add_argument("--seed", type=_nonnegative(int), help=shown("seed for the random diffmat test polynomials", "seed"))
     single = [spec, degree, output]
 
     parser = argparse.ArgumentParser(prog="krallzeros", description=__doc__.splitlines()[0])
@@ -520,22 +507,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", parents=single, help="export a matrix")
     p_matrix.add_argument("--kind", choices=MATRIX_KINDS, required=True)
-    p_matrix.add_argument("--order", type=int, help="derivative order for --kind z (1)")
-    p_matrix.add_argument("--method", choices=matrices.DIFFMAT_METHODS, help="for --kind z (recursive)")
-    p_matrix.add_argument("--formula", choices=("family", "fourth-order"), help="for --kind dc-simplified (family)")
+    p_matrix.add_argument("--order", type=int, help=shown("derivative order for --kind z", "order"))
+    p_matrix.add_argument("--method", choices=matrices.DIFFMAT_METHODS, help=shown("for --kind z", "method"))
+    p_matrix.add_argument("--formula", choices=("family", "fourth-order"), help=shown("for dc-simplified", "formula"))
     p_matrix.add_argument("--nodes", help="comma-separated nodes instead of family zeros")
     p_matrix.set_defaults(func=cmd_matrix)
 
     p_verify = sub.add_parser("verify", parents=[*single, check], help="run an identity suite over a grid")
     p_verify.add_argument("--suite", required=True, help=f"one of {(*SUITES, 'all')} (aliases: {sorted(SUITE_ALIASES)})")
-    p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), help="for *-main (corrected)")
-    p_verify.add_argument("--exponent", type=int, help="power for the operator-power suite (2)")
+    p_verify.add_argument("--variant", choices=("printed", "corrected", "both"), help=shown("for *-main", "variant"))
+    p_verify.add_argument("--exponent", type=int, help=shown("power for the operator-power suite", "exponent"))
     p_verify.set_defaults(func=cmd_verify)
 
     p_report = sub.add_parser("report", parents=[degree, output, check], help="full default verification grid")
-    p_report.add_argument("--variant", choices=("printed", "corrected", "both"), default="both")
-    p_report.add_argument("--exponent", type=int)
-    p_report.set_defaults(func=cmd_report, suite="all", family="all", alpha=None, beta=None, m_param=None)
+    p_report.add_argument("--variant", choices=("printed", "corrected", "both"), help="for *-main (%(default)s)")
+    p_report.add_argument("--exponent", type=int, help=shown("power for the operator-power suite", "exponent"))
+    p_report.set_defaults(func=cmd_report, suite="all", family="all", alpha=None, beta=None, m_param=None, variant="both")
 
     return parser
 

@@ -22,9 +22,9 @@ A NodeSet keeps one float kernel per leading coefficient (`node_kernel`):
 the differences, the derivative table and the four recursive Z^(k), built
 once and read by every construction, by the float collocation matrix and by
 the closed forms: array expressions over the nodes and the kernel's r that
-square through the kernel's math.pow powers, or Python ** (C pow) on one
-row's floats, so each entry is the double of its per-entry formula. The node
-set keeps the closed-form matrices too, all in its one memo
+square through the kernel's math.pow powers, or through C pow on each row's
+x (`_c_square`), so each entry is the double of its per-entry formula. The
+node set keeps the closed-form matrices too, all in its one memo
 (`NodeSet.cached`), and `zeros` returns one node set per member.
 
 Both a double-precision and an exact-rational assembly are provided. The
@@ -427,13 +427,19 @@ def _family_diag(family: str, al: float, mm: float, mu_top: float, x: float, p1:
     return t3 + t2 + t1
 
 
+def _c_square(v):
+    """v ** 2 through C pow: on a double, or entry by entry on an array, whose numpy square can round differently."""
+    return v**2 if isinstance(v, float) else np.array([t**2 for t in v.ravel().tolist()]).reshape(v.shape)
+
+
 def _family_offdiag(
     family: str, al: float, mm: float, xm: float, a_mn: float, p1m: float, p2m: float, p3m: float, p1n: float
 ) -> float:
-    """Off-diagonal entries (m, n) of the per-family closed form, a_mn = 1 / (x_m - x_n), along row m."""
+    """Off-diagonal entries (m, n) of the per-family closed form, a_mn = 1 / (x_m - x_n): one entry from doubles,
+    or the whole matrix from x_m, p'_m, p''_m, p'''_m as N x 1 columns, a_mn = the kernel's r and p'_n as a row."""
     if family == "krall-legendre":
         brace = (
-            4.0 * (1.0 - xm * xm) ** 2 * p3m
+            4.0 * _c_square(1.0 - xm * xm) * p3m
             - 12.0 * (xm * xm - 1.0) * (a_mn * (xm * xm - 1.0) - 2.0 * xm) * p2m
             + 8.0 * (xm * xm - 1.0) * (3.0 * a_mn * a_mn * (xm * xm - 1.0) - 6.0 * a_mn * xm + al + 3.0) * p1m
         )
@@ -445,12 +451,12 @@ def _family_offdiag(
         )
     else:  # krall-jacobi
         brace = (
-            4.0 * xm * xm * (xm - 1.0) ** 2 * p3m
+            4.0 * xm * xm * _c_square(xm - 1.0) * p3m
             + 6.0 * xm * (xm - 1.0) * (-2.0 * a_mn * xm * (xm - 1.0) + (4.0 + al) * xm - 2.0) * p2m
             - 2.0
             * xm
             * (
-                -12.0 * a_mn * a_mn * xm * (xm - 1.0) ** 2
+                -12.0 * a_mn * a_mn * xm * _c_square(xm - 1.0)
                 + 6.0 * a_mn * (xm - 1.0) * ((4.0 + al) * xm - 2.0)
                 - (al * al + 9.0 * al + 2.0 * mm + 14.0) * xm
                 + 2.0 * (3.0 * al + mm + 6.0)
@@ -509,8 +515,7 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
             )
         elif form == "family":
             family, al, mm = spec.family, float(spec.alpha), float(spec.mass or 0)
-            rows = zip(x.tolist(), nodes.d1, nodes.d2, nodes.d3, kernel.r)
-            out = np.array([_family_offdiag(family, al, mm, xm, a_mn, *pm, p1) for xm, *pm, a_mn in rows])
+            out = _family_offdiag(family, al, mm, x[:, None], kernel.r, p1[:, None], p2[:, None], p3[:, None], p1)
             diag = _family_diag(family, al, mm, float(eigenvalue(spec, n)), x, p1, p2, p3)
         else:
             r, at, ap = kernel.r, [c(x) for c in a], [c.derivative()(x) for c in a]  # a_k(x_m), a_k'(x_m)

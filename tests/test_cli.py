@@ -1,8 +1,13 @@
 """Command-line driver: argument handling, formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krallzeros import FamilySpec, build_family, families, identities, rootfinding
+from krallzeros import FamilySpec, build_family, cli, families, identities, rootfinding
 from krallzeros.cli import _dumps, main
 from krallzeros.identities import Cell, IdentityReport
 
@@ -712,3 +717,78 @@ def test_json_output_is_json_dumps_with_indent_2(capsys, argv):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# one writer for the three formats
+# ---------------------------------------------------------------------------
+
+
+def _above(low, high):
+    """Rationals in (low, high], as a string the command line reads."""
+    return st.fractions(min_value=low, max_value=high, max_denominator=4).filter(lambda v: v > low).map(str)
+
+
+admissible_options = st.one_of(
+    st.just(["--family", "hermite"]),
+    st.builds(lambda a: ["--family", "laguerre", "--alpha", a], _above(-1, 4)),
+    st.builds(lambda a, b: ["--family", "jacobi", "--alpha", a, "--beta", b], _above(-1, 4), _above(-1, 4)),
+    st.builds(lambda a: ["--family", "krall-legendre", "--alpha", a], _above(0, 4)),
+    st.builds(lambda a: ["--family", "krall-laguerre", "--alpha", a], _above(0, 4)),
+    st.builds(lambda a, m: ["--family", "krall-jacobi", "--alpha", a, "--m-param", m], _above(-1, 4), _above(0, 4)),
+)
+
+TEXT_REPORT = re.compile(r"(PASS|FAIL) (\S+) +(\S+)\((.*)\) N=(\d+)(?: variant=(\S+))? max_residual=")
+
+
+@settings(max_examples=10)
+@given(admissible_options, st.integers(2, 4), st.sampled_from([[], ["--tolerance", "1e-30"]]))
+def test_json_csv_and_text_show_the_same_reports(options, n, tolerance):
+    """The same exit code and, report by report, the same identity, family, N, variant, pass and residual."""
+
+    def run_in(fmt):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["verify", "--suite", "all", *options, *tolerance, "--n", str(n), "--format", fmt])
+        return code, out.getvalue()
+
+    (code, out), (csv_code, csv_out), (text_code, text_out) = map(run_in, ("json", "csv", "text"))
+    assert code == csv_code == text_code
+    payload = json.loads(out)
+    reports = payload["reports"] if "reports" in payload else [payload]
+    csv_rows = list(csv.DictReader(csv_out.splitlines()[1:]))
+    text_rows = [TEXT_REPORT.match(line) for line in text_out.splitlines()[: len(reports)]]
+    assert len(csv_rows) == len(reports) and all(text_rows)
+    for report, row, line in zip(reports, csv_rows, text_rows):
+        meta, summary = report["meta"], report["summary"]
+        shown = (meta["identity"], meta["family"], str(meta["N"]), meta["variant"] or "", str(summary["pass"]))
+        assert (row["identity"], row["family"], row["N"], row["variant"], row["pass"]) == shown
+        assert line.group(2, 3, 5) == shown[:3] and (line.group(6) or "") == shown[3]
+        assert line.group(1) == ("PASS" if summary["pass"] else "FAIL")
+        assert math.isnan(summary["max_residual"]) if row["max_residual"] == "nan" else (
+            float(row["max_residual"]) == summary["max_residual"]
+        )
+
+
+def test_json_builds_no_csv_or_text(capsys, monkeypatch):
+    """JSON output never formats a CSV cell: the rows of the other formats are built only when asked for."""
+
+    def refuse(x):
+        raise AssertionError("a CSV or text row was built for --format json")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    code, out = run(capsys, "verify", "--suite", "all", "--n", "2..3", "--format", "json")
+    assert code == 0 and json.loads(out)["summary"]["pass"] is True
+
+
+def test_help_shows_the_defaults_an_omitted_option_takes():
+    """Every option in DEFAULTS ends its help with the value it takes when omitted."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    shown = set()
+    for command in commands.values():
+        for action in command._actions:
+            if action.dest in cli.DEFAULTS:
+                omitted = cli.DEFAULTS[action.dest] if action.default is None else action.default
+                assert action.help % vars(action) == action.help.split(" (")[0] + f" ({omitted})", action.dest
+                shown.add(action.dest)
+    assert shown == set(cli.DEFAULTS)
