@@ -15,6 +15,10 @@ sits in. Through the command-line driver, in one process, it runs:
   similarity, quadrature and spectrum and every reference spec: the exact
   D p_m, the Gaussian moment sums and the float spectrum on the zeros and
   on equally spaced points at N = 20;
+- `verify --format json --n 20` on each Krall reference spec with `--suite
+  fourth-order` and with the spec's own family-identity suite (`kleg-main`,
+  `klag-main` or `kjac-main`) under `--variant corrected`, `printed` and
+  `both`: the closed-form identities where krall-laguerre loses digits;
 - `verify --suite S --format json --n 40` for S in eigenpair, power and
   quadrature on krall-legendre(1) and hermite, whose zeros exist there;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
@@ -86,6 +90,9 @@ SUITE_RUNS = {
 
 N20_SUITES = ("eigenpair", "power", "similarity", "quadrature", "spectrum")
 
+#: The family-identity suite of each Krall reference spec, run at N = 20 beside fourth-order.
+FAMILY_SUITES = {"krall-legendre-2": "kleg-main", "krall-laguerre-1_2": "klag-main", "krall-jacobi-1-2": "kjac-main"}
+
 N40_SPECS = {
     "krall-legendre-1": ["--family", "krall-legendre", "--alpha", "1"],
     "hermite": ["--family", "hermite"],
@@ -122,6 +129,14 @@ def runs() -> dict[str, list[str]]:
             out[f"verify-{suite}-{name}"] = ["verify", "--suite", *options, *spec, "--format", "json", "--n", "2..8"]
         for suite in N20_SUITES:
             out[f"verify-{suite}-n20-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "20"]
+        if name in FAMILY_SUITES:
+            closed_forms = {"fourth-order": ["fourth-order"]}
+            for variant in ("corrected", "printed", "both"):
+                closed_forms[f"{FAMILY_SUITES[name]}-{variant}"] = [FAMILY_SUITES[name], "--variant", variant]
+            for run_name, options in closed_forms.items():
+                out[f"verify-{run_name}-n20-{name}"] = [
+                    "verify", "--suite", *options, *spec, "--format", "json", "--n", "20",
+                ]
         for command in ("zeros", "family"):
             out[f"{command}-{name}"] = [command, *spec, "--format", "json", "--n", "12"]
         out[f"family-float-{name}"] = ["family", "--mode", "float", *spec, "--format", "json", "--n", "12"]
