@@ -32,7 +32,7 @@ integers: the cell's collocation matrix and each value vector sit over one
 common denominator (under 50 bits for the matrix at N = 20, where the
 double zeros read as rationals gave it 5-10k), D p_m is one integer matvec
 reduced once, and each residual is one correctly rounded int / int. A plain
-double-precision engine, on the zeros, is kept for comparison; its
+double-precision eigenpair check, on the zeros, is kept for comparison; its
 residuals carry the conditioning of the assembly (around 1e-7 for wide
 node spreads at N = 12). The closed-form identities read their entries
 from the cell's closed-form matrix, which
@@ -46,7 +46,7 @@ transition-pair check, `matrices._transition_pair`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product
@@ -334,25 +334,21 @@ def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[lis
     """(mu_m^e, residuals[m][i]) of D^e p_m = mu_m^e p_m at node row i, m < N.
 
     Each residual is scaled by max(1, |mu_m^e| max_k |p_m(x_k)|). The exact
-    engine works on integers; the float one forms the products as arrays and
-    sums each row of them with one math.fsum, D^e included.
+    engine works on integers and reads the exponent; the float one checks D
+    itself (e = 1), forming the products as arrays and summing each row of
+    them with one math.fsum.
     """
     if arithmetic == "exact":
         defects = _exact_defects(cell, exponent)
         return [mu**exponent for mu in cell.mus], [[abs(v) / scaled for v in d] for d, _, scaled in defects]
     if arithmetic != "float":
         raise ValueError("arithmetic must be 'exact' or 'float'")
-    n, dc = cell.n, cell.dc_float
-    power = dc
-    mus = [float(mu) ** exponent for mu in cell.mus]
+    mus = [float(mu) for mu in cell.mus]
     scales = [max(1.0, abs(mu) * max(map(abs, pv))) for mu, pv in zip(mus, cell.values_float)]
     values = np.array(cell.values_float)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
-        for _ in range(exponent - 1):
-            # power[i, j] = sum_k power[i, k] dc[k, j]
-            power = np.array(_fsums(power[:, None, :] * dc.T)).reshape(n, n)
-        # sums[m, i] = sum_k power[i, k] p_m(x_k)
-        sums = np.array(_fsums(values[:, None, :] * power)).reshape(values.shape)
+        # sums[m, i] = sum_k D[i, k] p_m(x_k)
+        sums = np.array(_fsums(values[:, None, :] * cell.dc_float)).reshape(values.shape)
         residuals = np.abs(sums - np.array(mus)[:, None] * values) / np.array(scales)[:, None]
     return mus, residuals.tolist()
 
@@ -413,9 +409,8 @@ def verify_power(
     n: int,
     exponent: int = 2,
     tolerance: float = 1e-6,
-    arithmetic: str = "exact",
 ) -> IdentityReport:
-    """Same eigenpair check for the exponent-th power of the collocation matrix.
+    """Same eigenpair check, in exact arithmetic, for the exponent-th power of the collocation matrix.
 
     The operator's eigen relation survives taking powers, so D^e keeps the
     same eigenvectors with eigenvalues mu_m^e. Entries scale like mu^e; an
@@ -427,11 +422,11 @@ def verify_power(
     top = max((abs(float(m)) for m in cell.mus), default=1.0)
     if top > 1.0 and exponent * math.log10(top) > 250:
         raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {top:.3e})")
-    relation = _eigen_relation(cell, arithmetic, exponent)
+    relation = _eigen_relation(cell, "exact", exponent)
     max_residual, cells, eigenpairs = _eigen_cells("operator-power", *relation, tolerance)
     params = _params_dict(spec, exponent=exponent)
     return cell.report(
-        "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
+        "operator-power", tolerance, "exact", max_residual, params=params, cells=cells, eigenpairs=eigenpairs
     )
 
 
@@ -440,8 +435,8 @@ def verify_power(
 # ---------------------------------------------------------------------------
 
 
-def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> list[list[float]]:
-    """sums[i][m] = sum_(k != i) matrix[i, k] values[m][k], one math.fsum each.
+def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> np.ndarray:
+    """sums[i, m] = sum_(k != i) matrix[i, k] values[m][k], one math.fsum each.
 
     The products are formed as one array, and the diagonal term is dropped
     from each sum, not zeroed, so a non-finite one leaves no trace.
@@ -450,35 +445,36 @@ def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> list[lis
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
         products = matrix[:, None, :] * np.array(values)
     offdiagonal = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, :], products.shape)
-    sums = _fsums(products[offdiagonal].reshape(n, len(values), n - 1))
-    return [sums[i * len(values) : (i + 1) * len(values)] for i in range(n)]
+    return np.array(_fsums(products[offdiagonal].reshape(n, len(values), n - 1))).reshape(n, len(values))
 
 
 def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, printed: bool = False):
-    """(cells, notes, sides) of a closed-form zero identity on C = cell.closed_form(formula).
+    """(cells, notes, rows, lhs, rhs) of a closed-form zero identity on C = cell.closed_form(formula).
 
-    Row i and m < N compare -sum_(k != i) C[i, k] p_m(x_k) with
-    (C[i, i] - mu_m) t, where the trailing factor t is p_m(x_i), or p_N'(x_i)
-    in the printed reading, and scale the difference by
-    max(1, |mu_m t|, |C[i, i] t|). Rows under the singular guard are skipped
-    with a note. sides holds (i, m, mu_m, left, right) per cell.
+    rows lists the rows i not under the singular guard, in order. For
+    i = rows[r] and m < N, lhs[r, m] = -sum_(k != i) C[i, k] p_m(x_k) is
+    compared with rhs[r, m] = (C[i, i] - mu_m) t, where the trailing factor t
+    is p_m(x_i), or p_N'(x_i) in the printed reading, and the difference is
+    scaled by max(1, |mu_m t|, |C[i, i] t|). The cells run over the rows,
+    then m; the skipped rows get a note.
     """
     rep = cell.closed_form(formula)
-    sums = _offdiagonal_sums(rep.data, cell.values_float)
-    mus = [float(mu) for mu in cell.mus]
-    cells, sides = [], []
-    for i, row in enumerate(rep.data.tolist()):
-        if i in rep.flagged:
-            continue
-        for m, (mu, values) in enumerate(zip(mus, cell.values_float)):
-            trailing = cell.nodes.d1[i] if printed else values[i]
-            lhs, rhs = -sums[i][m], (row[i] - mu) * trailing
-            r = abs(lhs - rhs) / max(1.0, abs(mu * trailing), abs(row[i] * trailing))
-            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-            sides.append((i, m, mu, lhs, rhs))
+    rows = [i for i in range(cell.n) if i not in rep.flagged]
+    mus, diagonal = np.array([float(mu) for mu in cell.mus]), rep.data.diagonal()[rows, None]
+    trailing = np.array(cell.nodes.d1)[rows, None] if printed else np.array(cell.values_float).T[rows]
+    lhs = -_offdiagonal_sums(rep.data, cell.values_float)[rows]
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
+        rhs = (diagonal - mus) * trailing
+        # np.fmax passes over a NaN as max() does past its first argument
+        residuals = np.abs(lhs - rhs) / np.fmax(np.fmax(1.0, np.abs(mus * trailing)), np.abs(diagonal * trailing))
+    cells = [
+        {"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance}
+        for i, row in zip(rows, residuals.tolist())
+        for m, r in enumerate(row)
+    ]
     skipped = [i + 1 for i in rep.flagged]
     notes = [f"rows {skipped} skipped: |a_4(x_n)| under the singular guard"] if skipped else []
-    return cells, notes, sides
+    return cells, notes, rows, lhs, rhs
 
 
 def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> IdentityReport:
@@ -494,12 +490,13 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
     if not spec.is_krall:
         raise ValueError("the fourth order identity applies to the Krall families only")
     cell = get_cell(spec, n)
-    cells, notes, sides = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
-    values, diagonal = cell.values_float, cell.dc_float.diagonal().tolist()
-    sums = _offdiagonal_sums(cell.dc_float, values)
-    # the same sides, rearranged from the eigenpair relation on the general assembly (left: -sums[i][m])
-    lhs_gaps = [abs(lhs + sums[i][m]) / max(1.0, abs(lhs)) for i, m, _, lhs, _ in sides]
-    rhs_gaps = [abs(rhs - (diagonal[i] - mu) * values[m][i]) / max(1.0, abs(rhs)) for i, m, mu, _, rhs in sides]
+    cells, notes, rows, lhs, rhs = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
+    general, mus = cell.dc_float, np.array([float(mu) for mu in cell.mus])
+    # the same sides, rearranged from the eigenpair relation on the general assembly
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
+        lhs_gaps = np.abs(lhs + _offdiagonal_sums(general, cell.values_float)[rows]) / np.fmax(1.0, np.abs(lhs))
+        general_rhs = (general.diagonal()[rows, None] - mus) * np.array(cell.values_float).T[rows]
+        rhs_gaps = np.abs(rhs - general_rhs) / np.fmax(1.0, np.abs(rhs))
 
     max_residual = worst_residual(c["residual"] for c in cells)
     return cell.report(
@@ -507,8 +504,8 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
         cells=cells,
         notes=notes,
         extras={
-            "cross_check_lhs_vs_general": worst_residual(lhs_gaps),
-            "cross_check_rhs_vs_general": worst_residual(rhs_gaps),
+            "cross_check_lhs_vs_general": worst_residual(lhs_gaps.ravel().tolist()),
+            "cross_check_rhs_vs_general": worst_residual(rhs_gaps.ravel().tolist()),
         },
     )
 
@@ -542,7 +539,7 @@ def verify_family_identity(
     cell = get_cell(spec, n)
     ambiguous = spec.family == "krall-laguerre"
     tag = FAMILY_IDENTITY_TAG[spec.family]
-    cells, notes, _ = _closed_form_cells(cell, "family", tag, tolerance, printed=ambiguous and variant == "printed")
+    cells, notes, *_ = _closed_form_cells(cell, "family", tag, tolerance, printed=ambiguous and variant == "printed")
     if ambiguous:
         factor = "p_N'(x_n)" if variant == "printed" else "p_m(x_n)"
         notes.append(f"trailing right-hand factor read as {factor}")
@@ -558,22 +555,19 @@ def discriminate_variants(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> 
 
     Only the Laguerre-type family actually has two readings; there the
     experiment is decisive when exactly one passes. For the other two
-    families the readings coincide and the verdict is "identical".
+    families the readings coincide and the verdict is "identical", and so
+    it is at N = 1, where no off-diagonal term is left and both readings
+    state C_11 = mu_0.
     """
     corrected = verify_family_identity(spec, n, "corrected", tolerance)
-    if spec.family != "krall-laguerre":
-        # one computation: the readings differ only in the recorded variant
-        return {"printed": replace(corrected, variant="printed"), "corrected": corrected, "verdict": "identical"}
     printed = verify_family_identity(spec, n, "printed", tolerance)
-    if printed.passed == corrected.passed:
+    if spec.family != "krall-laguerre" or n == 1:
+        verdict = "identical"
+    elif printed.passed == corrected.passed:
         verdict = "ambiguous"
     else:
         verdict = "printed" if printed.passed else "corrected"
-    return {
-        "printed": printed,
-        "corrected": corrected,
-        "verdict": verdict,
-    }
+    return {"printed": printed, "corrected": corrected, "verdict": verdict}
 
 
 def _family_main(spec: FamilySpec, n: int, tolerance: float, variant: str) -> IdentityReport:
@@ -583,13 +577,13 @@ def _family_main(spec: FamilySpec, n: int, tolerance: float, variant: str) -> Id
     both = discriminate_variants(spec, n, tolerance)
     verdict = both["verdict"]
     printed, corrected = both["printed"].max_residual, both["corrected"].max_residual
-    # the experiment succeeds when the verdict is decisive; the residual
-    # reported is the one of the surviving reading
+    # the experiment succeeds when the verdict is decisive and the surviving
+    # reading passes; the residual reported is the one of that reading
     survivor = both["corrected"] if verdict in ("corrected", "identical") else both["printed"]
     return get_cell(spec, n).report(
         survivor.identity, tolerance, "float",
         survivor.max_residual if verdict != "ambiguous" else worst_residual([printed, corrected]),
-        passed=verdict != "ambiguous",
+        passed=verdict != "ambiguous" and survivor.passed,
         variant="both",
         notes=[f"passing variant: {verdict}"] + survivor.notes,
         extras={"printed_residual": printed, "corrected_residual": corrected, "verdict": verdict},

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krallzeros import FamilySpec, build_family, cli, families, identities, rootfinding
+from krallzeros import FamilySpec, build_family, cli, families, identities, matrices, rootfinding
 from krallzeros.cli import _dumps, main
 from krallzeros.identities import Cell, IdentityReport
 
@@ -353,6 +353,36 @@ class TestVerifyCommand:
             assert report["summary"]["extras"]["verdict"] == "corrected"
             assert report["summary"]["extras"]["printed_residual"] > 1e-7
             assert report["summary"]["extras"]["corrected_residual"] < 1e-7
+
+    def test_both_variants_fail_with_the_coinciding_readings(self, capsys):
+        # the krall-legendre readings coincide, so the verdict is "identical"; it passes only if they do
+        code, out = run(capsys, "verify", "--suite", "kleg-main", "--family", "krall-legendre", "--alpha", "1",
+                        "--n", "6", "--variant", "both", "--tolerance", "1e-30", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["summary"]["extras"]["verdict"] == "identical" and payload["summary"]["pass"] is False
+
+    def test_report_fails_a_wrong_family_diagonal(self, capsys, monkeypatch):
+        real = matrices._family_diag
+        monkeypatch.setattr(matrices, "_family_diag", lambda *args: real(*args) * (1 + 1e-3))
+        code, out = run(capsys, "report", "--n", "4..6", "--format", "json")
+        assert code == 1
+        reports = [r for r in json.loads(out)["reports"] if r["meta"]["identity"] in ("kleg-main", "kjac-main")]
+        assert len(reports) == 7 * 3
+        assert all(not r["summary"]["pass"] and r["summary"]["max_residual"] > 1e-7 for r in reports)
+
+    @pytest.mark.parametrize("shift, expected", [(0.0, 0), (1e-3, 1)], ids=["exact", "shifted"])
+    @pytest.mark.parametrize("alpha", ["1/2", "1", "2"])
+    def test_klag_both_variants_at_one_node(self, capsys, monkeypatch, alpha, shift, expected):
+        # one node: no off-diagonal term, and both readings state C_11 = mu_0
+        real = matrices._family_diag
+        monkeypatch.setattr(matrices, "_family_diag", lambda *args: real(*args) + shift)
+        code, out = run(capsys, "verify", "--suite", "klag-main", "--family", "krall-laguerre", "--alpha", alpha,
+                        "--n", "1", "--variant", "both", "--format", "json")
+        assert code == expected
+        extras = json.loads(out)["summary"]["extras"]
+        assert extras["verdict"] == "identical"
+        assert (extras["printed_residual"] > 1e-7) == (extras["corrected_residual"] > 1e-7) == bool(shift)
 
     def test_failure_exit_code_and_worst_cell(self, capsys):
         code, out = run(capsys, "verify", "--suite", "fourth-order", "--family", "krall-laguerre",

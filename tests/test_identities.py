@@ -96,10 +96,6 @@ class TestPower:
         assert report.max_residual == 0.0
         assert report.params["exponent"] == "2"
 
-    def test_square_float(self):
-        report = verify_power(KLEG1, 4, exponent=2, arithmetic="float")
-        assert report.max_residual < 1e-6
-
     def test_squared_row_sums_vanish(self):
         report = verify_power(KJAC11, 5, exponent=2)
         zero_rows = [c for c in report.cells if c["m"] == 0]
@@ -155,6 +151,20 @@ class TestFamilyIdentity:
     def test_discrimination_matches_single_reading(self, spec, variant):
         outcome = discriminate_variants(spec, 4)
         assert outcome[variant].to_dict() == verify_family_identity(spec, 4, variant=variant).to_dict()
+
+    @pytest.mark.parametrize("spec", [KLEG1, KJAC11])
+    @pytest.mark.parametrize("mutated, other", [("printed", "corrected"), ("corrected", "printed")])
+    def test_coinciding_readings_share_no_list(self, spec, mutated, other):
+        outcome = discriminate_variants(spec, 4)
+        expected = json.dumps(outcome[other].to_dict())
+        report = outcome[mutated]
+        report.cells[0]["residual"] = -1.0
+        report.cells.append({"m": -1})
+        report.eigenpairs.append({"m": -1})
+        report.params["alpha"] = "0"
+        report.notes.append("mutated")
+        report.extras["mutated"] = True
+        assert json.dumps(outcome[other].to_dict()) == expected
 
     def test_laguerre_discrimination(self):
         outcome = discriminate_variants(KLAG1, 3)

@@ -27,8 +27,10 @@ residual's rounding; with the weights cut to 4 bits nearly every residual
 takes the exact per-k fallback, and the results must still be equal.
 """
 
+import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 from operator import mul
 
@@ -208,21 +210,17 @@ def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
     )
 
 
-def power_reference(cell, exponent, tolerance, arithmetic):
-    n = cell.n
-    if arithmetic == "exact":
-        dc, pv, mus = cell.dc_exact, values_reference(cell, cell.xq), cell.mus
-        total, cells_of = sum, eigen_cells_reference
-    else:
-        dc, pv, total, cells_of = cell.dc_float.tolist(), cell.values_float, math.fsum, float_cells_reference
-        mus = [float(mu) for mu in cell.mus]
+def power_reference(cell, exponent, tolerance):
+    n, dc = cell.n, cell.dc_exact
     power = dc
     for _ in range(exponent - 1):
-        power = [[total(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    max_residual, cells, eigenpairs = cells_of("operator-power", power, pv, [mu**exponent for mu in mus], tolerance)
+        power = [[sum(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    max_residual, cells, eigenpairs = eigen_cells_reference(
+        "operator-power", power, values_reference(cell, cell.xq), [mu**exponent for mu in cell.mus], tolerance
+    )
     params = _params_dict(cell.spec, exponent=exponent)
     return cell.report(
-        "operator-power", tolerance, arithmetic, max_residual, params=params, cells=cells, eigenpairs=eigenpairs
+        "operator-power", tolerance, "exact", max_residual, params=params, cells=cells, eigenpairs=eigenpairs
     )
 
 
@@ -680,30 +678,45 @@ def row_sides_reference(row, i, mu, values, trailing):
     return -math.fsum(row[k] * values[k] for k in range(len(row)) if k != i), (row[i] - mu) * trailing
 
 
-def fourth_order_sums_reference(cell, tolerance=1e-7):
-    """The fourth-order report summed row by row over the cell's closed-form and general matrices."""
-    rep = cell.closed_form("fourth-order")
-    general = cell.dc_float.tolist()
-    cells = []
-    cross_lhs = cross_rhs = 0.0
+def closed_form_sums_reference(cell, formula, tag, printed=False, tolerance=1e-7):
+    """(cells, notes, sides) of a closed-form identity summed row by row over the cell's closed-form matrix.
+
+    The trailing factor is p_m(x_i), or p_N'(x_i) when printed; sides holds (i, m, mu_m, lhs, rhs) per cell.
+    """
+    rep = cell.closed_form(formula)
+    cells, sides = [], []
     for i, row in enumerate(rep.data.tolist()):
         if i in rep.flagged:
             continue
         for m, (mu, values) in enumerate(zip(cell.mus, cell.values_float)):
-            mu = float(mu)
-            lhs, rhs = row_sides_reference(row, i, mu, values, values[i])
-            r = abs(lhs - rhs) / max(1.0, abs(mu * values[i]), abs(row[i] * values[i]))
-            cells.append({"identity": "fourth-order-zeros", "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-            alt_lhs, alt_rhs = row_sides_reference(general[i], i, mu, values, values[i])
-            cross_lhs = max(cross_lhs, abs(lhs - alt_lhs) / max(1.0, abs(lhs)))
-            cross_rhs = max(cross_rhs, abs(rhs - alt_rhs) / max(1.0, abs(rhs)))
+            mu, trailing = float(mu), cell.nodes.d1[i] if printed else values[i]
+            lhs, rhs = row_sides_reference(row, i, mu, values, trailing)
+            r = abs(lhs - rhs) / max(1.0, abs(mu * trailing), abs(row[i] * trailing))
+            cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
+            sides.append((i, m, mu, lhs, rhs))
     skipped = [i + 1 for i in rep.flagged]
     notes = [f"rows {skipped} skipped: |a_4(x_n)| under the singular guard"] if skipped else []
+    return cells, notes, sides
+
+
+def fourth_order_sums_reference(cell, tolerance=1e-7):
+    """The fourth-order report summed row by row over the cell's closed-form and general matrices."""
+    cells, notes, sides = closed_form_sums_reference(cell, "fourth-order", "fourth-order-zeros", tolerance=tolerance)
+    general = cell.dc_float.tolist()
+    lhs_gaps, rhs_gaps = [], []
+    for i, m, mu, lhs, rhs in sides:
+        values = cell.values_float[m]
+        alt_lhs, alt_rhs = row_sides_reference(general[i], i, mu, values, values[i])
+        lhs_gaps.append(abs(lhs - alt_lhs) / max(1.0, abs(lhs)))
+        rhs_gaps.append(abs(rhs - alt_rhs) / max(1.0, abs(rhs)))
     return cell.report(
         "fourth-order-zeros", tolerance, "float", worst_residual(c["residual"] for c in cells),
         cells=cells,
         notes=notes,
-        extras={"cross_check_lhs_vs_general": cross_lhs, "cross_check_rhs_vs_general": cross_rhs},
+        extras={
+            "cross_check_lhs_vs_general": worst_residual(lhs_gaps),
+            "cross_check_rhs_vs_general": worst_residual(rhs_gaps),
+        },
     )
 
 
@@ -962,7 +975,7 @@ def test_exact_eigenpairs(cell, data):
 def test_exact_power(cell, exponent, data):
     cell = perturbed(cell, data)
     got = verify_power(cell.spec, cell.n, exponent, 1e-6).to_dict()
-    assert got == power_reference(cell, exponent, 1e-6, "exact").to_dict()
+    assert got == power_reference(cell, exponent, 1e-6).to_dict()
 
 
 def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
@@ -982,7 +995,7 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
         matvecs.clear()
         report = verify_power(cell.spec, 6, exponent, 1e-6)
         assert len(matvecs) == (cell.n - 1) * (exponent - 1)
-        assert report.to_dict() == power_reference(cell, exponent, 1e-6, "exact").to_dict()
+        assert report.to_dict() == power_reference(cell, exponent, 1e-6).to_dict()
         assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
 
 
@@ -1004,12 +1017,6 @@ def test_dp_exact_is_the_matvec_of_each_value_vector(cell, data):
 def test_dp_exact_is_the_matvec_at_n_24():
     cell = get_cell(FamilySpec("krall-legendre", alpha=F(1)), 24)
     assert cell.dp_exact == dp_reference(cell)
-
-
-@given(cells, st.integers(1, 3))
-def test_float_power_unchanged(cell, exponent):
-    got = verify_power(cell.spec, cell.n, exponent, 1e-6, "float").to_dict()
-    assert got == power_reference(cell, exponent, 1e-6, "float").to_dict()
 
 
 @given(cells)
@@ -1656,6 +1663,38 @@ def test_fourth_order_cross_check_shows_a_nan(entry, shows, stays):
     finally:
         identities.get_cell.cache_clear()
     assert math.isnan(extras[shows]) and math.isfinite(extras[stays])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("diagonal", [False, True], ids=["offdiagonal", "diagonal"])
+@pytest.mark.parametrize("spec", [
+    FamilySpec("krall-legendre", alpha=F(1)),
+    FamilySpec("krall-laguerre", alpha=F(1, 2)),
+    FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)),
+], ids=lambda spec: spec.family)
+def test_a_nonfinite_closed_form_entry_fails_the_report(monkeypatch, spec, diagonal, bad):
+    """One non-finite entry in an unguarded row of each closed-form matrix: every report on it fails with a
+    non-finite max residual, and its cells are those of the row-by-row sums over the matrix."""
+    real = matrices._closed_form
+
+    def poisoned(spec, nodes, formula):
+        rep = real(spec, nodes, formula)
+        i = next(i for i in range(len(nodes)) if i not in rep.flagged)
+        data = rep.data.copy()
+        data[i, i if diagonal else (i + 1) % len(nodes)] = bad
+        return replace(rep, data=data)
+
+    monkeypatch.setattr(matrices, "_closed_form", poisoned)
+    cell = get_cell(spec, 5)
+    reports = [(verify_fourth_order(spec, 5), fourth_order_sums_reference(cell).to_dict())]
+    for variant in ("printed", "corrected"):
+        printed = spec.family == "krall-laguerre" and variant == "printed"
+        cells, _, _ = closed_form_sums_reference(cell, "family", FAMILY_IDENTITY_TAG[spec.family], printed)
+        reports.append((verify_family_identity(spec, 5, variant), {"results": cells}))
+    for report, expected in reports:
+        assert not math.isfinite(report.max_residual) and not report.passed
+        got = report.to_dict()
+        assert json.dumps({key: got[key] for key in expected}) == json.dumps(expected)
 
 
 def test_closed_form_matrix_built_once_per_formula(monkeypatch):
