@@ -19,8 +19,10 @@ sits in. Through the command-line driver, in one process, it runs:
   fourth-order` and with the spec's own family-identity suite (`kleg-main`,
   `klag-main` or `kjac-main`) under `--variant corrected`, `printed` and
   `both`: the closed-form identities where krall-laguerre loses digits;
-- `verify --suite S --format json --n 40` for S in eigenpair, power and
-  quadrature on krall-legendre(1) and hermite, whose zeros exist there;
+- `verify --suite S --format json --n 40` for S in eigenpair, power,
+  quadrature and similarity, and `matrix --kind K --format json --n 40`
+  for K in l and linv, on krall-legendre(1) and hermite, whose zeros exist
+  there: the exact moment sums, D p_m and transition pair at N = 40;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -159,8 +161,10 @@ def runs() -> dict[str, list[str]]:
             for fmt in ("csv", "text"):
                 out[f"{run_name}-{name}-{fmt}"] = [*options, *spec, "--format", fmt]
     for name, spec in N40_SPECS.items():
-        for suite in ("eigenpair", "power", "quadrature"):
+        for suite in ("eigenpair", "power", "quadrature", "similarity"):
             out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
+        for kind in ("l", "linv"):
+            out[f"matrix-{kind}-n40-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "40"]
     return out
 
 
