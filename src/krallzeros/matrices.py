@@ -44,9 +44,14 @@ that depend on the nodes being true zeros (the Christoffel weights, the
 inverse pair of the basis-transition matrix) pull high-precision refined
 nodes from the NodeSet. The Christoffel weights and the transition matrix
 on given nodes are rows of one integer kernel, `_lagrange_integrals`. The
-transition pair and its inverse check are built in one place,
-`_transition_pair`, which `transition` and the similarity suite both read;
-its values come from `rootfinding._value_numerators`.
+transition pair is built in one place, `_transition_exact`, on a 2^-512
+grid: its values come from `rootfinding._value_numerators`, and L divides
+them by the Christoffel numbers cut once to fixed point, with each entry's
+rounding certified (Ziv's test) or, failing that, divided exactly. The
+similarity suite reads the exact ||L L_inv - I|| (`_transition_pair`);
+`transition` needs only to know it is within 1e-10, which one double
+product with a rigorous rounding bound settles (`_inverse_bound`) unless
+the bound is too wide, and only then pays for the exact product.
 
 Notation note: the Christoffel weights and the degree-(N-1) Lagrange basis
 appear under several decorated symbols in the literature (superscripts
@@ -76,7 +81,15 @@ from .families import (
     pairing,
     squared_norms,
 )
-from .rootfinding import NodeSet, _at_double, _derivative_lists, _horner, _round_div, _value_numerators
+from .rootfinding import (
+    DEFAULT_REFINE_BITS,
+    NodeSet,
+    _at_double,
+    _derivative_lists,
+    _horner,
+    _round_div,
+    _value_numerators,
+)
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
 
@@ -678,24 +691,38 @@ def _exact_residual(lams: Sequence[Fraction], xq: Sequence[Fraction], mk: Fracti
 
 _PRODUCT_BITS = 512  # entry rounding before exact matrix products
 _GRID = 1 << _PRODUCT_BITS
+_LAMBDA_BITS = _PRODUCT_BITS + 128  # fixed-point bits of the Christoffel numbers in L
 
 
 def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
     """(L, L_inv) as integer matrices on the 2^-_PRODUCT_BITS grid, from members p_0..p_{N-1} and the weights.
 
     xq are the refined nodes, dyadic rationals u_k / 2^E. Entries are
-    rounded half to even onto the grid, one integer division each and no
-    gcd: the value table gives p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to
-    V_jk grid steps, and with lambda_k = a / b and ||p_j||^2 = s / t,
-    L[j][k] is a V_jk t / (b s) steps.
+    rounded half to even onto the grid with no gcd: the value table gives
+    p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to V_jk grid steps, and with
+    lambda_k = a / b and ||p_j||^2 = s / t > 0, L[j][k] is X = a V_jk t / (b s)
+    steps. Dividing by the 3.5-3.8k-bit b s for each entry would dominate,
+    so each lambda_k is cut once to the fixed point F_k = floor(a 2^Q / b),
+    Q = _LAMBDA_BITS, and divmod(F_k V_jk t, s 2^Q) = (q, r) puts X within
+    |V_jk t| / (s 2^Q) above or below q + r / (s 2^Q). The rounding of X can
+    only change at a half, so when |2r - s 2^Q| > 2 |V_jk t| it is
+    q + (2r > s 2^Q), with no tie (Ziv's test, as in the moment sums);
+    otherwise that entry alone is divided exactly.
     """
     members = fam[: len(xq)]
+    fixed = [(lam.numerator << _LAMBDA_BITS) // lam.denominator for lam in lams]
     values, l_mat = [], []
     for (nums, den), norm in zip(_value_numerators(members, xq), squared_norms(members, spec)):
         row = [_round_div(v << _PRODUCT_BITS, den) for v in nums]
         values.append(row)
         s, t = norm.numerator, norm.denominator
-        l_mat.append([_round_div(lam.numerator * vk * t, lam.denominator * s) for lam, vk in zip(lams, row)])
+        scale, l_row = s << _LAMBDA_BITS, []
+        for lam, f, vk in zip(lams, fixed, row):
+            vt = vk * t
+            q, r = divmod(f * vt, scale)
+            certain = abs(2 * r - scale) > 2 * abs(vt)
+            l_row.append(q + (2 * r > scale) if certain else _round_div(lam.numerator * vt, lam.denominator * s))
+        l_mat.append(l_row)
     return l_mat, [list(col) for col in zip(*values)]
 
 
@@ -712,10 +739,35 @@ def _inverse_residual(l_mat: Sequence[Sequence[int]], l_inv: Sequence[Sequence[i
     return worst / one
 
 
+def _inverse_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """An upper bound on ||L L_inv - I||_inf from a and b, the doubles of the grid pair, by one double product.
+
+    With u = 2^-53, each exact entry is a double's (1 + delta), |delta| <= u
+    (a nonzero grid entry is at least 2^-512, so none is subnormal), and a
+    double product in any summation order is within gamma_n |a||b| of a b
+    (Higham, Accuracy and Stability, section 3.1; gamma_n = n u / (1 - n u)).
+    So |fl(a b) - L L_inv| <= gamma_(n+2) |a||b| entrywise, plus at most
+    n 2^-1075 per entry from products below 2^-1022. The bound sums
+    |fl(a b) - I| + gamma_(n+2) |a||b| by rows; (1 + gamma_(n+2))^2 covers
+    the roundings of its own sums, and n^2 2^-1074 the underflows. A
+    non-finite product gives inf or NaN, which no tolerance passes.
+    """
+    n = len(a)
+    gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
+    with np.errstate(all="ignore"):
+        rows = np.abs(a @ b - np.eye(n)) + gamma * (np.abs(a) @ np.abs(b))
+        return float(rows.sum(axis=1).max()) * (1 + gamma) ** 2 + n * n * 2.0**-1074
+
+
 def _transition_pair(fam: Sequence[Polynomial], nodes: NodeSet, spec: FamilySpec):
     """(L, L_inv, ||L L_inv - I||_inf): the pair on the 2^-_PRODUCT_BITS grid for p_0..p_{N-1} on the refined zeros."""
     l_mat, l_inv = _transition_exact(fam, christoffel_numbers(nodes, spec), nodes.refined(), spec)
     return l_mat, l_inv, _inverse_residual(l_mat, l_inv, _GRID)
+
+
+def _on_grid(matrix: Sequence[Sequence[int]]) -> np.ndarray:
+    """The doubles of a grid matrix, each correctly rounded; an entry past double range raises OverflowError."""
+    return np.array([[v / _GRID for v in row] for row in matrix])
 
 
 def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
@@ -723,18 +775,34 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
 
     L factors as P * Lambda: row j of P holds p_{j-1}(x_k) / ||p_{j-1}||^2
     and Lambda carries the Christoffel numbers. Gaussian exactness makes the
-    inverse explicit, L_inv[j][k] = p_{k-1}(x_j). `_transition_pair` builds both
-    on the refined zeros, on the 2^-512 grid, with the residual of their
-    product, which must be within 1e-10 and which the similarity suite reads.
+    inverse explicit, L_inv[j][k] = p_{k-1}(x_j). `_transition_exact` builds
+    both on the refined zeros, on the 2^-512 grid, and ||L L_inv - I||_inf
+    must be within 1e-10. One double product of the pair's doubles bounds it
+    (`_inverse_bound`); only a bound above 1e-10, or an entry past double
+    range, pays for the exact residual (`_inverse_residual`), which decides
+    the verdict and is the one the similarity suite reads (`_transition_pair`).
+    A failing pair on the zeros of the spec's own degree-N member means the
+    refined nodes or the grid ran out of precision; on other nodes, that the
+    nodes are not its zeros.
     """
-    l_mat, l_inv, residual = _transition_pair(build_family(spec, len(nodes) - 1), nodes, spec)
-    if residual > 1e-10:
-        raise InversionConsistencyError(
-            f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; nodes are not "
-            f"accurate zeros for {spec.label()}"
-        )
-    l_data, li_data = (np.array([[v / _GRID for v in row] for row in m]) for m in (l_mat, l_inv))
-    note = f"P * Lambda at the zeros of the degree-{len(nodes)} member of {spec.label()}"
+    n = len(nodes)
+    l_mat, l_inv = _transition_exact(build_family(spec, n - 1), christoffel_numbers(nodes, spec), nodes.refined(), spec)
+    try:
+        grid = _on_grid(l_mat), _on_grid(l_inv)
+    except OverflowError:  # only the exact residual can pass such a pair; _on_grid raises again below
+        grid = None
+    if grid is None or not _inverse_bound(*grid) <= 1e-10:
+        residual = _inverse_residual(l_mat, l_inv, _GRID)
+        if residual > 1e-10:
+            cause = f"nodes are not accurate zeros for {spec.label()}"
+            if nodes.poly == build_family(spec, n)[n]:
+                cause = (
+                    f"precision exhausted: the {DEFAULT_REFINE_BITS}-bit refined zeros of the degree-{n} member of "
+                    f"{spec.label()} or the 2^-{_PRODUCT_BITS} grid of the pair"
+                )
+            raise InversionConsistencyError(f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; {cause}")
+    l_data, li_data = grid or (_on_grid(l_mat), _on_grid(l_inv))
+    note = f"P * Lambda at the zeros of the degree-{n} member of {spec.label()}"
     return (
         MatrixRep(l_data, kind="transition", note=note),
         MatrixRep(li_data, kind="transition_inverse", note="basis values p_{k-1}(x_j)"),

@@ -25,6 +25,12 @@ set's kernel; the reference evaluates each entry on Python floats. The
 Gaussian moment sums round the weights to fixed point and certify each
 residual's rounding; with the weights cut to 4 bits nearly every residual
 takes the exact per-k fallback, and the results must still be equal.
+The transition matrix L rounds the Christoffel numbers to fixed point
+and certifies each entry's rounding the same way; with them cut to a few
+bits nearly every entry is divided exactly, and L must still equal the
+reference. The double-precision bound that `transition` checks first must
+never fall below the exact ||L L_inv - I||, also on perturbed pairs whose
+residual is near what doubles resolve.
 """
 
 import json
@@ -75,10 +81,13 @@ from krallzeros.identities import (
 )
 from krallzeros.matrices import (
     _GRID,
+    _PRODUCT_BITS,
     _family_diag,
     _family_offdiag,
     _fourth_order_brace,
+    _inverse_bound,
     _inverse_residual,
+    _on_grid,
     _quadrature_residuals,
     _simplified_diag_fourth_order,
     _transition_exact,
@@ -1197,10 +1206,58 @@ def test_lagrange_integrals(nodes, spec, coefficient_lists):
     assert got == lagrange_integrals_reference(nodes, weights, spec)
 
 
+def transition_args(cell):
+    return cell.family, christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined(), cell.spec
+
+
 @given(cells)
 def test_transition_exact(cell):
-    args = (cell.family, christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined(), cell.spec)
+    args = transition_args(cell)
     assert [on_grid(m) for m in _transition_exact(*args)] == list(transition_reference(*args))
+
+
+@contextmanager
+def few_lambda_bits(bits):
+    """Christoffel numbers cut to `bits` fixed-point bits in L; yields the _round_div calls (N^2 value roundings first)."""
+    saved = matrices._LAMBDA_BITS, matrices._round_div
+    calls = []
+    matrices._LAMBDA_BITS, matrices._round_div = bits, lambda p, q: calls.append(q) or saved[1](p, q)
+    try:
+        yield calls
+    finally:
+        matrices._LAMBDA_BITS, matrices._round_div = saved
+
+
+@given(cells, st.integers(0, _PRODUCT_BITS + 8))
+def test_transition_exact_fallback(cell, bits):
+    args = transition_args(cell)
+    with few_lambda_bits(bits) as calls:
+        got = [on_grid(m) for m in _transition_exact(*args)]
+    assert got == list(transition_reference(*args))
+    if bits <= 16:
+        assert len(calls) > cell.n**2  # some entry of L was divided exactly
+
+
+@given(cells)
+def test_inverse_bound_on_transition_pairs(cell):
+    l_mat, l_inv = _transition_exact(*transition_args(cell))
+    assert _inverse_bound(_on_grid(l_mat), _on_grid(l_inv)) >= _inverse_residual(l_mat, l_inv, _GRID)
+
+
+@given(cells, st.integers(-(2**40), 2**40), st.data())
+def test_inverse_bound_on_perturbed_pairs(cell, step, data):
+    l_mat, l_inv = _transition_exact(*transition_args(cell))
+    i, j = (data.draw(st.integers(0, cell.n - 1)) for _ in range(2))
+    l_mat[i][j] += step << (_PRODUCT_BITS - 80)  # up to 2^-40 off: a residual near the double product's own error
+    assert _inverse_bound(_on_grid(l_mat), _on_grid(l_inv)) >= _inverse_residual(l_mat, l_inv, _GRID)
+
+
+@pytest.mark.parametrize("spec", identities.default_grid(), ids=FamilySpec.label)
+def test_inverse_bound_decides_the_default_grid(spec):
+    for n in range(2, 13):
+        nodes = zeros(build_family(spec, n)[n], spec)
+        l_mat, l_inv = _transition_exact(build_family(spec, n - 1), christoffel_numbers(nodes, spec), nodes.refined(), spec)
+        assert _inverse_residual(l_mat, l_inv, _GRID) <= _inverse_bound(_on_grid(l_mat), _on_grid(l_inv)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from krallzeros import (
     tau_rep,
     transition,
     transition_general,
+    matrices,
     zeros,
 )
 
@@ -260,8 +261,31 @@ class TestTransition:
 
     def test_wrong_nodes_detected(self):
         spaced = NodeSet.from_points(list(np.linspace(-0.9, 0.9, 4)))
-        with pytest.raises(InversionConsistencyError):
+        residual = matrices._transition_pair(build_family(KLEG1, 3), spaced, KLEG1)[2]
+        with pytest.raises(InversionConsistencyError) as caught:
             transition(spaced, KLEG1)
+        assert str(caught.value) == (
+            f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; nodes are not accurate zeros for {KLEG1.label()}"
+        )
+
+    def test_exhausted_precision_named_at_the_zeros(self):
+        hermite, n = FamilySpec("hermite"), 50
+        nodes = family_nodes(hermite, n)
+        residual = matrices._transition_pair(build_family(hermite, n - 1), nodes, hermite)[2]
+        with pytest.raises(InversionConsistencyError) as caught:
+            transition(nodes, hermite)
+        assert str(caught.value) == (
+            f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; precision exhausted: the 192-bit refined zeros "
+            "of the degree-50 member of hermite or the 2^-512 grid of the pair"
+        )
+
+    @pytest.mark.parametrize("spec, exact", [(KLEG1, False), (KJAC12, False), (FamilySpec("hermite"), True)])
+    def test_exact_residual_only_past_the_double_bound(self, spec, exact, monkeypatch):
+        calls = []
+        real = matrices._inverse_residual
+        monkeypatch.setattr(matrices, "_inverse_residual", lambda *args: calls.append(1) or real(*args))
+        transition(family_nodes(spec, 20), spec)
+        assert bool(calls) == exact
 
     def test_general_construction_any_nodes(self):
         spaced = NodeSet.from_points(list(np.linspace(-0.9, 0.9, 5)))
