@@ -748,15 +748,16 @@ def _inverse_bound(a: np.ndarray, b: np.ndarray) -> float:
     (Higham, Accuracy and Stability, section 3.1; gamma_n = n u / (1 - n u)).
     So |fl(a b) - L L_inv| <= gamma_(n+2) |a||b| entrywise, plus at most
     n 2^-1075 per entry from products below 2^-1022. The bound sums
-    |fl(a b) - I| + gamma_(n+2) |a||b| by rows; (1 + gamma_(n+2))^2 covers
-    the roundings of its own sums, and n^2 2^-1074 the underflows. A
-    non-finite product gives inf or NaN, which no tolerance passes.
+    |fl(a b) - I| + gamma_(n+2) |a||b| by rows. Its own steps (|a||b|, the
+    sums, gamma itself) round by less than (2n + 9) u in all, which the
+    factor 1 + 4 gamma_(n+2) covers, and n^2 2^-1074 covers the underflows.
+    A non-finite product gives inf or NaN, which no tolerance passes.
     """
     n = len(a)
     gamma = (n + 2) * 2.0**-53 / (1 - (n + 2) * 2.0**-53)
     with np.errstate(all="ignore"):
         rows = np.abs(a @ b - np.eye(n)) + gamma * (np.abs(a) @ np.abs(b))
-        return float(rows.sum(axis=1).max()) * (1 + gamma) ** 2 + n * n * 2.0**-1074
+        return float(rows.sum(axis=1).max()) * (1 + 4 * gamma) + n * n * 2.0**-1074
 
 
 def _transition_pair(fam: Sequence[Polynomial], nodes: NodeSet, spec: FamilySpec):

@@ -1238,14 +1238,8 @@ def test_transition_exact_fallback(cell, bits):
         assert len(calls) > cell.n**2  # some entry of L was divided exactly
 
 
-@given(cells)
-def test_inverse_bound_on_transition_pairs(cell):
-    l_mat, l_inv = _transition_exact(*transition_args(cell))
-    assert _inverse_bound(_on_grid(l_mat), _on_grid(l_inv)) >= _inverse_residual(l_mat, l_inv, _GRID)
-
-
-@given(cells, st.integers(-(2**40), 2**40), st.data())
-def test_inverse_bound_on_perturbed_pairs(cell, step, data):
+@given(cells, st.one_of(st.just(0), st.integers(-(2**40), 2**40)), st.data())
+def test_inverse_bound_on_transition_pairs(cell, step, data):
     l_mat, l_inv = _transition_exact(*transition_args(cell))
     i, j = (data.draw(st.integers(0, cell.n - 1)) for _ in range(2))
     l_mat[i][j] += step << (_PRODUCT_BITS - 80)  # up to 2^-40 off: a residual near the double product's own error

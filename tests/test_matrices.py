@@ -20,6 +20,7 @@ from krallzeros import (
     diffmat,
     eigenvalue,
     inner_product,
+    matrices,
     moment,
     operator_of,
     quadrature_exactness,
@@ -27,7 +28,6 @@ from krallzeros import (
     tau_rep,
     transition,
     transition_general,
-    matrices,
     zeros,
 )
 
