@@ -12,17 +12,20 @@ sits in. Through the command-line driver, in one process, it runs:
   for every reference spec also `--suite klag-main` with `--variant
   printed` and `--variant both` and `--suite power --exponent 3`;
 - `verify --suite S --format json --n 20` for S in eigenpair, power,
-  similarity, quadrature and spectrum and every reference spec: the exact
-  D p_m, the Gaussian moment sums and the float spectrum on the zeros and
-  on equally spaced points at N = 20;
+  similarity, quadrature, spectrum and diffmat and every reference spec:
+  the exact D p_m, the Gaussian moment sums, the float spectrum on the
+  zeros and on equally spaced points and the differentiation matrices'
+  cross-checks at N = 20;
 - `verify --format json --n 20` on each Krall reference spec with `--suite
   fourth-order` and with the spec's own family-identity suite (`kleg-main`,
   `klag-main` or `kjac-main`) under `--variant corrected`, `printed` and
   `both`: the closed-form identities where krall-laguerre loses digits;
 - `verify --suite S --format json --n 40` for S in eigenpair, power,
-  quadrature and similarity, and `matrix --kind K --format json --n 40`
-  for K in l and linv, on krall-legendre(1) and hermite, whose zeros exist
-  there: the exact moment sums, D p_m and transition pair at N = 40;
+  quadrature and similarity, `matrix --kind K --format json --n 40` for K
+  in l and linv, and `matrix --kind z --order 1..2 --method explicit
+  --format json --n 40`, on krall-legendre(1) and hermite, whose zeros
+  exist there: the exact moment sums, D p_m, the transition pair and the
+  explicit Z^(1), Z^(2) at N = 40;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -37,7 +40,8 @@ sits in. Through the command-line driver, in one process, it runs:
   closed-form collocation matrices at N = 20;
 - `matrix --kind K --format json --n 20` for K in lambda, l and linv and
   every reference spec: the Christoffel weights and the transition pair at
-  N = 20;
+  N = 20, and `matrix --kind z --order 1..2 --method explicit --format
+  json --n 20`: the explicit Z^(1) and Z^(2) at N = 20;
 - `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
   reference spec and `--kind l`, `linv`, `lambda` and `dc`, and `--nodes`
   at the eight points (2k + 1) / 16 with `--kind l`, `linv` and `lambda`:
@@ -90,7 +94,10 @@ SUITE_RUNS = {
     "power-exponent3": ["power", "--exponent", "3"],
 }
 
-N20_SUITES = ("eigenpair", "power", "similarity", "quadrature", "spectrum")
+N20_SUITES = ("eigenpair", "power", "similarity", "quadrature", "spectrum", "diffmat")
+
+#: The explicit differentiation matrices, also run at N = 20 and N = 40.
+EXPLICIT_RUNS = {f"z{k}-explicit": MATRIX_RUNS[f"z{k}-explicit"] for k in (1, 2)}
 
 #: The family-identity suite of each Krall reference spec, run at N = 20 beside fourth-order.
 FAMILY_SUITES = {"krall-legendre-2": "kleg-main", "krall-laguerre-1_2": "klag-main", "krall-jacobi-1-2": "kjac-main"}
@@ -157,6 +164,8 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{kind}-nodes8-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", EIGHT_NODES,
             ]
+        for matrix, kind in EXPLICIT_RUNS.items():
+            out[f"matrix-{matrix}-n20-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "20"]
         for run_name, options in LAYOUT_RUNS.items():
             for fmt in ("csv", "text"):
                 out[f"{run_name}-{name}-{fmt}"] = [*options, *spec, "--format", fmt]
@@ -165,6 +174,8 @@ def runs() -> dict[str, list[str]]:
             out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
         for kind in ("l", "linv"):
             out[f"matrix-{kind}-n40-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "40"]
+        for matrix, kind in EXPLICIT_RUNS.items():
+            out[f"matrix-{matrix}-n40-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "40"]
     return out
 
 
