@@ -71,10 +71,10 @@ class Polynomial:
     """Dense polynomial in the monomial basis; coeffs[k] multiplies x**k.
 
     The scalar type of the coefficients decides the arithmetic: Fraction
-    (or int) coefficients give exact results, float coefficients give
-    double precision. Trailing zeros are trimmed so the top coefficient of
-    a nonzero polynomial is nonzero; the zero polynomial has no
-    coefficients and degree -1.
+    (or int) coefficients give exact results, float coefficients double
+    precision; `_integer_form` reads a float as the rational it is.
+    Trailing zeros are trimmed so the top coefficient of a nonzero
+    polynomial is nonzero; the zero polynomial has no coefficients, degree -1.
     """
 
     __slots__ = ("coeffs", "_scaled")
@@ -144,28 +144,26 @@ class Polynomial:
         p._scaled = [c // g for c in a[: len(p.coeffs)]], d // g
         return p
 
-    def _integer_form(self):
-        """(a, d) with coeffs[k] == a[k] / d, computed once; None unless every coefficient is rational."""
+    def _integer_form(self) -> tuple[list[int], int]:
+        """(a, d) with coeffs[k] == a[k] / d, computed once; a float coefficient counts as the rational it is."""
         if self._scaled is None:
-            rational = all(isinstance(c, (int, Fraction)) for c in self.coeffs)
-            self._scaled = common_denominator(self.coeffs) if rational else False
-        return self._scaled or None
+            self._scaled = common_denominator([Fraction(c) if isinstance(c, float) else c for c in self.coeffs])
+        return self._scaled
 
     def __call__(self, x):
-        """Horner evaluation; exact when both coeffs and x are rational.
+        """Horner evaluation; exact at a Fraction x, whatever the coefficients.
 
-        A Fraction x = u / v on rational coefficients a_k / d runs on
-        integers, as homogeneous Horner for sum_k a_k u^k v^(n-k), and makes
-        one Fraction over d v^n at the end. Other arguments (int, float,
+        A Fraction x = u / v on the integer form a_k / d runs on integers,
+        as homogeneous Horner for sum_k a_k u^k v^(n-k), and makes one
+        Fraction over d v^n at the end. Other arguments (int, float,
         complex) take the plain loop, which keeps their result type.
         """
-        form = self._integer_form() if isinstance(x, Fraction) else None
-        if form is None:
+        if not isinstance(x, Fraction):
             acc = 0 * x
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        a, d = form
+        a, d = self._integer_form()
         if not a:
             return Fraction(0)
         u, v = x.numerator, x.denominator

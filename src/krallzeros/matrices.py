@@ -249,8 +249,8 @@ class NodeKernel:
             z = pi[:, None] / pi / dx
             np.fill_diagonal(z, [math.fsum(row) for row in rows])
             return z
-        # sum over i != m, j of r[m, i]: the full row less r[m, j], from the row's exact sum held as a few doubles
-        s = np.array([[math.fsum(parts + [-v]) for v in row] for row, parts in zip(rows, map(_expansion, rows))])
+        # sum over i != m, j of r[m, i]: the full row less r[m, j], in one correctly rounded sum
+        s = np.array([[math.fsum(row + [-v]) for v in row] for row in rows])
         z = 2.0 * pi[:, None] / pi / dx * s
         np.fill_diagonal(z, self._explicit_diagonal())
         return z
@@ -271,19 +271,6 @@ class NodeKernel:
         m = np.arange(n)[:, None]
         half[(i == m) | (p == m)] = 0.0
         return [2.0 * math.fsum(row) for row in half.tolist()]
-
-
-def _expansion(values: list[float]) -> list[float]:
-    """Doubles whose exact sum is the exact sum of values: repeated math.fsum residuals.
-
-    Each part is the correctly rounded remainder after the parts before it,
-    and the remainder is a multiple of the smallest ulp among the values, so
-    the loop ends with an exact zero after a few parts.
-    """
-    parts = []
-    while part := math.fsum(values + [-p for p in parts]):
-        parts.append(part)
-    return parts
 
 
 def node_kernel(nodes: NodesLike, leading: float = 1.0) -> NodeKernel:
@@ -560,6 +547,8 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
     when op is the family's own operator; upper triangular for any operator
     that preserves polynomial degree.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     fam = build_family(spec, n - 1)
     norms = squared_norms(fam, spec)
     table = moment_table(spec, 2 * (n - 1))  # op keeps degrees
@@ -588,7 +577,7 @@ def _lagrange_integrals(nodes: NodeSet, weights: Sequence[Polynomial], spec: Fam
     S / (c mu d); S and the slope list both have N coefficients, so their
     `_horner` sums carry the same 2^(e (N-1)) and no quotient is formed.
     """
-    a = common_denominator([Fraction(c) for c in nodes.poly.coeffs])[0]
+    a = nodes.poly._integer_form()[0]
     slope, n = _derivative_lists(a, 1)[1], len(a) - 1
     forms = [w._integer_form() for w in weights]
     moments, mu = moment_table(spec, n - 1 + max(len(b) for b, _ in forms) - 1)

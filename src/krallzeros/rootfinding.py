@@ -11,10 +11,11 @@ p = sum_k a_k x^k / d over one denominator (`Polynomial._integer_form`) and
 a double is x = u / 2^e, so homogeneous Horner gives p(x) as one integer
 over d 2^(e n), and one int / int true division rounds it (`_at_double`).
 True division of ints is correctly rounded, so the double is float() of the
-reduced Fraction, without the gcd. The real Newton steps, the residual gate
-and p', p'', p''' (from the integer lists k a_k over the same d) take this
-path; complex Newton iterates and float-coefficient polynomials take the
-plain Horner loop. The one value table of exact members at dyadic nodes,
+reduced Fraction, without the gcd. A float coefficient counts as the
+rational it is, so every polynomial has this form. The real Newton steps,
+the residual gate and p', p'', p''' (from the integer lists k a_k over the
+same d) take this path; only complex Newton iterates take the plain Horner
+loop. The one value table of exact members at dyadic nodes,
 `_value_numerators`, lives here; the cells and the transition pair read it.
 
 Some verification tasks (Gaussian exactness, inverting the basis-transition
@@ -127,10 +128,9 @@ class NodeSet:
 
     Built from the zeros of a polynomial (see zeros()) or from an explicit
     point list (from_points, which makes the monic node polynomial with
-    exactly those roots); the constructor derives d1, d2, d3 from `poly`,
-    which keeps exact rational coefficients whenever they are available, as
-    high-precision refinement needs. Rebinding an attribute raises
-    AttributeError.
+    exactly those roots); the constructor derives d1, d2, d3 from the
+    integer form of `poly`, which high-precision refinement also reads.
+    Rebinding an attribute raises AttributeError.
 
     One memo, read through `cached`, keeps what is derived from the nodes:
     the refined nodes, the Christoffel numbers per spec, the float kernels
@@ -171,8 +171,7 @@ class NodeSet:
         return list(self.cached("refined", self._refine))
 
     def _refine(self) -> list[Fraction]:
-        # float coefficients refine against their exact rationalization
-        a = common_denominator([Fraction(c) for c in self.poly.coeffs])[0]
+        a = self.poly._integer_form()[0]
         return [_newton_refine(a, x, DEFAULT_REFINE_BITS) for x in self.nodes]
 
     @classmethod
@@ -198,11 +197,8 @@ class NodeSet:
 
 
 def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
-    """p', p'', p''' at each node; on rational coefficients exact and rounded once."""
-    form = poly._integer_form()
-    if form is None:
-        return tuple(tuple(poly.derivative(k)(x) for x in xs) for k in (1, 2, 3))
-    a, d = form
+    """p', p'', p''' at each node, exact and rounded once."""
+    a, d = poly._integer_form()
     return tuple(tuple(_at_double(b, d, x) for x in xs) for b in _derivative_lists(a, 3)[1:])
 
 
@@ -216,15 +212,15 @@ def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def _polish(poly: Polynomial, deriv: Polynomial, z: complex, real=None) -> complex:
+def _polish(poly: Polynomial, deriv: Polynomial, z: complex, real) -> complex:
     """Newton from a companion-matrix guess, deriv = poly'.
 
-    real(x), when given, returns p(x) and p'(x) at a real double x,
-    evaluated exactly; complex iterates take the plain loop.
+    real(x) returns p(x) and p'(x) at a real double x, evaluated exactly;
+    complex iterates take the plain loop.
     """
     x = z
     for _ in range(60):
-        if real is not None and x.imag == 0.0:
+        if x.imag == 0.0:
             fx, dfx = real(x.real)
         else:
             fx, dfx = poly(x), deriv(x)
@@ -274,18 +270,14 @@ def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
         cf = None
     if cf is None or not np.all(np.isfinite(cf)):
         raise ValueError(f"the degree-{n} member's coefficients overflow double precision")
-    form = p._integer_form()
-    if form is None:
-        value, real = p, None
-    else:
-        ints, den = form
-        slope = _derivative_lists(ints, 1)[1]
+    ints, den = p._integer_form()
+    slope = _derivative_lists(ints, 1)[1]
 
-        def value(x: float) -> float:
-            return _at_double(ints, den, x)
+    def value(x: float) -> float:
+        return _at_double(ints, den, x)
 
-        def real(x: float) -> tuple[float, float]:
-            return value(x), _at_double(slope, den, x)
+    def real(x: float) -> tuple[float, float]:
+        return value(x), _at_double(slope, den, x)
 
     deriv = p.derivative()
     roots = [_polish(p, deriv, z, real) for z in _companion_eigenvalues(cf)]

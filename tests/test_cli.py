@@ -277,8 +277,9 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
      "error: --n-range value '1..2' spans 2 degrees; family takes one"),
     (["matrix", "--kind", "lambda", "--family", "hermite", "--n", "3..5"],
      "error: --n value '3..5' spans 3 degrees; matrix takes one"),
+    (["matrix", "--kind", "dtau", "--family", "hermite", "--n", "0"], "error: need n >= 1"),
 ], ids=["report-family", "verify-all-alpha", "verify-no-family-m-param", "family-tolerance", "zeros-seed",
-        "matrix-seed", "zeros-range", "family-range", "matrix-range"])
+        "matrix-seed", "zeros-range", "family-range", "matrix-range", "dtau-n0"])
 def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
     try:
         code = main(argv)

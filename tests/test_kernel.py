@@ -586,14 +586,19 @@ def fraction_coeffs_reference(spec, nu):
     return c
 
 
+def exact_reference(poly):
+    """poly with every float coefficient replaced by the rational it is."""
+    return Polynomial([F(c) for c in poly.coeffs])
+
+
 def polish_reference(poly, deriv, z):
-    """The Newton loop that evaluated each real step by Fraction Horner."""
-    exact = poly._integer_form() is not None
+    """The Newton loop that evaluated each real step by Fraction Horner on the exact coefficients."""
+    exact, exact_deriv = exact_reference(poly), exact_reference(deriv)
     x = z
     for _ in range(60):
-        if exact and x.imag == 0.0:
+        if x.imag == 0.0:
             xq = F(x.real)
-            fx, dfx = float(poly(xq)), float(deriv(xq))
+            fx, dfx = float(exact(xq)), float(exact_deriv(xq))
         else:
             fx, dfx = poly(x), deriv(x)
         if dfx == 0:
@@ -608,10 +613,8 @@ def polish_reference(poly, deriv, z):
 
 
 def derivative_caches_reference(poly, xs):
-    derivs = [poly.derivative(k) for k in (1, 2, 3)]
-    if poly._integer_form() is not None:
-        return tuple(tuple(float(d(F(x))) for x in xs) for d in derivs)
-    return tuple(tuple(d(x) for x in xs) for d in derivs)
+    derivs = [exact_reference(poly).derivative(k) for k in (1, 2, 3)]
+    return tuple(tuple(float(d(F(x))) for x in xs) for d in derivs)
 
 
 def zeros_reference(p):
@@ -827,11 +830,16 @@ def test_polynomial_over_keeps_the_least_integer_form(a, d):
 
 @given(st.lists(scalars, max_size=9), scalars)
 def test_horner_rational(coeffs, x):
+    """Exact on rationals; at a Fraction, float coefficients count as the rationals they are."""
     p = Polynomial(coeffs)
     expected = horner_reference(p.coeffs, x)
     got = p(x)
     assert got == expected
     assert type(got) is type(expected)
+    if isinstance(x, F):
+        q = p.to_float()
+        got = q(x)
+        assert type(got) is F and got == horner_reference([F(c) for c in q.coeffs], x)
 
 
 @given(st.lists(st.integers(-10**9, 10**9), max_size=9), st.integers(-10**6, 10**6))
@@ -1327,6 +1335,8 @@ def assert_diffmats_match(x):
 @given(spread_nodes)
 @example(np.array([0.5]))
 @example(np.array([-1.0, 1.0]))
+@example(np.array([-2e-3, -1e-3, 0.0, 1e-3, 2e-3]))  # symmetric nodes: row sums of r cancel
+@example(np.array([-2e3, -1e3, 0.0, 1e3, 2e3]))
 def test_diffmats_on_spread_nodes(x):
     assert_diffmats_match(x)
 
@@ -1489,7 +1499,7 @@ def test_zeros_on_integers(family_specs, data):
 
 @given(st.lists(st.integers(-40, 40), min_size=1, max_size=6, unique=True), st.integers(1, 9), st.booleans())
 def test_zeros_of_polynomials_without_a_family(roots, scale, to_float):
-    """A spec-less rational polynomial takes the integer path; float coefficients keep the plain loop."""
+    """A spec-less polynomial takes the integer path; float coefficients count as the rationals they are."""
     p = Polynomial([F(1)])
     for r in roots:
         p = p * Polynomial([-F(r, 4 * scale), F(1)])
