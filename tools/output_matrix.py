@@ -25,7 +25,9 @@ sits in. Through the command-line driver, in one process, it runs:
   in l and linv, and `matrix --kind z --order 1..2 --method explicit
   --format json --n 40`, on krall-legendre(1) and hermite, whose zeros
   exist there: the exact moment sums, D p_m, the transition pair and the
-  explicit Z^(1), Z^(2) at N = 40;
+  explicit Z^(1), Z^(2) at N = 40, and `matrix --kind dtau --format json
+  --n 40`, the spectral matrix, whose entries divide by the squared norms
+  of the members;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -38,9 +40,9 @@ sits in. Through the command-line driver, in one process, it runs:
 - `matrix --kind dc-simplified --format json --n 20` with `--formula
   family` and `--formula fourth-order` for every reference spec: the
   closed-form collocation matrices at N = 20;
-- `matrix --kind K --format json --n 20` for K in lambda, l and linv and
-  every reference spec: the Christoffel weights and the transition pair at
-  N = 20, and `matrix --kind z --order 1..2 --method explicit --format
+- `matrix --kind K --format json --n 20` for K in lambda, l, linv and
+  dtau and every reference spec: the Christoffel weights, the transition
+  pair and the spectral matrix at N = 20, and `matrix --kind z --order 1..2 --method explicit --format
   json --n 20`: the explicit Z^(1) and Z^(2) at N = 20;
 - `matrix --format json --nodes 0.125,0.375,0.625,0.875` for every
   reference spec and `--kind l`, `linv`, `lambda` and `dc`, and `--nodes`
@@ -159,8 +161,9 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{kind}-nodes-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", GIVEN_NODES,
             ]
-        for kind in ("lambda", "l", "linv"):
+        for kind in ("lambda", "l", "linv", "dtau"):
             out[f"matrix-{kind}-n20-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "20"]
+        for kind in ("lambda", "l", "linv"):
             out[f"matrix-{kind}-nodes8-{name}"] = [
                 "matrix", "--kind", kind, *spec, "--format", "json", "--nodes", EIGHT_NODES,
             ]
@@ -172,7 +175,7 @@ def runs() -> dict[str, list[str]]:
     for name, spec in N40_SPECS.items():
         for suite in ("eigenpair", "power", "quadrature", "similarity"):
             out[f"verify-{suite}-n40-{name}"] = ["verify", "--suite", suite, *spec, "--format", "json", "--n", "40"]
-        for kind in ("l", "linv"):
+        for kind in ("l", "linv", "dtau"):
             out[f"matrix-{kind}-n40-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "40"]
         for matrix, kind in EXPLICIT_RUNS.items():
             out[f"matrix-{matrix}-n40-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "40"]
