@@ -48,7 +48,7 @@ from .families import (
     build_family,
     operator_of,
 )
-from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, severity, worst_residual
+from .identities import ALL_SUITES, SUITES, IdentityReport, default_grid, worst_residual
 from .rootfinding import NodeSet, NonSimpleRootError, RootfindingError, _at_double, zeros
 
 SUITE_ALIASES = {"thm1": "eigenpair", "krall4": "fourth-order"}
@@ -196,23 +196,23 @@ def _spec_from_args(args) -> FamilySpec:
     return FamilySpec(args.family, alpha=args.alpha, beta=args.beta, mass=args.m_param)
 
 
-def _parse_n(args, single: bool = False) -> list[int]:
-    """The degrees of --n or --n-range; with single, a range of more than one degree is refused."""
+def _parse_n(args, single: bool = False, least: int = 1) -> list[int]:
+    """The degrees of --n or --n-range, none below least, read before anything is built; single takes one."""
     if args.n is not None and args.n_range is not None:
         raise ParameterError("--n and --n-range both give the degrees; give one")
     option, raw = ("--n-range", args.n_range) if args.n_range else ("--n", args.n)
     if raw is None:
         raise ParameterError("--n (or --n-range) is required")
     try:
-        lo, hi = map(int, raw.split("..", 1)) if ".." in raw else (int(raw), None)
+        lo, hi = map(int, raw.split("..", 1) if ".." in raw else (raw, raw))
     except ValueError:
         raise ParameterError(f"{option} value {raw!r} is not an integer or a range like 2..12") from None
-    if hi is None:
-        return [lo]
     if hi < lo:
         raise ParameterError(f"empty range {raw!r}")
     if single and hi > lo:
         raise ParameterError(f"{option} value {raw!r} spans {hi - lo + 1} degrees; {args.command} takes one")
+    if lo < least:
+        raise ParameterError(f"need n >= {least}")
     return list(range(lo, hi + 1))
 
 
@@ -237,10 +237,9 @@ def _fraction_str(value) -> str:
 
 def cmd_family(args) -> int:
     spec = _spec_from_args(args)
-    n = _parse_n(args, single=True)[0]
-    # member by member, so a float table stops at its first member past double
-    # range; build_family(spec, n) refuses a negative n
-    members = (build_family(spec, nu)[nu] for nu in range(n + 1)) if n >= 0 else build_family(spec, n)
+    n = _parse_n(args, single=True, least=0)[0]
+    # member by member, so a float table stops at its first member past double range
+    members = (build_family(spec, nu)[nu] for nu in range(n + 1))
     rows = []
     for nu, p in enumerate(members):
         if args.mode == "rational":
@@ -386,10 +385,11 @@ def _worst_cell(reports: list[IdentityReport]) -> Optional[dict]:
         entries = [(r, c) for r in failing for c in r.cells or [{"residual": r.max_residual}]]
     else:
         entries = [(r, c) for r in reports for c in r.cells]
-    worst = max(entries, key=lambda rc: severity(rc[1]["residual"]), default=None)
-    if worst is None:
+    if not entries:
         return None
-    r, c = worst
+    residuals = [c["residual"] for _, c in entries]
+    # list.index matches by identity first, so it finds the first NaN too
+    r, c = entries[residuals.index(worst_residual(residuals))]
     return dict(c, family=r.family, params=r.params, N=r.n, identity=r.identity)
 
 

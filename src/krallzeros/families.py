@@ -12,8 +12,10 @@ parameters are rational: coefficient tables, moments, inner products,
 operator coefficients and eigenvalues. Float consumers round each exact
 coefficient once (`Polynomial.to_float`), so no degree loses accuracy to
 the rounding. The measure is integrated in one place, `moment_table`, whose
-integer moments `integral` sums coefficients against. `build_family` keeps
-the members of the last family it built and extends them on demand.
+integer moments `integral` sums coefficients against. What depends on the
+spec alone, the members, moments, recurrence, squared norms, eigenvalues
+and operator, lives in one `FamilyRecord` per spec, extended on demand;
+`family_record` keeps the last spec's.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -312,12 +315,10 @@ def moment_table(spec: FamilySpec, top: int) -> MomentTable:
     norms and the spectral matrix sum integer coefficients against it
     (`integral`), the Lagrange-basis integrals of a node set build their
     second-kind polynomials on it, and the Gaussian moment residuals compare
-    against its entries. The moments are built in order by `_next_moment`.
+    against its entries. The moments come from the spec's record, which
+    builds each one once, in order, by `_next_moment`.
     """
-    values: list[Fraction] = []
-    for k in range(top + 1):
-        values.append(_next_moment(spec, k, values))
-    return common_denominator(values)
+    return common_denominator(family_record(spec).moments_through(top))
 
 
 def _next_moment(spec: FamilySpec, k: int, m: Sequence[Fraction]) -> Fraction:
@@ -362,12 +363,6 @@ def pairing(p: Polynomial, q: Polynomial, table: MomentTable) -> Fraction:
 def inner_product(p: Polynomial, q: Polynomial, spec: FamilySpec) -> Fraction:
     """<p, q> against the family measure, for polynomials with rational coefficients."""
     return pairing(p, q, moment_table(spec, p.degree + q.degree))
-
-
-def squared_norms(members: Sequence[Polynomial], spec: FamilySpec) -> list[Fraction]:
-    """||p||^2 of rational polynomials, against one moment table."""
-    table = moment_table(spec, 2 * max((p.degree for p in members), default=0))
-    return [pairing(p, p, table) for p in members]
 
 
 # ---------------------------------------------------------------------------
@@ -454,32 +449,80 @@ def _coeffs(spec: FamilySpec, nu: int) -> tuple[list[int], int]:
     return _coeffs_jacobi(nu, spec.alpha, spec.beta)
 
 
-#: The last spec's family and its members so far; see build_family.
-_last_family: dict[FamilySpec, list[Polynomial]] = {}
+class FamilyRecord:
+    """One spec's members, moments, eigenvalues `mus` and operator `op` (`op_float` in doubles), each built once.
+
+    With p_n = lead_n (x^n + s_n x^(n-1) + t_n x^(n-2) + ...), the monic
+    members follow q_(n+1) = (x - a_n) q_n - b_n q_(n-1) with
+    a_n = s_n - s_(n+1), b_n = t_n - t_(n+1) - a_n s_n and b_0 = m_0, and
+    ||p_n||^2 = lead_n^2 b_0 ... b_n (Gautschi, Orthogonal Polynomials, 2004,
+    section 1.3); `squared_norms` fills `a`, `b` and `norms`. The lists only grow.
+    """
+
+    def __init__(self, spec: FamilySpec):
+        self.spec, self.op = spec, operator_of(spec)
+        self.members, self.moments, self.mus, self.a, self.b, self.norms = [], [], [], [], [], []
+        self._monic = 1
+
+    @cached_property
+    def op_float(self) -> DiffOperator:
+        return self.op.to_float()
+
+    def grow(self, degree: int) -> list[Polynomial]:
+        """The members through degree; a member that raises leaves the valid prefix kept."""
+        for nu in range(len(self.members), degree + 1):
+            p = Polynomial.over(*_coeffs(self.spec, nu))
+            if p.degree != nu:
+                raise ParameterError(
+                    f"{self.spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
+                )
+            self.members.append(p)
+        return self.members
+
+    def moments_through(self, top: int) -> list[Fraction]:
+        for k in range(len(self.moments), top + 1):
+            self.moments.append(_next_moment(self.spec, k, self.moments))
+        return self.moments[: top + 1]
+
+    def eigenvalues(self, n: int) -> list[Fraction]:
+        self.mus.extend(eigenvalue(self.spec, m) for m in range(len(self.mus), n))
+        return self.mus[:n]
+
+    def squared_norms(self, n: int) -> list[Fraction]:
+        """||p_0||^2 .. ||p_(n-1)||^2; b_(n-1) reads p_n."""
+        members = self.grow(n)
+        for k in range(len(self.norms), n):
+            (s, t), (s1, t1) = _monic_ratios(members[k]), _monic_ratios(members[k + 1])
+            self.a.append(s - s1)
+            self.b.append(t - t1 - self.a[k] * s if k else self.moments_through(0)[0])
+            self._monic *= self.b[k]  # b_0 .. b_k, the squared norm of the monic q_k
+            self.norms.append(members[k].coeffs[-1] ** 2 * self._monic)
+        return self.norms[:n]
+
+
+def _monic_ratios(p: Polynomial) -> tuple[Fraction, Fraction]:
+    """(s, t) of p = lead (x^n + s x^(n-1) + t x^(n-2) + ...), from its integer form."""
+    *_, t, s, lead = 0, 0, *p._integer_form()[0]
+    return Fraction(s, lead), Fraction(t, lead)
+
+
+@lru_cache(maxsize=1)
+def family_record(spec: FamilySpec, /) -> FamilyRecord:
+    """The record of spec: the one last returned when spec repeats, else a new one."""
+    return FamilyRecord(spec)
 
 
 def build_family(spec: FamilySpec, max_degree: int) -> list[Polynomial]:
     """Members of degree 0 .. max_degree of the family, exact.
 
-    The members of the last spec are kept: a call on the same spec builds
-    only the degrees above the ones it has, so a cell's family and its
+    They come from the spec's record, so a call on the last spec builds
+    only the degrees above the ones it has, and a cell's family and its
     lower-degree prefixes are built once. Every call returns a new list
     over the shared members, which are immutable.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if spec not in _last_family:
-        _last_family.clear()
-        _last_family[spec] = []
-    members = _last_family[spec]
-    for nu in range(len(members), max_degree + 1):  # a member that raises leaves the valid prefix kept
-        p = Polynomial.over(*_coeffs(spec, nu))
-        if p.degree != nu:
-            raise ParameterError(
-                f"{spec.label()}: member of degree {nu} degenerates (leading coefficient vanishes)"
-            )
-        members.append(p)
-    return members[: max_degree + 1]
+    return family_record(spec).grow(max_degree)[: max_degree + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +575,6 @@ class DiffOperator:
         return DiffOperator(tuple((o, a.to_float()) for o, a in self.terms))
 
 
-def _sigma_tau(spec: FamilySpec) -> tuple[Polynomial, Polynomial]:
-    """Second-order data of the classical families."""
-    if spec.family == "hermite":
-        return Polynomial([Fraction(1)]), Polynomial([Fraction(0), Fraction(-2)])
-    if spec.family == "laguerre":
-        return (
-            Polynomial([Fraction(0), Fraction(1)]),
-            Polynomial([spec.alpha + 1, Fraction(-1)]),
-        )
-    if spec.family == "jacobi":
-        return (
-            Polynomial([Fraction(1), Fraction(0), Fraction(-1)]),
-            Polynomial([spec.beta - spec.alpha, -(spec.alpha + spec.beta + 2)]),
-        )
-    raise ParameterError(f"{spec.family} is not a classical family")
-
-
 def operator_of(spec: FamilySpec) -> DiffOperator:
     """The differential operator whose eigenfunctions are the family members.
 
@@ -578,9 +604,13 @@ def operator_of(spec: FamilySpec) -> DiffOperator:
             (2, Polynomial([0, -2 * (3 * a + m + 6), a * a + 9 * a + 2 * m + 14])),
             (1, Polynomial([-2 * m, 2 * (a + 2) * (a + m + 1)])),
         )
+    elif spec.family == "hermite":
+        terms = ((2, Polynomial([Fraction(1)])), (1, Polynomial([Fraction(0), Fraction(-2)])))
+    elif spec.family == "laguerre":
+        terms = ((2, Polynomial([Fraction(0), Fraction(1)])), (1, Polynomial([a + 1, Fraction(-1)])))
     else:
-        sigma, tau = _sigma_tau(spec)
-        terms = ((2, sigma), (1, tau))
+        b = spec.beta
+        terms = ((2, Polynomial([Fraction(1), Fraction(0), Fraction(-1)])), (1, Polynomial([b - a, -(a + b + 2)])))
     return DiffOperator(terms)
 
 
@@ -595,7 +625,7 @@ def eigenvalue(spec: FamilySpec, nu: int) -> Fraction:
         return nu * (2 * a + 1 + nu)
     if spec.family == "krall-jacobi":
         return nu * (nu + a + 1) * (2 * spec.mass + (nu + 1) * (nu + a))
-    sigma, tau = _sigma_tau(spec)
-    tau1 = tau.coeffs[1] if len(tau.coeffs) > 1 else Fraction(0)
-    sigma2 = sigma.coeffs[2] if len(sigma.coeffs) > 2 else Fraction(0)
-    return nu * (tau1 + (nu - 1) * sigma2)
+    # nu (tau' + (nu - 1) sigma'' / 2) for the classical sigma, tau
+    if spec.family == "jacobi":
+        return -nu * (nu + a + spec.beta + 1)
+    return Fraction(-2 * nu if spec.family == "hermite" else -nu)

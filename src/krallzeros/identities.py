@@ -63,8 +63,7 @@ from .families import (
     ParameterError,
     build_family,
     common_denominator,
-    eigenvalue,
-    operator_of,
+    family_record,
 )
 from .matrices import MatrixRep, christoffel_numbers, collocation_exact, collocation_rep, quadrature_exactness
 from .rootfinding import NodeSet, _value_numerators, zeros
@@ -134,18 +133,16 @@ _LAYOUT = (
 _ROWSUM = ("rowsum_residual", "rowsum_tolerance", "rowsum_passed")
 
 
-def severity(residual: float) -> tuple:
-    """Sort key for residuals that ranks NaN above every number, inf included."""
-    return (True, 0.0) if math.isnan(residual) else (False, residual)
-
-
 def worst_residual(residuals: Iterable[float]) -> float:
-    """The largest residual, NaN if any residual is NaN, 0.0 if there is none.
+    """The first NaN residual, else the first largest one, 0.0 if there is none.
 
     Plain max() keeps its running value when compared with a NaN, so a NaN
-    anywhere but first would vanish and its report would pass.
+    anywhere but first would vanish and its report would pass; so the NaNs
+    are looked for first, and max() runs only on a list without one.
     """
-    return max(residuals, key=severity, default=0.0)
+    values = list(residuals)
+    nan = next(filter(math.isnan, values), None)
+    return max(values, default=0.0) if nan is None else nan
 
 
 def _params_dict(spec: FamilySpec, **extra) -> dict:
@@ -175,8 +172,10 @@ class Cell:
     Z^(k) in its kernel (`matrices.node_kernel`), the refined nodes, the
     Christoffel numbers (`matrices.christoffel_numbers`, the cell keeps no
     copy) and the closed-form collocation matrix of each formula
-    (`closed_form`). Get cells from `get_cell`, which keeps the last one
-    built.
+    (`closed_form`) with its off-diagonal sums, which both readings of the
+    family identity read. The eigenvalues and the operator come from the
+    spec's `families.family_record`. Get cells from `get_cell`, which keeps
+    the last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int):
@@ -192,7 +191,7 @@ class Cell:
 
     @cached_property
     def op(self):
-        return operator_of(self.spec)
+        return family_record(self.spec).op
 
     @cached_property
     def family(self):
@@ -222,7 +221,7 @@ class Cell:
 
     @cached_property
     def mus(self) -> list[Fraction]:
-        return [eigenvalue(self.spec, m) for m in range(self.n)]
+        return family_record(self.spec).eigenvalues(self.n)
 
     @cached_property
     def values_float(self) -> list[list[float]]:
@@ -445,7 +444,9 @@ def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> np.ndarr
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
         products = matrix[:, None, :] * np.array(values)
     offdiagonal = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, :], products.shape)
-    return np.array(_fsums(products[offdiagonal].reshape(n, len(values), n - 1))).reshape(n, len(values))
+    sums = np.array(_fsums(products[offdiagonal].reshape(n, len(values), n - 1))).reshape(n, len(values))
+    sums.setflags(write=False)  # the node set keeps a closed form's sums for every report on it
+    return sums
 
 
 def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, printed: bool = False):
@@ -462,7 +463,8 @@ def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, pri
     rows = [i for i in range(cell.n) if i not in rep.flagged]
     mus, diagonal = np.array([float(mu) for mu in cell.mus]), rep.data.diagonal()[rows, None]
     trailing = np.array(cell.nodes.d1)[rows, None] if printed else np.array(cell.values_float).T[rows]
-    lhs = -_offdiagonal_sums(rep.data, cell.values_float)[rows]
+    sums = cell.nodes.cached((cell.spec, formula, "sums"), lambda: _offdiagonal_sums(rep.data, cell.values_float))
+    lhs = -sums[rows]
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
         rhs = (diagonal - mus) * trailing
         # np.fmax passes over a NaN as max() does past its first argument

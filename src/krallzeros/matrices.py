@@ -75,11 +75,9 @@ from .families import (
     Polynomial,
     build_family,
     common_denominator,
-    eigenvalue,
+    family_record,
     moment_table,
-    operator_of,
     pairing,
-    squared_norms,
 )
 from .rootfinding import (
     DEFAULT_REFINE_BITS,
@@ -499,9 +497,9 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
     """The closed form on whole node arrays and the kernel's r; no square goes through numpy's power."""
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
-    op = operator_of(spec).to_float()
+    record, kernel, x, n = family_record(spec), node_kernel(nodes), nodes.as_array(), len(nodes)
+    op, mu_top = record.op_float, float(record.eigenvalues(n + 1)[n])
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
-    kernel, x, n = node_kernel(nodes), nodes.as_array(), len(nodes)
     p1, p2, p3 = (np.array(d) for d in (nodes.d1, nodes.d2, nodes.d3))
     form = formula if spec.is_krall else "second-order"
     with np.errstate(all="ignore"):  # the diagonal of a flagged row may divide by zero; it is replaced below
@@ -516,12 +514,12 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
         elif form == "family":
             family, al, mm = spec.family, float(spec.alpha), float(spec.mass or 0)
             out = _family_offdiag(family, al, mm, x[:, None], kernel.r, p1[:, None], p2[:, None], p3[:, None], p1)
-            diag = _family_diag(family, al, mm, float(eigenvalue(spec, n)), x, p1, p2, p3)
+            diag = _family_diag(family, al, mm, mu_top, x, p1, p2, p3)
         else:
             r, at, ap = kernel.r, [c(x) for c in a], [c.derivative()(x) for c in a]  # a_k(x_m), a_k'(x_m)
             brace = _fourth_order_brace([v[:, None] for v in at], r, p1[:, None], p2[:, None], p3[:, None])
             out = -(r * r) / p1 * brace
-            diag = _simplified_diag_fourth_order(at, ap, float(eigenvalue(spec, n)), p1, p2, p3)
+            diag = _simplified_diag_fourth_order(at, ap, mu_top, p1, p2, p3)
     flagged = tuple(np.flatnonzero(np.abs(a[-1](x)) < SINGULAR_COEFF_GUARD).tolist())
     if flagged:
         diag[list(flagged)] = collocation_rep(op, nodes).data[flagged, flagged]
@@ -549,8 +547,7 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    fam = build_family(spec, n - 1)
-    norms = squared_norms(fam, spec)
+    fam, norms = build_family(spec, n - 1), family_record(spec).squared_norms(n)
     table = moment_table(spec, 2 * (n - 1))  # op keeps degrees
     op_exact = DiffOperator(tuple((o, Polynomial([Fraction(c) for c in a.coeffs])) for o, a in op.terms))
     out = np.zeros((n, n))
@@ -684,7 +681,7 @@ _LAMBDA_BITS = _PRODUCT_BITS + 128  # fixed-point bits of the Christoffel number
 
 
 def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
-    """(L, L_inv) as integer matrices on the 2^-_PRODUCT_BITS grid, from members p_0..p_{N-1} and the weights.
+    """(L, L_inv) as integer matrices on the 2^-_PRODUCT_BITS grid, from spec's p_0..p_{N-1} and the weights.
 
     xq are the refined nodes, dyadic rationals u_k / 2^E. Entries are
     rounded half to even onto the grid with no gcd: the value table gives
@@ -701,7 +698,7 @@ def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: S
     members = fam[: len(xq)]
     fixed = [(lam.numerator << _LAMBDA_BITS) // lam.denominator for lam in lams]
     values, l_mat = [], []
-    for (nums, den), norm in zip(_value_numerators(members, xq), squared_norms(members, spec)):
+    for (nums, den), norm in zip(_value_numerators(members, xq), family_record(spec).squared_norms(len(members))):
         row = [_round_div(v << _PRODUCT_BITS, den) for v in nums]
         values.append(row)
         s, t = norm.numerator, norm.denominator
@@ -810,7 +807,7 @@ def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, Mat
     """
     n = len(nodes)
     fam = build_family(spec, n - 1)
-    rows = zip(_lagrange_integrals(nodes, fam, spec), squared_norms(fam, spec))
+    rows = zip(_lagrange_integrals(nodes, fam, spec), family_record(spec).squared_norms(n))
     l_mat = [[float(v / norm) for v in row] for row, norm in rows]
     l_inv = [[_at_double(*p._integer_form(), x) for p in fam] for x in nodes.nodes]
     l_rep = MatrixRep(

@@ -6,7 +6,7 @@ examples on every run, a bounded number of them, no per-example deadline
 database written next to the sources.
 
 Every test starts without a memoised cell, family or zero set
-(`identities.get_cell`, `families.build_family` and `rootfinding.zeros`
+(`identities.get_cell`, `families.family_record` and `rootfinding.zeros`
 each keep the last one), so a test that counts builds does not depend on
 which test ran before it.
 """
@@ -23,5 +23,5 @@ settings.load_profile("krallzeros")
 @pytest.fixture(autouse=True)
 def fresh_memos():
     identities.get_cell.cache_clear()
-    families._last_family.clear()
+    families.family_record.cache_clear()
     rootfinding._last_zeros.clear()

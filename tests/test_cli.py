@@ -278,8 +278,17 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
     (["matrix", "--kind", "lambda", "--family", "hermite", "--n", "3..5"],
      "error: --n value '3..5' spans 3 degrees; matrix takes one"),
     (["matrix", "--kind", "dtau", "--family", "hermite", "--n", "0"], "error: need n >= 1"),
+    *((["matrix", "--kind", kind, "--family", "hermite", "--n", "0"], "error: need n >= 1")
+      for kind in ("z", "dc", "dc-simplified", "l", "linv", "lambda")),
+    (["matrix", "--kind", "l", "--family", "hermite", "--nodes", "0.1,0.2", "--n", "0"], "error: need n >= 1"),
+    (["zeros", "--family", "hermite", "--n", "0"], "error: need n >= 1"),
+    (["verify", "--suite", "spectrum", "--family", "hermite", "--n", "0..3"], "error: need n >= 1"),
+    (["report", "--n", "-1"], "error: need n >= 1"),
+    (["family", "--family", "hermite", "--n", "-1"], "error: need n >= 0"),
 ], ids=["report-family", "verify-all-alpha", "verify-no-family-m-param", "family-tolerance", "zeros-seed",
-        "matrix-seed", "zeros-range", "family-range", "matrix-range", "dtau-n0"])
+        "matrix-seed", "zeros-range", "family-range", "matrix-range", "dtau-n0", "z-n0", "dc-n0",
+        "dc-simplified-n0", "l-n0", "linv-n0", "lambda-n0", "nodes-n0", "zeros-n0", "verify-n0", "report-negative",
+        "family-negative"])
 def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
     try:
         code = main(argv)
@@ -604,6 +613,46 @@ def test_report_builds_each_cell_once(capsys, monkeypatch):
     assert len(calls) == 30 and len(set(calls)) == 30  # 10 specs x N = 2..4
 
 
+def severity(residual):
+    """The reference sort key: NaN above every number, inf included."""
+    return (True, 0.0) if math.isnan(residual) else (False, residual)
+
+
+def worst_cell_reference(reports):
+    failing = [r for r in reports if not r.passed]
+    if failing:
+        entries = [(r, c) for r in failing for c in r.cells or [{"residual": r.max_residual}]]
+    else:
+        entries = [(r, c) for r in reports for c in r.cells]
+    worst = max(entries, key=lambda rc: severity(rc[1]["residual"]), default=None)
+    return None if worst is None else (worst[0], worst[1]["residual"], worst[1].get("m"))
+
+
+# fresh objects, so that equal residuals (ties, 0.0 and -0.0, NaNs) can be told apart by identity
+residuals = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-300, 0.5, 2.0]).map(lambda v: float(repr(v)))
+
+
+@given(st.lists(st.tuples(st.lists(residuals, max_size=4), residuals, st.booleans()), max_size=4))
+def test_worst_residual_and_worst_cell_match_the_severity_key(drawn):
+    """The first NaN, else the first largest value: the element the severity-keyed max picks."""
+    values = [v for cells, _, _ in drawn for v in cells]
+    if values:
+        assert identities.worst_residual(iter(values)) is max(values, key=severity)
+    else:
+        assert repr(identities.worst_residual(iter(values))) == "0.0"
+    reports = [
+        IdentityReport("eigenpair", "hermite", {}, n, 1e-8, "exact", top, passed,
+                       cells=[{"m": m, "n": 1, "residual": v} for m, v in enumerate(cells)])
+        for n, (cells, top, passed) in enumerate(drawn)
+    ]
+    expected, worst = worst_cell_reference(reports), cli._worst_cell(reports)
+    if expected is None:
+        assert worst is None
+    else:
+        report, residual, m = expected
+        assert worst["N"] == report.n and worst["residual"] is residual and worst.get("m") == m
+
+
 def test_warm_memos_do_not_change_the_report(capsys):
     argv = ("report", "--format", "json", "--n", "2..5")
     cold = run(capsys, *argv)
@@ -612,7 +661,7 @@ def test_warm_memos_do_not_change_the_report(capsys):
     assert run(capsys, "verify", "--suite", "all", "--family", "hermite", "--n", "7")[0] == 0
     assert run(capsys, *argv) == cold
     identities.get_cell.cache_clear()
-    families._last_family.clear()
+    families.family_record.cache_clear()
     rootfinding._last_zeros.clear()
     assert run(capsys, *argv) == cold
 

@@ -62,9 +62,10 @@ from krallzeros.families import (
     eigenvalue,
     inner_product,
     moment,
+    family_record,
     moment_table,
     operator_of,
-    squared_norms,
+    pairing,
 )
 from krallzeros.identities import (
     FAMILY_IDENTITY_TAG,
@@ -1163,16 +1164,35 @@ def test_inner_product(spec, a, b):
     assert inner_product(p, q, spec) == inner_product_reference(p, q, spec)
 
 
-@given(specs, st.integers(0, 8))
-def test_squared_norms_of_members(spec, n):
-    fam = build_family(spec, n)
-    assert squared_norms(fam, spec) == [inner_product_reference(p, p, spec) for p in fam]
+@given(specs, st.integers(1, 24))
+@settings(max_examples=20)
+def test_record_norms_of_members(spec, n):
+    """lead(p_k)^2 b_0 .. b_k is <p_k, p_k>, k < N, as a Fraction."""
+    norms = family_record(spec).squared_norms(n)
+    assert all(type(v) is F for v in norms)
+    assert norms == [inner_product_reference(p, p, spec) for p in build_family(spec, n - 1)]
+
+
+@given(specs, st.integers(1, 24))
+def test_record_recurrence(spec, n):
+    """The monic members follow exactly from (a_k, b_k) by the three-term recurrence, with every b_k > 0;
+    the record's moments leave moment_table as it was."""
+    record = family_record(spec)
+    record.squared_norms(n)
+    assert len(record.a) == len(record.b) >= n and all(b > 0 for b in record.b)
+    x, previous, q = Polynomial([0, 1]), Polynomial(()), Polynomial([1])
+    for k in range(n):
+        previous, q = q, (x - Polynomial([record.a[k]])) * q - record.b[k] * previous
+        assert q == build_family(spec, k + 1)[k + 1] * (1 / record.members[k + 1].coeffs[-1]), (spec.label(), k + 1)
+    for top in (n, 2 * n + 1):
+        assert moment_table(spec, top) == common_denominator([moment(spec, k) for k in range(top + 1)])
 
 
 @given(specs, st.lists(st.lists(scalars, max_size=8), min_size=1, max_size=4))
-def test_squared_norms_of_any_rational_polynomials(spec, coefficient_lists):
+def test_pairing_of_any_rational_polynomials(spec, coefficient_lists):
     polys = [Polynomial(c) for c in coefficient_lists]
-    assert squared_norms(polys, spec) == [inner_product_reference(p, p, spec) for p in polys]
+    table = moment_table(spec, 2 * max(p.degree for p in polys))
+    assert [pairing(p, p, table) for p in polys] == [inner_product_reference(p, p, spec) for p in polys]
 
 
 @given(specs, st.integers(1, 7), st.booleans(), st.data())

@@ -1,7 +1,8 @@
-"""The one-entry memos of build_family and zeros, and the caches their node sets share.
+"""The one-entry memos of the family record and zeros, and the caches their node sets share.
 
-`families.build_family` keeps the last spec's family and `rootfinding.zeros`
-the last (p, spec) zero set, so a script that builds a family, finds its
+`families.family_record` keeps the last spec's record (its members, moments,
+recurrence, norms and eigenvalues) and `rootfinding.zeros` the last (p, spec)
+zero set, so a script that builds a family, finds its
 zeros and then calls the `verify_*(spec, n)` functions does each step once:
 the cell those functions build reads the same members and the same node set,
 whose memo holds the float kernels, refined nodes, Christoffel numbers and
@@ -18,10 +19,12 @@ from krallzeros import (
     FamilySpec,
     NonRealRootError,
     build_family,
+    cli,
     collocation_rep_simplified,
     diffmat,
     discriminate_variants,
     families,
+    identities,
     matrices,
     rootfinding,
     verify_eigenpairs,
@@ -82,7 +85,7 @@ class TestBuildFamily:
     def test_extended_family_equals_a_cold_build(self):
         build_family(KJAC, 3)
         warm = build_family(KJAC, 9)
-        families._last_family.clear()
+        families.family_record.cache_clear()
         assert build_family(KJAC, 9) == warm
 
     def test_mutated_list_does_not_reach_the_next_call(self):
@@ -119,7 +122,7 @@ class TestZeros:
 
     def test_equal_polynomial_and_spec_share_the_key(self, root_findings):
         zeros(build_family(KLAG, 6)[6], KLAG)
-        families._last_family.clear()  # a new but equal member
+        families.family_record.cache_clear()  # a new but equal member
         zeros(build_family(FamilySpec("krall-laguerre", alpha=F(2, 4)), 6)[6], KLAG)
         assert len(root_findings) == 1
 
@@ -196,3 +199,44 @@ def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, 
     assert len(root_findings) == 1
     assert kernels == [1.0]
     assert len(closed_forms) == 2
+
+
+def count_degrees(monkeypatch, name):
+    """Replace families.name(spec, k) by a wrapper that records (spec, k) of every call."""
+    calls, real = [], getattr(families, name)
+    monkeypatch.setattr(families, name, lambda spec, k, *rest: calls.append((spec, k)) or real(spec, k, *rest))
+    return calls
+
+
+def count_pairings(monkeypatch):
+    calls = count_calls(monkeypatch, families, "pairing")
+    monkeypatch.setattr(matrices, "pairing", families.pairing)
+    return calls
+
+
+def test_one_spec_through_every_report_suite_builds_each_piece_once(monkeypatch, capsys):
+    """verify --suite all on one spec, N = 2..12: each moment, norm and eigenvalue is computed once."""
+    moments, eigenvalues = count_degrees(monkeypatch, "_next_moment"), count_degrees(monkeypatch, "eigenvalue")
+    ratios, pairings = count_calls(monkeypatch, families, "_monic_ratios"), count_pairings(monkeypatch)
+    assert cli.main(["verify", "--suite", "all", "--family", "krall-laguerre", "--alpha", "1/2", "--n", "2..12"]) == 0
+    assert moments == [(KLAG, k) for k in range(2 * 12)]  # quadrature at N = 12 reads m_0 .. m_23
+    assert eigenvalues == [(KLAG, m) for m in range(12 + 1)]  # the closed forms at N = 12 read mu_12
+    record = families.family_record(KLAG)
+    assert len(record.norms) == 12 and ratios == [p for k in range(12) for p in record.members[k : k + 2]]
+    assert pairings == []
+    capsys.readouterr()
+
+
+def test_report_builds_each_moment_once_per_spec_and_shares_the_closed_form_sums(monkeypatch, capsys):
+    """One report run: the moments of each spec once, no member paired with itself, and three off-diagonal
+    sums per Krall cell: the fourth-order form, its general-assembly cross-check and the family form,
+    which both readings of the family identity read."""
+    moments, pairings = count_degrees(monkeypatch, "_next_moment"), count_pairings(monkeypatch)
+    sums = count_calls(monkeypatch, identities, "_offdiagonal_sums")
+    assert cli.main(["report", "--n", "2..4", "--format", "json"]) == 0
+    specs = identities.default_grid()
+    assert all(spec.is_krall for spec in specs)
+    assert moments == [(spec, k) for spec in specs for k in range(2 * 4)]
+    assert pairings == []
+    assert len(sums) == 3 * len(specs) * 3
+    capsys.readouterr()
