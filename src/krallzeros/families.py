@@ -501,7 +501,7 @@ class FamilyRecord:
 
 
 def _monic_ratios(p: Polynomial) -> tuple[Fraction, Fraction]:
-    """(s, t) of p = lead (x^n + s x^(n-1) + t x^(n-2) + ...), from its integer form."""
+    """(s, t) of p = lead (x^n + s x^(n-1) + t x^(n-2) + ...) from its integer form; 0 for a missing term."""
     *_, t, s, lead = 0, 0, *p._integer_form()[0]
     return Fraction(s, lead), Fraction(t, lead)
 
