@@ -27,7 +27,11 @@ sits in. Through the command-line driver, in one process, it runs:
   exist there: the exact moment sums, D p_m, the transition pair and the
   explicit Z^(1), Z^(2) at N = 40, and `matrix --kind dtau --format json
   --n 40`, the spectral matrix, whose entries divide by the squared norms
-  of the members;
+  of the members; on the same two specs, `zeros --format json` at N = 1,
+  where the one zero is 0, and at N = 40;
+- `zeros` and `verify --suite eigenpair` with `--format json --n 24` on
+  krall-jacobi(1, 2), the first degree where zeros from the companion
+  matrix of the monomial coefficients failed for that spec;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -179,6 +183,13 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{kind}-n40-{name}"] = ["matrix", "--kind", kind, *spec, "--format", "json", "--n", "40"]
         for matrix, kind in EXPLICIT_RUNS.items():
             out[f"matrix-{matrix}-n40-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "40"]
+        for n in (1, 40):
+            out[f"zeros-n{n}-{name}"] = ["zeros", *spec, "--format", "json", "--n", str(n)]
+    kjac = REFERENCE_SPECS["krall-jacobi-1-2"]
+    out["zeros-n24-krall-jacobi-1-2"] = ["zeros", *kjac, "--format", "json", "--n", "24"]
+    out["verify-eigenpair-n24-krall-jacobi-1-2"] = [
+        "verify", "--suite", "eigenpair", *kjac, "--format", "json", "--n", "24",
+    ]
     return out
 
 
