@@ -46,7 +46,6 @@ from .matrices import (
 )
 from .rootfinding import (
     NodeSet,
-    NonRealRootError,
     NonSimpleRootError,
     RootfindingError,
     zeros,
@@ -62,7 +61,6 @@ __all__ = [
     "InversionConsistencyError",
     "MatrixRep",
     "NodeSet",
-    "NonRealRootError",
     "NonSimpleRootError",
     "ParameterError",
     "Polynomial",

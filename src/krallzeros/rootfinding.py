@@ -1,10 +1,15 @@
 """Zeros of family members, with the derivative values the matrix formulas need.
 
-The zeros are located by the eigenvalues of the balanced companion matrix
-and then polished by Newton iteration evaluated on the exact coefficients,
-so each returned node is within about one ulp of a true zero of the given
-polynomial. A NodeSet carries the nodes in double precision together with
-cached values of p', p'', p''' there.
+zeros(p, spec) returns the correctly rounded zeros of p, the degree-N member
+of spec: for each true zero, the double nearest it. The guesses are the
+eigenvalues of the symmetric Jacobi matrix of the family's exact recurrence
+(Golub & Welsch, Math. Comp. 23, 1969); real Newton steps polish them; the
+finish step keeps a double x if p changes sign between the midpoints to its
+neighbours, its half-ulp bracket, and otherwise searches outward for a sign
+change and bisects over the doubles. N disjoint brackets inside the support
+hull, each with a sign change, prove that p has N real, simple zeros there
+and that each returned double is the nearest one; no tolerance takes part.
+A NodeSet carries the nodes together with cached values of p', p'', p'''.
 
 Every exact evaluation at a double runs on integers. A rational member is
 p = sum_k a_k x^k / d over one denominator (`Polynomial._integer_form`) and
@@ -12,11 +17,11 @@ a double is x = u / 2^e, so homogeneous Horner gives p(x) as one integer
 over d 2^(e n), and one int / int true division rounds it (`_at_double`).
 True division of ints is correctly rounded, so the double is float() of the
 reduced Fraction, without the gcd. A float coefficient counts as the
-rational it is, so every polynomial has this form. The real Newton steps,
-the residual gate and p', p'', p''' (from the integer lists k a_k over the
-same d) take this path; only complex Newton iterates take the plain Horner
-loop. The one value table of exact members at dyadic nodes,
-`_value_numerators`, lives here; the cells and the transition pair read it.
+rational it is, so every polynomial has this form. The Newton steps and
+p', p'', p''' (from the integer lists k a_k over the same d) take this
+path, and the sign of p at a midpoint is the sign of one Horner integer.
+The one value table of exact members at dyadic nodes, `_value_numerators`,
+lives here; the cells and the transition pair read it.
 
 Some verification tasks (Gaussian exactness, inverting the basis-transition
 matrix) are sensitive to node perturbations far beyond double precision:
@@ -25,22 +30,23 @@ for Laguerre-type node spreads a 1-ulp node error already shows up at the
 exposes the nodes re-polished in rational arithmetic to DEFAULT_REFINE_BITS
 binary digits; the exact verification paths consume those.
 
-zeros() keeps its last (p, spec) result. A repeated call, such as the one a
-cell makes after the caller found the same zeros, returns the same
+zeros() keeps its last (p, spec) result, so a cell and its caller share one
 immutable NodeSet, whose memo builds the refined nodes, the Christoffel
-numbers, the float kernels and the closed-form matrices once for the zeros
-of one member.
+numbers, the float kernels and the closed-form matrices once per member.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import FamilySpec, Polynomial, common_denominator
+from .families import FamilySpec, Polynomial, common_denominator, family_record
 
 #: Binary digits of node accuracy used by the exact verification paths.
 DEFAULT_REFINE_BITS = 192
@@ -50,12 +56,8 @@ class RootfindingError(RuntimeError):
     """Root computation failed in a way that signals corrupted input."""
 
 
-class NonRealRootError(RootfindingError):
-    """A root kept a significant imaginary part after polishing."""
-
-
 class NonSimpleRootError(RootfindingError):
-    """Two roots collapsed within the separation tolerance."""
+    """Two roots collapsed: into touching half-ulp brackets, or given points closer than 1e-10."""
 
 
 def _round_div(p: int, q: int) -> int:
@@ -141,10 +143,7 @@ class NodeSet:
 
     def __init__(self, nodes, poly: Polynomial, spec: Optional[FamilySpec] = None):
         nodes = tuple(float(x) for x in nodes)
-        try:
-            d1, d2, d3 = _derivative_caches(poly, nodes)
-        except OverflowError:
-            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
+        d1, d2, d3 = _derivative_caches(poly, nodes)
         vars(self).update(nodes=nodes, d1=d1, d2=d2, d3=d3, poly=poly, spec=spec, _memo={})
 
     def __setattr__(self, name: str, value) -> None:
@@ -191,7 +190,10 @@ class NodeSet:
         n, q = len(u), [1]
         for ui in u:
             q = [a - ui * b for a, b in zip([0] + q, q + [0])]
-        node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]))
+        try:
+            node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]))
+        except OverflowError:
+            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
         node_set.cached("refined", lambda: [Fraction(p) for p in pts])
         return node_set
 
@@ -202,108 +204,103 @@ def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
     return tuple(tuple(_at_double(b, d, x) for x in xs) for b in _derivative_lists(a, 3)[1:])
 
 
-def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((n, n))
-    if n > 1:
-        comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+def _jacobi_eigenvalues(spec: FamilySpec, n: int) -> np.ndarray:
+    """Eigenvalues of the n x n Jacobi matrix of spec's recurrence: the zeros of p_n in doubles."""
+    record = family_record(spec)
+    record.squared_norms(n)
+    off = np.sqrt([float(b) for b in record.b[1:n]])
+    return np.linalg.eigvalsh(np.diag([float(a) for a in record.a[:n]]) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _polish(poly: Polynomial, deriv: Polynomial, z: complex, real) -> complex:
-    """Newton from a companion-matrix guess, deriv = poly'.
-
-    real(x) returns p(x) and p'(x) at a real double x, evaluated exactly;
-    complex iterates take the plain loop.
-    """
-    x = z
+def _polish(a: Sequence[int], slope: Sequence[int], d: int, x: float) -> float:
+    """Newton on p = sum_k a_k x^k / d from x; slope is p' on the same denominator."""
     for _ in range(60):
-        if x.imag == 0.0:
-            fx, dfx = real(x.real)
-        else:
-            fx, dfx = poly(x), deriv(x)
+        fx, dfx = _at_double(a, d, x), _at_double(slope, d, x)
         if dfx == 0:
             break
         step = fx / dfx
-        x = x - step
-        if abs(x.imag) < 1e-12 * max(1.0, abs(x.real)):
-            x = complex(x.real, 0.0)
+        x -= step
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
             break
     return x
 
 
-#: (p, spec, node set) of the last zeros() call that returned; see zeros.
-_last_zeros: list[tuple[Polynomial, Optional[FamilySpec], NodeSet]] = []
+def _order(x: float) -> int:
+    """x's place among the doubles: consecutive doubles get consecutive ints, and both zeros get 0."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -i - (1 << 63)
 
 
-def zeros(p: Polynomial, spec: Optional[FamilySpec] = None) -> NodeSet:
-    """All N zeros of p, polished, sorted ascending, with derivative caches.
+def _double(i: int) -> float:
+    """The double at place i; the inverse of _order, with 0.0 at 0."""
+    return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -i - (1 << 63)))[0]
 
-    Raises NonRealRootError if any root keeps |imag| > 1e-8 after polishing
-    and NonSimpleRootError if two roots come within 1e-10 of each other;
-    both signal corrupted coefficients or exhausted precision rather than a
-    property of the supported families. When a family spec is passed, the
-    nodes are also checked against the convex hull of its measure support.
 
-    The zeros of the last (p, spec) are kept, so a repeated call finds no
-    roots: it returns the same NodeSet, which is immutable. A call that
-    raised is not kept.
+def _sign_above(a: Sequence[int], i: int) -> int:
+    """The sign of p = sum_k a_k x^k / d (d > 0) halfway between the doubles at places i and i + 1, exact."""
+    (u, v), (w, z) = _double(i).as_integer_ratio(), _double(i + 1).as_integer_ratio()
+    top = max(v, z)  # v and z are powers of two, so the midpoint is (u top / v + w top / z) / (2 top)
+    h = _horner(a, u * (top // v) + w * (top // z), top.bit_length())
+    return (h > 0) - (h < 0)
+
+
+def _finish(a: Sequence[int], x: float) -> float:
+    """The double nearest the zero of p = sum_k a_k x^k / d that x approximates.
+
+    x is kept when p changes sign across its half-ulp bracket or vanishes
+    at an end. Otherwise p has one sign s at both ends: a probe doubles its
+    distance from x on both sides until p is not s halfway above it, and a
+    bisection over the places between finds the double whose bracket holds
+    the change.
     """
-    for q, s, found in _last_zeros:
-        if q == p and s == spec:
-            return found
-    found = _zeros(p, spec)
-    _last_zeros[:] = [(p, spec, found)]
-    return found
+    i = _order(x)
+    s = _sign_above(a, i - 1)
+    if s * _sign_above(a, i) <= 0:
+        return _double(i)  # x, with -0.0 as 0.0
+    step = math.ulp(x)
+    while step < math.inf:
+        for probe in (x - step, x + step):
+            j = _order(probe)
+            if abs(probe) < sys.float_info.max and _sign_above(a, j) != s:
+                lo, hi = (j, i - 1) if probe < x else (i, j)
+                lo_is_s = probe > x
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if (_sign_above(a, mid) == s) == lo_is_s:
+                        lo = mid
+                    else:
+                        hi = mid
+                return _double(hi)
+        step *= 2
+    raise RootfindingError(f"p keeps one sign on both sides of {x!r}")
 
 
-def _zeros(p: Polynomial, spec: Optional[FamilySpec]) -> NodeSet:
+@lru_cache(maxsize=1)
+def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
+    """The zeros of p, spec's member of degree N >= 1: correctly rounded, ascending, with p', p'', p''' there.
+
+    Each zero's half-ulp bracket holds a sign change of p; no tolerance
+    takes part. Brackets that touch raise NonSimpleRootError and a zero
+    outside the support hull RootfindingError: corrupted coefficients, not
+    a property of the families. ValueError: p is not spec's member, or it
+    overflows double precision. The last (p, spec) is kept, so a repeated
+    call returns the same immutable NodeSet; a call that raised is not kept.
+    """
     n = p.degree
-    if n < 1:
-        raise ValueError("need a polynomial of degree at least 1")
+    if n < 1 or family_record(spec).grow(n)[n] != p:
+        raise ValueError(f"need the member of degree N >= 1 of {spec.label()}")
+    a, d = p._integer_form()
+    slope = _derivative_lists(a, 1)[1]
     try:
-        cf = np.array([float(c) for c in p.coeffs])
-    except OverflowError:  # float() of a Fraction past double range
-        cf = None
-    if cf is None or not np.all(np.isfinite(cf)):
-        raise ValueError(f"the degree-{n} member's coefficients overflow double precision")
-    ints, den = p._integer_form()
-    slope = _derivative_lists(ints, 1)[1]
-
-    def value(x: float) -> float:
-        return _at_double(ints, den, x)
-
-    def real(x: float) -> tuple[float, float]:
-        return value(x), _at_double(slope, den, x)
-
-    deriv = p.derivative()
-    roots = [_polish(p, deriv, z, real) for z in _companion_eigenvalues(cf)]
-
-    worst_imag = max(abs(z.imag) for z in roots)
-    if worst_imag > 1e-8:
-        raise NonRealRootError(f"root with imaginary part {worst_imag:.3e} after polishing")
-    xs = sorted(z.real for z in roots)
-
-    for a, b in zip(xs, xs[1:]):
-        if b - a < 1e-10:
-            raise NonSimpleRootError(f"roots {a!r} and {b!r} within 1e-10")
-
-    for x in xs:
-        scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(cf))
-        residual = abs(value(x))
-        if residual > 1e-14 * max(1.0, scale):
-            raise RootfindingError(f"|p({x})| = {residual:.3e} above 1e-14 * coefficient scale")
-
-    if spec is not None:
+        xs = sorted(_finish(a, _polish(a, slope, d, x)) for x in _jacobi_eigenvalues(spec, n))
+        for x, y in zip(xs, xs[1:]):
+            if y <= math.nextafter(x, math.inf):
+                raise NonSimpleRootError(f"zeros {x!r} and {y!r} share a half-ulp bracket end")
         lo, hi = spec.hull()
-        for x in xs:
-            tol = 1e-9 * max(1.0, abs(x))
-            if x < lo - tol or x > hi + tol:
-                raise RootfindingError(
-                    f"zero {x} outside the support hull [{lo}, {hi}] of {spec.label()}"
-                )
-
-    return NodeSet(xs, p, spec)
+        if xs[0] < lo or xs[-1] > hi:
+            raise RootfindingError(
+                f"zeros {xs[0]!r} .. {xs[-1]!r} outside the support hull [{lo}, {hi}] of {spec.label()}"
+            )
+        return NodeSet(xs, p, spec)
+    except OverflowError:
+        raise ValueError(f"the degree-{n} member's coefficients overflow double precision") from None

@@ -24,4 +24,4 @@ settings.load_profile("krallzeros")
 def fresh_memos():
     identities.get_cell.cache_clear()
     families.family_record.cache_clear()
-    rootfinding._last_zeros.clear()
+    rootfinding.zeros.cache_clear()

@@ -662,7 +662,7 @@ def test_warm_memos_do_not_change_the_report(capsys):
     assert run(capsys, *argv) == cold
     identities.get_cell.cache_clear()
     families.family_record.cache_clear()
-    rootfinding._last_zeros.clear()
+    rootfinding.zeros.cache_clear()
     assert run(capsys, *argv) == cold
 
 

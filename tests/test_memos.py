@@ -17,7 +17,6 @@ import pytest
 
 from krallzeros import (
     FamilySpec,
-    NonRealRootError,
     build_family,
     cli,
     collocation_rep_simplified,
@@ -55,7 +54,7 @@ def coefficient_tables(monkeypatch):
 
 @pytest.fixture
 def root_findings(monkeypatch):
-    return count_calls(monkeypatch, rootfinding, "_companion_eigenvalues")
+    return count_calls(monkeypatch, rootfinding, "_jacobi_eigenvalues")
 
 
 class TestBuildFamily:
@@ -129,15 +128,16 @@ class TestZeros:
     def test_another_key_finds_roots_again(self, root_findings):
         member = build_family(KLAG, 6)[6]
         zeros(member, KLAG)
-        zeros(member)  # no spec: no hull check, another key
+        zeros(build_family(KLAG, 5)[5], KLAG)  # another member: another key
         zeros(member, KLAG)
         assert len(root_findings) == 3
 
     def test_raising_zeros_are_not_kept(self, root_findings):
-        member = build_family(KJAC, 24)[24]  # companion-matrix zeros break at N = 24
+        hermite = FamilySpec("hermite")
+        member = build_family(hermite, 300)[300]  # overflows double precision at its zeros
         for _ in range(2):
-            with pytest.raises(NonRealRootError):
-                zeros(member, KJAC)
+            with pytest.raises(ValueError, match="overflow double precision"):
+                zeros(member, hermite)
         assert len(root_findings) == 2
 
     def test_node_sets_share_their_caches(self):

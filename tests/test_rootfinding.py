@@ -1,15 +1,17 @@
-"""Root finding: node accuracy, error paths, derivative caches, refinement."""
+"""Root finding: node accuracy, the half-ulp certificate, error paths, derivative caches, refinement."""
 
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_kernel import specs_by_family
 
 from krallzeros import (
     FamilySpec,
     NodeSet,
-    NonRealRootError,
     NonSimpleRootError,
     Polynomial,
     RootfindingError,
@@ -96,32 +98,84 @@ def test_derivative_caches_match_exact_evaluation():
             assert cached == float(d(F(x)))
 
 
-def test_complex_pair_rejected():
-    with pytest.raises(NonRealRootError):
-        zeros(Polynomial([F(1), F(0), F(1)]))  # x^2 + 1
+def sign_at(p, x):
+    """The sign of p at the rational x, from the exact Fraction value."""
+    value = p(x)
+    return (value > 0) - (value < 0)
 
 
-def test_double_root_rejected():
-    # (x - 1)^2 (x - 3)
-    p = Polynomial([F(-3), F(7), F(-5), F(1)])
-    with pytest.raises(NonSimpleRootError):
-        zeros(p)
+def assert_correctly_rounded(p, xs):
+    """Each x is the double nearest a zero of p: p changes sign across [x - ulp/2, x + ulp/2] or vanishes at an end."""
+    for x in xs:
+        below = (F(math.nextafter(x, -math.inf)) + F(x)) / 2
+        above = (F(x) + F(math.nextafter(x, math.inf))) / 2
+        assert sign_at(p, below) * sign_at(p, above) <= 0, x
 
 
-def test_hull_violation_rejected():
-    # zero at 2 does not belong to [-1, 1]
-    with pytest.raises(RootfindingError):
-        zeros(Polynomial([F(-2), F(1)]), KLEG1)
+@given(st.one_of(*specs_by_family), st.integers(1, 60))
+@example(FamilySpec("hermite"), 3)  # an exact zero at 0, where Newton stops at +-1e-32
+@example(FamilySpec("krall-legendre", alpha=2), 15)  # the same
+@example(FamilySpec("krall-jacobi", alpha=0, mass=1), 21)  # the companion matrix's first failures
+@example(FamilySpec("krall-jacobi", alpha=1, mass=2), 24)
+def test_zeros_are_certified(spec, n):
+    """The zeros of p_N and p_(N+1) are correctly rounded, interlace strictly and lie inside the hull."""
+    lower, upper = build_family(spec, n + 1)[n:]
+    xs, ys = zeros(lower, spec).nodes, zeros(upper, spec).nodes
+    assert len(xs) == n and len(ys) == n + 1
+    assert_correctly_rounded(lower, xs)
+    assert_correctly_rounded(upper, ys)
+    merged = [ys[0]] + [v for pair in zip(xs, ys[1:]) for v in pair]
+    assert all(a < b for a, b in zip(merged, merged[1:]))
+    lo, hi = spec.hull()
+    assert lo <= ys[0] and ys[-1] <= hi
+
+
+@pytest.mark.parametrize("spec, n", [(FamilySpec("hermite"), 3), (FamilySpec("krall-legendre", alpha=2), 15)])
+def test_exact_zero_is_positive_zero(spec, n):
+    xs = zeros(build_family(spec, n)[n], spec).nodes
+    assert math.copysign(1.0, xs[n // 2]) == 1.0 and xs[n // 2] == 0.0
+
+
+def test_finish_moves_to_the_nearest_double():
+    a = [-2, 0, 1]  # x^2 - 2
+    root = math.sqrt(2.0)  # correctly rounded
+    for x in (root, math.nextafter(root, 0.0), root + 5 * math.ulp(root), 1.5, 1.0):
+        assert rootfinding._finish(a, x) == root
+    assert rootfinding._finish([0, -3, 0, 2], 1e-32) == 0.0  # 2 x^3 - 3 x at +1e-32
+
+
+def test_finish_without_a_sign_change_raises():
+    with pytest.raises(RootfindingError, match="keeps one sign"):
+        rootfinding._finish([1, -2, 1], 1.0)  # (x - 1)^2
+
+
+def test_two_guesses_on_one_zero_rejected(monkeypatch):
+    real = rootfinding._jacobi_eigenvalues
+
+    def collapsed(spec, n):
+        guesses = real(spec, n)
+        guesses[1] = guesses[0]
+        return guesses
+
+    monkeypatch.setattr(rootfinding, "_jacobi_eigenvalues", collapsed)
+    with pytest.raises(NonSimpleRootError, match="half-ulp bracket"):
+        zeros(build_family(KLEG1, 4)[4], KLEG1)
+
+
+def test_narrowed_hull_rejected(monkeypatch):
+    monkeypatch.setattr(FamilySpec, "hull", lambda self: (0.5, 1.0))
+    with pytest.raises(RootfindingError, match="support hull"):
+        zeros(build_family(KJAC12, 6)[6], KJAC12)
 
 
 def test_degree_zero_rejected():
     with pytest.raises(ValueError):
-        zeros(Polynomial([F(3)]))
+        zeros(build_family(KLEG1, 0)[0], KLEG1)
 
 
-def test_float_coefficients_supported():
-    nodes = zeros(Polynomial([-1.0, 0.0, 1.0]))
-    assert nodes.nodes == pytest.approx((-1.0, 1.0))
+def test_non_member_rejected():
+    with pytest.raises(ValueError, match="member"):
+        zeros(Polynomial([F(-1, 2), F(1)]), KLEG1)  # zero at 1/2, but not p_1
 
 
 class TestRefined:
