@@ -32,6 +32,10 @@ sits in. Through the command-line driver, in one process, it runs:
 - `zeros` and `verify --suite eigenpair` with `--format json --n 24` on
   krall-jacobi(1, 2), the first degree where zeros from the companion
   matrix of the monomial coefficients failed for that spec;
+- `matrix --kind K --format json --n 40` for K in lambda and l on
+  krall-laguerre(1), where the 192-bit refined zeros run out of precision
+  and both exit 1, and `zeros --format json --n 204` on hermite, whose
+  zeros are all certified but whose p', p'', p''' there overflow doubles;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -190,6 +194,10 @@ def runs() -> dict[str, list[str]]:
     out["verify-eigenpair-n24-krall-jacobi-1-2"] = [
         "verify", "--suite", "eigenpair", *kjac, "--format", "json", "--n", "24",
     ]
+    klag1 = ["--family", "krall-laguerre", "--alpha", "1"]
+    for kind in ("lambda", "l"):
+        out[f"matrix-{kind}-n40-krall-laguerre-1"] = ["matrix", "--kind", kind, *klag1, "--format", "json", "--n", "40"]
+    out["zeros-n204-hermite"] = ["zeros", "--family", "hermite", "--format", "json", "--n", "204"]
     return out
 
 
