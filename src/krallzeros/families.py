@@ -13,9 +13,9 @@ operator coefficients and eigenvalues. Float consumers round each exact
 coefficient once (`Polynomial.to_float`), so no degree loses accuracy to
 the rounding. The measure is integrated in one place, `moment_table`, whose
 integer moments `integral` sums coefficients against. What depends on the
-spec alone, the members, moments, recurrence, squared norms, eigenvalues
-and operator, lives in one `FamilyRecord` per spec, extended on demand;
-`family_record` keeps the last spec's.
+spec alone, the members, moments, recurrence, eigenvalues and operator,
+lives in one `FamilyRecord` per spec, extended on demand, and the squared
+norms are read off the recurrence; `family_record` keeps the last spec's.
 
 Measure normalization: the Krall measures are used exactly as defined
 (their point masses are pinned by the family parameters). The classical
@@ -450,19 +450,18 @@ def _coeffs(spec: FamilySpec, nu: int) -> tuple[list[int], int]:
 
 
 class FamilyRecord:
-    """One spec's members, moments, eigenvalues `mus` and operator `op` (`op_float` in doubles), each built once.
+    """One spec's members, moments, eigenvalues `mus`, recurrence `a`, `b` and operator `op` (`op_float` in doubles).
 
     With p_n = lead_n (x^n + s_n x^(n-1) + t_n x^(n-2) + ...), the monic
     members follow q_(n+1) = (x - a_n) q_n - b_n q_(n-1) with
     a_n = s_n - s_(n+1), b_n = t_n - t_(n+1) - a_n s_n and b_0 = m_0, and
     ||p_n||^2 = lead_n^2 b_0 ... b_n (Gautschi, Orthogonal Polynomials, 2004,
-    section 1.3); `squared_norms` fills `a`, `b` and `norms`. The lists only grow.
+    section 1.3), which `squared_norms` derives on each call. The lists only grow.
     """
 
     def __init__(self, spec: FamilySpec):
         self.spec, self.op = spec, operator_of(spec)
-        self.members, self.moments, self.mus, self.a, self.b, self.norms = [], [], [], [], [], []
-        self._monic = 1
+        self.members, self.moments, self.mus, self.a, self.b = [], [], [], [], []
 
     @cached_property
     def op_float(self) -> DiffOperator:
@@ -488,16 +487,19 @@ class FamilyRecord:
         self.mus.extend(eigenvalue(self.spec, m) for m in range(len(self.mus), n))
         return self.mus[:n]
 
-    def squared_norms(self, n: int) -> list[Fraction]:
-        """||p_0||^2 .. ||p_(n-1)||^2; b_(n-1) reads p_n."""
+    def recurrence(self, n: int) -> tuple[list[Fraction], list[Fraction]]:
+        """(a_0 .. a_(n-1), b_0 .. b_(n-1)); b_(n-1) reads p_n."""
         members = self.grow(n)
-        for k in range(len(self.norms), n):
+        for k in range(len(self.a), n):
             (s, t), (s1, t1) = _monic_ratios(members[k]), _monic_ratios(members[k + 1])
             self.a.append(s - s1)
             self.b.append(t - t1 - self.a[k] * s if k else self.moments_through(0)[0])
-            self._monic *= self.b[k]  # b_0 .. b_k, the squared norm of the monic q_k
-            self.norms.append(members[k].coeffs[-1] ** 2 * self._monic)
-        return self.norms[:n]
+        return self.a[:n], self.b[:n]
+
+    def squared_norms(self, n: int) -> list[Fraction]:
+        """||p_0||^2 .. ||p_(n-1)||^2, each lead_k^2 times the monic norm b_0 ... b_k."""
+        b = self.recurrence(n)[1]
+        return [p.coeffs[-1] ** 2 * q for p, q in zip(self.members, accumulate(b, mul))]
 
 
 def _monic_ratios(p: Polynomial) -> tuple[Fraction, Fraction]:

@@ -28,15 +28,15 @@ algebra in the nodes and hold on any N distinct nodes, so the default
 engine evaluates them in exact rational arithmetic on small dyadic nodes
 that span the zeros (`Cell.xq`), where a formula error shows up at full
 strength and an honest implementation gives residual zero. It runs on
-integers: the cell's collocation matrix and each value vector sit over one
-common denominator (under 50 bits for the matrix at N = 20, where the
-double zeros read as rationals gave it 5-10k), D p_m is one integer matvec
-reduced once, and each residual is one correctly rounded int / int. A plain
-double-precision eigenpair check, on the zeros, is kept for comparison; its
-residuals carry the conditioning of the assembly (around 1e-7 for wide
-node spreads at N = 12). The closed-form identities read their entries
-from the cell's closed-form matrix, which
-`matrices.collocation_rep_simplified` evaluates in doubles on
+integers: the cell keeps its collocation matrix over one common
+denominator (under 50 bits at N = 20, where the double zeros read as
+rationals gave it 5-10k) and each value vector over its own, and each
+defect D p_m - mu_m p_m takes one integer matvec reduced once and gives
+correctly rounded int / int residuals. A plain double-precision eigenpair
+check, on the zeros, is kept for comparison; its residuals carry the
+conditioning of the assembly (around 1e-7 for wide node spreads at
+N = 12). The closed-form identities read the closed-form matrix that the
+zeros' node set keeps (`matrices._closed_form`), evaluated in doubles on
 exactly-evaluated derivative caches; that is where their content lives.
 The value vectors come from the one value table in `rootfinding`
 (`_value_numerators`), and the L L_inv = I half of similarity reads the one
@@ -65,7 +65,7 @@ from .families import (
     common_denominator,
     family_record,
 )
-from .matrices import MatrixRep, christoffel_numbers, collocation_exact, collocation_rep, quadrature_exactness
+from .matrices import christoffel_numbers, collocation_exact, collocation_rep, quadrature_exactness
 from .rootfinding import NodeSet, _value_numerators, zeros
 
 FAMILY_IDENTITY_TAG = {
@@ -160,11 +160,10 @@ class Cell:
     the zeros (`values_float`, `dc_float`) and in exact arithmetic on the
     exact nodes `xq`, an equally spaced dyadic grid across the zeros' span.
     The exact engine reads the collocation matrix and the value vectors over
-    common denominators (`dc_scaled`, `values_scaled`) and shares D p_m
-    (`dp_exact`) and the defects D p_m - mu_m p_m (`exact_defects`) between
-    the exact eigenpair, rowsum and power checks and the D half of
-    similarity. The Christoffel numbers, the quadrature and the transition
-    pair read the refined zeros.
+    common denominators (`dc_scaled`, `values_scaled`) and shares the
+    defects D p_m - mu_m p_m (`exact_defects`) between the exact eigenpair,
+    rowsum and power checks and the D half of similarity. The Christoffel
+    numbers, the quadrature and the transition pair read the refined zeros.
     The family and the zeros come from `build_family` and `zeros`, which
     keep their last result, so a cell reuses what its caller built on the
     same (spec, N). What depends only on the zeros lives in the
@@ -172,10 +171,10 @@ class Cell:
     Z^(k) in its kernel (`matrices.node_kernel`), the refined nodes, the
     Christoffel numbers (`matrices.christoffel_numbers`, the cell keeps no
     copy) and the closed-form collocation matrix of each formula
-    (`closed_form`) with its off-diagonal sums, which both readings of the
-    family identity read. The eigenvalues and the operator come from the
-    spec's `families.family_record`. Get cells from `get_cell`, which keeps
-    the last one built.
+    (`matrices._closed_form`) with its off-diagonal sums, which both
+    readings of the family identity read. The eigenvalues and the operator
+    come from the spec's `families.family_record`. Get cells from
+    `get_cell`, which keeps the last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int):
@@ -230,13 +229,9 @@ class Cell:
         return [[v / den for v in row] for row, den in _value_numerators(self.family[: self.n], zeros_q)]
 
     @cached_property
-    def dc_exact(self) -> list[list[Fraction]]:
-        return collocation_exact(self.op, self.xq)
-
-    @cached_property
     def dc_scaled(self) -> tuple[list[list[int]], int]:
-        """dc_exact over one common denominator: (integer rows, denominator)."""
-        a, big_l = common_denominator([v for row in self.dc_exact for v in row])
+        """The exact collocation matrix on xq over one common denominator: (integer rows, denominator)."""
+        a, big_l = common_denominator([v for row in collocation_exact(self.op, self.xq) for v in row])
         return [a[i : i + self.n] for i in range(0, len(a), self.n)], big_l
 
     @cached_property
@@ -249,18 +244,9 @@ class Cell:
         return out
 
     @cached_property
-    def dp_exact(self) -> list[tuple[list[int], int]]:
-        """D p_m for m < N, one integer matvec per value vector."""
-        return [_matvec(self.dc_scaled, vector) for vector in self.values_scaled]
-
-    @cached_property
     def exact_defects(self) -> list[tuple[list[int], int, int]]:
-        """D p_m - mu_m p_m for m < N, exactly, as _defect gives them."""
-        return [_defect(dp, vector, mu) for dp, vector, mu in zip(self.dp_exact, self.values_scaled, self.mus)]
-
-    def closed_form(self, formula: str) -> MatrixRep:
-        """The closed-form collocation matrix on the zeros, which the node set keeps (read-only)."""
-        return matrices._closed_form(self.spec, self.nodes, formula)
+        """D p_m - mu_m p_m for m < N, exactly, as _defect gives them from one integer matvec each."""
+        return [_defect(_matvec(self.dc_scaled, v), v, mu) for v, mu in zip(self.values_scaled, self.mus)]
 
     @cached_property
     def dc_float(self) -> np.ndarray:
@@ -288,7 +274,7 @@ def get_cell(spec: FamilySpec, n: int, /) -> Cell:
 def _matvec(matrix: tuple[list[list[int]], int], vector: tuple[list[int], int]) -> tuple[list[int], int]:
     """(A / d)(b / e) as (integers, denominator), reduced once for the whole vector.
 
-    `Cell.dp_exact` takes it for D p, and `_exact_defects` for the powers D^e p.
+    `Cell.exact_defects` takes it for D p, and `_exact_defects` for the powers D^e p.
     """
     (a, d), (b, e) = matrix, vector
     p = [sum(map(mul, row, b)) for row in a]
@@ -310,20 +296,22 @@ def _defect(power: tuple[list[int], int], vector: tuple[list[int], int], mu: Fra
 
 
 def _exact_defects(cell: Cell, exponent: int = 1) -> list[tuple[list[int], int, int]]:
-    """D^e p_m - mu_m^e p_m for m < N, exactly, by integer matvecs from the cell's D p_m.
+    """D^e p_m - mu_m^e p_m for m < N, exactly, by integer matvecs on the cell's value vectors.
 
     Exponent 1 is the cell's table. Above it, a row whose exponent-1 defect
     is identically zero is zero too, and takes no matvec:
-    D^e p - mu^e p = sum_j mu^j D^(e-1-j) (D p - mu p).
+    D^e p - mu^e p = sum_j mu^j D^(e-1-j) (D p - mu p). Any other row, which
+    fails the check, applies D e times.
     """
     if exponent == 1:
         return cell.exact_defects
     out = []
-    for power, vector, mu, (first, _, _) in zip(cell.dp_exact, cell.values_scaled, cell.mus, cell.exact_defects):
+    for vector, mu, (first, _, _) in zip(cell.values_scaled, cell.mus, cell.exact_defects):
         if not any(first):
             out.append(([0] * len(first), 1, 1))
             continue
-        for _ in range(exponent - 1):
+        power = vector
+        for _ in range(exponent):
             power = _matvec(cell.dc_scaled, power)
         out.append(_defect(power, vector, mu**exponent))
     return out
@@ -450,7 +438,7 @@ def _offdiagonal_sums(matrix: np.ndarray, values: list[list[float]]) -> np.ndarr
 
 
 def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, printed: bool = False):
-    """(cells, notes, rows, lhs, rhs) of a closed-form zero identity on C = cell.closed_form(formula).
+    """(cells, notes, rows, lhs, rhs) of a closed-form zero identity on the cell's closed-form matrix C.
 
     rows lists the rows i not under the singular guard, in order. For
     i = rows[r] and m < N, lhs[r, m] = -sum_(k != i) C[i, k] p_m(x_k) is
@@ -459,7 +447,7 @@ def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, pri
     scaled by max(1, |mu_m t|, |C[i, i] t|). The cells run over the rows,
     then m; the skipped rows get a note.
     """
-    rep = cell.closed_form(formula)
+    rep = matrices._closed_form(cell.spec, cell.nodes, formula)
     rows = [i for i in range(cell.n) if i not in rep.flagged]
     mus, diagonal = np.array([float(mu) for mu in cell.mus]), rep.data.diagonal()[rows, None]
     trailing = np.array(cell.nodes.d1)[rows, None] if printed else np.array(cell.values_float).T[rows]

@@ -206,10 +206,9 @@ def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
 
 def _jacobi_eigenvalues(spec: FamilySpec, n: int) -> np.ndarray:
     """Eigenvalues of the n x n Jacobi matrix of spec's recurrence: the zeros of p_n in doubles."""
-    record = family_record(spec)
-    record.squared_norms(n)
-    off = np.sqrt([float(b) for b in record.b[1:n]])
-    return np.linalg.eigvalsh(np.diag([float(a) for a in record.a[:n]]) + np.diag(off, 1) + np.diag(off, -1))
+    a, b = family_record(spec).recurrence(n)
+    off = np.sqrt([float(v) for v in b[1:]])
+    return np.linalg.eigvalsh(np.diag([float(v) for v in a]) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _polish(a: Sequence[int], slope: Sequence[int], d: int, x: float) -> float:

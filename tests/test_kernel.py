@@ -206,11 +206,18 @@ def values_reference(cell, xq):
     return [[cell.family[m](x) for x in xq] for m in range(cell.n)]
 
 
+def exact_matrix(cell):
+    """The cell's exact collocation matrix as Fractions, read back from dc_scaled, where perturbed() puts its noise."""
+    rows, d = cell.dc_scaled
+    return [[F(v, d) for v in row] for row in rows]
+
+
 def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
+    dc = exact_matrix(cell)
     max_residual, cells, eigenpairs = eigen_cells_reference(
-        "eigenpair", cell.dc_exact, values_reference(cell, cell.xq), cell.mus, tolerance
+        "eigenpair", dc, values_reference(cell, cell.xq), cell.mus, tolerance
     )
-    rowsum = worst_residual(float(abs(sum(row))) for row in cell.dc_exact)
+    rowsum = worst_residual(float(abs(sum(row))) for row in dc)
     return cell.report(
         "eigenpair", tolerance, "exact", max_residual,
         passed=max_residual <= tolerance and rowsum <= rowsum_tolerance,
@@ -220,7 +227,7 @@ def eigenpairs_reference(cell, tolerance, rowsum_tolerance):
 
 
 def power_reference(cell, exponent, tolerance):
-    n, dc = cell.n, cell.dc_exact
+    n, dc = cell.n, exact_matrix(cell)
     power = dc
     for _ in range(exponent - 1):
         power = [[sum(power[i][k] * dc[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
@@ -250,7 +257,7 @@ def similarity_reference(cell):
     n, mus = cell.n, cell.mus
     lams = christoffel_numbers(cell.nodes, cell.spec)
     l_mat, l_inv = transition_reference(cell.family, lams, cell.nodes.refined(), cell.spec)
-    dc, pv = cell.dc_exact, values_reference(cell, cell.xq)
+    dc, pv = exact_matrix(cell), values_reference(cell, cell.xq)
     worst = F(0)
     for m in range(n):
         total = F(0)
@@ -706,7 +713,7 @@ def closed_form_sums_reference(cell, formula, tag, printed=False, tolerance=1e-7
 
     The trailing factor is p_m(x_i), or p_N'(x_i) when printed; sides holds (i, m, mu_m, lhs, rhs) per cell.
     """
-    rep = cell.closed_form(formula)
+    rep = matrices._closed_form(cell.spec, cell.nodes, formula)
     cells, sides = [], []
     for i, row in enumerate(rep.data.tolist()):
         if i in rep.flagged:
@@ -785,6 +792,12 @@ def family_identity_reference(cell, variant, tolerance=1e-7):
     return cell.report(tag, tolerance, "float", max_residual, cells=cells, variant=variant, notes=notes)
 
 
+def scaled(dc):
+    """A square exact matrix as Cell.dc_scaled holds it: (integer rows, least common denominator)."""
+    ints, d = common_denominator([v for row in dc for v in row])
+    return [ints[i : i + len(dc)] for i in range(0, len(ints), len(dc))], d
+
+
 def perturbed(cell, data):
     """A new cell of get_cell, with rational noise added to some entries of its exact collocation matrix.
 
@@ -793,13 +806,13 @@ def perturbed(cell, data):
     of (cell.spec, cell.n) read the new cell until get_cell builds another.
     """
     n = cell.n
-    dc = [list(row) for row in cell.dc_exact]
+    dc = collocation_exact(cell.op, cell.xq)
     entries = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rationals)
     for i, j, noise in data.draw(st.lists(entries, max_size=4)):
         dc[i][j] += noise
     identities.get_cell.cache_clear()
     fresh = get_cell(cell.spec, n)
-    fresh.dc_exact = dc  # cached_property: the instance attribute takes precedence
+    fresh.dc_scaled = scaled(dc)  # cached_property: the instance attribute takes precedence
     return fresh
 
 
@@ -1010,10 +1023,10 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
     """Row 2 of D broken by +1 at column 0 and -1 at column 5: D 1 is unchanged, so
     the m = 0 defect stays zero and skips its matvecs, and every other m keeps them."""
     cell = get_cell(FamilySpec("krall-jacobi", alpha=F(1), mass=F(2)), 6)
-    dc = [list(row) for row in cell.dc_exact]
+    dc = collocation_exact(cell.op, cell.xq)
     dc[2][0] += 1
     dc[2][5] -= 1
-    cell.dc_exact = dc
+    cell.dc_scaled = scaled(dc)
     defects = [d for d, _, _ in cell.exact_defects]
     assert not any(defects[0]) and all(any(d) for d in defects[1:])
     matvecs = []
@@ -1022,7 +1035,7 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
     for exponent in (2, 3):
         matvecs.clear()
         report = verify_power(cell.spec, 6, exponent, 1e-6)
-        assert len(matvecs) == (cell.n - 1) * (exponent - 1)
+        assert len(matvecs) == (cell.n - 1) * exponent
         assert report.to_dict() == power_reference(cell, exponent, 1e-6).to_dict()
         assert report.eigenpairs[0]["residual"] == 0.0 and report.max_residual > 0.0
 
@@ -1030,21 +1043,28 @@ def test_power_keeps_the_matvecs_of_nonzero_rows(monkeypatch):
 def dp_reference(cell):
     """D p_m by Fraction sums over the exact matrix and values, each vector over its least denominator."""
     return [
-        common_denominator([sum(map(mul, row, values)) for row in cell.dc_exact])
+        common_denominator([sum(map(mul, row, values)) for row in exact_matrix(cell)])
         for values in values_reference(cell, cell.xq)
     ]
 
 
+def defects_reference(cell):
+    """The defects that identities._defect forms from the reference D p_m; its arithmetic is what the
+    eigenpair references check, so a difference here is one in D p_m or in its integer form."""
+    return [identities._defect(dp, v, mu) for dp, v, mu in zip(dp_reference(cell), cell.values_scaled, cell.mus)]
+
+
 @given(cells, st.data())
 def test_dp_exact_is_the_matvec_of_each_value_vector(cell, data):
-    """On the cell's own matrix (no noise drawn) and on perturbed ones."""
+    """The cell's defects read D p_m as the matvec reference gives it, on the cell's own matrix (no noise
+    drawn) and on perturbed ones."""
     cell = perturbed(cell, data)
-    assert cell.dp_exact == dp_reference(cell)
+    assert cell.exact_defects == defects_reference(cell)
 
 
 def test_dp_exact_is_the_matvec_at_n_24():
     cell = get_cell(FamilySpec("krall-legendre", alpha=F(1)), 24)
-    assert cell.dp_exact == dp_reference(cell)
+    assert cell.exact_defects == defects_reference(cell)
 
 
 @given(cells)
@@ -1056,7 +1076,7 @@ def test_float_eigenpairs_unchanged(cell):
 @given(cells)
 def test_dc_scaled_is_the_least_common_denominator(cell):
     rows, d = cell.dc_scaled
-    assert [[F(v, d) for v in row] for row in rows] == cell.dc_exact
+    assert [[F(v, d) for v in row] for row in rows] == collocation_exact(cell.op, cell.xq)
     assert math.gcd(d, *(v for row in rows for v in row)) == 1
 
 
@@ -1188,11 +1208,11 @@ def test_record_recurrence(spec, n):
     """The monic members follow exactly from (a_k, b_k) by the three-term recurrence, with every b_k > 0;
     the record's moments leave moment_table as it was."""
     record = family_record(spec)
-    record.squared_norms(n)
-    assert len(record.a) == len(record.b) >= n and all(b > 0 for b in record.b)
+    a, b = record.recurrence(n)
+    assert len(a) == len(b) == n and all(v > 0 for v in b)
     x, previous, q = Polynomial([0, 1]), Polynomial(()), Polynomial([1])
     for k in range(n):
-        previous, q = q, (x - Polynomial([record.a[k]])) * q - record.b[k] * previous
+        previous, q = q, (x - Polynomial([a[k]])) * q - b[k] * previous
         assert q == build_family(spec, k + 1)[k + 1] * (1 / record.members[k + 1].coeffs[-1]), (spec.label(), k + 1)
     for top in (n, 2 * n + 1):
         assert moment_table(spec, top) == common_denominator([moment(spec, k) for k in range(top + 1)])
@@ -1699,7 +1719,7 @@ def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
     with singular_guard(guard):
         got = verify_fourth_order(cell.spec, cell.n, tolerance).to_dict()
         expected = fourth_order_reference(cell, tolerance).to_dict()
-        rows = cell.closed_form("fourth-order").data.tolist()
+        rows = matrices._closed_form(cell.spec, cell.nodes, "fourth-order").data.tolist()
     u = 2.0**-53
     banded = False
     assert len(got["results"]) == len(expected["results"])

@@ -215,14 +215,14 @@ def count_pairings(monkeypatch):
 
 
 def test_one_spec_through_every_report_suite_builds_each_piece_once(monkeypatch, capsys):
-    """verify --suite all on one spec, N = 2..12: each moment, norm and eigenvalue is computed once."""
+    """verify --suite all on one spec, N = 2..12: each moment, recurrence coefficient and eigenvalue is built once."""
     moments, eigenvalues = count_degrees(monkeypatch, "_next_moment"), count_degrees(monkeypatch, "eigenvalue")
     ratios, pairings = count_calls(monkeypatch, families, "_monic_ratios"), count_pairings(monkeypatch)
     assert cli.main(["verify", "--suite", "all", "--family", "krall-laguerre", "--alpha", "1/2", "--n", "2..12"]) == 0
     assert moments == [(KLAG, k) for k in range(2 * 12)]  # quadrature at N = 12 reads m_0 .. m_23
     assert eigenvalues == [(KLAG, m) for m in range(12 + 1)]  # the closed forms at N = 12 read mu_12
     record = families.family_record(KLAG)
-    assert len(record.norms) == 12 and ratios == [p for k in range(12) for p in record.members[k : k + 2]]
+    assert len(record.a) == 12 and ratios == [p for k in range(12) for p in record.members[k : k + 2]]
     assert pairings == []
     capsys.readouterr()
 
