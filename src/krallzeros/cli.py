@@ -304,19 +304,15 @@ def _matrix_for(args) -> matrices.MatrixRep:
     else:
         node_set = None
 
-    if kind == "z":
+    if spec_read:
+        spec = _spec_from_args(args)
+        n = _parse_n(args, single=True)[0] if node_set is None else len(node_set)
+        if kind == "dtau":
+            return matrices.tau_rep(operator_of(spec), spec, n)
         if node_set is None:
-            spec = _spec_from_args(args)
-            n = _parse_n(args, single=True)[0]
             node_set = zeros(build_family(spec, n)[n], spec)
+    if kind == "z":
         return matrices.diffmat(args.order, node_set, method=args.method)
-
-    spec = _spec_from_args(args)
-    n = _parse_n(args, single=True)[0] if node_set is None else len(node_set)
-    if kind == "dtau":
-        return matrices.tau_rep(operator_of(spec), spec, n)
-    if node_set is None:
-        node_set = zeros(build_family(spec, n)[n], spec)
     if kind == "dc":
         return matrices.collocation_rep(operator_of(spec), node_set)
     if kind == "dc-simplified":

@@ -599,13 +599,24 @@ def christoffel_numbers(nodes: NodeSet, spec: FamilySpec) -> list[Fraction]:
 
 
 def christoffel(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
-    """Diagonal matrix of the Christoffel numbers at the family zeros; every entry must be positive."""
+    """Diagonal matrix of the Christoffel numbers at the family zeros; every entry must be positive.
+
+    A weight <= 0 on the zeros of the spec's own degree-N member means the
+    refined zeros ran out of precision; on other nodes, that the nodes or
+    the moments are corrupted.
+    """
     for j, lam in enumerate(christoffel_numbers(nodes, spec)):
         if lam <= 0:
-            raise PositivityError(
-                f"weight {j} is {float(lam):.3e} <= 0; nodes or moments are corrupted"
-            )
+            cause = _exhausted_zeros(nodes, spec) or "nodes or moments are corrupted"
+            raise PositivityError(f"weight {j} is {float(lam):.3e} <= 0; {cause}")
     return interpolatory_weights(nodes, spec)
+
+
+def _exhausted_zeros(nodes: NodeSet, spec: FamilySpec) -> str | None:
+    """What ran out of precision when an exact check fails on the zeros of spec's own degree-N member, else None."""
+    n = len(nodes)
+    refined = f"the {DEFAULT_REFINE_BITS}-bit refined zeros of the degree-{n} member of {spec.label()}"
+    return f"precision exhausted: {refined}" if nodes.poly == build_family(spec, n)[n] else None
 
 
 def interpolatory_weights(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
@@ -782,11 +793,8 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
         residual = _inverse_residual(l_mat, l_inv, _GRID)
         if residual > 1e-10:
             cause = f"nodes are not accurate zeros for {spec.label()}"
-            if nodes.poly == build_family(spec, n)[n]:
-                cause = (
-                    f"precision exhausted: the {DEFAULT_REFINE_BITS}-bit refined zeros of the degree-{n} member of "
-                    f"{spec.label()} or the 2^-{_PRODUCT_BITS} grid of the pair"
-                )
+            if exhausted := _exhausted_zeros(nodes, spec):
+                cause = f"{exhausted} or the 2^-{_PRODUCT_BITS} grid of the pair"
             raise InversionConsistencyError(f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; {cause}")
     l_data, li_data = grid or (_on_grid(l_mat), _on_grid(l_inv))
     note = f"P * Lambda at the zeros of the degree-{n} member of {spec.label()}"

@@ -281,9 +281,10 @@ def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
     Each zero's half-ulp bracket holds a sign change of p; no tolerance
     takes part. Brackets that touch raise NonSimpleRootError and a zero
     outside the support hull RootfindingError: corrupted coefficients, not
-    a property of the families. ValueError: p is not spec's member, or it
-    overflows double precision. The last (p, spec) is kept, so a repeated
-    call returns the same immutable NodeSet; a call that raised is not kept.
+    a property of the families. ValueError: p is not spec's member, or p, or
+    p', p'', p''' at the zeros, overflow double precision. The last (p, spec)
+    is kept, so a repeated call returns the same immutable NodeSet; a call
+    that raised is not kept.
     """
     n = p.degree
     if n < 1 or family_record(spec).grow(n)[n] != p:
@@ -292,14 +293,15 @@ def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
     slope = _derivative_lists(a, 1)[1]
     try:
         xs = sorted(_finish(a, _polish(a, slope, d, x)) for x in _jacobi_eigenvalues(spec, n))
-        for x, y in zip(xs, xs[1:]):
-            if y <= math.nextafter(x, math.inf):
-                raise NonSimpleRootError(f"zeros {x!r} and {y!r} share a half-ulp bracket end")
-        lo, hi = spec.hull()
-        if xs[0] < lo or xs[-1] > hi:
-            raise RootfindingError(
-                f"zeros {xs[0]!r} .. {xs[-1]!r} outside the support hull [{lo}, {hi}] of {spec.label()}"
-            )
-        return NodeSet(xs, p, spec)
     except OverflowError:
         raise ValueError(f"the degree-{n} member's coefficients overflow double precision") from None
+    for x, y in zip(xs, xs[1:]):
+        if y <= math.nextafter(x, math.inf):
+            raise NonSimpleRootError(f"zeros {x!r} and {y!r} share a half-ulp bracket end")
+    lo, hi = spec.hull()
+    if xs[0] < lo or xs[-1] > hi:
+        raise RootfindingError(f"zeros {xs[0]!r} .. {xs[-1]!r} outside the support hull [{lo}, {hi}] of {spec.label()}")
+    try:
+        return NodeSet(xs, p, spec)
+    except OverflowError:
+        raise ValueError(f"p', p'' and p''' of the degree-{n} member overflow double precision at its zeros") from None

@@ -242,6 +242,50 @@ def test_double_overflow_exits_2(capsys, argv, culprit):
     assert culprit in captured.err
 
 
+def test_derivatives_overflowing_at_certified_zeros_exit_2(capsys):
+    """hermite N = 204: every zero is certified, and only p', p'', p''' there leave double range."""
+    assert main(["zeros", "--family", "hermite", "--n", "204"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: p', p'' and p''' of the degree-204 member overflow double precision at its zeros\n"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("lambda", "weight 39 is -5.597e-61 <= 0; precision exhausted: the 192-bit refined zeros of the degree-40 "
+     "member of krall-laguerre(alpha=1)"),
+    ("l", "||L L_inv - I||_inf = 4.038e+00 above 1e-10; precision exhausted: the 192-bit refined zeros of the "
+     "degree-40 member of krall-laguerre(alpha=1) or the 2^-512 grid of the pair"),
+])
+def test_exhausted_precision_at_the_zeros_exits_1(capsys, kind, message):
+    argv = ["matrix", "--kind", kind, "--family", "krall-laguerre", "--alpha", "1", "--n", "40", "--format", "json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_z_on_the_family_zeros_is_diffmat_there(capsys):
+    code, out = run(capsys, "matrix", "--kind", "z", "--order", "2", "--family", "hermite", "--n", "5",
+                    "--format", "json")
+    hermite = FamilySpec("hermite")
+    expected = matrices.diffmat(2, rootfinding.zeros(build_family(hermite, 5)[5], hermite)).data.tolist()
+    assert code == 0 and json.loads(out)["data"] == expected
+
+
+def test_report_without_degrees_runs_the_default_grid(capsys):
+    code, out = run(capsys, "report", "--format", "json")
+    assert code == 0 and json.loads(out)["meta"]["n_values"] == list(range(2, 13))
+
+
+@pytest.mark.parametrize("degrees, message", [
+    ([], "--n (or --n-range) is required"),
+    (["--n", "5..3"], "empty range '5..3'"),
+], ids=["missing", "empty"])
+def test_verify_without_degrees_exits_2(capsys, degrees, message):
+    assert main(["verify", "--suite", "eigenpair", "--family", "hermite", *degrees]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("nodes, culprit", [
     ("1,abc", "--nodes value 'abc' is not a finite number"),
     ("1,inf", "--nodes value 'inf' is not a finite number"),

@@ -222,7 +222,7 @@ class TestChristoffel:
     def test_positivity_violation_detected(self):
         # nodes outside the support force a negative interpolatory weight
         bad = NodeSet.from_points([0.8, 0.9, 0.99, 2.5])
-        with pytest.raises(PositivityError):
+        with pytest.raises(PositivityError, match="; nodes or moments are corrupted$"):
             christoffel(bad, KLEG1)
 
     @pytest.mark.parametrize("spec", KRALL_SPECS + CLASSICAL_SPECS)
