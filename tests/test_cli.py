@@ -233,21 +233,16 @@ def test_malformed_degree_names_the_option_and_value(capsys, option, value):
     (["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
      "the degree-3 member's coefficients overflow double precision"),
     (["zeros", "--family", "hermite", "--n", "300"], "the degree-300 member's coefficients overflow double precision"),
-], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree"])
+    # every zero is certified at N = 204; only p', p'', p''' there leave double range
+    (["zeros", "--family", "hermite", "--n", "204"],
+     "error: p', p'' and p''' of the degree-204 member overflow double precision at its zeros\n"),
+], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree", "zeros-derivatives"])
 def test_double_overflow_exits_2(capsys, argv, culprit):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
     assert culprit in captured.err
-
-
-def test_derivatives_overflowing_at_certified_zeros_exit_2(capsys):
-    """hermite N = 204: every zero is certified, and only p', p'', p''' there leave double range."""
-    assert main(["zeros", "--family", "hermite", "--n", "204"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: p', p'' and p''' of the degree-204 member overflow double precision at its zeros\n"
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -274,16 +269,6 @@ def test_z_on_the_family_zeros_is_diffmat_there(capsys):
 def test_report_without_degrees_runs_the_default_grid(capsys):
     code, out = run(capsys, "report", "--format", "json")
     assert code == 0 and json.loads(out)["meta"]["n_values"] == list(range(2, 13))
-
-
-@pytest.mark.parametrize("degrees, message", [
-    ([], "--n (or --n-range) is required"),
-    (["--n", "5..3"], "empty range '5..3'"),
-], ids=["missing", "empty"])
-def test_verify_without_degrees_exits_2(capsys, degrees, message):
-    assert main(["verify", "--suite", "eigenpair", "--family", "hermite", *degrees]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("nodes, culprit", [
@@ -329,10 +314,12 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
     (["verify", "--suite", "spectrum", "--family", "hermite", "--n", "0..3"], "error: need n >= 1"),
     (["report", "--n", "-1"], "error: need n >= 1"),
     (["family", "--family", "hermite", "--n", "-1"], "error: need n >= 0"),
+    (["verify", "--suite", "eigenpair", "--family", "hermite"], "error: --n (or --n-range) is required\n"),
+    (["verify", "--suite", "eigenpair", "--family", "hermite", "--n", "5..3"], "error: empty range '5..3'\n"),
 ], ids=["report-family", "verify-all-alpha", "verify-no-family-m-param", "family-tolerance", "zeros-seed",
         "matrix-seed", "zeros-range", "family-range", "matrix-range", "dtau-n0", "z-n0", "dc-n0",
         "dc-simplified-n0", "l-n0", "linv-n0", "lambda-n0", "nodes-n0", "zeros-n0", "verify-n0", "report-negative",
-        "family-negative"])
+        "family-negative", "verify-no-n", "verify-empty-range"])
 def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
     try:
         code = main(argv)
