@@ -34,8 +34,14 @@ sits in. Through the command-line driver, in one process, it runs:
   matrix of the monomial coefficients failed for that spec;
 - `matrix --kind K --format json --n 40` for K in lambda and l on
   krall-laguerre(1), where the 192-bit refined zeros run out of precision
-  and both exit 1, and `zeros --format json --n 204` on hermite, whose
-  zeros are all certified but whose p', p'', p''' there overflow doubles;
+  and both exit 1, and on hermite `zeros --format json --n 204`, whose
+  zeros are all certified but whose p', p'', p''' there overflow doubles,
+  `matrix --kind dc-simplified --format json --n 204`, the closed form that
+  reads them, and `verify --suite spectrum --format json --n 205`;
+- `matrix --kind dtau --format json --nodes 0.125,0.375,0.625,0.875` on
+  hermite, an option the spectral matrix does not read, and `verify --suite
+  power --format json --n 8 --exponent 80` on krall-legendre(1), whose
+  largest mu^80 is near 1e279, inside double range;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -197,7 +203,18 @@ def runs() -> dict[str, list[str]]:
     klag1 = ["--family", "krall-laguerre", "--alpha", "1"]
     for kind in ("lambda", "l"):
         out[f"matrix-{kind}-n40-krall-laguerre-1"] = ["matrix", "--kind", kind, *klag1, "--format", "json", "--n", "40"]
-    out["zeros-n204-hermite"] = ["zeros", "--family", "hermite", "--format", "json", "--n", "204"]
+    hermite, kleg1 = N40_SPECS["hermite"], N40_SPECS["krall-legendre-1"]
+    out["zeros-n204-hermite"] = ["zeros", *hermite, "--format", "json", "--n", "204"]
+    out["matrix-dc-simplified-n204-hermite"] = [
+        "matrix", "--kind", "dc-simplified", *hermite, "--format", "json", "--n", "204",
+    ]
+    out["verify-spectrum-n205-hermite"] = ["verify", "--suite", "spectrum", *hermite, "--format", "json", "--n", "205"]
+    out["matrix-dtau-nodes-hermite"] = [
+        "matrix", "--kind", "dtau", *hermite, "--format", "json", "--nodes", GIVEN_NODES,
+    ]
+    out["verify-power-exponent80-n8-krall-legendre-1"] = [
+        "verify", "--suite", "power", *kleg1, "--format", "json", "--n", "8", "--exponent", "80",
+    ]
     return out
 
 
