@@ -292,6 +292,7 @@ def _matrix_for(args) -> matrices.MatrixRep:
     _settle(
         args, f"--kind {args.kind}" + ("" if spec_read else " on given --nodes"),
         order=kind == "z", method=kind == "z", formula=kind == "dc-simplified",
+        nodes=kind not in ("dtau", "dc-simplified"),
         **dict.fromkeys(("family", "alpha", "beta", "m_param"), spec_read),
     )
     if args.nodes:
@@ -316,8 +317,6 @@ def _matrix_for(args) -> matrices.MatrixRep:
     if kind == "dc":
         return matrices.collocation_rep(operator_of(spec), node_set)
     if kind == "dc-simplified":
-        if args.nodes:
-            raise ParameterError("dc-simplified holds only at the family zeros; drop --nodes or use --kind dc")
         return matrices.collocation_rep_simplified(spec, node_set, formula=args.formula)
     if kind == "lambda":
         return (matrices.interpolatory_weights if args.nodes else matrices.christoffel)(node_set, spec)

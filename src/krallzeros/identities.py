@@ -36,8 +36,8 @@ correctly rounded int / int residuals. A plain double-precision eigenpair
 check, on the zeros, is kept for comparison; its residuals carry the
 conditioning of the assembly (around 1e-7 for wide node spreads at
 N = 12). The closed-form identities read the closed-form matrix that the
-zeros' node set keeps (`matrices._closed_form`), evaluated in doubles on
-exactly-evaluated derivative caches; that is where their content lives.
+zeros' node set keeps (`matrices.collocation_rep_simplified`), evaluated in
+doubles on exact p_N', p_N'', p_N'''; that is where their content lives.
 The value vectors come from the one value table in `rootfinding`
 (`_value_numerators`), and the L L_inv = I half of similarity reads the one
 transition-pair check, `matrices._transition_pair`.
@@ -46,6 +46,7 @@ transition-pair check, `matrices._transition_pair`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -171,10 +172,10 @@ class Cell:
     Z^(k) in its kernel (`matrices.node_kernel`), the refined nodes, the
     Christoffel numbers (`matrices.christoffel_numbers`, the cell keeps no
     copy) and the closed-form collocation matrix of each formula
-    (`matrices._closed_form`) with its off-diagonal sums, which both
-    readings of the family identity read. The eigenvalues and the operator
-    come from the spec's `families.family_record`. Get cells from
-    `get_cell`, which keeps the last one built.
+    (`matrices.collocation_rep_simplified`) with its off-diagonal sums,
+    which both readings of the family identity read. The eigenvalues and
+    the operator come from the spec's `families.family_record`. Get cells
+    from `get_cell`, which keeps the last one built.
     """
 
     def __init__(self, spec: FamilySpec, n: int):
@@ -401,14 +402,16 @@ def verify_power(
 
     The operator's eigen relation survives taking powers, so D^e keeps the
     same eigenvectors with eigenvalues mu_m^e. Entries scale like mu^e; an
-    overflow guard rejects exponents that would leave double range.
+    overflow guard rejects an exponent where some exact mu_m^e exceeds the
+    largest double.
     """
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     cell = get_cell(spec, n)
-    top = max((abs(float(m)) for m in cell.mus), default=1.0)
-    if top > 1.0 and exponent * math.log10(top) > 250:
-        raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {top:.3e})")
+    top = max(map(abs, cell.mus), default=Fraction(1))
+    # past 2^1100 by logarithms first, so a huge exponent builds no huge power
+    if exponent * math.log2(max(top, 1)) > 1100 or top**exponent > sys.float_info.max:
+        raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {float(top):.3e})")
     relation = _eigen_relation(cell, "exact", exponent)
     max_residual, cells, eigenpairs = _eigen_cells("operator-power", *relation, tolerance)
     params = _params_dict(spec, exponent=exponent)
@@ -447,10 +450,10 @@ def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, pri
     scaled by max(1, |mu_m t|, |C[i, i] t|). The cells run over the rows,
     then m; the skipped rows get a note.
     """
-    rep = matrices._closed_form(cell.spec, cell.nodes, formula)
+    rep = matrices.collocation_rep_simplified(cell.spec, cell.nodes, formula)
     rows = [i for i in range(cell.n) if i not in rep.flagged]
     mus, diagonal = np.array([float(mu) for mu in cell.mus]), rep.data.diagonal()[rows, None]
-    trailing = np.array(cell.nodes.d1)[rows, None] if printed else np.array(cell.values_float).T[rows]
+    trailing = np.array(cell.nodes.derivatives()[0])[rows, None] if printed else np.array(cell.values_float).T[rows]
     sums = cell.nodes.cached((cell.spec, formula, "sums"), lambda: _offdiagonal_sums(rep.data, cell.values_float))
     lhs = -sums[rows]
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual

@@ -484,13 +484,8 @@ def collocation_rep_simplified(spec: FamilySpec, nodes: NodeSet, formula: str = 
     The node set keeps the matrix per (spec, formula, guard), so the zeros
     of one member get one evaluation; each call returns a copy.
     """
-    rep = _closed_form(spec, nodes, formula)
+    rep = nodes.cached((spec, formula, SINGULAR_COEFF_GUARD), lambda: _evaluate_closed_form(spec, nodes, formula))
     return replace(rep, data=rep.data.copy())
-
-
-def _closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
-    """The node set's closed-form matrix, evaluated on first use; its data is read-only."""
-    return nodes.cached((spec, formula, SINGULAR_COEFF_GUARD), lambda: _evaluate_closed_form(spec, nodes, formula))
 
 
 def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> MatrixRep:
@@ -500,7 +495,7 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
     record, kernel, x, n = family_record(spec), node_kernel(nodes), nodes.as_array(), len(nodes)
     op, mu_top = record.op_float, float(record.eigenvalues(n + 1)[n])
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
-    p1, p2, p3 = (np.array(d) for d in (nodes.d1, nodes.d2, nodes.d3))
+    p1, p2, p3 = (np.array(d) for d in nodes.derivatives())
     form = formula if spec.is_krall else "second-order"
     with np.errstate(all="ignore"):  # the diagonal of a flagged row may divide by zero; it is replaced below
         if form == "second-order":

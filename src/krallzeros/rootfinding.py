@@ -9,7 +9,7 @@ neighbours, its half-ulp bracket, and otherwise searches outward for a sign
 change and bisects over the doubles. N disjoint brackets inside the support
 hull, each with a sign change, prove that p has N real, simple zeros there
 and that each returned double is the nearest one; no tolerance takes part.
-A NodeSet carries the nodes together with cached values of p', p'', p'''.
+A NodeSet carries the nodes; `NodeSet.derivatives` evaluates p', p'', p''' there.
 
 Every exact evaluation at a double runs on integers. A rational member is
 p = sum_k a_k x^k / d over one denominator (`Polynomial._integer_form`) and
@@ -126,25 +126,22 @@ def _newton_refine(a: Sequence[int], x0: float, bits: int) -> Fraction:
 
 
 class NodeSet:
-    """Sorted distinct real nodes with p', p'', p''' there (d1, d2, d3); immutable.
+    """Sorted distinct real nodes of the polynomial `poly`; immutable.
 
     Built from the zeros of a polynomial (see zeros()) or from an explicit
     point list (from_points, which makes the monic node polynomial with
-    exactly those roots); the constructor derives d1, d2, d3 from the
-    integer form of `poly`, which high-precision refinement also reads.
-    Rebinding an attribute raises AttributeError.
+    exactly those roots). The constructor only stores; rebinding an
+    attribute raises AttributeError.
 
     One memo, read through `cached`, keeps what is derived from the nodes:
-    the refined nodes, the Christoffel numbers per spec, the float kernels
-    per leading coefficient and the closed-form matrices per (spec, formula,
-    singular guard), built by `matrices`. What it hands out is a copy or
-    read-only.
+    p', p'', p''' there (`derivatives`), the refined nodes, the Christoffel
+    numbers per spec, the float kernels per leading coefficient and the
+    closed-form matrices per (spec, formula, singular guard), built by
+    `matrices`. What it hands out is a copy or read-only.
     """
 
     def __init__(self, nodes, poly: Polynomial, spec: Optional[FamilySpec] = None):
-        nodes = tuple(float(x) for x in nodes)
-        d1, d2, d3 = _derivative_caches(poly, nodes)
-        vars(self).update(nodes=nodes, d1=d1, d2=d2, d3=d3, poly=poly, spec=spec, _memo={})
+        vars(self).update(nodes=tuple(float(x) for x in nodes), poly=poly, spec=spec, _memo={})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"NodeSet is immutable; {name!r} cannot be rebound")
@@ -164,6 +161,17 @@ class NodeSet:
         if key not in self._memo:
             self._memo[key] = build()
         return self._memo[key]
+
+    def derivatives(self) -> tuple[tuple[float, ...], ...]:
+        """(p', p'', p''') at the nodes, each exact and rounded once, computed once; ValueError past double range."""
+        return self.cached("derivatives", self._derivatives)
+
+    def _derivatives(self) -> tuple[tuple[float, ...], ...]:
+        (a, d), n = self.poly._integer_form(), self.poly.degree
+        try:
+            return tuple(tuple(_at_double(b, d, x) for x in self.nodes) for b in _derivative_lists(a, 3)[1:])
+        except OverflowError:
+            raise ValueError(f"p', p'' and p''' of the degree-{n} node polynomial overflow double precision") from None
 
     def refined(self) -> list[Fraction]:
         """Nodes as rationals accurate to ~2^-DEFAULT_REFINE_BITS, computed once; each call returns a new list."""
@@ -190,18 +198,10 @@ class NodeSet:
         n, q = len(u), [1]
         for ui in u:
             q = [a - ui * b for a, b in zip([0] + q, q + [0])]
-        try:
-            node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]))
-        except OverflowError:
-            raise ValueError("the node polynomial's derivatives at these points overflow double precision") from None
+        node_set = cls(pts, Polynomial([Fraction(c, big_d ** (n - k)) for k, c in enumerate(q)]))
+        node_set.derivatives()  # refuses points where p', p'', p''' leave double range
         node_set.cached("refined", lambda: [Fraction(p) for p in pts])
         return node_set
-
-
-def _derivative_caches(poly: Polynomial, xs: Sequence[float]):
-    """p', p'', p''' at each node, exact and rounded once."""
-    a, d = poly._integer_form()
-    return tuple(tuple(_at_double(b, d, x) for x in xs) for b in _derivative_lists(a, 3)[1:])
 
 
 def _jacobi_eigenvalues(spec: FamilySpec, n: int) -> np.ndarray:
@@ -276,13 +276,13 @@ def _finish(a: Sequence[int], x: float) -> float:
 
 @lru_cache(maxsize=1)
 def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
-    """The zeros of p, spec's member of degree N >= 1: correctly rounded, ascending, with p', p'', p''' there.
+    """The zeros of p, spec's member of degree N >= 1: correctly rounded, ascending.
 
     Each zero's half-ulp bracket holds a sign change of p; no tolerance
     takes part. Brackets that touch raise NonSimpleRootError and a zero
     outside the support hull RootfindingError: corrupted coefficients, not
-    a property of the families. ValueError: p is not spec's member, or p, or
-    p', p'', p''' at the zeros, overflow double precision. The last (p, spec)
+    a property of the families. ValueError: p is not spec's member, or p or
+    p' overflows double precision in the Newton polish. The last (p, spec)
     is kept, so a repeated call returns the same immutable NodeSet; a call
     that raised is not kept.
     """
@@ -301,7 +301,4 @@ def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
     lo, hi = spec.hull()
     if xs[0] < lo or xs[-1] > hi:
         raise RootfindingError(f"zeros {xs[0]!r} .. {xs[-1]!r} outside the support hull [{lo}, {hi}] of {spec.label()}")
-    try:
-        return NodeSet(xs, p, spec)
-    except OverflowError:
-        raise ValueError(f"p', p'' and p''' of the degree-{n} member overflow double precision at its zeros") from None
+    return NodeSet(xs, p, spec)

@@ -183,7 +183,7 @@ class TestMatrixCommand:
                      "--nodes", "1,2,3", "--n", "3"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "only at the family zeros" in captured.err
+        assert captured.err == "error: --nodes is not read by --kind dc-simplified\n"
 
     def test_weights_on_given_nodes_may_be_negative(self, capsys):
         # interpolatory weights off the zeros: some negative, still summing to m_0 = 1 + alpha
@@ -195,7 +195,7 @@ class TestMatrixCommand:
 
     def test_given_nodes_set_n(self, capsys):
         for n in ([], ["--n", "3"], ["--n-range", "3..3"]):
-            code, out = run(capsys, "matrix", "--kind", "dtau", "--family", "hermite", "--nodes", "-1,0,1",
+            code, out = run(capsys, "matrix", "--kind", "dc", "--family", "hermite", "--nodes", "-1,0,1",
                             *n, "--format", "json")
             assert code == 0 and json.loads(out)["shape"] == [3, 3]
         for n in (["--n", "4"], ["--n", "2..3"]):
@@ -233,10 +233,10 @@ def test_malformed_degree_names_the_option_and_value(capsys, option, value):
     (["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
      "the degree-3 member's coefficients overflow double precision"),
     (["zeros", "--family", "hermite", "--n", "300"], "the degree-300 member's coefficients overflow double precision"),
-    # every zero is certified at N = 204; only p', p'', p''' there leave double range
-    (["zeros", "--family", "hermite", "--n", "204"],
-     "error: p', p'' and p''' of the degree-204 member overflow double precision at its zeros\n"),
-], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree", "zeros-derivatives"])
+    # every zero is certified at N = 204; p', p'', p''' there, which the closed form reads, leave double range
+    (["matrix", "--kind", "dc-simplified", "--family", "hermite", "--n", "204"],
+     "error: p', p'' and p''' of the degree-204 node polynomial overflow double precision\n"),
+], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree", "dc-simplified-derivatives"])
 def test_double_overflow_exits_2(capsys, argv, culprit):
     code = main(argv)
     captured = capsys.readouterr()
@@ -316,10 +316,12 @@ def test_zero_denominator_parameter_names_the_option_and_value(capsys, option):
     (["family", "--family", "hermite", "--n", "-1"], "error: need n >= 0"),
     (["verify", "--suite", "eigenpair", "--family", "hermite"], "error: --n (or --n-range) is required\n"),
     (["verify", "--suite", "eigenpair", "--family", "hermite", "--n", "5..3"], "error: empty range '5..3'\n"),
+    *((["matrix", "--kind", kind, "--family", "hermite", "--nodes", "-1,0,1"],
+       f"error: --nodes is not read by --kind {kind}\n") for kind in ("dtau", "dc-simplified")),
 ], ids=["report-family", "verify-all-alpha", "verify-no-family-m-param", "family-tolerance", "zeros-seed",
         "matrix-seed", "zeros-range", "family-range", "matrix-range", "dtau-n0", "z-n0", "dc-n0",
         "dc-simplified-n0", "l-n0", "linv-n0", "lambda-n0", "nodes-n0", "zeros-n0", "verify-n0", "report-negative",
-        "family-negative", "verify-no-n", "verify-empty-range"])
+        "family-negative", "verify-no-n", "verify-empty-range", "dtau-nodes", "dc-simplified-nodes"])
 def test_options_a_command_does_not_read_exit_2(capsys, argv, culprit):
     try:
         code = main(argv)

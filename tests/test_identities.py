@@ -101,8 +101,11 @@ class TestPower:
         assert all(c["residual"] == 0.0 for c in zero_rows)
 
     def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            verify_power(KLEG1, 8, exponent=200)
+        """mu_7^87 of krall-legendre(1) at N = 8 is near 3.2e305, inside double range; mu_7^88 is not."""
+        assert verify_power(KLEG1, 8, exponent=87).max_residual == 0.0
+        for exponent in (88, 200):
+            with pytest.raises(OverflowError, match=f"mu\\^{exponent} leaves double range"):
+                verify_power(KLEG1, 8, exponent=exponent)
 
 
 class TestKrall4:

@@ -101,7 +101,6 @@ from krallzeros.matrices import (
 )
 from krallzeros.rootfinding import (
     DEFAULT_REFINE_BITS,
-    _derivative_caches,
     _newton_refine,
     _round_div,
 )
@@ -649,7 +648,7 @@ def closed_form_inputs_reference(cell):
     x = nodes.as_array()
     a4 = cell.op.coefficient(4).to_float()
     singular = [i for i in range(cell.n) if abs(a4(x[i])) < matrices.SINGULAR_COEFF_GUARD]
-    return x, np.array(nodes.d1), np.array(nodes.d2), np.array(nodes.d3), singular
+    return x, *(np.array(d) for d in nodes.derivatives()), singular
 
 
 def operator_data_reference(op, x):
@@ -713,13 +712,13 @@ def closed_form_sums_reference(cell, formula, tag, printed=False, tolerance=1e-7
 
     The trailing factor is p_m(x_i), or p_N'(x_i) when printed; sides holds (i, m, mu_m, lhs, rhs) per cell.
     """
-    rep = matrices._closed_form(cell.spec, cell.nodes, formula)
+    rep = matrices.collocation_rep_simplified(cell.spec, cell.nodes, formula)
     cells, sides = [], []
     for i, row in enumerate(rep.data.tolist()):
         if i in rep.flagged:
             continue
         for m, (mu, values) in enumerate(zip(cell.mus, cell.values_float)):
-            mu, trailing = float(mu), cell.nodes.d1[i] if printed else values[i]
+            mu, trailing = float(mu), cell.nodes.derivatives()[0][i] if printed else values[i]
             lhs, rhs = row_sides_reference(row, i, mu, values, trailing)
             r = abs(lhs - rhs) / max(1.0, abs(mu * trailing), abs(row[i] * trailing))
             cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
@@ -1517,7 +1516,7 @@ def test_from_points_on_integers(points):
     nodes = NodeSet.from_points(points)
     poly, caches = from_points_reference(points)
     assert nodes.poly == poly and all(type(c) is F for c in nodes.poly.coeffs)
-    for got, expected in zip((nodes.d1, nodes.d2, nodes.d3), caches):
+    for got, expected in zip(nodes.derivatives(), caches):
         assert same_bits(np.array(got), np.array(expected))
 
 
@@ -1541,16 +1540,18 @@ def test_zeros_on_integers(family_specs, data):
     nodes = zeros(p, spec)
     xs, caches = zeros_reference(p)
     assert list(nodes.nodes) == xs
-    for got, expected in zip((nodes.d1, nodes.d2, nodes.d3), caches):
+    for got, expected in zip(nodes.derivatives(), caches):
         assert same_bits(np.array(got), np.array(expected))
 
 
 def test_overflowing_derivative_raises_as_before():
     big = F(10) ** 308
     p = Polynomial([0, -big, 0, big])  # zeros -1, 0, 1 and p'(+-1) = 2e308
-    for fn in (_derivative_caches, derivative_caches_reference):
-        with pytest.raises(OverflowError):
-            fn(p, [1.0])
+    with pytest.raises(OverflowError):
+        derivative_caches_reference(p, [1.0])
+    nodes = NodeSet([1.0], p)  # the constructor evaluates nothing
+    with pytest.raises(ValueError, match="degree-3 node polynomial overflow double precision"):
+        nodes.derivatives()
 
 
 @given(cells)
@@ -1638,7 +1639,7 @@ def closed_form_reference(spec, nodes, formula):
     """
     op = operator_of(spec).to_float()
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
-    x, p1, p2, p3, n = list(nodes.nodes), nodes.d1, nodes.d2, nodes.d3, len(nodes)
+    x, (p1, p2, p3), n = list(nodes.nodes), nodes.derivatives(), len(nodes)
     general = float_collocation_reference(op, nodes.as_array())
     if spec.is_krall:
         family, al, mm, mu_top = family_params_reference(spec, n)
@@ -1719,7 +1720,7 @@ def test_fourth_order_reads_the_closed_form_matrix(cell, guard):
     with singular_guard(guard):
         got = verify_fourth_order(cell.spec, cell.n, tolerance).to_dict()
         expected = fourth_order_reference(cell, tolerance).to_dict()
-        rows = matrices._closed_form(cell.spec, cell.nodes, "fourth-order").data.tolist()
+        rows = matrices.collocation_rep_simplified(cell.spec, cell.nodes, "fourth-order").data.tolist()
     u = 2.0**-53
     banded = False
     assert len(got["results"]) == len(expected["results"])
@@ -1772,7 +1773,7 @@ def test_fourth_order_cross_check_shows_a_nan(entry, shows, stays):
 def test_a_nonfinite_closed_form_entry_fails_the_report(monkeypatch, spec, diagonal, bad):
     """One non-finite entry in an unguarded row of each closed-form matrix: every report on it fails with a
     non-finite max residual, and its cells are those of the row-by-row sums over the matrix."""
-    real = matrices._closed_form
+    real = matrices.collocation_rep_simplified
 
     def poisoned(spec, nodes, formula):
         rep = real(spec, nodes, formula)
@@ -1781,7 +1782,7 @@ def test_a_nonfinite_closed_form_entry_fails_the_report(monkeypatch, spec, diago
         data[i, i if diagonal else (i + 1) % len(nodes)] = bad
         return replace(rep, data=data)
 
-    monkeypatch.setattr(matrices, "_closed_form", poisoned)
+    monkeypatch.setattr(matrices, "collocation_rep_simplified", poisoned)
     cell = get_cell(spec, 5)
     reports = [(verify_fourth_order(spec, 5), fourth_order_sums_reference(cell).to_dict())]
     for variant in ("printed", "corrected"):

@@ -161,14 +161,14 @@ class TestZeros:
         with pytest.raises(AttributeError):
             first.nodes = tuple(2.0 * x for x in points)
         with pytest.raises(AttributeError):
-            first.d1 = ()
+            first.poly = member
 
         again = zeros(member, KJAC)
-        assert again.nodes == points and len(again.d1) == 5 and again.refined() == refined
+        assert again.nodes == points and len(again.derivatives()[0]) == 5 and again.refined() == refined
         assert np.array_equal(diffmat(2, again).data, z2)
         assert np.array_equal(collocation_rep_simplified(KJAC, again).data, closed)
         with pytest.raises(ValueError, match="read-only"):
-            matrices._closed_form(KJAC, again, "family").data[0, 0] = 0.0
+            again.cached((KJAC, "family", matrices.SINGULAR_COEFF_GUARD), pytest.fail).data[0, 0] = 0.0
 
 
 def test_script_sequence_builds_each_link_once(monkeypatch, coefficient_tables, root_findings):

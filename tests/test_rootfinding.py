@@ -92,7 +92,7 @@ def test_newton_polish_idempotent():
 def test_derivative_caches_match_exact_evaluation():
     member = build_family(KJAC12, 6)[6]
     nodes = zeros(member, KJAC12)
-    for k, cache in ((1, nodes.d1), (2, nodes.d2), (3, nodes.d3)):
+    for k, cache in enumerate(nodes.derivatives(), 1):
         d = member.derivative(k)
         for x, cached in zip(nodes.nodes, cache):
             assert cached == float(d(F(x)))
@@ -117,6 +117,7 @@ def assert_correctly_rounded(p, xs):
 @example(FamilySpec("krall-legendre", alpha=2), 15)  # the same
 @example(FamilySpec("krall-jacobi", alpha=0, mass=1), 21)  # the companion matrix's first failures
 @example(FamilySpec("krall-jacobi", alpha=1, mass=2), 24)
+@example(FamilySpec("hermite"), 204)  # p', p'', p''' at these zeros leave double range; the zeros do not
 def test_zeros_are_certified(spec, n):
     """The zeros of p_N and p_(N+1) are correctly rounded, interlace strictly and lie inside the hull."""
     lower, upper = build_family(spec, n + 1)[n:]
@@ -223,6 +224,4 @@ class TestFromPoints:
     def test_caches_are_node_polynomial_derivatives(self):
         ns = NodeSet.from_points([-1.0, 1.0])
         # psi = x^2 - 1: psi' = 2x, psi'' = 2, psi''' = 0
-        assert ns.d1 == (-2.0, 2.0)
-        assert ns.d2 == (2.0, 2.0)
-        assert ns.d3 == (0.0, 0.0)
+        assert ns.derivatives() == ((-2.0, 2.0), (2.0, 2.0), (0.0, 0.0))
