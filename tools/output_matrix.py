@@ -42,6 +42,12 @@ sits in. Through the command-line driver, in one process, it runs:
   hermite, an option the spectral matrix does not read, and `verify --suite
   power --format json --n 8 --exponent 80` on krall-legendre(1), whose
   largest mu^80 is near 1e279, inside double range;
+- on hermite `zeros --format json` at N = 206, where p' at the outer zeros
+  leaves double range while p / p' does not, and at N = 300, where p at
+  the zeros does, and `verify --suite spectrum --format json --n 206`;
+- `verify --suite S --format json --n 3` for S in eigenpair and power and
+  `matrix --kind K --format json --n 3` for K in dc-simplified and dtau on
+  krall-legendre(1e307), whose mu_2 is near 2.4e308, past double range;
 - `zeros`, `family` and `family --mode float` with `--format json --n 12`
   for every reference spec;
 - `matrix --format json --n 12` for every reference spec and every matrix:
@@ -215,6 +221,16 @@ def runs() -> dict[str, list[str]]:
     out["verify-power-exponent80-n8-krall-legendre-1"] = [
         "verify", "--suite", "power", *kleg1, "--format", "json", "--n", "8", "--exponent", "80",
     ]
+    for n in (206, 300):
+        out[f"zeros-n{n}-hermite"] = ["zeros", *hermite, "--format", "json", "--n", str(n)]
+    out["verify-spectrum-n206-hermite"] = [
+        "verify", "--suite", "spectrum", *hermite, "--format", "json", "--n", "206",
+    ]
+    kleg_huge = ["--family", "krall-legendre", "--alpha", "1e307", "--format", "json", "--n", "3"]
+    for suite in ("eigenpair", "power"):
+        out[f"verify-{suite}-n3-krall-legendre-1e307"] = ["verify", "--suite", suite, *kleg_huge]
+    for kind in ("dc-simplified", "dtau"):
+        out[f"matrix-{kind}-n3-krall-legendre-1e307"] = ["matrix", "--kind", kind, *kleg_huge]
     return out
 
 
