@@ -268,7 +268,10 @@ def cmd_zeros(args) -> int:
     n = _parse_n(args, single=True)[0]
     member = build_family(spec, n)[n]
     node_set = zeros(member, spec)
-    residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
+    try:
+        residuals = [abs(_at_double(*member._integer_form(), x)) for x in node_set.nodes]
+    except OverflowError:
+        raise ValueError(f"p at the zeros of the degree-{n} member overflows double precision") from None
     title = f"zeros of the degree-{n} member of {spec.label()}"
     return _emit(
         args, lambda: {"family": spec.label(), "N": n, "zeros": list(node_set.nodes), "residuals": residuals},

@@ -467,6 +467,16 @@ class FamilyRecord:
     def op_float(self) -> DiffOperator:
         return self.op.to_float()
 
+    def eigenvalues_float(self, n: int) -> list[float]:
+        """mu_0 .. mu_(n-1) in doubles, each rounded once; ValueError names the first past double range."""
+        out = []
+        for m, mu in enumerate(self.eigenvalues(n)):
+            try:
+                out.append(float(mu))
+            except OverflowError:
+                raise ValueError(f"the eigenvalue mu_{m} of the degree-{m} member overflows double precision") from None
+        return out
+
     def grow(self, degree: int) -> list[Polynomial]:
         """The members through degree; a member that raises leaves the valid prefix kept."""
         for nu in range(len(self.members), degree + 1):

@@ -224,6 +224,10 @@ class Cell:
         return family_record(self.spec).eigenvalues(self.n)
 
     @cached_property
+    def mus_float(self) -> list[float]:
+        return family_record(self.spec).eigenvalues_float(self.n)
+
+    @cached_property
     def values_float(self) -> list[list[float]]:
         # exact at the zeros, rounded once per value by int / int
         zeros_q = [Fraction(x) for x in self.nodes.nodes]
@@ -318,8 +322,8 @@ def _exact_defects(cell: Cell, exponent: int = 1) -> list[tuple[list[int], int, 
     return out
 
 
-def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[list, list[list[float]]]:
-    """(mu_m^e, residuals[m][i]) of D^e p_m = mu_m^e p_m at node row i, m < N.
+def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[list[float], list[list[float]]]:
+    """(mu_m^e in doubles, residuals[m][i]) of D^e p_m = mu_m^e p_m at node row i, m < N.
 
     Each residual is scaled by max(1, |mu_m^e| max_k |p_m(x_k)|). The exact
     engine works on integers and reads the exponent; the float one checks D
@@ -328,10 +332,11 @@ def _eigen_relation(cell: Cell, arithmetic: str, exponent: int = 1) -> tuple[lis
     """
     if arithmetic == "exact":
         defects = _exact_defects(cell, exponent)
-        return [mu**exponent for mu in cell.mus], [[abs(v) / scaled for v in d] for d, _, scaled in defects]
+        powers = cell.mus_float if exponent == 1 else [float(mu**exponent) for mu in cell.mus]
+        return powers, [[abs(v) / scaled for v in d] for d, _, scaled in defects]
     if arithmetic != "float":
         raise ValueError("arithmetic must be 'exact' or 'float'")
-    mus = [float(mu) for mu in cell.mus]
+    mus = cell.mus_float
     scales = [max(1.0, abs(mu) * max(map(abs, pv))) for mu, pv in zip(mus, cell.values_float)]
     values = np.array(cell.values_float)
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
@@ -352,7 +357,7 @@ def _eigen_cells(tag, mus, residuals, tolerance):
     for m, (mu, rows) in enumerate(zip(mus, residuals)):
         for i, r in enumerate(rows):
             cells.append({"identity": tag, "m": m, "n": i + 1, "residual": r, "pass": r <= tolerance})
-        eigenpairs.append({"m": m, "eigenvalue": float(mu), "residual": worst_residual(rows)})
+        eigenpairs.append({"m": m, "eigenvalue": mu, "residual": worst_residual(rows)})
     return worst_residual(c["residual"] for c in cells), cells, eigenpairs
 
 
@@ -408,10 +413,11 @@ def verify_power(
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     cell = get_cell(spec, n)
+    largest = max(map(abs, cell.mus_float), default=1.0)  # a mu past double range is named here
     top = max(map(abs, cell.mus), default=Fraction(1))
     # past 2^1100 by logarithms first, so a huge exponent builds no huge power
     if exponent * math.log2(max(top, 1)) > 1100 or top**exponent > sys.float_info.max:
-        raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {float(top):.3e})")
+        raise OverflowError(f"mu^{exponent} leaves double range (|mu| up to {largest:.3e})")
     relation = _eigen_relation(cell, "exact", exponent)
     max_residual, cells, eigenpairs = _eigen_cells("operator-power", *relation, tolerance)
     params = _params_dict(spec, exponent=exponent)
@@ -452,7 +458,7 @@ def _closed_form_cells(cell: Cell, formula: str, tag: str, tolerance: float, pri
     """
     rep = matrices.collocation_rep_simplified(cell.spec, cell.nodes, formula)
     rows = [i for i in range(cell.n) if i not in rep.flagged]
-    mus, diagonal = np.array([float(mu) for mu in cell.mus]), rep.data.diagonal()[rows, None]
+    mus, diagonal = np.array(cell.mus_float), rep.data.diagonal()[rows, None]
     trailing = np.array(cell.nodes.derivatives()[0])[rows, None] if printed else np.array(cell.values_float).T[rows]
     sums = cell.nodes.cached((cell.spec, formula, "sums"), lambda: _offdiagonal_sums(rep.data, cell.values_float))
     lhs = -sums[rows]
@@ -484,7 +490,7 @@ def verify_fourth_order(spec: FamilySpec, n: int, tolerance: float = 1e-7) -> Id
         raise ValueError("the fourth order identity applies to the Krall families only")
     cell = get_cell(spec, n)
     cells, notes, rows, lhs, rhs = _closed_form_cells(cell, "fourth-order", "fourth-order-zeros", tolerance)
-    general, mus = cell.dc_float, np.array([float(mu) for mu in cell.mus])
+    general, mus = cell.dc_float, np.array(cell.mus_float)
     # the same sides, rearranged from the eigenpair relation on the general assembly
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite residual
         lhs_gaps = np.abs(lhs + _offdiagonal_sums(general, cell.values_float)[rows]) / np.fmax(1.0, np.abs(lhs))
@@ -629,7 +635,7 @@ def spectrum_report(
         raise ValueError(f"node set has {len(nodes)} nodes, expected {n}")
     else:
         dc = collocation_rep(cell.op, nodes).data
-    eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), [float(mu) for mu in cell.mus])
+    eigenpairs = _match_eigenvalues(np.linalg.eigvals(dc), cell.mus_float)
     max_residual = worst_residual(row["residual"] for row in eigenpairs)
     return cell.report(
         "spectrum", tolerance, "float", max_residual,

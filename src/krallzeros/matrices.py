@@ -493,7 +493,7 @@ def _evaluate_closed_form(spec: FamilySpec, nodes: NodeSet, formula: str) -> Mat
     if formula not in ("family", "fourth-order"):
         raise ValueError("formula must be 'family' or 'fourth-order'")
     record, kernel, x, n = family_record(spec), node_kernel(nodes), nodes.as_array(), len(nodes)
-    op, mu_top = record.op_float, float(record.eigenvalues(n + 1)[n])
+    op, mu_top = record.op_float, record.eigenvalues_float(n + 1)[n]
     a = [op.coefficient(k) for k in range(op.max_order + 1)]
     p1, p2, p3 = (np.array(d) for d in nodes.derivatives())
     form = formula if spec.is_krall else "second-order"
@@ -549,7 +549,10 @@ def tau_rep(op: DiffOperator, spec: FamilySpec, n: int) -> MatrixRep:
     for j in range(n):
         image = op_exact.apply(fam[j])
         for k in range(n):
-            out[k, j] = float(pairing(image, fam[k], table) / norms[k])
+            try:
+                out[k, j] = float(pairing(image, fam[k], table) / norms[k])
+            except OverflowError:
+                raise ValueError(f"spectral matrix entry ({k + 1}, {j + 1}) overflows double precision") from None
     return MatrixRep(out, kind="tau", note=f"inner-product expansion in the {spec.label()} basis")
 
 

@@ -3,7 +3,7 @@
 zeros(p, spec) returns the correctly rounded zeros of p, the degree-N member
 of spec: for each true zero, the double nearest it. The guesses are the
 eigenvalues of the symmetric Jacobi matrix of the family's exact recurrence
-(Golub & Welsch, Math. Comp. 23, 1969); real Newton steps polish them; the
+(Golub & Welsch, Math. Comp. 23, 1969); each takes one Newton step; the
 finish step keeps a double x if p changes sign between the midpoints to its
 neighbours, its half-ulp bracket, and otherwise searches outward for a sign
 change and bisects over the doubles. N disjoint brackets inside the support
@@ -17,9 +17,10 @@ a double is x = u / 2^e, so homogeneous Horner gives p(x) as one integer
 over d 2^(e n), and one int / int true division rounds it (`_at_double`).
 True division of ints is correctly rounded, so the double is float() of the
 reduced Fraction, without the gcd. A float coefficient counts as the
-rational it is, so every polynomial has this form. The Newton steps and
-p', p'', p''' (from the integer lists k a_k over the same d) take this
-path, and the sign of p at a midpoint is the sign of one Horner integer.
+rational it is, so every polynomial has this form. p', p'', p''' (from
+the integer lists k a_k over the same d) take this path; the Newton step
+divides the Horner integers of p and p' once, so p / p' is its only
+double, and the sign of p at a midpoint is the sign of one Horner integer.
 The one value table of exact members at dyadic nodes, `_value_numerators`,
 lives here; the cells and the transition pair read it.
 
@@ -211,17 +212,12 @@ def _jacobi_eigenvalues(spec: FamilySpec, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag([float(v) for v in a]) + np.diag(off, 1) + np.diag(off, -1))
 
 
-def _polish(a: Sequence[int], slope: Sequence[int], d: int, x: float) -> float:
-    """Newton on p = sum_k a_k x^k / d from x; slope is p' on the same denominator."""
-    for _ in range(60):
-        fx, dfx = _at_double(a, d, x), _at_double(slope, d, x)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
+def _newton_step(a: Sequence[int], slope: Sequence[int], x: float) -> float:
+    """x - p(x) / p'(x) at x = u / 2^e: A / (2^e B) for the Horner integers A, B of p, p' (slope), rounded once."""
+    u, v = x.as_integer_ratio()
+    e = v.bit_length() - 1
+    big_b = _horner(slope, u, e)
+    return x - _horner(a, u, e) / (v * big_b) if big_b else x
 
 
 def _order(x: float) -> int:
@@ -281,20 +277,16 @@ def zeros(p: Polynomial, spec: FamilySpec, /) -> NodeSet:
     Each zero's half-ulp bracket holds a sign change of p; no tolerance
     takes part. Brackets that touch raise NonSimpleRootError and a zero
     outside the support hull RootfindingError: corrupted coefficients, not
-    a property of the families. ValueError: p is not spec's member, or p or
-    p' overflows double precision in the Newton polish. The last (p, spec)
-    is kept, so a repeated call returns the same immutable NodeSet; a call
-    that raised is not kept.
+    a property of the families. ValueError: p is not spec's member. The
+    last (p, spec) is kept, so a repeated call returns the same immutable
+    NodeSet; a call that raised is not kept.
     """
     n = p.degree
     if n < 1 or family_record(spec).grow(n)[n] != p:
         raise ValueError(f"need the member of degree N >= 1 of {spec.label()}")
-    a, d = p._integer_form()
+    a = p._integer_form()[0]
     slope = _derivative_lists(a, 1)[1]
-    try:
-        xs = sorted(_finish(a, _polish(a, slope, d, x)) for x in _jacobi_eigenvalues(spec, n))
-    except OverflowError:
-        raise ValueError(f"the degree-{n} member's coefficients overflow double precision") from None
+    xs = sorted(_finish(a, _newton_step(a, slope, x)) for x in _jacobi_eigenvalues(spec, n))
     for x, y in zip(xs, xs[1:]):
         if y <= math.nextafter(x, math.inf):
             raise NonSimpleRootError(f"zeros {x!r} and {y!r} share a half-ulp bracket end")

@@ -231,12 +231,22 @@ def test_malformed_degree_names_the_option_and_value(capsys, option, value):
      "mu^200 leaves double range"),
     (["matrix", "--kind", "z", "--nodes", "0,1e400"], "--nodes value 1e400 is outside double range"),
     (["verify", "--suite", "eigenpair", "--family", "krall-legendre", "--alpha", "1e400", "--n", "3"],
-     "the degree-3 member's coefficients overflow double precision"),
-    (["zeros", "--family", "hermite", "--n", "300"], "the degree-300 member's coefficients overflow double precision"),
+     "error: the eigenvalue mu_1 of the degree-1 member overflows double precision\n"),
+    # mu_2 is near 2.4e308: each reader of the eigenvalues in doubles names it, the spectral matrix its entry
+    (["verify", "--suite", "power", "--family", "krall-legendre", "--alpha", "1e307", "--n", "3"],
+     "error: the eigenvalue mu_2 of the degree-2 member overflows double precision\n"),
+    (["matrix", "--kind", "dc-simplified", "--family", "krall-legendre", "--alpha", "1e307", "--n", "3"],
+     "error: the eigenvalue mu_2 of the degree-2 member overflows double precision\n"),
+    (["matrix", "--kind", "dtau", "--family", "krall-legendre", "--alpha", "1e307", "--n", "3"],
+     "error: spectral matrix entry (3, 3) overflows double precision\n"),
+    # every zero is certified at N = 300; the residual column |p(x_k)| leaves double range
+    (["zeros", "--family", "hermite", "--n", "300"],
+     "error: p at the zeros of the degree-300 member overflows double precision\n"),
     # every zero is certified at N = 204; p', p'', p''' there, which the closed form reads, leave double range
     (["matrix", "--kind", "dc-simplified", "--family", "hermite", "--n", "204"],
      "error: p', p'' and p''' of the degree-204 node polynomial overflow double precision\n"),
-], ids=["power-exponent", "matrix-nodes", "alpha", "zeros-degree", "dc-simplified-derivatives"])
+], ids=["power-exponent", "matrix-nodes", "alpha", "eigenvalue-power", "eigenvalue-dc-simplified", "dtau-entry",
+        "zeros-degree", "dc-simplified-derivatives"])
 def test_double_overflow_exits_2(capsys, argv, culprit):
     code = main(argv)
     captured = capsys.readouterr()

@@ -400,11 +400,11 @@ class TestCellFactory:
         assert builds["zeros"] == [(KLAG1, 5), (KLAG1, 6), (KLEG1, 6), (KLEG1, 7), (KLAG1, 5)]
 
     def test_raising_cell_raises_again(self, builds):
-        spec = FamilySpec("hermite")  # the degree-300 member overflows double precision at its zeros
+        spec = FamilySpec("krall-legendre", alpha=10**400)  # mu_1 = 8e400 leaves double range; the zeros do not
         for _ in range(2):
-            with pytest.raises(ValueError, match="overflow double precision"):
-                verify_eigenpairs(spec, 300)
-        assert builds["zeros"] == [(spec, 300), (spec, 300)]
+            with pytest.raises(ValueError, match="mu_1 of the degree-1 member overflows double precision"):
+                verify_eigenpairs(spec, 3)
+        assert builds["zeros"] == [(spec, 3)]  # the cell keeps the links that did not raise
 
     def test_mutated_outputs_do_not_reach_the_next_call(self):
         reports = {
