@@ -7,7 +7,7 @@ Christoffel numbers and the transition matrix on given nodes, the squared
 norms and the Newton refinement of the nodes, the node polynomial of NodeSet.from_points
 and the Jacobi coefficient expansion) runs on integers over common
 denominators, and so do the evaluations at double nodes: the Newton
-polish and the derivative caches of `zeros`, the value vectors of a cell
+step of `zeros` and its node set's derivatives, the value vectors of a cell
 (at the zeros, and on its exact dyadic nodes),
 the 2^-512 grid values of the transition pair, and the coefficient tables
 of all six families. The float differentiation matrices are whole-array
