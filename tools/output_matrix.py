@@ -28,7 +28,10 @@ sits in. Through the command-line driver, in one process, it runs:
   explicit Z^(1), Z^(2) at N = 40, and `matrix --kind dtau --format json
   --n 40`, the spectral matrix, whose entries divide by the squared norms
   of the members; on the same two specs, `zeros --format json` at N = 1,
-  where the one zero is 0, and at N = 40;
+  where the one zero is 0, and at N = 40, and `verify --suite quadrature
+  --format json --n 60` and `matrix --kind l --format json --n 60`: the
+  moment sums and the value table past N = 40, where their fixed-point
+  bits grow with the bound;
 - `zeros` and `verify --suite eigenpair` with `--format json --n 24` on
   krall-jacobi(1, 2), the first degree where zeros from the companion
   matrix of the monomial coefficients failed for that spec;
@@ -201,6 +204,10 @@ def runs() -> dict[str, list[str]]:
             out[f"matrix-{matrix}-n40-{name}"] = ["matrix", *kind, *spec, "--format", "json", "--n", "40"]
         for n in (1, 40):
             out[f"zeros-n{n}-{name}"] = ["zeros", *spec, "--format", "json", "--n", str(n)]
+        out[f"verify-quadrature-n60-{name}"] = [
+            "verify", "--suite", "quadrature", *spec, "--format", "json", "--n", "60",
+        ]
+        out[f"matrix-l-n60-{name}"] = ["matrix", "--kind", "l", *spec, "--format", "json", "--n", "60"]
     kjac = REFERENCE_SPECS["krall-jacobi-1-2"]
     out["zeros-n24-krall-jacobi-1-2"] = ["zeros", *kjac, "--format", "json", "--n", "24"]
     out["verify-eigenpair-n24-krall-jacobi-1-2"] = [
