@@ -149,6 +149,7 @@ def _write_out(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a reader that closed early fails here, inside main, not at exit
         return
     target = os.path.realpath(path)
     try:
@@ -551,6 +552,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout's reader closed early; devnull takes what the exit flush still holds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParameterError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -667,11 +667,12 @@ def _similarity_report(spec: FamilySpec, n: int, tolerance: float) -> IdentityRe
     cell = get_cell(spec, n)
     res = _similarity(cell)
     inverse, similar = res["inverse_residual"], res["similarity_residual"]
+    failure = [matrices._pair_failure(inverse, cell.nodes, spec)] if inverse > 1e-10 else []
     return cell.report(
         "similarity", tolerance, "exact", worst_residual([inverse, similar]),
         passed=inverse <= 1e-10 and similar <= tolerance,
         extras=res,
-        notes=["inverse pair checked at 1e-10"],
+        notes=["inverse pair checked at 1e-10", *failure],
     )
 
 

@@ -45,9 +45,9 @@ inverse pair of the basis-transition matrix) pull high-precision refined
 nodes from the NodeSet. The Christoffel weights and the transition matrix
 on given nodes are rows of one integer kernel, `_lagrange_integrals`. The
 transition pair is built in one place, `_transition_exact`, on a 2^-512
-grid: its values come from `rootfinding._value_numerators`, and L divides
-them by the Christoffel numbers cut once to fixed point, with each entry's
-rounding certified (Ziv's test) or, failing that, divided exactly. The
+grid: fixed-point Horner gives its values, and L divides them by the
+Christoffel numbers cut once to fixed point, each entry's rounding certified
+(Ziv's test, as in the moment sums) or, failing that, computed exactly. The
 similarity suite reads the exact ||L L_inv - I|| (`_transition_pair`);
 `transition` needs only to know it is within 1e-10, which one double
 product with a rigorous rounding bound settles (`_inverse_bound`) unless
@@ -86,7 +86,6 @@ from .rootfinding import (
     _derivative_lists,
     _horner,
     _round_div,
-    _value_numerators,
 )
 
 NodesLike = Union[NodeSet, Sequence[float], np.ndarray]
@@ -636,38 +635,45 @@ def quadrature_exactness(nodes: NodeSet, spec: FamilySpec):
     return max(residuals), residuals
 
 
-_WEIGHT_BITS = 2048  # fixed-point bits of the Christoffel numbers in the moment sums
+_SUM_MARGIN = 1100  # fixed-point bits below the moment sums' error bound; from 1076 on, zero rounds to 0.0
 
 
 def _quadrature_residuals(lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec) -> list[float]:
     """|sum_j lam_j x_j^k - m_k| / max(1, |m_k|) for k = 0..2N-1, each correctly rounded.
 
-    The weights' denominators share little, so their lcm would be tens of
-    thousands of bits at N = 20. Instead each lam_j is rounded once to
-    W_j / 2^P (P = _WEIGHT_BITS), off by at most 2^-(P+1), and with
-    x_j = u_j / dx and m_k = M_k / mu the residual is T / scale with
-    scale = 2^P dx^k max(mu, |M_k|) and T within err = mu sum_j |u_j|^k of
-    num = |mu sum_j W_j u_j^k - M_k 2^P dx^k|. Rounding is monotone, so when
-    (num - err) / scale and (num + err) / scale round to the same double,
-    that double is the residual (Ziv's test). Otherwise, or when a bound
-    leaves double range, that k alone is summed in Fractions
+    Exact sums would carry the weights' lcm and 2^(192 k) powers. Instead,
+    with x_j = u_j / dx and m_k = M_k / mu, c_j = floor(lam_j 2^F), then
+    floor(c_j u_j / dx) per k, is within B_k of lam_j x_j^k 2^F: B_0 = 1,
+    B_k = floor(B_(k-1) |u_j| / dx) + 2 (Higham, Accuracy and Stability,
+    5.1), and F = _SUM_MARGIN + the bits of the largest sum_j B_k. The
+    residual is T / (2^F max(mu, |M_k|)) = T / scale, with T within
+    err = mu sum_j B_k of num = |mu sum_j c_j - M_k 2^F|. When (num - err) /
+    scale and (num + err) / scale round to the same double, that double is
+    the residual (Ziv's test), 0.0 for an exactly zero one. Otherwise, or
+    when a bound leaves double range, that k alone is summed in Fractions
     (`_exact_residual`), the only place an OverflowError can come from.
     """
-    column = [_round_div(lam.numerator << _WEIGHT_BITS, lam.denominator) for lam in lams]
     u, dx = common_denominator(xq)
-    powers, abs_u = [1] * len(u), [abs(v) for v in u]
     moments, mu = moment_table(spec, 2 * len(u) - 1)
-    den = 1 << _WEIGHT_BITS
-    residuals = []
-    for k, mk in enumerate(moments):
-        if k > 0:
-            column = list(map(mul, column, u))
-            powers = list(map(mul, powers, abs_u))
-            den *= dx
-        num, err = abs(sum(column) * mu - mk * den), sum(powers) * mu
-        rounded = _certain_quotient(num, err, den * max(mu, abs(mk)))
+    bound, abs_u, errors = [1] * len(u), [abs(v) for v in u], []
+    for _ in moments:
+        errors.append(sum(bound))
+        bound = [b + 2 for b in _floor_products(bound, abs_u, dx)]
+    bits = _SUM_MARGIN + max(errors).bit_length()
+    column, residuals = [(lam.numerator << bits) // lam.denominator for lam in lams], []
+    for k, (mk, err) in enumerate(zip(moments, errors)):
+        column = _floor_products(column, u, dx) if k else column
+        rounded = _certain_quotient(abs(sum(column) * mu - (mk << bits)), err * mu, max(mu, abs(mk)) << bits)
         residuals.append(_exact_residual(lams, xq, Fraction(mk, mu), k) if rounded is None else rounded)
     return residuals
+
+
+def _floor_products(values: Sequence[int], factors: Sequence[int], d: int) -> list[int]:
+    """floor(v f / d) for each pair, by a shift when d is a power of two (the refined nodes)."""
+    e = d.bit_length() - 1
+    if d == 1 << e:
+        return [v * f >> e for v, f in zip(values, factors)]
+    return [v * f // d for v, f in zip(values, factors)]
 
 
 def _certain_quotient(num: int, err: int, scale: int) -> float | None:
@@ -687,28 +693,42 @@ def _exact_residual(lams: Sequence[Fraction], xq: Sequence[Fraction], mk: Fracti
 _PRODUCT_BITS = 512  # entry rounding before exact matrix products
 _GRID = 1 << _PRODUCT_BITS
 _LAMBDA_BITS = _PRODUCT_BITS + 128  # fixed-point bits of the Christoffel numbers in L
+_VALUE_MARGIN = 64  # fixed-point bits below the value table's error bound
 
 
 def _transition_exact(fam: Sequence[Polynomial], lams: Sequence[Fraction], xq: Sequence[Fraction], spec: FamilySpec):
     """(L, L_inv) as integer matrices on the 2^-_PRODUCT_BITS grid, from spec's p_0..p_{N-1} and the weights.
 
-    xq are the refined nodes, dyadic rationals u_k / 2^E. Entries are
-    rounded half to even onto the grid with no gcd: the value table gives
-    p_j(x_k) = A_jk / (d_j 2^(E j)), rounded to V_jk grid steps, and with
-    lambda_k = a / b and ||p_j||^2 = s / t > 0, L[j][k] is X = a V_jk t / (b s)
-    steps. Dividing by the 3.5-3.8k-bit b s for each entry would dominate,
-    so each lambda_k is cut once to the fixed point F_k = floor(a 2^Q / b),
-    Q = _LAMBDA_BITS, and divmod(F_k V_jk t, s 2^Q) = (q, r) puts X within
-    |V_jk t| / (s 2^Q) above or below q + r / (s 2^Q). The rounding of X can
-    only change at a half, so when |2r - s 2^Q| > 2 |V_jk t| it is
-    q + (2r > s 2^Q), with no tie (Ziv's test, as in the moment sums);
-    otherwise that entry alone is divided exactly.
+    xq are the refined nodes, dyadic rationals u_k / 2^E; entries are
+    rounded half to even onto the grid with no gcd. Horner on the
+    2^-(_PRODUCT_BITS + G) grid, with the coefficients and each h u_k / 2^E
+    floored, leaves h within beta_t of p_j(x_k) after t steps (beta_0 = 1,
+    beta_t = floor(beta_(t-1) |u_k| / 2^E) + 3; G = _VALUE_MARGIN + the bits
+    of the largest). With lambda_k = a / b, ||p_j||^2 = s / t > 0 and the
+    values V_jk, L[j][k] is X = a V_jk t / (b s) steps; lambda_k is cut once
+    to F_k = floor(a 2^Q / b), Q = _LAMBDA_BITS, as a 3.5-3.8k-bit b s per
+    entry would dominate, and divmod(F_k V_jk t, s 2^Q) = (q, r) puts X within
+    |V_jk t| / (s 2^Q) of q + r / (s 2^Q). Roundings change only at a half,
+    so X is q + (2r > s 2^Q) if |2r - s 2^Q| > 2 |V_jk t|, and V_jk is h rounded
+    at 2^G if h is over beta from one (Ziv's test); else that entry is exact.
     """
     members = fam[: len(xq)]
     fixed = [(lam.numerator << _LAMBDA_BITS) // lam.denominator for lam in lams]
-    values, l_mat = [], []
-    for (nums, den), norm in zip(_value_numerators(members, xq), family_record(spec).squared_norms(len(members))):
-        row = [_round_div(v << _PRODUCT_BITS, den) for v in nums]
+    u, big_d = common_denominator(xq)
+    e = big_d.bit_length() - 1
+    bounds = [[1] * len(u)]
+    for _ in members[1:]:
+        bounds.append([(b * abs(v) >> e) + 3 for b, v in zip(bounds[-1], u)])
+    g = _VALUE_MARGIN + max(bounds[-1]).bit_length()  # beta_t never falls with t
+    half, values, l_mat = 1 << g - 1, [], []
+    for p, norm in zip(members, family_record(spec).squared_norms(len(members))):
+        a, d = p._integer_form()
+        h, row, den = [0] * len(u), [], d << e * (len(a) - 1)
+        for c in reversed([(c << _PRODUCT_BITS + g) // d for c in a]):
+            h = [(v * w >> e) + c for v, w in zip(h, u)]
+        for v, beta, uk in zip(h, bounds[len(a) - 1], u):
+            r = (v & (2 * half - 1)) - half  # how far h is past the half of its grid step
+            row.append((v >> g) + (r > 0) if abs(r) > beta else _round_div(_horner(a, uk, e) << _PRODUCT_BITS, den))
         values.append(row)
         s, t = norm.numerator, norm.denominator
         scale, l_row = s << _LAMBDA_BITS, []
@@ -790,16 +810,21 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
     if grid is None or not _inverse_bound(*grid) <= 1e-10:
         residual = _inverse_residual(l_mat, l_inv, _GRID)
         if residual > 1e-10:
-            cause = f"nodes are not accurate zeros for {spec.label()}"
-            if exhausted := _exhausted_zeros(nodes, spec):
-                cause = f"{exhausted} or the 2^-{_PRODUCT_BITS} grid of the pair"
-            raise InversionConsistencyError(f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; {cause}")
+            raise InversionConsistencyError(_pair_failure(residual, nodes, spec))
     l_data, li_data = grid or (_on_grid(l_mat), _on_grid(l_inv))
     note = f"P * Lambda at the zeros of the degree-{n} member of {spec.label()}"
     return (
         MatrixRep(l_data, kind="transition", note=note),
         MatrixRep(li_data, kind="transition_inverse", note="basis values p_{k-1}(x_j)"),
     )
+
+
+def _pair_failure(residual: float, nodes: NodeSet, spec: FamilySpec) -> str:
+    """Why ||L L_inv - I||_inf = residual misses 1e-10 on nodes, worded once for `transition` and the similarity suite."""
+    cause = f"nodes are not accurate zeros for {spec.label()}"
+    if exhausted := _exhausted_zeros(nodes, spec):
+        cause = f"{exhausted} or the 2^-{_PRODUCT_BITS} grid of the pair"
+    return f"||L L_inv - I||_inf = {residual:.3e} above 1e-10; {cause}"
 
 
 def transition_general(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:

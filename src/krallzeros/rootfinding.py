@@ -22,7 +22,7 @@ the integer lists k a_k over the same d) take this path; the Newton step
 divides the Horner integers of p and p' once, so p / p' is its only
 double, and the sign of p at a midpoint is the sign of one Horner integer.
 The one value table of exact members at dyadic nodes, `_value_numerators`,
-lives here; the cells and the transition pair read it.
+lives here; the cells read it.
 
 Some verification tasks (Gaussian exactness, inverting the basis-transition
 matrix) are sensitive to node perturbations far beyond double precision:

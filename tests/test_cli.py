@@ -268,6 +268,19 @@ def test_exhausted_precision_at_the_zeros_exits_1(capsys, kind, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("alpha, cause", [
+    ("1", None),
+    ("1e150", "||L L_inv - I||_inf = 8.263e-05 above 1e-10; precision exhausted: the 192-bit refined zeros of the "
+     f"degree-3 member of krall-legendre(alpha=1{'0' * 150}) or the 2^-512 grid of the pair"),
+], ids=["pass", "exhausted"])
+def test_similarity_names_exhausted_precision(capsys, alpha, cause):
+    code, out = run(capsys, "verify", "--suite", "similarity", "--family", "krall-legendre", "--alpha", alpha,
+                    "--n", "3", "--format", "json")
+    notes = json.loads(out)["summary"]["notes"]
+    assert code == (cause is not None)
+    assert notes == ["inverse pair checked at 1e-10"] + ([cause] if cause else [])
+
+
 def test_z_on_the_family_zeros_is_diffmat_there(capsys):
     code, out = run(capsys, "matrix", "--kind", "z", "--order", "2", "--family", "hermite", "--n", "5",
                     "--format", "json")
@@ -718,6 +731,20 @@ def test_module_entry_point():
     )
     assert done.returncode == 0, done.stderr
     assert "PASS" in done.stdout
+
+
+@pytest.mark.parametrize("reader", ["closed", "one line"])
+def test_closed_stdout_ends_quietly(reader):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "krallzeros", "matrix", "--kind", "dc", "--family", "hermite", "--n", "60",
+            "--format", "json"]  # about 90 kB, past a pipe's buffer
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if reader == "one line":
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1 and err == b""
 
 
 # ---------------------------------------------------------------------------

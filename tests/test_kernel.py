@@ -22,15 +22,18 @@ for the family identity and within the rounding of the other term order for
 fourth-order, and the generator sums over that matrix are equal for both.
 The closed-form collocation matrices are array expressions over the node
 set's kernel; the reference evaluates each entry on Python floats. The
-Gaussian moment sums round the weights to fixed point and certify each
-residual's rounding; with the weights cut to 4 bits nearly every residual
-takes the exact per-k fallback, and the results must still be equal.
-The transition matrix L rounds the Christoffel numbers to fixed point
-and certifies each entry's rounding the same way; with them cut to a few
-bits nearly every entry is divided exactly, and L must still equal the
-reference. The double-precision bound that `transition` checks first must
-never fall below the exact ||L L_inv - I||, also on perturbed pairs whose
-residual is near what doubles resolve.
+Gaussian moment sums run on truncated fixed-point integers with a rigorous
+error bound and certify each residual's rounding; with their margin below
+the bound cut to 4 bits, the exactly zero residuals on refined zeros take
+the exact per-k fallback, and the results must still be equal. The value
+table of the transition pair is fixed-point Horner, certified the same
+way, and L rounds the Christoffel numbers to fixed point; with either cut
+to a few bits some entries are computed exactly, and the pair must still
+equal the reference. At their own margins neither kernel takes an exact
+fallback on refined zeros, hermite at N = 40 and 60 included. The
+double-precision bound that `transition` checks first must never fall
+below the exact ||L L_inv - I||, also on perturbed pairs whose residual is
+near what doubles resolve.
 """
 
 import json
@@ -913,43 +916,55 @@ def test_quadrature_residuals_on_any_rationals(spec, pairs):
 
 
 @contextmanager
-def few_weight_bits():
-    """Weights rounded to 4 bits, so nearly every k fails the rounding test; yields the k that took the exact sum."""
-    saved = matrices._WEIGHT_BITS, matrices._exact_residual
+def few_sum_bits(bits=4):
+    """The moment sums `bits` bits below their error bound; yields the k that took the exact sum."""
+    saved = matrices._SUM_MARGIN, matrices._exact_residual
     fallbacks = []
 
     def counted(lams, xq, mk, k):
         fallbacks.append(k)
         return saved[1](lams, xq, mk, k)
 
-    matrices._WEIGHT_BITS, matrices._exact_residual = 4, counted
+    matrices._SUM_MARGIN, matrices._exact_residual = bits, counted
     try:
         yield fallbacks
     finally:
-        matrices._WEIGHT_BITS, matrices._exact_residual = saved
+        matrices._SUM_MARGIN, matrices._exact_residual = saved
 
 
 @given(cells)
 def test_quadrature_fallback_on_refined_zeros(cell):
     lams, xq = christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined()
-    with few_weight_bits() as fallbacks:
+    with few_sum_bits() as fallbacks:
         assert _quadrature_residuals(lams, xq, cell.spec) == quadrature_reference(lams, xq, cell.spec)
     assert fallbacks
 
 
-# a zero weight on a huge node: the bound leaves double range, the exact residual does not
-@example(FamilySpec("hermite"), [(F(0), F(2**1100)), (F(1), F(1, 2))])
 @given(specs, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
 def test_quadrature_fallback_on_any_rationals(spec, pairs):
+    """With the sums 4 bits below their error bound, a residual far above it may still certify; either way it is equal."""
     lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
-    with few_weight_bits() as fallbacks:
+    with few_sum_bits():
         assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(F(0), F(2**1100)), (F(1), F(1, 2))],  # a zero weight on a huge node: the bound leaves double range
+        [(F(1), F(0))],  # the one-node Gauss rule of hermite: its residuals at k = 0 and 1 are exactly zero
+    ],
+)
+def test_quadrature_fallback_is_taken(pairs):
+    lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
+    with few_sum_bits() as fallbacks:
+        assert _quadrature_residuals(lams, xq, FamilySpec("hermite")) == quadrature_reference(lams, xq, FamilySpec("hermite"))
     assert fallbacks
 
 
-@pytest.mark.parametrize("bits", [4, matrices._WEIGHT_BITS])
+@pytest.mark.parametrize("bits", [4, matrices._SUM_MARGIN])
 def test_quadrature_residual_past_double_range_raises(bits, monkeypatch):
-    monkeypatch.setattr(matrices, "_WEIGHT_BITS", bits)
+    monkeypatch.setattr(matrices, "_SUM_MARGIN", bits)
     lams, xq = [F(1), F(1)], [F(2**1100), F(-1, 3)]
     with pytest.raises(OverflowError):
         quadrature_reference(lams, xq, FamilySpec("hermite"))
@@ -1273,26 +1288,77 @@ def test_transition_exact(cell):
     assert [on_grid(m) for m in _transition_exact(*args)] == list(transition_reference(*args))
 
 
+dyadics = st.builds(lambda m, e: F(m, 1 << e), st.integers(-(2**40), 2**40), st.integers(0, 60))
+
+
+@given(specs, st.lists(st.tuples(rationals, dyadics), min_size=1, max_size=8))
+def test_transition_exact_on_any_rationals(spec, pairs):
+    args = build_family(spec, len(pairs) - 1), [p[0] for p in pairs], [p[1] for p in pairs], spec
+    assert [on_grid(m) for m in _transition_exact(*args)] == list(transition_reference(*args))
+
+
+@contextmanager
+def few_value_bits(bits):
+    """The value table `bits` bits below its error bound; yields the nodes of the values evaluated exactly."""
+    saved = matrices._VALUE_MARGIN, matrices._horner
+    exact = []
+    matrices._VALUE_MARGIN = bits
+    matrices._horner = lambda a, u, e: exact.append(u) or saved[1](a, u, e)
+    try:
+        yield exact
+    finally:
+        matrices._VALUE_MARGIN, matrices._horner = saved
+
+
+@given(cells, st.integers(0, 8))
+def test_value_table_fallback(cell, bits):
+    args = transition_args(cell)
+    with few_value_bits(bits) as exact:
+        got = [on_grid(m) for m in _transition_exact(*args)]
+    assert got == list(transition_reference(*args))
+    if bits == 0:
+        assert exact  # the largest bound spans a whole grid step, so its entry straddles a half
+
+
+# The fixed-point bits follow the largest bound: a fixed 1200 bits sent every
+# odd moment of hermite at N = 40 and 60, exactly zero, to the Fraction sum.
+@example(get_cell(FamilySpec("hermite"), 40))
+@example(get_cell(FamilySpec("hermite"), 60))
+@given(cells)
+def test_refined_zero_kernels_take_no_exact_fallback(cell):
+    lams, xq = christoffel_numbers(cell.nodes, cell.spec), cell.nodes.refined()
+    with few_sum_bits(matrices._SUM_MARGIN) as sums, few_value_bits(matrices._VALUE_MARGIN) as values:
+        _quadrature_residuals(lams, xq, cell.spec)
+        _transition_exact(cell.family, lams, xq, cell.spec)
+    assert sums == [] and values == []
+
+
 @contextmanager
 def few_lambda_bits(bits):
-    """Christoffel numbers cut to `bits` fixed-point bits in L; yields the _round_div calls (N^2 value roundings first)."""
-    saved = matrices._LAMBDA_BITS, matrices._round_div
-    calls = []
-    matrices._LAMBDA_BITS, matrices._round_div = bits, lambda p, q: calls.append(q) or saved[1](p, q)
+    """Christoffel numbers cut to `bits` fixed-point bits in L; yields the exact L-entry divisions and exact values.
+
+    An exact value is one `_horner` call and one `_round_div`; with none, every `_round_div` call is an entry of L.
+    """
+    saved = matrices._LAMBDA_BITS, matrices._round_div, matrices._horner
+    divisions, values = [], []
+    matrices._LAMBDA_BITS = bits
+    matrices._round_div = lambda p, q: divisions.append(q) or saved[1](p, q)
+    matrices._horner = lambda a, u, e: values.append(u) or saved[2](a, u, e)
     try:
-        yield calls
+        yield divisions, values
     finally:
-        matrices._LAMBDA_BITS, matrices._round_div = saved
+        matrices._LAMBDA_BITS, matrices._round_div, matrices._horner = saved
 
 
 @given(cells, st.integers(0, _PRODUCT_BITS + 8))
 def test_transition_exact_fallback(cell, bits):
     args = transition_args(cell)
-    with few_lambda_bits(bits) as calls:
+    with few_lambda_bits(bits) as (divisions, values):
         got = [on_grid(m) for m in _transition_exact(*args)]
     assert got == list(transition_reference(*args))
+    assert not values  # the value table needs no exact entry at its own margin
     if bits <= 16:
-        assert len(calls) > cell.n**2  # some entry of L was divided exactly
+        assert divisions  # some entry of L was divided exactly
 
 
 @given(cells, st.one_of(st.just(0), st.integers(-(2**40), 2**40)), st.data())
