@@ -625,11 +625,11 @@ def interpolatory_weights(nodes: NodeSet, spec: FamilySpec) -> MatrixRep:
 def quadrature_exactness(nodes: NodeSet, spec: FamilySpec):
     """Relative moment-matching residuals of the Gaussian rule, k = 0..2N-1.
 
-    Returns (max_residual, per_k_list). Evaluated in exact arithmetic on the
-    refined nodes: the statement being checked has degree of exactness 2N-1
-    only at the true zeros, and its sensitivity to node error dwarfs double
-    precision for spread-out node sets. Each residual is the correctly
-    rounded double of the exact rational (`_quadrature_residuals`).
+    Returns (max_residual, per_k_list). Evaluated on the refined nodes: the
+    statement being checked has degree of exactness 2N-1 only at the true
+    zeros, and its sensitivity to node error dwarfs double precision for
+    spread-out node sets. Each residual is the correctly rounded double of
+    the exact rational, certified from fixed-point sums (`_quadrature_residuals`).
     """
     residuals = _quadrature_residuals(christoffel_numbers(nodes, spec), nodes.refined(), spec)
     return max(residuals), residuals
