@@ -820,7 +820,7 @@ def transition(nodes: NodeSet, spec: FamilySpec) -> tuple[MatrixRep, MatrixRep]:
 
 
 def _pair_failure(residual: float, nodes: NodeSet, spec: FamilySpec) -> str:
-    """Why ||L L_inv - I||_inf = residual misses 1e-10 on nodes, worded once for `transition` and the similarity suite."""
+    """Why ||L L_inv - I||_inf = residual misses 1e-10 on nodes; `transition` and the similarity suite both say it."""
     cause = f"nodes are not accurate zeros for {spec.label()}"
     if exhausted := _exhausted_zeros(nodes, spec):
         cause = f"{exhausted} or the 2^-{_PRODUCT_BITS} grid of the pair"

@@ -942,7 +942,7 @@ def test_quadrature_fallback_on_refined_zeros(cell):
 
 @given(specs, st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8))
 def test_quadrature_fallback_on_any_rationals(spec, pairs):
-    """With the sums 4 bits below their error bound, a residual far above it may still certify; either way it is equal."""
+    """4 bits below the sums' error bound, a residual far above it may still certify; either way it is equal."""
     lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
     with few_sum_bits():
         assert _quadrature_residuals(lams, xq, spec) == quadrature_reference(lams, xq, spec)
@@ -956,9 +956,9 @@ def test_quadrature_fallback_on_any_rationals(spec, pairs):
     ],
 )
 def test_quadrature_fallback_is_taken(pairs):
-    lams, xq = [p[0] for p in pairs], [p[1] for p in pairs]
+    lams, xq, hermite = [p[0] for p in pairs], [p[1] for p in pairs], FamilySpec("hermite")
     with few_sum_bits() as fallbacks:
-        assert _quadrature_residuals(lams, xq, FamilySpec("hermite")) == quadrature_reference(lams, xq, FamilySpec("hermite"))
+        assert _quadrature_residuals(lams, xq, hermite) == quadrature_reference(lams, xq, hermite)
     assert fallbacks
 
 
@@ -1335,28 +1335,26 @@ def test_refined_zero_kernels_take_no_exact_fallback(cell):
 
 @contextmanager
 def few_lambda_bits(bits):
-    """Christoffel numbers cut to `bits` fixed-point bits in L; yields the exact L-entry divisions and exact values.
+    """Christoffel numbers cut to `bits` fixed-point bits in L; yields the divisors of the `_round_div` calls.
 
     An exact value is one `_horner` call and one `_round_div`; with none, every `_round_div` call is an entry of L.
     """
-    saved = matrices._LAMBDA_BITS, matrices._round_div, matrices._horner
-    divisions, values = [], []
-    matrices._LAMBDA_BITS = bits
-    matrices._round_div = lambda p, q: divisions.append(q) or saved[1](p, q)
-    matrices._horner = lambda a, u, e: values.append(u) or saved[2](a, u, e)
+    saved = matrices._LAMBDA_BITS, matrices._round_div
+    divisions = []
+    matrices._LAMBDA_BITS, matrices._round_div = bits, lambda p, q: divisions.append(q) or saved[1](p, q)
     try:
-        yield divisions, values
+        yield divisions
     finally:
-        matrices._LAMBDA_BITS, matrices._round_div, matrices._horner = saved
+        matrices._LAMBDA_BITS, matrices._round_div = saved
 
 
 @given(cells, st.integers(0, _PRODUCT_BITS + 8))
 def test_transition_exact_fallback(cell, bits):
     args = transition_args(cell)
-    with few_lambda_bits(bits) as (divisions, values):
+    with few_lambda_bits(bits) as divisions, few_value_bits(matrices._VALUE_MARGIN) as values:
         got = [on_grid(m) for m in _transition_exact(*args)]
     assert got == list(transition_reference(*args))
-    assert not values  # the value table needs no exact entry at its own margin
+    assert not values  # no value was exact, so every division counted is an entry of L
     if bits <= 16:
         assert divisions  # some entry of L was divided exactly
 
